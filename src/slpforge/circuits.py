@@ -24,29 +24,33 @@ Three forms share one polynomial semantics:
   the vertex count.  Evaluation and expansion run layer by layer, never
   by path enumeration.
 
-evaluate() computes a scalar from an assignment, expand() the exact
-sparse polynomial under hard caps.  Both are pure and share no state.
+fold() is the one walk over all three forms: it interprets an object in
+an algebra given as four functions (var, const, add, mul).  Each
+semantics is such an algebra: evaluate() over ring scalars, expand()
+over sparse polynomials under hard caps, syntactic_degree() over
+integers, the homogeneity check in validate() over degree sets, and
+monotone.mon_set() over monomial sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+import operator
+from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     ArityMismatch,
     BadOperandLayer,
+    CapExceeded,
     CircuitSemanticError,
     DanglingOutput,
-    ModeMismatch,
     ParamError,
     RingMismatch,
 )
 from .polynomials import (
-    COMMUTATIVE,
     DEFAULT_CAPS,
     ExpansionCaps,
-    Monomial,
     NONCOMMUTATIVE,
     SparsePolynomial,
     _check_mode,
@@ -56,6 +60,8 @@ from .rings import Ring, Scalar, ScalarLike
 ADD = "add"
 MUL = "mul"
 OPS = (ADD, MUL)
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +136,15 @@ class LayeredCircuit:
         return out
 
 
-def _is_one_const(circuit: LayeredCircuit, gid: int) -> bool:
-    g = circuit.gates.get(gid)
-    return isinstance(g, ConstLeaf) and g.value == circuit.ring.one()
-
-
-def _is_copy_gate(circuit: LayeredCircuit, g: Gate) -> bool:
-    """True for gates of the shape u*1 or 1*u."""
-    return isinstance(g, BinGate) and g.op == MUL and (
-        _is_one_const(circuit, g.left) or _is_one_const(circuit, g.right)
-    )
+def _copy_source(gates: Mapping[int, Gate], g: Gate, one: Scalar) -> int | None:
+    """u for a copy gate u*1 or 1*u, None for any other gate."""
+    if not isinstance(g, BinGate) or g.op != MUL:
+        return None
+    for ref, other in ((g.left, g.right), (g.right, g.left)):
+        leaf = gates.get(ref)
+        if isinstance(leaf, ConstLeaf) and leaf.value == one:
+            return other
+    return None
 
 
 @dataclass(frozen=True)
@@ -204,33 +209,35 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     if circuit.output_id not in circuit.gates:
         raise DanglingOutput(f"output {circuit.output_id} is not a gate")
 
+    gates, one = circuit.gates, circuit.ring.one()
     staggered = all(
-        sum(1 for gid in layer if not _is_copy_gate(circuit, circuit.gates[gid])) <= 1
+        sum(1 for gid in layer if _copy_source(gates, gates[gid], one) is None) <= 1
         for layer in circuit.layers[1:]
     )
 
     # Syntactic homogeneity: possible total degrees per gate, add unions,
     # mul takes sumsets.  Abandon (None) if a set grows past the cap.
-    degrees: dict[int, frozenset[int]] = {}
-    homogeneous: bool | None = True
-    for layer in circuit.layers:
-        for gid in layer:
-            g = circuit.gates[gid]
-            if isinstance(g, VarLeaf):
-                ds = frozenset((1,))
-            elif isinstance(g, ConstLeaf):
-                ds = frozenset((0,))
-            else:
-                a, b = degrees[g.left], degrees[g.right]
-                ds = a | b if g.op == ADD else frozenset(x + y for x in a for y in b)
-                if len(ds) > _HOMOGENEITY_SET_CAP:
-                    homogeneous = None
-                    break
-            degrees[gid] = ds
-            if homogeneous is True and len(ds) > 1:
-                homogeneous = False
-        if homogeneous is None:
-            break
+    widest = 1
+
+    def degrees(ds: frozenset[int]) -> frozenset[int]:
+        nonlocal widest
+        widest = max(widest, len(ds))
+        if widest > _HOMOGENEITY_SET_CAP:
+            raise CapExceeded("degree set past the homogeneity cap")
+        return ds
+
+    homogeneous: bool | None
+    try:
+        fold(
+            circuit,
+            lambda i: frozenset((1,)),
+            lambda c: frozenset((0,)),
+            lambda a, b: degrees(a | b),
+            lambda a, b: degrees(frozenset(x + y for x in a for y in b)),
+        )
+        homogeneous = widest == 1
+    except CapExceeded:
+        homogeneous = None
 
     return ValidationReport(
         width=circuit.width,
@@ -505,14 +512,6 @@ class LinearForm:
             acc = acc + coeff * assignment[var - 1]
         return acc
 
-    def to_polynomial(self, ring: Ring, mode: str, num_variables: int) -> SparsePolynomial:
-        terms: dict[Monomial, Scalar] = {}
-        if not self.constant.is_zero:
-            terms[Monomial.unit(mode)] = self.constant
-        for var, coeff in self.coefficients.items():
-            terms[Monomial.variable(mode, var)] = coeff
-        return SparsePolynomial(ring, mode, num_variables, terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LinearForm)
@@ -596,102 +595,41 @@ class AlgebraicBranchingProgram:
 IRForm = Union[LayeredCircuit, StraightLineProgram, AlgebraicBranchingProgram]
 
 
-def _check_assignment(obj: IRForm, assignment: Sequence[ScalarLike]) -> list[Scalar]:
-    if len(assignment) != obj.num_variables:
-        raise ArityMismatch(
-            f"expected {obj.num_variables} scalars, got {len(assignment)}"
-        )
-    return [obj.ring.scalar(v) for v in assignment]
+def fold(
+    obj: IRForm,
+    var: Callable[[int], T],
+    const: Callable[[Scalar], T],
+    add: Callable[[T, T], T],
+    mul: Callable[[T, T], T],
+) -> T:
+    """The output of any IR form interpreted in the algebra (var, const, add, mul).
 
-
-def evaluate(obj: IRForm, assignment: Sequence[ScalarLike]) -> Scalar:
-    """Evaluate any IR form at a point, exactly."""
-    point = _check_assignment(obj, assignment)
-    ring = obj.ring
-
+    Every gate of a circuit is computed, including gates the output does
+    not read.  Unwritten SLP registers read as const(0).  An ABP vertex
+    is the sum over its incoming edges of mul(parent, label), in edge
+    order, and the source is const(1); a vertex no path reaches has no
+    value, so an unreachable sink yields const(0).  Each distinct edge
+    label c0 + c1*x_i1 + ... is built once per call, left to right.
+    """
     if isinstance(obj, LayeredCircuit):
-        values: dict[int, Scalar] = {}
+        gates = obj.gates
+        values: dict[int, T] = {}
         for layer in obj.layers:
             for gid in layer:
-                g = obj.gates[gid]
-                if isinstance(g, VarLeaf):
-                    values[gid] = point[g.index - 1]
-                elif isinstance(g, ConstLeaf):
-                    values[gid] = g.value
+                g = gates[gid]
+                if isinstance(g, BinGate):
+                    op = add if g.op == ADD else mul
+                    values[gid] = op(values[g.left], values[g.right])
+                elif isinstance(g, VarLeaf):
+                    values[gid] = var(g.index)
                 else:
-                    a, b = values[g.left], values[g.right]
-                    values[gid] = a + b if g.op == ADD else a * b
+                    values[gid] = const(g.value)
         return values[obj.output_id]
 
     if isinstance(obj, StraightLineProgram):
-        regs = [ring.zero()] * obj.register_count
+        regs = [const(obj.ring.zero())] * obj.register_count
 
-        def val(op: Operand) -> Scalar:
-            if isinstance(op, RegOperand):
-                return regs[op.register]
-            if isinstance(op, VarOperand):
-                return point[op.index - 1]
-            return op.value
-
-        for step in obj.steps:
-            if isinstance(step, LoadStep):
-                regs[step.dest] = val(step.source)
-            else:
-                a, b = val(step.left), val(step.right)
-                regs[step.dest] = a + b if step.op == ADD else a * b
-        return regs[obj.output_register]
-
-    if isinstance(obj, AlgebraicBranchingProgram):
-        values = {obj.source: ring.one()}
-        by_source: dict[int, list[tuple[int, LinearForm]]] = {}
-        for u, v, label in obj.edges:
-            by_source.setdefault(u, []).append((v, label))
-        for layer in obj.layers[:-1]:
-            nxt: dict[int, Scalar] = {}
-            for u in layer:
-                base = values.get(u)
-                if base is None:
-                    continue
-                for v, label in by_source.get(u, []):
-                    contrib = base * label.evaluate(point)
-                    nxt[v] = nxt.get(v, ring.zero()) + contrib
-            values.update(nxt)
-        return values.get(obj.sink, ring.zero())
-
-    raise ParamError(f"cannot evaluate {type(obj).__name__}")
-
-
-def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
-    """The exact sparse polynomial computed by any IR form.
-
-    Raises TermCapExceeded or DegreeCapExceeded rather than truncating.
-    """
-    ring, mode, n = obj.ring, obj.mode, obj.num_variables
-
-    def var(i: int) -> SparsePolynomial:
-        return SparsePolynomial.variable(ring, mode, n, i)
-
-    def const(c: Scalar) -> SparsePolynomial:
-        return SparsePolynomial.constant(ring, mode, n, c)
-
-    if isinstance(obj, LayeredCircuit):
-        polys: dict[int, SparsePolynomial] = {}
-        for layer in obj.layers:
-            for gid in layer:
-                g = obj.gates[gid]
-                if isinstance(g, VarLeaf):
-                    polys[gid] = var(g.index)
-                elif isinstance(g, ConstLeaf):
-                    polys[gid] = const(g.value)
-                else:
-                    a, b = polys[g.left], polys[g.right]
-                    polys[gid] = a.add(b, caps) if g.op == ADD else a.mul(b, caps)
-        return polys[obj.output_id]
-
-    if isinstance(obj, StraightLineProgram):
-        regs = [SparsePolynomial.zero(ring, mode, n)] * obj.register_count
-
-        def poly(op: Operand) -> SparsePolynomial:
+        def operand(op: Operand) -> T:
             if isinstance(op, RegOperand):
                 return regs[op.register]
             if isinstance(op, VarOperand):
@@ -700,33 +638,68 @@ def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
 
         for step in obj.steps:
             if isinstance(step, LoadStep):
-                regs[step.dest] = poly(step.source)
+                regs[step.dest] = operand(step.source)
             else:
-                a, b = poly(step.left), poly(step.right)
-                regs[step.dest] = a.add(b, caps) if step.op == ADD else a.mul(b, caps)
+                op = add if step.op == ADD else mul
+                regs[step.dest] = op(operand(step.left), operand(step.right))
         return regs[obj.output_register]
 
     if isinstance(obj, AlgebraicBranchingProgram):
-        values = {obj.source: SparsePolynomial.constant(ring, mode, n, 1)}
-        by_source: dict[int, list[tuple[int, LinearForm]]] = {}
+        built: dict[LinearForm, T] = {}
+        incoming: dict[int, list[tuple[int, LinearForm]]] = {}
         for u, v, label in obj.edges:
-            by_source.setdefault(u, []).append((v, label))
-        for layer in obj.layers[:-1]:
-            nxt: dict[int, SparsePolynomial] = {}
-            for u in layer:
-                base = values.get(u)
-                if base is None:
-                    continue
-                for v, label in by_source.get(u, []):
-                    contrib = base.mul(label.to_polynomial(ring, mode, n), caps)
-                    if v in nxt:
-                        nxt[v] = nxt[v].add(contrib, caps)
-                    else:
-                        nxt[v] = contrib
-            values.update(nxt)
-        return values.get(obj.sink, SparsePolynomial.zero(ring, mode, n))
+            incoming.setdefault(v, []).append((u, label))
+            if label not in built:
+                acc = const(label.constant)
+                for index, coeff in label.coefficients.items():
+                    acc = add(acc, mul(const(coeff), var(index)))
+                built[label] = acc
+        values = {obj.source: const(obj.ring.one())}
+        for layer in obj.layers[1:]:
+            for v in layer:
+                terms = [
+                    mul(values[u], built[label])
+                    for u, label in incoming.get(v, ())
+                    if u in values
+                ]
+                if terms:
+                    values[v] = reduce(add, terms)
+        if obj.sink in values:
+            return values[obj.sink]
+        return const(obj.ring.zero())
 
-    raise ParamError(f"cannot expand {type(obj).__name__}")
+    raise ParamError(f"cannot interpret {type(obj).__name__}")
+
+
+def evaluate(obj: IRForm, assignment: Sequence[ScalarLike]) -> Scalar:
+    """Evaluate any IR form at a point, exactly."""
+    if len(assignment) != obj.num_variables:
+        raise ArityMismatch(
+            f"expected {obj.num_variables} scalars, got {len(assignment)}"
+        )
+    # Index 0 is padding, so xi reads point[i] through a C-level getter.
+    point = [None] + [obj.ring.scalar(v) for v in assignment]
+    return fold(obj, point.__getitem__, lambda c: c, operator.add, operator.mul)
+
+
+def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
+    """The exact sparse polynomial computed by any IR form.
+
+    Raises TermCapExceeded or DegreeCapExceeded rather than truncating.
+    """
+    ring, mode, n = obj.ring, obj.mode, obj.num_variables
+    return fold(
+        obj,
+        lambda i: SparsePolynomial.variable(ring, mode, n, i),
+        lambda c: SparsePolynomial.constant(ring, mode, n, c),
+        lambda a, b: a.add(b, caps),
+        lambda a, b: a.mul(b, caps),
+    )
+
+
+def syntactic_degree(obj: IRForm) -> int:
+    """Upper bound on the output degree: leaves 1/0, add max, mul sum."""
+    return fold(obj, lambda i: 1, lambda c: 0, max, operator.add)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +777,16 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     return b.build()
 
 
+def leaf_operand(circuit: LayeredCircuit, gid: int) -> Union[VarOperand, ConstOperand]:
+    """The immediate operand for leaf gate gid."""
+    g = circuit.gates[gid]
+    if isinstance(g, VarLeaf):
+        return VarOperand(g.index)
+    if isinstance(g, ConstLeaf):
+        return ConstOperand(g.value)
+    raise ParamError(f"gate {gid} is not a leaf")
+
+
 def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
     """Register program for a staggered circuit.
 
@@ -819,23 +802,16 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
     )
 
-    def leaf_operand(gid: int) -> Operand:
-        g = circuit.gates[gid]
-        if isinstance(g, VarLeaf):
-            return sb.var(g.index)
-        if isinstance(g, ConstLeaf):
-            return ConstOperand(g.value)
-        raise ParamError(f"gate {gid} is not a leaf")
-
+    gates, one = circuit.gates, circuit.ring.one()
     leaf_ids = set(circuit.layers[0])
     register_of: dict[int, int] = {}
     for layer in circuit.layers[1:]:
-        copies = [gid for gid in layer if _is_copy_gate(circuit, circuit.gates[gid])]
-        real = [gid for gid in layer if gid not in set(copies)]
+        sources = {gid: _copy_source(gates, gates[gid], one) for gid in layer}
+        copies = [gid for gid in layer if sources[gid] is not None]
+        real = [gid for gid in layer if sources[gid] is None]
         taken: set[int] = set()
         for gid in copies:
-            g = circuit.gates[gid]
-            source = g.left if not _is_one_const(circuit, g.left) else g.right
+            source = sources[gid]
             if source in leaf_ids:
                 # A copy of a leaf still needs a register of its own.
                 real.append(gid)
@@ -843,20 +819,20 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
             register_of[gid] = register_of[source]
             taken.add(register_of[gid])
         for gid in real:
-            g = circuit.gates[gid]
+            g = gates[gid]
             dest = next(r for r in range(width) if r not in taken)
             taken.add(dest)
             operands = []
             for ref in (g.left, g.right):
                 if ref in leaf_ids:
-                    operands.append(leaf_operand(ref))
+                    operands.append(leaf_operand(circuit, ref))
                 else:
                     operands.append(sb.reg(register_of[ref]))
             sb.apply(dest, g.op, operands[0], operands[1])
             register_of[gid] = dest
 
     if circuit.output_id in leaf_ids:
-        sb.load(0, leaf_operand(circuit.output_id))
+        sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
     return sb.finish(register_of[circuit.output_id])
 
@@ -866,13 +842,23 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
 
 
 def substitute_constants(
-    circuit: LayeredCircuit, values: Mapping[int, ScalarLike], name: str | None = None
+    circuit: LayeredCircuit,
+    values: Mapping[int, ScalarLike],
+    name: str | None = None,
+    renames: Mapping[int, int] | None = None,
 ) -> LayeredCircuit:
-    """Replace variable leaves by ring constants, keeping the shape."""
+    """Replace variable leaves by ring constants, keeping the shape.
+
+    Variables absent from values but present in renames are read as the
+    variable they rename to.
+    """
+    renames = renames or {}
     gates: dict[int, Gate] = {}
     for gid, g in circuit.gates.items():
         if isinstance(g, VarLeaf) and g.index in values:
             gates[gid] = ConstLeaf(circuit.ring.scalar(values[g.index]))
+        elif isinstance(g, VarLeaf) and g.index in renames:
+            gates[gid] = VarLeaf(renames[g.index])
         else:
             gates[gid] = g
     return LayeredCircuit(
@@ -884,37 +870,3 @@ def substitute_constants(
         gates,
         circuit.output_id,
     )
-
-
-def syntactic_degree(obj: Union[LayeredCircuit, StraightLineProgram]) -> int:
-    """Upper bound on the output degree: leaves 1/0, add max, mul sum."""
-    if isinstance(obj, LayeredCircuit):
-        deg: dict[int, int] = {}
-        for layer in obj.layers:
-            for gid in layer:
-                g = obj.gates[gid]
-                if isinstance(g, VarLeaf):
-                    deg[gid] = 1
-                elif isinstance(g, ConstLeaf):
-                    deg[gid] = 0
-                else:
-                    a, b = deg[g.left], deg[g.right]
-                    deg[gid] = max(a, b) if g.op == ADD else a + b
-        return deg[obj.output_id]
-
-    regs = [0] * obj.register_count
-
-    def d(op: Operand) -> int:
-        if isinstance(op, RegOperand):
-            return regs[op.register]
-        if isinstance(op, VarOperand):
-            return 1
-        return 0
-
-    for step in obj.steps:
-        if isinstance(step, LoadStep):
-            regs[step.dest] = d(step.source)
-        else:
-            a, b = d(step.left), d(step.right)
-            regs[step.dest] = max(a, b) if step.op == ADD else a + b
-    return regs[obj.output_register]

@@ -105,3 +105,7 @@ class NotMonotone(SlpforgeError):
 
 class GridTooLarge(SlpforgeError):
     """The deterministic evaluation grid would exceed the configured budget."""
+
+
+class InvariantViolation(SlpforgeError):
+    """An internal invariant failed: a bug in slpforge, not in its input."""

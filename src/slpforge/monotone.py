@@ -9,10 +9,11 @@ circuits where cancellation could hide a monomial.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import ConstLeaf, LayeredCircuit, VarLeaf, validate
+from .circuits import LayeredCircuit, fold, validate
 from .errors import (
     DegreeCapExceeded,
     ModeMismatch,
@@ -74,34 +75,31 @@ def mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> MonomialSe
         raise NotMonotone("set semantics require a monotone circuit")
     unit = frozenset((Monomial.unit(c.mode),))
     empty: frozenset[Monomial] = frozenset()
-    support: dict[int, frozenset[Monomial]] = {}
-    for layer in c.layers:
-        for gid in layer:
-            g = c.gates[gid]
-            if isinstance(g, VarLeaf):
-                s = frozenset((Monomial.variable(c.mode, g.index),))
-            elif isinstance(g, ConstLeaf):
-                s = empty if g.value.is_zero else unit
-            elif g.op == "add":
-                s = support[g.left] | support[g.right]
-            else:
-                out = set()
-                for a in support[g.left]:
-                    for b in support[g.right]:
-                        mono = a * b
-                        if mono.degree > caps.max_degree:
-                            raise DegreeCapExceeded(
-                                f"support monomial degree {mono.degree} "
-                                f"exceeds cap {caps.max_degree}"
-                            )
-                        out.add(mono)
-                        if len(out) > caps.max_terms:
-                            raise TermCapExceeded(
-                                f"support grew past {caps.max_terms} monomials"
-                            )
-                s = frozenset(out)
-            support[gid] = s
-    members = support[c.output_id]
+
+    def products(left: frozenset[Monomial], right: frozenset[Monomial]) -> frozenset[Monomial]:
+        out = set()
+        for a in left:
+            for b in right:
+                mono = a * b
+                if mono.degree > caps.max_degree:
+                    raise DegreeCapExceeded(
+                        f"support monomial degree {mono.degree} "
+                        f"exceeds cap {caps.max_degree}"
+                    )
+                out.add(mono)
+                if len(out) > caps.max_terms:
+                    raise TermCapExceeded(
+                        f"support grew past {caps.max_terms} monomials"
+                    )
+        return frozenset(out)
+
+    members = fold(
+        c,
+        lambda i: frozenset((Monomial.variable(c.mode, i),)),
+        lambda value: empty if value.is_zero else unit,
+        operator.or_,
+        products,
+    )
     bound = max((m.degree for m in members), default=0)
     return MonomialSet(c.mode, c.num_variables, members, bound)
 

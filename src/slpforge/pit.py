@@ -33,12 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import (
-    ApplyStep,
-    ConstLeaf,
     LayeredCircuit,
     SlpBuilder,
-    StraightLineProgram,
-    VarLeaf,
     evaluate,
     slp_to_circuit,
     substitute_constants,
@@ -49,7 +45,7 @@ from .families import permanent_var_index
 from .polynomials import COMMUTATIVE, Monomial, SparsePolynomial
 from .rings import Ring, Scalar, is_probable_prime
 from .stagger import staggerize
-from .transforms import _stale_read_registers
+from .transforms import _BodyEmitter
 
 __all__ = [
     "Verdict",
@@ -294,31 +290,6 @@ class PermCheckInstance:
     identities: tuple[LayeredCircuit, ...]
 
 
-def _rewrite_leaves(
-    circuit: LayeredCircuit,
-    constants: dict[int, int],
-    renames: dict[int, int],
-    name: str,
-) -> LayeredCircuit:
-    gates = {}
-    for gid, g in circuit.gates.items():
-        if isinstance(g, VarLeaf) and g.index in constants:
-            gates[gid] = ConstLeaf(circuit.ring.scalar(constants[g.index]))
-        elif isinstance(g, VarLeaf) and g.index in renames:
-            gates[gid] = VarLeaf(renames[g.index])
-        else:
-            gates[gid] = g
-    return LayeredCircuit(
-        name,
-        circuit.ring,
-        circuit.mode,
-        circuit.num_variables,
-        circuit.layers,
-        gates,
-        circuit.output_id,
-    )
-
-
 def _restriction_constants(n: int, k: int) -> dict[int, int]:
     """x_ij <- 1 if i = j else 0, for every entry outside the k x k corner."""
     fixed = {}
@@ -337,18 +308,6 @@ def minor_variable_map(n: int, k: int, i: int) -> dict[int, int]:
             col = b if b < i else b + 1
             renames[permanent_var_index(n, a, b)] = permanent_var_index(n, a + 1, col)
     return renames
-
-
-def _emit_program(sb: SlpBuilder, program: StraightLineProgram, ran_before: bool) -> None:
-    if ran_before:
-        # Earlier parts may have dirtied registers this one reads blind.
-        for reg in _stale_read_registers(program):
-            sb.load(reg, sb.const(0))
-    for step in program.steps:
-        if isinstance(step, ApplyStep):
-            sb.apply(step.dest, step.op, step.left, step.right)
-        else:
-            sb.load(step.dest, step.source)
 
 
 def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
@@ -380,11 +339,11 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
                 sb0.load(0, sb0.const(1))
                 parts.append(sb0.finish(0))
             else:
-                minor = _rewrite_leaves(
+                minor = substitute_constants(
                     restricted[k - 2],
                     {},
-                    minor_variable_map(n, k, i),
                     name=f"C_{k - 1}_minor_{i}",
+                    renames=minor_variable_map(n, k, i),
                 )
                 parts.append(staggerize(minor))
         pool = max(p.register_count for p in parts)
@@ -392,13 +351,12 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
         sb = SlpBuilder(
             c.ring, c.mode, c.num_variables, register_count=pool + 1, name=f"B_{k}"
         )
-        _emit_program(sb, parts[0], ran_before=False)
-        sb.apply(acc, "add", sb.reg(acc), sb.reg(parts[0].output_register))
-        for i, part in enumerate(parts[1:], start=1):
-            _emit_program(sb, part, ran_before=True)
-            out = part.output_register
-            sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
-            sb.apply(out, "mul", sb.const(-1), sb.reg(out))
+        for i, part in enumerate(parts):
+            # Earlier parts may have dirtied registers this one reads blind.
+            out = _BodyEmitter(sb, part, None, dirty=i > 0).run()
+            if i > 0:
+                sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
+                sb.apply(out, "mul", sb.const(-1), sb.reg(out))
             sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
         identities.append(slp_to_circuit(sb.finish(acc)))
     return PermCheckInstance(

@@ -29,6 +29,7 @@ from .errors import (
     CharacteristicTooSmall,
     DegenerateRoot,
     DegreeBoundViolated,
+    InvariantViolation,
     ModeMismatch,
     ParamError,
     SizeBudgetExceeded,
@@ -149,7 +150,8 @@ def _series_inverse(u: SparsePolynomial, m: int) -> SparsePolynomial:
     """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
     unit = Monomial.unit(u.mode)
     u0 = u.coefficient(unit)
-    assert not u0.is_zero, "series inverse at a non-unit"
+    if u0.is_zero:
+        raise InvariantViolation("series inverse at a non-unit")
     u0_inv = u0.inverse()
     one = SparsePolynomial.constant(u.ring, u.mode, u.num_variables, 1)
     tail = one.sub(u.scale(u0_inv)).truncate(m)
@@ -168,8 +170,8 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
 
     Iterates y <- y - P(x_bar, y)/P'(x_bar, y) on series truncated at
     degree m+1; each step doubles the correct precision, so m.bit_length()
-    steps suffice and the final residue check is an assertion, not an
-    error path.
+    steps suffice; a nonzero final residue is an InvariantViolation, a
+    bug rather than a property of the input.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -187,7 +189,8 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
         value = _poly_at_series(coeffs, g, m)
         slope = _poly_at_series(deriv_coeffs, g, m)
         g = g.sub(value.mul(_series_inverse(slope, m)).truncate(m)).truncate(m)
-    assert _poly_at_series(coeffs, g, m).is_zero, "Newton iteration did not converge"
+    if not _poly_at_series(coeffs, g, m).is_zero:
+        raise InvariantViolation("Newton iteration did not converge")
     return g
 
 

@@ -27,20 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import (
-    ApplyStep,
     BinGate,
-    ConstLeaf,
-    ConstOperand,
     LayeredCircuit,
     Operand,
     RegOperand,
     SlpBuilder,
     StraightLineProgram,
-    VarLeaf,
-    VarOperand,
+    leaf_operand,
     validate,
 )
-from .errors import ParamError
+from .errors import InvariantViolation, ParamError
 
 
 @dataclass(frozen=True)
@@ -234,23 +230,15 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
     out_layer = layer_of[circuit.output_id]
     leaf_ids = set(circuit.layers[0])
 
-    def leaf_operand(gid: int) -> Operand:
-        g = circuit.gates[gid]
-        if isinstance(g, VarLeaf):
-            return VarOperand(g.index)
-        if isinstance(g, ConstLeaf):
-            return ConstOperand(g.value)
-        raise ParamError(f"gate {gid} is not a leaf")
-
     if out_layer == 1:
-        sb.load(0, leaf_operand(circuit.output_id))
+        sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
 
     free = list(range(register_count - 1, -1, -1))  # pop() yields smallest
 
     def alloc() -> int:
         if not free:
-            raise AssertionError("register budget exhausted; scheduling bug")
+            raise InvariantViolation("register budget exhausted; scheduling bug")
         return free.pop()
 
     def release(reg: int) -> None:
@@ -267,7 +255,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
 
         def operand_for(ref: int) -> Operand:
             if ref in leaf_ids:
-                return leaf_operand(ref)
+                return leaf_operand(circuit, ref)
             return RegOperand(register_of[ref])
 
         schedule = order_edges(graph)
@@ -294,6 +282,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
             sb.apply(dest, gate.op, operand_for(gate.left), operand_for(gate.right))
             register_of[gid] = dest
         # Registers now hold exactly the layer-(i+1) values.
-        assert set(register_of) == set(circuit.layers[i]), "layer not fully consumed"
+        if set(register_of) != set(circuit.layers[i]):
+            raise InvariantViolation(f"layer {i + 1} not fully consumed; scheduling bug")
 
     return sb.finish(register_of[circuit.output_id])

@@ -15,6 +15,7 @@ Branching-program files:
 
     abp <name>
     ring ...
+    mode ...              (optional; noncommutative when absent)
     vars <n>
     vertex <id> <layer>
     edge <from> <to> <c0> [<i>:<ci>]...
@@ -59,7 +60,7 @@ from .errors import (
     ParamError,
     SlpforgeError,
 )
-from .polynomials import COMMUTATIVE, MODES, Monomial, SparsePolynomial
+from .polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE, Monomial, SparsePolynomial
 from .rings import Ring, ring_from_descriptor
 
 Parsed = Union[LayeredCircuit, AlgebraicBranchingProgram]
@@ -82,8 +83,11 @@ def _int(token: str, lineno: int, what: str) -> int:
         raise CircuitSyntaxError(f"{what} must be an integer, got {token!r}", lineno)
 
 
-def _header(lines, kind: str):
-    """Shared circuit/abp header: returns (name, ring, rest) minus the mode line."""
+def _header(lines, kind: str, default_mode: str | None = None):
+    """Shared header of all three formats: (name, ring, mode, vars, rest).
+
+    The mode line is required unless a default_mode is given.
+    """
     if not lines:
         raise CircuitSyntaxError("empty file", 1)
     lineno, tokens = lines[0]
@@ -99,7 +103,22 @@ def _header(lines, kind: str):
         ring = ring_from_descriptor(tokens[1:])
     except ParamError as exc:
         raise CircuitSyntaxError(str(exc), lineno)
-    return name, ring, lines[2:]
+    rest = lines[2:]
+    mode = default_mode
+    if mode is None or (rest and rest[0][1][0] == "mode"):
+        if not rest:
+            raise CircuitSyntaxError("missing mode line", lineno)
+        lineno, tokens = rest[0]
+        if len(tokens) != 2 or tokens[0] != "mode" or tokens[1] not in MODES:
+            raise CircuitSyntaxError("expected 'mode commutative' or 'mode noncommutative'", lineno)
+        mode = tokens[1]
+        rest = rest[1:]
+    if not rest:
+        raise CircuitSyntaxError("missing vars line", lineno)
+    lineno, tokens = rest[0]
+    if len(tokens) != 2 or tokens[0] != "vars":
+        raise CircuitSyntaxError("expected 'vars <n>'", lineno)
+    return name, ring, mode, _int(tokens[1], lineno, "variable count"), rest[1:]
 
 
 def parse_circuit(text: str) -> Parsed:
@@ -116,25 +135,13 @@ def parse_circuit(text: str) -> Parsed:
 
 
 def _parse_layered(lines) -> LayeredCircuit:
-    name, ring, rest = _header(lines, "circuit")
-    if not rest:
-        raise CircuitSyntaxError("missing mode line", 1)
-    lineno, tokens = rest[0]
-    if len(tokens) != 2 or tokens[0] != "mode" or tokens[1] not in MODES:
-        raise CircuitSyntaxError("expected 'mode commutative' or 'mode noncommutative'", lineno)
-    mode = tokens[1]
-    if len(rest) < 2:
-        raise CircuitSyntaxError("missing vars line", lineno)
-    lineno, tokens = rest[1]
-    if len(tokens) != 2 or tokens[0] != "vars":
-        raise CircuitSyntaxError("expected 'vars <n>'", lineno)
-    num_variables = _int(tokens[1], lineno, "variable count")
+    name, ring, mode, num_variables, rest = _header(lines, "circuit")
 
     gates: dict[int, Gate] = {}
     gate_layer: dict[int, int] = {}
     file_order: list[int] = []
     output_id: int | None = None
-    for lineno, tokens in rest[2:]:
+    for lineno, tokens in rest:
         if tokens[0] == "gate":
             if output_id is not None:
                 raise CircuitSyntaxError("gate line after output line", lineno)
@@ -200,19 +207,13 @@ def _parse_layered(lines) -> LayeredCircuit:
 
 
 def _parse_abp(lines) -> AlgebraicBranchingProgram:
-    name, ring, rest = _header(lines, "abp")
-    if not rest:
-        raise CircuitSyntaxError("missing vars line", 1)
-    lineno, tokens = rest[0]
-    if len(tokens) != 2 or tokens[0] != "vars":
-        raise CircuitSyntaxError("expected 'vars <n>'", lineno)
-    num_variables = _int(tokens[1], lineno, "variable count")
+    name, ring, mode, num_variables, rest = _header(lines, "abp", NONCOMMUTATIVE)
 
     vertex_layer: dict[int, int] = {}
     edges: list[tuple[int, int, LinearForm]] = []
     source: int | None = None
     sink: int | None = None
-    for lineno, tokens in rest[1:]:
+    for lineno, tokens in rest:
         if tokens[0] == "vertex":
             if len(tokens) != 3:
                 raise CircuitSyntaxError("expected 'vertex <id> <layer>'", lineno)
@@ -259,7 +260,7 @@ def _parse_abp(lines) -> AlgebraicBranchingProgram:
         layers[vertex_layer[vid]].append(vid)
     # Constructor enforces source/sink placement and adjacency.
     return AlgebraicBranchingProgram(
-        name, ring, num_variables, layers, edges, source, sink
+        name, ring, num_variables, layers, edges, source, sink, mode
     )
 
 
@@ -288,6 +289,7 @@ def serialize_circuit(obj: Parsed) -> str:
         lines = [
             f"abp {obj.name}",
             f"ring {obj.ring.descriptor()}",
+            f"mode {obj.mode}",
             f"vars {obj.num_variables}",
         ]
         for layer_index, layer in enumerate(obj.layers):
@@ -346,22 +348,10 @@ def _parse_monomial(text: str, mode: str, lineno: int) -> Monomial:
 def parse_polynomial(text: str) -> tuple[str, SparsePolynomial]:
     """Inverse of serialize_polynomial; returns (name, polynomial)."""
     lines = _content_lines(text)
-    name, ring, rest = _header(lines, "polynomial")
-    if not rest:
-        raise CircuitSyntaxError("missing mode line", 1)
-    lineno, tokens = rest[0]
-    if len(tokens) != 2 or tokens[0] != "mode" or tokens[1] not in MODES:
-        raise CircuitSyntaxError("expected 'mode commutative' or 'mode noncommutative'", lineno)
-    mode = tokens[1]
-    if len(rest) < 2:
-        raise CircuitSyntaxError("missing vars line", lineno)
-    lineno, tokens = rest[1]
-    if len(tokens) != 2 or tokens[0] != "vars":
-        raise CircuitSyntaxError("expected 'vars <n>'", lineno)
-    num_variables = _int(tokens[1], lineno, "variable count")
+    name, ring, mode, num_variables, rest = _header(lines, "polynomial")
 
     terms: dict[Monomial, object] = {}
-    for lineno, tokens in rest[2:]:
+    for lineno, tokens in rest:
         if tokens[0] != "term":
             raise CircuitSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) != 3:

@@ -114,6 +114,9 @@ def _stale_read_registers(program: StraightLineProgram) -> tuple[int, ...]:
 class _BodyEmitter:
     """Re-emits one program's steps into a wider builder, once per point.
 
+    Registers the program reads before writing are cleared before every
+    run but the first, and before the first too when ``dirty`` is set.
+
     Variable reads can be scaled by a constant (every variable, for the
     homogeneous transforms) or one designated variable can be replaced
     by a constant (for derivative and root assembly).  Scaling a
@@ -126,13 +129,14 @@ class _BodyEmitter:
         self,
         sb: SlpBuilder,
         program: StraightLineProgram,
-        stage_register: int,
+        stage_register: int | None,
+        dirty: bool = False,
     ):
         self.sb = sb
         self.program = program
-        self.stage = stage_register
+        self.stage = stage_register  # only runs that scale use it
         self.stale = _stale_read_registers(program)
-        self.ran_before = False
+        self.ran_before = dirty
 
     def run(
         self,

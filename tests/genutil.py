@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from slpforge.circuits import (
+    AlgebraicBranchingProgram,
     BinGate,
     CircuitBuilder,
     ConstLeaf,
@@ -241,3 +242,11 @@ def planted_root_program(
         sb.apply(acc, "mul", sb.reg(acc), sb.reg(factor))
     program = sb.finish(acc)
     return program, planted, planted[0].evaluate([0] * n)
+
+
+def with_mode(abp: AlgebraicBranchingProgram, mode: str) -> AlgebraicBranchingProgram:
+    """The same branching program, expanded in the given mode."""
+    return AlgebraicBranchingProgram(
+        abp.name, abp.ring, abp.num_variables, abp.layers, abp.edges,
+        abp.source, abp.sink, mode=mode,
+    )

@@ -1,7 +1,11 @@
 """Text format parsing and serialization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from genutil import with_mode
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     LayeredCircuit,
@@ -14,6 +18,7 @@ from slpforge.errors import (
     CircuitSyntaxError,
     DanglingOutput,
 )
+from slpforge.families import build_E_abp
 from slpforge.polynomials import (
     COMMUTATIVE,
     NONCOMMUTATIVE,
@@ -236,3 +241,26 @@ def test_polynomial_zero_coefficients_dropped():
     )
     _, poly = parse_polynomial(text)
     assert poly.terms == {}
+
+
+def test_abp_mode_survives_roundtrip():
+    abp = with_mode(build_E_abp(1), COMMUTATIVE)
+    back = parse_circuit(serialize_circuit(abp))
+    assert back.mode == abp.mode == COMMUTATIVE
+    assert expand(back) == expand(abp)
+    assert len(expand(back).terms) == 1  # 2*x1*x2, not x1*x2 + x2*x1
+
+
+def test_abp_without_mode_line_stays_noncommutative():
+    assert "mode" not in ABP_SAMPLE
+    assert parse_circuit(ABP_SAMPLE).mode == NONCOMMUTATIVE
+
+
+def test_readme_format_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    examples = [b for b in blocks if b.startswith(("circuit ", "abp "))]
+    assert {b.split()[0] for b in examples} == {"circuit", "abp"}
+    for text in examples:
+        obj = parse_circuit(text)
+        assert parse_circuit(serialize_circuit(obj)).name == obj.name
