@@ -136,14 +136,24 @@ class LayeredCircuit:
         return out
 
 
-def _copy_source(gates: Mapping[int, Gate], g: Gate, one: Scalar) -> int | None:
+def _one_leaves(circuit: LayeredCircuit) -> frozenset[int]:
+    """Ids of the leaves holding the constant 1."""
+    gates, one = circuit.gates, circuit.ring.one()
+    return frozenset(
+        gid
+        for gid in circuit.layers[0]
+        if isinstance(gates[gid], ConstLeaf) and gates[gid].value == one
+    )
+
+
+def _copy_source(g: Gate, ones: frozenset[int]) -> int | None:
     """u for a copy gate u*1 or 1*u, None for any other gate."""
     if not isinstance(g, BinGate) or g.op != MUL:
         return None
-    for ref, other in ((g.left, g.right), (g.right, g.left)):
-        leaf = gates.get(ref)
-        if isinstance(leaf, ConstLeaf) and leaf.value == one:
-            return other
+    if g.left in ones:
+        return g.right
+    if g.right in ones:
+        return g.left
     return None
 
 
@@ -209,9 +219,9 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     if circuit.output_id not in circuit.gates:
         raise DanglingOutput(f"output {circuit.output_id} is not a gate")
 
-    gates, one = circuit.gates, circuit.ring.one()
+    gates, ones = circuit.gates, _one_leaves(circuit)
     staggered = all(
-        sum(1 for gid in layer if _copy_source(gates, gates[gid], one) is None) <= 1
+        sum(1 for gid in layer if _copy_source(gates[gid], ones) is None) <= 1
         for layer in circuit.layers[1:]
     )
 
@@ -226,6 +236,12 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
             raise CapExceeded("degree set past the homogeneity cap")
         return ds
 
+    def sumset(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+        # |A+B| >= |A|+|B|-1 for integer sets: refuse before the product.
+        if len(a) + len(b) - 1 > _HOMOGENEITY_SET_CAP:
+            raise CapExceeded("degree set past the homogeneity cap")
+        return degrees(frozenset(x + y for x in a for y in b))
+
     homogeneous: bool | None
     try:
         fold(
@@ -233,7 +249,7 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
             lambda i: frozenset((1,)),
             lambda c: frozenset((0,)),
             lambda a, b: degrees(a | b),
-            lambda a, b: degrees(frozenset(x + y for x in a for y in b)),
+            sumset,
         )
         homogeneous = widest == 1
     except CapExceeded:
@@ -264,6 +280,7 @@ class CircuitBuilder:
         self._output: int | None = None
         self._var_ids: dict[int, int] = {}
         self._const_ids: dict[Scalar, int] = {}
+        self._one: int | None = None
 
     def _fresh(self, layer: int, gate: Gate) -> int:
         if layer < 1:
@@ -295,7 +312,9 @@ class CircuitBuilder:
 
     def copy(self, layer: int, source: int) -> int:
         """Ferry gate source*1 into the given layer."""
-        return self.gate(layer, MUL, source, self.const_leaf(1))
+        if self._one is None:
+            self._one = self.const_leaf(1)
+        return self.gate(layer, MUL, source, self._one)
 
     def set_output(self, gid: int) -> None:
         self._output = gid
@@ -505,12 +524,6 @@ class LinearForm:
 
     def __setattr__(self, key, value):
         raise AttributeError("LinearForm is immutable")
-
-    def evaluate(self, assignment: Sequence[Scalar]) -> Scalar:
-        acc = self.constant
-        for var, coeff in self.coefficients.items():
-            acc = acc + coeff * assignment[var - 1]
-        return acc
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -802,11 +815,11 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
     )
 
-    gates, one = circuit.gates, circuit.ring.one()
+    gates, ones = circuit.gates, _one_leaves(circuit)
     leaf_ids = set(circuit.layers[0])
     register_of: dict[int, int] = {}
     for layer in circuit.layers[1:]:
-        sources = {gid: _copy_source(gates, gates[gid], one) for gid in layer}
+        sources = {gid: _copy_source(gates[gid], ones) for gid in layer}
         copies = [gid for gid in layer if sources[gid] is not None]
         real = [gid for gid in layer if sources[gid] is None]
         taken: set[int] = set()

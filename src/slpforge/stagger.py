@@ -10,12 +10,18 @@ each layer-(i+1) gate contributes one edge or one constant entry,
 
 order_edges schedules the edges so that the running register demand --
 results already computed plus layer-i values still needed -- never
-exceeds max{|V(G)|, |E(G)|+1, |E(G)|+|V'|}.  Acyclic components go
-first; inside a component, an edge lying on a cycle (loops and parallel
-copies included) is preferred, and once the component is a tree, leaf
-edges are peeled.  The result register can reuse the register of an
-operand that dies with the edge; a self-loop reads its register twice
-and therefore always takes a fresh one.
+exceeds max{|V(G)|, |E(G)|+1, |E(G)|+|V'|}.  The result register can
+reuse the register of an operand that dies with the edge; a self-loop
+reads its register twice and therefore always takes a fresh one.
+
+The order is fixed, because slp_to_circuit derives copy gates from it
+and so emitted sizes depend on it.  Components go acyclic first, then
+by least vertex.  Inside a component each step removes, while any edge
+lies on a cycle (loops and parallel copies included), the least such
+edge by (u, v, gate); after that the component is a forest, and each
+step removes the least edge by (u, v, gate) with an endpoint of degree
+one.  Cost: one bridge DFS per step while the component has a cycle,
+then one scan for leaf edges per step, so O(E^2) per layer.
 
 staggerize replays the schedule as straight-line code, giving at most
 w+1 registers and one apply step per internal gate: leaf operands are
@@ -24,6 +30,7 @@ embedded as immediates, so no loads are spent on them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .circuits import (
@@ -129,78 +136,91 @@ def _components(edges: list[MultiEdge]) -> list[set[int]]:
     return list(groups.values())
 
 
-def _connected_without(edges: list[MultiEdge], skip: MultiEdge, start: int, goal: int) -> bool:
-    """Is goal reachable from start when one copy of skip is removed?"""
-    adjacency: dict[int, list[int]] = {}
-    skipped = False
-    for e in edges:
-        if not skipped and e == skip:
-            skipped = True
+def _bridges(edges: tuple[MultiEdge, ...], live: list[int]) -> set[int]:
+    """Indices in live of the edges whose removal disconnects their ends.
+
+    Iterative Tarjan low-link DFS.  The tree edge back to the parent is
+    skipped by index, so a parallel copy counts as a second path and
+    parallel edges are never bridges; self-loops never are either.
+    """
+    adjacency: dict[int, list[tuple[int, int]]] = {}
+    for i in live:
+        e = edges[i]
+        if e.u != e.v:
+            adjacency.setdefault(e.u, []).append((e.v, i))
+            adjacency.setdefault(e.v, []).append((e.u, i))
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    bridges: set[int] = set()
+    for root in adjacency:
+        if root in disc:
             continue
-        adjacency.setdefault(e.u, []).append(e.v)
-        adjacency.setdefault(e.v, []).append(e.u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if x == goal:
-            return True
-        for y in adjacency.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return goal in seen
+        disc[root] = low[root] = len(disc)
+        stack = [(root, -1, iter(adjacency[root]))]
+        while stack:
+            x, via, neighbours = stack[-1]
+            for y, i in neighbours:
+                if i == via:
+                    continue
+                if y in disc:
+                    low[x] = min(low[x], disc[y])
+                else:
+                    disc[y] = low[y] = len(disc)
+                    stack.append((y, i, iter(adjacency[y])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                    if low[x] > disc[parent]:
+                        bridges.add(via)
+    return bridges
 
 
 def order_edges(graph: LayerMultigraph) -> OrderResult:
     """Schedule the edges within the documented register census."""
-    remaining = list(graph.edges)
+    edges = graph.edges
+    degree: dict[int, int] = {}
+    for e in edges:
+        degree[e.u] = degree.get(e.u, 0) + 1
+        degree[e.v] = degree.get(e.v, 0) + 1
+    nonisolated = len(degree)
 
-    def degree(x: int) -> int:
-        return sum((e.u == x) + (e.v == x) for e in remaining)
-
-    def nonisolated() -> int:
-        alive = set()
-        for e in remaining:
-            alive.add(e.u)
-            alive.add(e.v)
-        return len(alive)
-
-    components = _components(remaining)
+    components = _components(list(edges))
 
     def is_acyclic(comp: set[int]) -> bool:
-        count = sum(1 for e in remaining if e.u in comp)
+        count = sum(1 for e in edges if e.u in comp)
         return count == len(comp) - 1
 
     components.sort(key=lambda comp: (0 if is_acyclic(comp) else 1, min(comp)))
 
     order: list[MultiEdge] = []
     steps: list[EdgeStep] = []
-    census = [nonisolated()]
-    removed = 0
+    census = [nonisolated]
     for comp in components:
-        while True:
-            local = [e for e in remaining if e.u in comp]
-            if not local:
-                break
-            non_cut = [
-                e
-                for e in local
-                if e.is_loop or _connected_without(local, e, e.u, e.v)
-            ]
-            if non_cut:
-                e = min(non_cut, key=_edge_key)
-            else:
-                leafy = [e for e in local if degree(e.u) == 1 or degree(e.v) == 1]
-                e = min(leafy, key=_edge_key)
-            ni_before = nonisolated()
-            remaining.remove(e)
-            freed = tuple(
-                sorted({x for x in (e.u, e.v) if degree(x) == 0})
-            )
+        live = [i for i, e in enumerate(edges) if e.u in comp]
+        forest = False
+        while live:
+            if not forest:
+                bridges = _bridges(edges, live)
+                candidates = [i for i in live if i not in bridges]
+                forest = not candidates
+            if forest:
+                # Removing edges keeps a forest one: no more DFS is needed.
+                candidates = [
+                    i for i in live if degree[edges[i].u] == 1 or degree[edges[i].v] == 1
+                ]
+            pick = min(candidates, key=lambda i: _edge_key(edges[i]))
+            live.remove(pick)
+            e = edges[pick]
+            ni_before = nonisolated
+            degree[e.u] -= 1
+            degree[e.v] -= 1
+            freed = tuple(sorted({x for x in (e.u, e.v) if degree[x] == 0}))
+            nonisolated -= len(freed)
             fresh = e.is_loop or not freed
-            census.append(removed + ni_before + (1 if fresh else 0))
-            removed += 1
+            census.append(len(order) + ni_before + (1 if fresh else 0))
             order.append(e)
             steps.append(EdgeStep(e, fresh, freed))
     return OrderResult(tuple(order), tuple(census), tuple(steps))
@@ -234,16 +254,15 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
         sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
 
-    free = list(range(register_count - 1, -1, -1))  # pop() yields smallest
+    free = list(range(register_count))  # a heap: the smallest goes first
 
     def alloc() -> int:
         if not free:
             raise InvariantViolation("register budget exhausted; scheduling bug")
-        return free.pop()
+        return heapq.heappop(free)
 
     def release(reg: int) -> None:
-        free.append(reg)
-        free.sort(reverse=True)
+        heapq.heappush(free, reg)
 
     register_of: dict[int, int] = {}
     for i in range(1, out_layer):

@@ -240,8 +240,12 @@ def _parse_abp(lines) -> AlgebraicBranchingProgram:
                 raise CircuitSyntaxError(str(exc), lineno)
             edges.append((u, v, LinearForm(constant, coeffs)))
         elif tokens[0] == "source":
+            if len(tokens) != 2:
+                raise CircuitSyntaxError("expected 'source <id>'", lineno)
             source = _int(tokens[1], lineno, "source id")
         elif tokens[0] == "sink":
+            if len(tokens) != 2:
+                raise CircuitSyntaxError("expected 'sink <id>'", lineno)
             sink = _int(tokens[1], lineno, "sink id")
         else:
             raise CircuitSyntaxError(f"unknown directive {tokens[0]!r}", lineno)

@@ -10,12 +10,21 @@ from slpforge.circuits import (
     CircuitBuilder,
     ConstLeaf,
     LayeredCircuit,
+    LinearForm,
     SlpBuilder,
     StraightLineProgram,
 )
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
 from slpforge.polynomials import COMMUTATIVE, SparsePolynomial
-from slpforge.rings import Ring
+from slpforge.rings import Ring, Scalar
+from slpforge.stagger import (
+    EdgeStep,
+    LayerMultigraph,
+    MultiEdge,
+    OrderResult,
+    _components,
+    _edge_key,
+)
 
 
 def random_layered_circuit(
@@ -27,12 +36,14 @@ def random_layered_circuit(
     internal_layers: int = 4,
     degree_budget: int = 10,
     name: str = "rand",
+    layer_sizes: list[int] | None = None,
 ) -> LayeredCircuit:
     """A valid layered circuit hitting the requested width in some layer.
 
     Gate operands come from the previous layer or the leaves, and a mul
     whose syntactic degree would pass the budget is demoted to add so
-    test oracles can expand the result cheaply.
+    test oracles can expand the result cheaply.  layer_sizes, when
+    given, fixes the internal layer sizes instead of drawing them.
     """
     cb = CircuitBuilder(ring, mode, num_variables, name=name)
     degree: dict[int, int] = {}
@@ -48,9 +59,13 @@ def random_layered_circuit(
 
     previous: list[int] = []
     last_gate = None
-    for layer_index in range(2, internal_layers + 2):
-        # Force full width once so the generator exercises the bound.
-        count = width if layer_index == 2 else rng.randrange(1, width + 1)
+    for k in range(internal_layers if layer_sizes is None else len(layer_sizes)):
+        layer_index = k + 2
+        if layer_sizes is not None:
+            count = layer_sizes[k]
+        else:
+            # Force full width once so the generator exercises the bound.
+            count = width if layer_index == 2 else rng.randrange(1, width + 1)
         current = []
         for _ in range(count):
             pool = leaves + previous
@@ -244,9 +259,98 @@ def planted_root_program(
     return program, planted, planted[0].evaluate([0] * n)
 
 
+def linear_form_value(label: LinearForm, point: list[Scalar]) -> Scalar:
+    """constant + sum of coefficient*x_i at the point, term by term."""
+    acc = label.constant
+    for var, coeff in label.coefficients.items():
+        acc = acc + coeff * point[var - 1]
+    return acc
+
+
 def with_mode(abp: AlgebraicBranchingProgram, mode: str) -> AlgebraicBranchingProgram:
     """The same branching program, expanded in the given mode."""
     return AlgebraicBranchingProgram(
         abp.name, abp.ring, abp.num_variables, abp.layers, abp.edges,
         abp.source, abp.sink, mode=mode,
     )
+
+
+def _connected_without(edges: list[MultiEdge], skip: MultiEdge, start: int, goal: int) -> bool:
+    """Is goal reachable from start when one copy of skip is removed?"""
+    adjacency: dict[int, list[int]] = {}
+    skipped = False
+    for e in edges:
+        if not skipped and e == skip:
+            skipped = True
+            continue
+        adjacency.setdefault(e.u, []).append(e.v)
+        adjacency.setdefault(e.v, []).append(e.u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        if x == goal:
+            return True
+        for y in adjacency.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return goal in seen
+
+
+def reference_order_edges(graph: LayerMultigraph) -> OrderResult:
+    """The scheduler as first written: one reachability search per candidate edge.
+
+    Kept as the oracle for stagger.order_edges, which must return the
+    same OrderResult.  About O(E^3) per layer.
+    """
+    remaining = list(graph.edges)
+
+    def degree(x: int) -> int:
+        return sum((e.u == x) + (e.v == x) for e in remaining)
+
+    def nonisolated() -> int:
+        alive = set()
+        for e in remaining:
+            alive.add(e.u)
+            alive.add(e.v)
+        return len(alive)
+
+    components = _components(remaining)
+
+    def is_acyclic(comp: set[int]) -> bool:
+        count = sum(1 for e in remaining if e.u in comp)
+        return count == len(comp) - 1
+
+    components.sort(key=lambda comp: (0 if is_acyclic(comp) else 1, min(comp)))
+
+    order: list[MultiEdge] = []
+    steps: list[EdgeStep] = []
+    census = [nonisolated()]
+    removed = 0
+    for comp in components:
+        while True:
+            local = [e for e in remaining if e.u in comp]
+            if not local:
+                break
+            non_cut = [
+                e
+                for e in local
+                if e.is_loop or _connected_without(local, e, e.u, e.v)
+            ]
+            if non_cut:
+                e = min(non_cut, key=_edge_key)
+            else:
+                leafy = [e for e in local if degree(e.u) == 1 or degree(e.v) == 1]
+                e = min(leafy, key=_edge_key)
+            ni_before = nonisolated()
+            remaining.remove(e)
+            freed = tuple(
+                sorted({x for x in (e.u, e.v) if degree(x) == 0})
+            )
+            fresh = e.is_loop or not freed
+            census.append(removed + ni_before + (1 if fresh else 0))
+            removed += 1
+            order.append(e)
+            steps.append(EdgeStep(e, fresh, freed))
+    return OrderResult(tuple(order), tuple(census), tuple(steps))

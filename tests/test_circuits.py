@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from genutil import linear_form_value
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     ApplyStep,
@@ -283,7 +284,7 @@ def abp_paths_oracle(abp, point):
             total = total + acc
             return
         for nxt, label in by_source.get(vertex, []):
-            walk(nxt, acc * label.evaluate(point))
+            walk(nxt, acc * linear_form_value(label, point))
 
     walk(abp.source, abp.ring.one())
     return total

@@ -267,6 +267,20 @@ def test_missing_file_is_operation_error(capsys):
     assert "RESULT" not in out
 
 
+def test_bare_source_line_is_operation_error(tmp_path, capsys):
+    src = tmp_path / "bare.abp"
+    src.write_text(
+        "abp bare\nring prime 101\nvars 1\nvertex 1 0\nvertex 2 1\n"
+        "edge 1 2 0 1:1\nsource\nsink 2\n"
+    )
+    code, out, err = run(capsys, "expand", "-i", str(src))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "source <id>" in err
+    assert "Traceback" not in err
+    assert "RESULT" not in out
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["bogus"]) == 2
 

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from genutil import random_layered_circuit, reference_order_edges
 from slpforge.circuits import (
     CircuitBuilder,
     circuit_to_slp,
@@ -12,6 +15,7 @@ from slpforge.circuits import (
 )
 from slpforge.polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE
 from slpforge.rings import PrimeField, RationalField
+from slpforge.textio import parse_circuit
 from slpforge.stagger import (
     LayerMultigraph,
     MultiEdge,
@@ -198,3 +202,93 @@ def test_roundtrip_through_circuit_to_slp():
         staggered = slp_to_circuit(staggerize(c))
         back = circuit_to_slp(staggered)
         assert expand(back) == expand(c)
+
+
+def multigraph(pairs, isolated=(), constants=0) -> LayerMultigraph:
+    """Layer multigraph with edge i between pairs[i], computing gate 1000+i."""
+    edges = tuple(MultiEdge(min(a, b), max(a, b), 1000 + i) for i, (a, b) in enumerate(pairs))
+    vertices = frozenset(isolated) | {x for e in edges for x in (e.u, e.v)}
+    return LayerMultigraph(vertices, edges, tuple(range(2000, 2000 + constants)))
+
+
+def random_multigraph(rng: random.Random) -> LayerMultigraph:
+    """Several components, loops, parallel copies, isolated vertices, constants."""
+    pairs = []
+    for _ in range(rng.randrange(0, 4)):
+        comp = rng.sample(range(1, 60), rng.randrange(1, 7))
+        for _ in range(rng.randrange(0, 2 * len(comp) + 1)):
+            a = rng.choice(comp)
+            b = a if rng.random() < 0.15 else rng.choice(comp)
+            pairs.append((a, b))
+            if rng.random() < 0.15:
+                pairs.append((b, a))  # a parallel copy
+    rng.shuffle(pairs)
+    isolated = rng.sample(range(60, 70), rng.randrange(0, 3))
+    return multigraph(pairs, isolated, rng.randrange(0, 3))
+
+
+def assert_matches_reference(graph: LayerMultigraph) -> None:
+    result = order_edges(graph)
+    assert result == reference_order_edges(graph)
+    assert max(result.census) <= census_bound(graph)
+
+
+def test_order_edges_matches_reference_on_random_multigraphs():
+    rng = random.Random(23)
+    for _ in range(2000):
+        assert_matches_reference(random_multigraph(rng))
+
+
+def test_order_edges_matches_reference_on_every_layer_of_wide_circuits():
+    rng = random.Random(29)
+    for width in (8, 16, 32, 64, 128):
+        for mode in MODES:
+            sizes = [width, width, width // 8]
+            c = random_layered_circuit(rng, F, mode, width, layer_sizes=sizes)
+            for layer_index in range(1, c.layer_count):
+                assert_matches_reference(build_layer_multigraph(c, layer_index))
+
+
+def test_order_edges_matches_reference_on_generated_multigraphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vertex = st.integers(1, 8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.lists(st.tuples(vertex, vertex), max_size=14),
+        st.sets(st.integers(9, 12), max_size=2),
+        st.integers(0, 2),
+    )
+    def check(pairs, isolated, constants):
+        assert_matches_reference(multigraph(pairs, isolated, constants))
+
+    check()
+
+
+def test_copies_through_distinct_one_leaves_stay_staggered():
+    text = """\
+circuit two-ones
+ring prime 101
+mode commutative
+vars 2
+gate 1 1 var 1
+gate 2 1 var 2
+gate 3 1 const 1
+gate 4 1 const 1
+gate 5 2 mul 1 2
+gate 6 2 mul 1 3
+gate 7 3 mul 5 3
+gate 8 3 mul 4 6
+gate 9 3 add 5 6
+gate 10 4 add 7 8
+gate 11 4 mul 9 3
+gate 12 5 mul 10 11
+output 12
+"""
+    c = parse_circuit(text)
+    # Layer 3 holds one real gate and a copy through each 1 leaf.
+    assert validate(c).staggered
+    slp = circuit_to_slp(c)
+    assert slp.register_count == 3
+    assert expand(slp) == expand(c)

@@ -167,6 +167,18 @@ def test_abp_undefined_vertex_in_edge():
         parse_circuit(text)
 
 
+@pytest.mark.parametrize(
+    "good, bad",
+    [("source 1", "source"), ("sink 4", "sink"), ("source 1", "source 1 2"), ("sink 4", "sink 4 4")],
+)
+def test_abp_source_and_sink_lines_take_one_id(good, bad):
+    text = ABP_SAMPLE.replace(good + "\n", bad + "\n")
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(text)
+    assert err.value.line == text.splitlines().index(bad) + 1
+    assert f"expected '{good.split()[0]} <id>'" in str(err.value)
+
+
 def test_polynomial_serialization_is_canonical():
     c = parse_circuit(SAMPLE)
     text = serialize_polynomial(expand(c), name="prodsum")
