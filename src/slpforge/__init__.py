@@ -15,6 +15,7 @@ from .circuits import (
     StraightLineProgram,
     circuit_to_slp,
     evaluate,
+    evaluate_mod_p,
     expand,
     slp_to_circuit,
     substitute_constants,
@@ -92,6 +93,7 @@ __all__ = [
     "coverage",
     "depth_to_width",
     "evaluate",
+    "evaluate_mod_p",
     "expand",
     "fadd",
     "fconst",

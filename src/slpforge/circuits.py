@@ -26,10 +26,11 @@ Three forms share one polynomial semantics:
 
 fold() is the one walk over all three forms: it interprets an object in
 an algebra given as four functions (var, const, add, mul).  Each
-semantics is such an algebra: evaluate() over ring scalars, expand()
-over sparse polynomials under hard caps, syntactic_degree() over
-integers, the homogeneity check in validate() over degree sets, and
-monotone.mon_set() over monomial sets.
+semantics is such an algebra: evaluate() over ring scalars,
+evaluate_mod_p() over int64 columns of residues (one column entry per
+point, for F_p with p < 2^31), expand() over sparse polynomials under
+hard caps, syntactic_degree() over integers, the homogeneity check in
+validate() over degree sets, and monotone.mon_set() over monomial sets.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Mapping, Sequence, TypeVar, Union
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -55,7 +58,7 @@ from .polynomials import (
     SparsePolynomial,
     _check_mode,
 )
-from .rings import Ring, Scalar, ScalarLike
+from .rings import PrimeField, Ring, Scalar, ScalarLike
 
 ADD = "add"
 MUL = "mul"
@@ -236,7 +239,14 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
             raise CapExceeded("degree set past the homogeneity cap")
         return ds
 
+    constant, linear = frozenset((0,)), frozenset((1,))
+
     def sumset(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+        # {0} + B = B, which degrees() has already seen: copy gates u*1.
+        if a == constant:
+            return b
+        if b == constant:
+            return a
         # |A+B| >= |A|+|B|-1 for integer sets: refuse before the product.
         if len(a) + len(b) - 1 > _HOMOGENEITY_SET_CAP:
             raise CapExceeded("degree set past the homogeneity cap")
@@ -246,8 +256,8 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     try:
         fold(
             circuit,
-            lambda i: frozenset((1,)),
-            lambda c: frozenset((0,)),
+            lambda i: linear,
+            lambda c: constant,
             lambda a, b: degrees(a | b),
             sumset,
         )
@@ -693,6 +703,39 @@ def evaluate(obj: IRForm, assignment: Sequence[ScalarLike]) -> Scalar:
     # Index 0 is padding, so xi reads point[i] through a C-level getter.
     point = [None] + [obj.ring.scalar(v) for v in assignment]
     return fold(obj, point.__getitem__, lambda c: c, operator.add, operator.mul)
+
+
+# Residues below 2^31 keep every product below 2^62, inside int64.
+BATCH_MODULUS_LIMIT = 1 << 31
+
+
+def evaluate_mod_p(obj: IRForm, columns: np.ndarray, p: int) -> np.ndarray:
+    """Evaluate any IR form over F_p at many points at once.
+
+    columns has shape (num_variables, points): row i-1 holds x_i at every
+    point.  Returns the int64 residues of the output, one per point, even
+    when the output is constant.  Raises ParamError unless p < 2^31 and
+    RingMismatch unless the object is over F_p.
+    """
+    if not p < BATCH_MODULUS_LIMIT:
+        raise ParamError(f"batched evaluation needs p < 2^31, got {p}")
+    if not (isinstance(obj.ring, PrimeField) and obj.ring.p == p):
+        raise RingMismatch(f"{obj.ring!r} is not F_{p}")
+    cols = np.asarray(columns, dtype=np.int64)
+    if cols.ndim != 2 or cols.shape[0] != obj.num_variables:
+        raise ArityMismatch(
+            f"expected {obj.num_variables} columns, got shape {cols.shape}"
+        )
+    # Index 0 is padding, so xi reads rows[i] through a C-level getter.
+    rows = [None, *(cols % p)]
+    out = fold(
+        obj,
+        rows.__getitem__,
+        lambda c: c.value,
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a * b) % p,
+    )
+    return np.broadcast_to(np.asarray(out, dtype=np.int64), cols.shape[1:]).copy()
 
 
 def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:

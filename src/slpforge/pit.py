@@ -33,9 +33,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import (
+    BATCH_MODULUS_LIMIT,
+    AlgebraicBranchingProgram,
     LayeredCircuit,
     SlpBuilder,
+    StraightLineProgram,
     evaluate,
+    evaluate_mod_p,
     slp_to_circuit,
     substitute_constants,
     syntactic_degree,
@@ -43,7 +47,7 @@ from .circuits import (
 from .errors import GridTooLarge, ModeMismatch, ParamError
 from .families import permanent_var_index
 from .polynomials import COMMUTATIVE, Monomial, SparsePolynomial
-from .rings import Ring, Scalar, is_probable_prime
+from .rings import PrimeField, Ring, Scalar, is_probable_prime
 from .stagger import staggerize
 from .transforms import _BodyEmitter
 
@@ -78,6 +82,37 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+# A batch of points holds at most this many int64 values: fold keeps
+# every gate of a circuit, so a 17k-gate circuit gets 61 points a batch.
+_BATCH_CELLS = 1 << 20
+_BATCH_POINTS = 4096
+
+
+def _batch_modulus(c) -> int | None:
+    """p when the testers evaluate c in int64 batches (F_p, p < 2^31)."""
+    ring = c.ring
+    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
+        return ring.p
+    return None
+
+
+def _batch_points(c) -> int:
+    """Points per batch, so one batch stays within _BATCH_CELLS values."""
+    if isinstance(c, StraightLineProgram):
+        cells = c.register_count
+    elif isinstance(c, AlgebraicBranchingProgram):
+        cells = c.size + len(c.edges)
+    else:
+        cells = c.size
+    return max(1, min(_BATCH_POINTS, _BATCH_CELLS // max(1, cells)))
+
+
+def _first_nonzero(c, columns: np.ndarray, p: int) -> int | None:
+    """Index of the first point (column) where c is nonzero mod p."""
+    hits = np.flatnonzero(evaluate_mod_p(c, columns, p))
+    return int(hits[0]) if hits.size else None
+
+
 def schwartz_zippel(
     c,
     trials: int,
@@ -90,7 +125,9 @@ def schwartz_zippel(
     A nonzero verdict is always correct and returns the witness point.
     A zero verdict is wrong with probability at most
     (degree_bound / sample_size) per trial, by the degree bound on the
-    number of roots along each coordinate.
+    number of roots along each coordinate.  Over F_p with p < 2^31 the
+    trials run in int64 batches; the verdict and witness are those of
+    the one-trial-at-a-time loop used for every other ring.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("point sampling tests commutative circuits only")
@@ -102,11 +139,26 @@ def schwartz_zippel(
         sample_size = max(1, 2 * degree_bound)
     points = c.ring.sample_points(sample_size)
     rng = _rng(seed)
-    for _ in range(trials):
-        indices = rng.integers(0, sample_size, size=c.num_variables)
-        assignment = [points[i] for i in indices]
-        if not evaluate(c, assignment).is_zero:
-            return Verdict("nonzero", tuple(assignment))
+    n = c.num_variables
+    p = _batch_modulus(c)
+    if p is None:
+        for _ in range(trials):
+            indices = rng.integers(0, sample_size, size=n)
+            assignment = [points[i] for i in indices]
+            if not evaluate(c, assignment).is_zero:
+                return Verdict("nonzero", tuple(assignment))
+        return Verdict("zero")
+
+    residues = np.array([pt.value for pt in points], dtype=np.int64)
+    batch = _batch_points(c)
+    for start in range(0, trials, batch):
+        indices = np.empty((n, min(batch, trials - start)), dtype=np.int64)
+        # One draw per trial, in trial order, exactly as the scalar loop.
+        for t in range(indices.shape[1]):
+            indices[:, t] = rng.integers(0, sample_size, size=n)
+        hit = _first_nonzero(c, residues[indices], p)
+        if hit is not None:
+            return Verdict("nonzero", tuple(points[i] for i in indices[:, hit]))
     return Verdict("zero")
 
 
@@ -225,10 +277,12 @@ def nw_pit(
     """Deterministic grid test of C(P_m(y|S_1), ..., P_m(y|S_n)).
 
     Evaluates the composed polynomial F on every point of S^u, where u
-    is the design universe and S the canonical sample set.  A zero input
-    always yields a zero verdict; a zero verdict on a nonzero input
-    would contradict the family's assumed hardness, which is not checked
-    here.
+    is the design universe and S the canonical sample set, in
+    itertools.product order; the witness is the first nonzero point.  A
+    zero input always yields a zero verdict; a zero verdict on a nonzero
+    input would contradict the family's assumed hardness, which is not
+    checked here.  Over F_p with p < 2^31 the grid runs in int64
+    batches, with the same verdict and witness.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("the grid tester handles commutative circuits only")
@@ -244,21 +298,42 @@ def nw_pit(
     points = ring.sample_points(sample_size)
     ordered = [sorted(s) for s in design.sets]
 
-    # P_m restricted to a set depends on m coordinates only; cache per set.
-    caches: list[dict[tuple[int, ...], Scalar]] = [{} for _ in ordered]
+    # P_m restricted to a set depends only on the grid coordinates of the
+    # set (its key), the same way for every set.
+    cache: dict[tuple[int, ...], Scalar] = {}
 
-    def inner(i: int, grid_point: tuple[int, ...]) -> Scalar:
-        key = tuple(grid_point[u] for u in ordered[i])
-        cache = caches[i]
+    def inner(key: tuple[int, ...]) -> Scalar:
         if key not in cache:
             cache[key] = hf.evaluate(m, ring, [points[t] for t in key])
         return cache[key]
 
-    for grid_point in itertools.product(range(sample_size), repeat=universe):
-        assignment = [inner(i, grid_point) for i in range(c.num_variables)]
-        if not evaluate(c, assignment).is_zero:
-            witness = tuple(points[t] for t in grid_point)
-            return Verdict("nonzero", witness)
+    p = _batch_modulus(c)
+    if p is None:
+        for grid_point in itertools.product(range(sample_size), repeat=universe):
+            assignment = [inner(tuple(grid_point[u] for u in s)) for s in ordered]
+            if not evaluate(c, assignment).is_zero:
+                return Verdict("nonzero", tuple(points[t] for t in grid_point))
+        return Verdict("zero")
+
+    side = len(points)
+    keys = itertools.product(range(side), repeat=m)
+    table = np.array([inner(key).value for key in keys], dtype=np.int64)
+    # The key (k_1..k_m) of set i sits at row k_1*S^(m-1) + ... + k_m.
+    weights = np.zeros((len(ordered), universe), dtype=np.int64)
+    for i, s in enumerate(ordered):
+        for k, u in enumerate(s):
+            weights[i, u] = side ** (m - 1 - k)
+    total = side**universe
+    batch = _batch_points(c)
+    for start in range(0, total, batch):
+        # Digits of grid index g in product order: the last one fastest.
+        rest = np.arange(start, min(start + batch, total), dtype=np.int64)
+        digits = np.empty((universe, rest.size), dtype=np.int64)
+        for u in reversed(range(universe)):
+            rest, digits[u] = np.divmod(rest, side)
+        hit = _first_nonzero(c, table[weights @ digits], p)
+        if hit is not None:
+            return Verdict("nonzero", tuple(points[t] for t in digits[:, hit]))
     return Verdict("zero")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from slpforge.circuits import (
@@ -13,8 +14,12 @@ from slpforge.circuits import (
     LinearForm,
     SlpBuilder,
     StraightLineProgram,
+    evaluate,
+    syntactic_degree,
 )
+from slpforge.errors import GridTooLarge, ModeMismatch, ParamError
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
+from slpforge.pit import HardFamily, Verdict, _rng, nw_design
 from slpforge.polynomials import COMMUTATIVE, SparsePolynomial
 from slpforge.rings import Ring, Scalar
 from slpforge.stagger import (
@@ -354,3 +359,77 @@ def reference_order_edges(graph: LayerMultigraph) -> OrderResult:
             order.append(e)
             steps.append(EdgeStep(e, fresh, freed))
     return OrderResult(tuple(order), tuple(census), tuple(steps))
+
+
+def reference_schwartz_zippel(
+    c,
+    trials: int,
+    degree_bound: int | None = None,
+    seed: int = 0,
+    sample_size: int | None = None,
+) -> Verdict:
+    """The randomized tester as first written: one scalar evaluate per trial.
+
+    Kept as the oracle for pit.schwartz_zippel, which must return an
+    equal Verdict, witness included.
+    """
+    if c.mode != COMMUTATIVE:
+        raise ModeMismatch("point sampling tests commutative circuits only")
+    if trials < 1:
+        raise ParamError(f"trials must be >= 1, got {trials}")
+    if degree_bound is None:
+        degree_bound = syntactic_degree(c)
+    if sample_size is None:
+        sample_size = max(1, 2 * degree_bound)
+    points = c.ring.sample_points(sample_size)
+    rng = _rng(seed)
+    for _ in range(trials):
+        indices = rng.integers(0, sample_size, size=c.num_variables)
+        assignment = [points[i] for i in indices]
+        if not evaluate(c, assignment).is_zero:
+            return Verdict("nonzero", tuple(assignment))
+    return Verdict("zero")
+
+
+def reference_nw_pit(
+    c,
+    hf: HardFamily,
+    m: int,
+    sample_size: int | None = None,
+    grid_budget: int = 1_000_000,
+) -> Verdict:
+    """The grid tester as first written: one scalar evaluate per grid point.
+
+    Kept as the oracle for pit.nw_pit, which must return an equal
+    Verdict, witness included.
+    """
+    if c.mode != COMMUTATIVE:
+        raise ModeMismatch("the grid tester handles commutative circuits only")
+    design = nw_design(c.num_variables, m)
+    if sample_size is None:
+        sample_size = syntactic_degree(c) * m + 1
+    universe = design.universe_size
+    if sample_size**universe > grid_budget:
+        raise GridTooLarge(
+            f"grid {sample_size}^{universe} exceeds budget {grid_budget}"
+        )
+    ring = c.ring
+    points = ring.sample_points(sample_size)
+    ordered = [sorted(s) for s in design.sets]
+
+    # P_m restricted to a set depends on m coordinates only; cache per set.
+    caches: list[dict[tuple[int, ...], Scalar]] = [{} for _ in ordered]
+
+    def inner(i: int, grid_point: tuple[int, ...]) -> Scalar:
+        key = tuple(grid_point[u] for u in ordered[i])
+        cache = caches[i]
+        if key not in cache:
+            cache[key] = hf.evaluate(m, ring, [points[t] for t in key])
+        return cache[key]
+
+    for grid_point in itertools.product(range(sample_size), repeat=universe):
+        assignment = [inner(i, grid_point) for i in range(c.num_variables)]
+        if not evaluate(c, assignment).is_zero:
+            witness = tuple(points[t] for t in grid_point)
+            return Verdict("nonzero", witness)
+    return Verdict("zero")

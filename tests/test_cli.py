@@ -2,11 +2,13 @@
 
 import pytest
 
+from genutil import reference_nw_pit, reference_schwartz_zippel
 from slpforge.circuits import evaluate, expand
 from slpforge.cli import _formula_from_expression, main
+from slpforge.pit import HARD_FAMILIES
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
-from slpforge.rings import RATIONALS
-from slpforge.textio import parse_circuit, parse_polynomial
+from slpforge.rings import RATIONALS, PrimeField
+from slpforge.textio import parse_circuit, parse_polynomial, serialize_circuit
 from slpforge.transforms import depth_to_width
 
 
@@ -214,6 +216,36 @@ def test_pit_exit_zero_both_verdicts(tmp_path, capsys):
     )
     assert code == 0
     assert result_line(out) == {"verdict": "zero"}
+
+
+def test_pit_over_a_small_prime_prints_the_reference_result(tmp_path, capsys):
+    # x1*x2*(x3 - 1): nonzero on 1 point in 8 of {0,1}^3, zero at the grid origin.
+    ring = PrimeField(101)
+    c = depth_to_width(_formula_from_expression("x1*x2*(x3-1)", ring, COMMUTATIVE, 3))
+    src = tmp_path / "small.ckt"
+    src.write_text(serialize_circuit(c))
+    assert "ring prime 101" in src.read_text()
+    for seed in range(4):
+        expected = reference_schwartz_zippel(c, 6, None, seed, 2)
+        _, out, _ = run(
+            capsys, "pit", "--circuit", str(src), "--mode", "sz", "--trials", "6",
+            "--seed", str(seed), "--sample-size", "2",
+        )
+        assert out.strip().splitlines()[-1] == _result_text(expected)
+    expected = reference_nw_pit(c, HARD_FAMILIES["parity-rule"], 2, 3)
+    assert expected.witness is not None
+    _, out, _ = run(
+        capsys, "pit", "--circuit", str(src), "--mode", "nw", "--m", "2",
+        "--sample-size", "3", "--hard-family", "parity-rule",
+    )
+    assert out.strip().splitlines()[-1] == _result_text(expected)
+
+
+def _result_text(verdict):
+    line = f"RESULT verdict={verdict.status}"
+    if verdict.witness is not None:
+        line += " witness=" + ",".join(s.text() for s in verdict.witness)
+    return line
 
 
 def test_pit_result_deterministic(tmp_path, capsys):

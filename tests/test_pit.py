@@ -3,11 +3,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from genutil import corrupt_circuit
+from genutil import (
+    corrupt_circuit,
+    random_formula,
+    random_layered_circuit,
+    reference_nw_pit,
+    reference_schwartz_zippel,
+)
+from slpforge import pit
 from slpforge.circuits import (
     CircuitBuilder,
+    SlpBuilder,
+    evaluate,
     expand,
     slp_to_circuit,
     validate,
@@ -19,6 +29,7 @@ from slpforge.errors import (
     ParamError,
 )
 from slpforge.families import build_permanent_sparse, permanent_var_index
+from slpforge.formulas import Formula, fadd, fconst, fmul, fvar
 from slpforge.pit import (
     HARD_FAMILIES,
     nw_design,
@@ -29,7 +40,7 @@ from slpforge.pit import (
 )
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField
-from slpforge.transforms import sparse_to_width2
+from slpforge.transforms import depth_to_width, sparse_to_width2
 
 BIG = PrimeField((1 << 61) - 1)
 
@@ -254,6 +265,125 @@ def test_perm_rejects_wrong_polynomial_with_witness():
     verdict = verify_permanent_circuit(cb.build(), seed=3)
     assert verdict.status == "reject"
     assert verdict.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# Batched testers against the scalar loops they replace (F_p, p < 2^31)
+
+SMALL_PRIMES = (PrimeField(101), PrimeField((1 << 31) - 1))
+DESK = HARD_FAMILIES["desk-rule"]
+
+
+def _formula_circuit(ring, n, root):
+    return depth_to_width(Formula(ring, COMMUTATIVE, n, root))
+
+
+def _zero_formula_circuit(seed, ring, n):
+    # f - f, with f drawn twice because formula nodes are not shared.
+    f, g = (
+        random_formula(random.Random(seed), ring, COMMUTATIVE, 2, num_variables=n)
+        for _ in range(2)
+    )
+    return _formula_circuit(ring, n, fadd(f.root, fmul(fconst(ring, -1), g.root)))
+
+
+def _product_of_variables(ring, n):
+    return _formula_circuit(ring, n, fmul(*(fvar(i) for i in range(1, n + 1))))
+
+
+def _late_grid_circuit(ring, side):
+    """Zero on the first side^3 points of the m = 2 desk-rule grid.
+
+    With one variable, x1 = P_2(y0, y2) and y0 is the slowest coordinate,
+    so C = prod_k (x1 - P_2(0, k)) vanishes while y0 = 0; it is nonzero
+    at most points with y0 = 1.
+    """
+    assert [sorted(s) for s in nw_design(1, 2).sets] == [[0, 2]]
+    sb = SlpBuilder(ring, COMMUTATIVE, 1, register_count=2)
+    sb.load(0, sb.const(1))
+    for k in range(side):
+        value = DESK.evaluate(2, ring, [ring.zero(), ring.scalar(k)])
+        sb.apply(1, "add", sb.var(1), sb.const(-value))
+        sb.apply(0, "mul", sb.reg(0), sb.reg(1))
+    return slp_to_circuit(sb.finish(0))
+
+
+def _zero_at_grid_origin(rng, ring, n):
+    """f - f(1, ..., 1): every hard family is 1 at the grid origin."""
+    f = random_formula(rng, ring, COMMUTATIVE, 3, num_variables=n)
+    at_origin = evaluate(depth_to_width(f), [1] * n)
+    return _formula_circuit(ring, n, fadd(f.root, fconst(ring, -at_origin)))
+
+
+def _tester_inputs(seed, ring):
+    """Zero, nonzero and late-hit inputs: (circuit, sz sample size, nw sample size)."""
+    rng = random.Random(seed)
+    yield _zero_formula_circuit(seed, ring, 3), None, 3
+    yield random_layered_circuit(rng, ring, COMMUTATIVE, width=3, num_variables=3), None, 3
+    yield _zero_at_grid_origin(rng, ring, 4), None, 3
+    # x1*x2*x3*x4 on {0, 1} is nonzero at 1 point in 16.
+    yield _product_of_variables(ring, 4), 2, 2
+    yield _late_grid_circuit(ring, 3), None, 3
+
+
+@pytest.mark.parametrize("ring", SMALL_PRIMES, ids=lambda r: str(r.p))
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("batch_points", [None, 3])
+def test_batched_testers_equal_the_scalar_loops(seed, ring, batch_points, monkeypatch):
+    if batch_points is not None:
+        # Tiny batches put hits past the first batch on ordinary inputs.
+        monkeypatch.setattr(pit, "_BATCH_POINTS", batch_points)
+    for c, sz_side, nw_side in _tester_inputs(seed, ring):
+        for trials in (1, 7, 40):
+            args = (c, trials, None, 100 + seed, sz_side)
+            assert schwartz_zippel(*args) == reference_schwartz_zippel(*args)
+        for m in (1, 2):
+            for fam in HARD_FAMILIES.values():
+                args = (c, fam, m, nw_side)
+                assert nw_pit(*args) == reference_nw_pit(*args)
+
+
+def test_batched_sz_first_hit_in_a_later_batch():
+    ring = PrimeField((1 << 31) - 1)
+    c = _product_of_variables(ring, 12)
+    seed, trials = 7, 6000
+    # Trial index of the first all-ones draw on {0, 1}: past the first batch.
+    rng = np.random.Generator(np.random.Philox(seed))
+    first = next(t for t in range(trials) if rng.integers(0, 2, size=12).all())
+    assert first >= pit._batch_points(c)
+    verdict = schwartz_zippel(c, trials, None, seed, 2)
+    assert verdict == reference_schwartz_zippel(c, trials, None, seed, 2)
+    assert verdict.witness == (ring.one(),) * 12
+
+
+def test_batched_nw_first_hit_in_a_later_batch():
+    ring, side = PrimeField((1 << 31) - 1), 17
+    c = _late_grid_circuit(ring, side)
+    verdict = nw_pit(c, DESK, 2, side)
+    assert verdict == reference_nw_pit(c, DESK, 2, side)
+    assert verdict.witness[0] == ring.one()  # grid index >= 17^3
+    assert side**3 >= pit._batch_points(c)
+
+
+def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
+    ring = PrimeField((1 << 31) - 1)
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(2, ring)))
+    rng = random.Random(12)
+    candidates = [good] + [corrupt_circuit(rng, good) for _ in range(4)]
+    batched = [
+        verify_permanent_circuit(c, backend, seed=5, sample_size=3)
+        for c in candidates
+        for backend in ("schwartz_zippel", "nw_pit")
+    ]
+    monkeypatch.setattr(pit, "schwartz_zippel", reference_schwartz_zippel)
+    monkeypatch.setattr(pit, "nw_pit", reference_nw_pit)
+    scalar = [
+        verify_permanent_circuit(c, backend, seed=5, sample_size=3)
+        for c in candidates
+        for backend in ("schwartz_zippel", "nw_pit")
+    ]
+    assert batched == scalar
+    assert batched[0].accepted and not all(v.accepted for v in batched)
 
 
 def test_perm_requires_square_grid():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from genutil import random_layered_circuit, random_slp, with_mode
@@ -11,13 +12,15 @@ from slpforge.circuits import (
     CircuitBuilder,
     LinearForm,
     evaluate,
+    evaluate_mod_p,
     expand,
     syntactic_degree,
     validate,
 )
+from slpforge.errors import ArityMismatch, ParamError, RingMismatch
 from slpforge.families import build_E_abp
 from slpforge.polynomials import COMMUTATIVE, MODES
-from slpforge.rings import PrimeField, RATIONALS
+from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 
 F = PrimeField(101)
 
@@ -97,6 +100,18 @@ def test_mixed_degree_side_gate_makes_circuit_inhomogeneous():
     assert validate(cb.build()).homogeneous is False
 
 
+@pytest.mark.parametrize("inner_degree", [1, 2])
+def test_copy_gates_keep_the_degree_set_of_their_source(inner_degree):
+    # 1*(x1*x2) + (x2*x2 or x2+x2)*1: homogeneous exactly when both have degree 2.
+    cb = CircuitBuilder(F, COMMUTATIVE, 2)
+    x1, x2 = cb.var_leaf(1), cb.var_leaf(2)
+    product = cb.gate(2, "mul", x1, x2)
+    other = cb.gate(2, "mul", x2, x2) if inner_degree == 2 else cb.gate(2, "add", x2, x2)
+    left = cb.gate(3, "mul", cb.const_leaf(1), product)
+    cb.set_output(cb.gate(4, "add", left, cb.copy(3, other)))
+    assert validate(cb.build()).homogeneous is (inner_degree == 2)
+
+
 def test_degree_sets_past_the_cap_give_no_verdict():
     cb = CircuitBuilder(F, COMMUTATIVE, 1)
     gate = cb.gate(2, "add", cb.var_leaf(1), cb.const_leaf(1))
@@ -105,3 +120,81 @@ def test_degree_sets_past_the_cap_give_no_verdict():
     cb.set_output(gate)
     assert 2**12 + 1 > _HOMOGENEITY_SET_CAP
     assert validate(cb.build(check=False)).homogeneous is None
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation over F_p, p < 2^31
+
+BATCH_PRIMES = (101, (1 << 31) - 1)
+
+
+def batch_objects(seed, ring):
+    rng = random.Random(seed)
+    for mode in MODES:
+        yield random_layered_circuit(rng, ring, mode, width=3, num_variables=3)
+        yield random_slp(rng, ring, mode, register_count=3)
+    yield random_abp(rng, ring, COMMUTATIVE)
+    yield with_mode(build_E_abp(2, ring), COMMUTATIVE)
+
+
+def scalar_values(obj, columns):
+    return [evaluate(obj, [int(v) for v in point]).value for point in columns.T]
+
+
+@pytest.mark.parametrize("p", BATCH_PRIMES)
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_mod_p_matches_scalar_evaluation(seed, p):
+    ring = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    for obj in batch_objects(seed, ring):
+        columns = rng.integers(0, p, size=(obj.num_variables, 9))
+        columns[:, 0] = p - 1  # every product of residues at its largest
+        columns[:, 1] = 0
+        got = evaluate_mod_p(obj, columns, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_values(obj, columns)
+
+
+@pytest.mark.parametrize("p", BATCH_PRIMES)
+def test_evaluate_mod_p_repeated_squaring_at_minus_one(p):
+    ring = PrimeField(p)
+    cb = CircuitBuilder(ring, COMMUTATIVE, 2)
+    gate = cb.gate(2, "mul", cb.var_leaf(1), cb.var_leaf(2))
+    for layer in range(3, 9):
+        gate = cb.gate(layer, "mul", gate, gate)
+    cb.set_output(cb.gate(9, "add", gate, cb.const_leaf(p - 1)))
+    c = cb.build()
+    columns = np.array([[p - 1, p - 2, 3], [p - 1, p - 1, 5]])
+    assert evaluate_mod_p(c, columns, p).tolist() == scalar_values(c, columns)
+
+
+def test_evaluate_mod_p_constant_output_gives_a_value_per_point():
+    cb = CircuitBuilder(F, COMMUTATIVE, 2)
+    cb.var_leaf(1)
+    cb.set_output(cb.gate(2, "mul", cb.const_leaf(7), cb.const_leaf(20)))
+    c = cb.build()
+    columns = np.zeros((2, 5), dtype=np.int64)
+    assert evaluate_mod_p(c, columns, 101).tolist() == [39] * 5
+
+
+def test_evaluate_mod_p_zero_variables():
+    cb = CircuitBuilder(F, COMMUTATIVE, 0)
+    cb.set_output(cb.gate(2, "add", cb.const_leaf(100), cb.const_leaf(3)))
+    c = cb.build()
+    got = evaluate_mod_p(c, np.empty((0, 4), dtype=np.int64), 101)
+    assert got.tolist() == [evaluate(c, []).value] * 4 == [2] * 4
+
+
+def test_evaluate_mod_p_refuses_wide_moduli_and_foreign_rings():
+    big = PrimeField(DEFAULT_PRIME)
+    c = random_layered_circuit(random.Random(3), big, COMMUTATIVE, width=2, num_variables=2)
+    with pytest.raises(ParamError):
+        evaluate_mod_p(c, np.ones((2, 3), dtype=np.int64), DEFAULT_PRIME)
+    with pytest.raises(RingMismatch):
+        evaluate_mod_p(c, np.ones((2, 3), dtype=np.int64), 101)
+    q = random_layered_circuit(random.Random(3), RATIONALS, COMMUTATIVE, width=2, num_variables=2)
+    with pytest.raises(RingMismatch):
+        evaluate_mod_p(q, np.ones((2, 3), dtype=np.int64), 101)
+    f = random_layered_circuit(random.Random(3), F, COMMUTATIVE, width=2, num_variables=2)
+    with pytest.raises(ArityMismatch):
+        evaluate_mod_p(f, np.ones((3, 3), dtype=np.int64), 101)
