@@ -28,9 +28,10 @@ fold() is the one walk over all three forms: it interprets an object in
 an algebra given as four functions (var, const, add, mul).  Each
 semantics is such an algebra: evaluate() over ring scalars,
 evaluate_mod_p() over int64 columns of residues (one column entry per
-point, for F_p with p < 2^31), expand() over sparse polynomials under
-hard caps, syntactic_degree() over integers, the homogeneity check in
-validate() over degree sets, and monotone.mon_set() over monomial sets.
+point, for F_p with p < 2^31), expand() over raw sparse terms under hard
+caps (polynomials.term_algebra), syntactic_degree() over integers, the
+homogeneity check in validate() over degree sets, and monotone.mon_set()
+over monomial sets.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .polynomials import (
     NONCOMMUTATIVE,
     SparsePolynomial,
     _check_mode,
+    term_algebra,
 )
 from .rings import PrimeField, Ring, Scalar, ScalarLike
 
@@ -743,14 +745,8 @@ def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
 
     Raises TermCapExceeded or DegreeCapExceeded rather than truncating.
     """
-    ring, mode, n = obj.ring, obj.mode, obj.num_variables
-    return fold(
-        obj,
-        lambda i: SparsePolynomial.variable(ring, mode, n, i),
-        lambda c: SparsePolynomial.constant(ring, mode, n, c),
-        lambda a, b: a.add(b, caps),
-        lambda a, b: a.mul(b, caps),
-    )
+    var, const, add, mul, wrap = term_algebra(obj.ring, obj.mode, obj.num_variables, caps)
+    return wrap(fold(obj, var, const, add, mul))
 
 
 def syntactic_degree(obj: IRForm) -> int:

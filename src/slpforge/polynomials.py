@@ -9,11 +9,33 @@ arithmetic is exact and mode-checked; products of noncommutative
 polynomials concatenate words left-to-right.  Operations optionally take
 ExpansionCaps and fail loudly, never truncating, when an intermediate
 result would exceed them.
+
+term_algebra() is the kernel of circuits.expand: the same arithmetic on
+raw terms, a dict key -> coefficient per value, with Monomial and Scalar
+objects built only when the result is wrapped into a SparsePolynomial.
+
+* A commutative key is one int: field i-1 (W bits wide) holds the
+  exponent of x_i and the field above them holds the total degree, so a
+  monomial product is one int addition and its degree one shift.  W is
+  chosen with 2^W > 2 * max(max_degree, 1); every stored key has degree
+  at most max(max_degree, 1), so adding two keys never carries.
+* A noncommutative key is the word tuple: the product concatenates and
+  the degree is its length.
+* Coefficients are ints mod p over F_p, and over Q ints when the
+  denominator is 1 and Fractions otherwise; zeros are deleted.
+
+Caps are checked where SparsePolynomial.add/mul check them: the degree
+of every monomial product (DegreeCapExceeded), the term count after
+each row of a product and at the end of a sum (TermCapExceeded).  Terms
+are merged in the same order, so the result, its term order and the
+error raised on any input are those of the SparsePolynomial fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -24,7 +46,7 @@ from .errors import (
     RingMismatch,
     TermCapExceeded,
 )
-from .rings import Ring, Scalar, ScalarLike
+from .rings import PrimeField, RationalField, Ring, Scalar, ScalarLike
 
 COMMUTATIVE = "commutative"
 NONCOMMUTATIVE = "noncommutative"
@@ -318,18 +340,6 @@ class SparsePolynomial:
             acc = acc + coeff * mono.evaluate(point, self.ring)
         return acc
 
-    def homogeneous_part(self, d: int) -> "SparsePolynomial":
-        return SparsePolynomial(
-            self.ring,
-            self.mode,
-            self.num_variables,
-            {m: c for m, c in self.terms.items() if m.degree == d},
-        )
-
-    def is_homogeneous(self) -> bool:
-        degrees = {m.degree for m in self.terms}
-        return len(degrees) <= 1
-
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of degree above max_degree."""
         return SparsePolynomial(
@@ -357,35 +367,6 @@ class SparsePolynomial:
             e: SparsePolynomial(self.ring, self.mode, self.num_variables, t)
             for e, t in buckets.items()
         }
-
-    def substitute_scalar(self, var: int, value: ScalarLike) -> "SparsePolynomial":
-        """Replace one variable by a ring constant."""
-        val = self.ring.scalar(value)
-        acc: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            if self.mode == COMMUTATIVE:
-                exps = dict(mono.key)
-                e = exps.pop(var, 0)
-                new_mono = Monomial.from_exponents(exps)
-                new_coeff = coeff * val**e
-            else:
-                kept = []
-                new_coeff = coeff
-                for idx in mono.key:
-                    if idx == var:
-                        new_coeff = new_coeff * val
-                    else:
-                        kept.append(idx)
-                new_mono = Monomial.word(kept)
-            if new_coeff.is_zero:
-                continue
-            prev = acc.get(new_mono)
-            total = new_coeff if prev is None else prev + new_coeff
-            if total.is_zero:
-                acc.pop(new_mono, None)
-            else:
-                acc[new_mono] = total
-        return SparsePolynomial(self.ring, self.mode, self.num_variables, acc)
 
     def formal_derivative(self, var: int, order: int = 1) -> "SparsePolynomial":
         """Iterated formal partial derivative with respect to one variable."""
@@ -449,3 +430,278 @@ class SparsePolynomial:
         if len(body) > 120:
             body = f"{self.term_count} terms, degree {self.degree()}"
         return f"SparsePolynomial({self.mode!r}, {body})"
+
+
+# ---------------------------------------------------------------------------
+# Raw-term algebra: the expansion kernel
+
+
+def _rational(c):
+    """A rational coefficient as an int when its denominator is 1."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _denominator(terms: dict) -> int:
+    """The least common denominator of rational coefficients."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    return d
+
+
+def _numerators(terms: dict, d: int) -> dict:
+    """Coefficients times d, as ints; d is a common denominator."""
+    if d == 1:
+        return terms
+    return {
+        k: c * d if type(c) is int else c.numerator * (d // c.denominator)
+        for k, c in terms.items()
+    }
+
+
+def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps):
+    """Sparse polynomial arithmetic on raw terms, under hard caps.
+
+    Returns (var, const, add, mul, wrap): the first four are a fold()
+    algebra and wrap turns its result into a SparsePolynomial.
+
+    A value is a dict key -> coefficient that the operations never mutate,
+    so one value may feed many gates.  Commutative keys are packed ints
+    (see the module docstring), words are tuples; products add keys.
+    Coefficients are ints mod p over F_p and ints or Fractions over Q,
+    and zeros are deleted.  Results, their term order and the errors
+    raised match SparsePolynomial.add/mul with the same caps.
+    """
+    _check_mode(mode)
+    n = num_variables
+    max_degree, max_terms = caps.max_degree, caps.max_terms
+    if mode == COMMUTATIVE:
+        # Stored keys have degree <= max(max_degree, 1): leaves have degree
+        # <= 1 and every product is checked.  A field of this width holds
+        # twice that, so the sum of two stored keys never carries.
+        width = (2 * max(max_degree, 1)).bit_length()
+        shift = width * n
+        field = (1 << width) - 1
+        unit = 0
+
+        def var_key(index: int) -> int:
+            return (1 << width * (index - 1)) + (1 << shift)
+
+        def degree(key: int) -> int:
+            return key >> shift
+
+        def top_degree(terms: dict) -> int:
+            return max(terms) >> shift
+
+        def decode(key: int) -> tuple:
+            items = []
+            key &= (1 << shift) - 1
+            var = 1
+            while key:
+                exp = key & field
+                if exp:
+                    items.append((var, exp))
+                key >>= width
+                var += 1
+            return tuple(items)
+
+    else:
+        unit = ()
+        degree = len
+
+        def var_key(index: int) -> tuple:
+            return (index,)
+
+        def top_degree(terms: dict) -> int:
+            return max(map(len, terms))
+
+        def decode(key: tuple) -> tuple:
+            return key
+
+    def term_cap(count: int) -> TermCapExceeded:
+        return TermCapExceeded(f"{count} terms exceeds cap {max_terms}")
+
+    if isinstance(ring, PrimeField):
+        p = ring.p
+
+        def coefficient(c: Scalar) -> int:
+            return ring.scalar(c).value
+
+        def cadd(x: int, y: int) -> int:
+            return (x + y) % p
+
+        def cmul(x: int, y: int) -> int:
+            return x * y % p
+
+        def merge(a: dict, b: dict) -> dict:
+            merged = a.copy()
+            get = merged.get
+            for k, c in b.items():
+                prev = get(k)
+                if prev is None:
+                    merged[k] = c
+                else:
+                    c = (prev + c) % p
+                    if c:
+                        merged[k] = c
+                    else:
+                        del merged[k]
+            return merged
+
+        def scale_right(a: dict, k2, c2: int) -> dict:
+            return {k1 + k2: c1 * c2 % p for k1, c1 in a.items()}
+
+        def scale_left(k1, c1: int, b: dict) -> dict:
+            return {k1 + k2: c1 * c2 % p for k2, c2 in b.items()}
+
+        def product(a: dict, b: dict) -> dict:
+            acc: dict = {}
+            get = acc.get
+            right = tuple(b.items())
+            for k1, c1 in a.items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    prev = get(k)
+                    if prev is None:
+                        acc[k] = c1 * c2 % p
+                    else:
+                        c = (prev + c1 * c2) % p
+                        if c:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+                if len(acc) > max_terms:
+                    raise term_cap(len(acc))
+            return acc
+
+    else:
+        if not isinstance(ring, RationalField):
+            raise ParamError(f"cannot expand over {ring!r}")
+
+        def coefficient(c: Scalar):
+            return _rational(ring.scalar(c).value)
+
+        def cadd(x, y):
+            return _rational(x + y)
+
+        def cmul(x, y):
+            return _rational(x * y)
+
+        def merge(a: dict, b: dict) -> dict:
+            merged = a.copy()
+            get = merged.get
+            for k, c in b.items():
+                prev = get(k)
+                if prev is None:
+                    merged[k] = c
+                else:
+                    c += prev
+                    if not c:
+                        del merged[k]
+                    elif type(c) is int or c.denominator != 1:
+                        merged[k] = c
+                    else:
+                        merged[k] = c.numerator
+            return merged
+
+        def scale_right(a: dict, k2, c2) -> dict:
+            return {k1 + k2: _rational(c1 * c2) for k1, c1 in a.items()}
+
+        def scale_left(k1, c1, b: dict) -> dict:
+            return {k1 + k2: _rational(c1 * c2) for k2, c2 in b.items()}
+
+        def product(a: dict, b: dict) -> dict:
+            # Exact integer products of numerators over a common
+            # denominator: zeros, term order and row counts are those of
+            # the rational products, at int speed.
+            da, db = _denominator(a), _denominator(b)
+            acc: dict = {}
+            get = acc.get
+            right = tuple(_numerators(b, db).items())
+            for k1, c1 in _numerators(a, da).items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    prev = get(k)
+                    if prev is None:
+                        acc[k] = c1 * c2
+                    else:
+                        c = prev + c1 * c2
+                        if c:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+                if len(acc) > max_terms:
+                    raise term_cap(len(acc))
+            d = da * db
+            if d == 1:
+                return acc
+            return {k: _rational(Fraction(c, d)) for k, c in acc.items()}
+
+    def checked_product(a: dict, b: dict) -> dict:
+        # SparsePolynomial.mul term by term: reached only when a product
+        # passes the degree cap or an operand is empty, so it raises the
+        # error (or returns the empty result) that mul would.
+        acc: dict = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                d = degree(k1) + degree(k2)
+                if d > max_degree:
+                    raise DegreeCapExceeded(
+                        f"monomial degree {d} exceeds cap {max_degree}"
+                    )
+                k = k1 + k2
+                prev = acc.get(k)
+                c = cmul(c1, c2)
+                if prev is not None:
+                    c = cadd(prev, c)
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
+            if len(acc) > max_terms:
+                raise term_cap(len(acc))
+        return acc
+
+    leaves = {index: {var_key(index): 1} for index in range(1, n + 1)}
+
+    def var(index: int) -> dict:
+        if index not in leaves:
+            raise ParamError(f"variable x{index} outside 1..{n}")
+        return leaves[index]
+
+    def const(c: Scalar) -> dict:
+        value = coefficient(c)
+        return {unit: value} if value else {}
+
+    def add(a: dict, b: dict) -> dict:
+        merged = merge(a, b) if a and b else a or b
+        if len(merged) > max_terms:
+            raise term_cap(len(merged))
+        return merged
+
+    def mul(a: dict, b: dict) -> dict:
+        if not (a and b) or top_degree(a) + top_degree(b) > max_degree:
+            return checked_product(a, b)
+        if len(b) == 1:
+            ((k2, c2),) = b.items()
+            acc = a if k2 == unit and c2 == 1 else scale_right(a, k2, c2)
+        elif len(a) == 1:
+            ((k1, c1),) = a.items()
+            acc = scale_left(k1, c1, b)
+        else:
+            return product(a, b)
+        # A scaled value has one term per row.  Every value holds at most
+        # max(max_terms, 1) terms, so this trips only for max_terms < 1 on
+        # one term, where the row-by-row count of SparsePolynomial.mul
+        # trips at the same count.
+        if len(acc) > max_terms:
+            raise term_cap(len(acc))
+        return acc
+
+    def wrap(terms: dict) -> SparsePolynomial:
+        return SparsePolynomial(
+            ring, mode, n, {Monomial(mode, decode(k)): c for k, c in terms.items()}
+        )
+
+    return var, const, add, mul, wrap

@@ -16,8 +16,6 @@ comparing them a meaningful test.
 
 from __future__ import annotations
 
-import itertools
-
 from .circuits import (
     ConstOperand,
     SlpBuilder,
@@ -52,9 +50,11 @@ class RootProblem:
     The last variable of ``program`` plays the role of y.  Construction
     expands the program once (under ``caps``) to extract the coefficient
     polynomials C_0..C_r with P = sum_i C_i(x_bar) y^i, and checks the
-    two root conditions.  Raises DegreeBoundViolated when the actual
-    y-degree exceeds r, ParamError when y0 is not a root of P(0, y),
-    and DegenerateRoot when the derivative at the root vanishes.
+    two root conditions.  Every later product on the root path
+    (newton_series_root, root_circuit) is taken under the same caps.
+    Raises DegreeBoundViolated when the actual y-degree exceeds r,
+    ParamError when y0 is not a root of P(0, y), and DegenerateRoot when
+    the derivative at the root vanishes.
     """
 
     __slots__ = ("program", "r", "m", "y0", "coefficients", "xi", "base_point", "caps")
@@ -124,11 +124,18 @@ class RootProblem:
 
     def index_set(self) -> list[tuple[int, ...]]:
         """All exponent vectors over (C_0..C_r) of total degree <= m, lex order."""
-        return [
-            alpha
-            for alpha in itertools.product(range(self.m + 1), repeat=self.r + 1)
-            if sum(alpha) <= self.m
-        ]
+        return _simplex(self.r + 1, self.m)
+
+
+def _simplex(length: int, total: int) -> list[tuple[int, ...]]:
+    """Vectors of the given length with entries summing to <= total, lex order."""
+    if length == 0:
+        return [()]
+    return [
+        (first, *rest)
+        for first in range(total + 1)
+        for rest in _simplex(length - 1, total - first)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +143,19 @@ class RootProblem:
 
 
 def _poly_at_series(
-    coeffs, g: SparsePolynomial, m: int
+    coeffs, g: SparsePolynomial, m: int, caps: ExpansionCaps
 ) -> SparsePolynomial:
     """sum_i coeffs[i] * g^i truncated to degree m, by Horner."""
     acc = SparsePolynomial.zero(g.ring, g.mode, g.num_variables)
     for c in reversed(coeffs):
-        acc = acc.mul(g).truncate(m).add(c)
+        acc = acc.mul(g, caps).truncate(m).add(c)
     # The added coefficients are not truncated, so clip once at the end.
     return acc.truncate(m)
 
 
-def _series_inverse(u: SparsePolynomial, m: int) -> SparsePolynomial:
+def _series_inverse(
+    u: SparsePolynomial, m: int, caps: ExpansionCaps
+) -> SparsePolynomial:
     """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
     unit = Monomial.unit(u.mode)
     u0 = u.coefficient(unit)
@@ -158,7 +167,7 @@ def _series_inverse(u: SparsePolynomial, m: int) -> SparsePolynomial:
     acc = one
     term = one
     for _ in range(m):
-        term = term.mul(tail).truncate(m)
+        term = term.mul(tail, caps).truncate(m)
         if term.is_zero:
             break
         acc = acc.add(term)
@@ -171,7 +180,8 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
     Iterates y <- y - P(x_bar, y)/P'(x_bar, y) on series truncated at
     degree m+1; each step doubles the correct precision, so m.bit_length()
     steps suffice; a nonzero final residue is an InvariantViolation, a
-    bug rather than a property of the input.
+    bug rather than a property of the input.  Every product is taken
+    under rp.caps, so a series that outgrows them raises CapExceeded.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -179,17 +189,18 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
         raise CharacteristicTooSmall(
             f"characteristic {char} must be 0 or exceed the target degree {rp.m}"
         )
-    m = rp.m
+    m, caps = rp.m, rp.caps
     n = rp.num_x_variables
     coeffs = list(rp.coefficients)
     deriv_coeffs = [c.scale(i) for i, c in enumerate(coeffs)][1:]
 
     g = SparsePolynomial.constant(ring, COMMUTATIVE, n, rp.y0)
     for _ in range(m.bit_length()):
-        value = _poly_at_series(coeffs, g, m)
-        slope = _poly_at_series(deriv_coeffs, g, m)
-        g = g.sub(value.mul(_series_inverse(slope, m)).truncate(m)).truncate(m)
-    if not _poly_at_series(coeffs, g, m).is_zero:
+        value = _poly_at_series(coeffs, g, m, caps)
+        slope = _poly_at_series(deriv_coeffs, g, m, caps)
+        step = value.mul(_series_inverse(slope, m, caps), caps)
+        g = g.sub(step.truncate(m)).truncate(m)
+    if not _poly_at_series(coeffs, g, m, caps).is_zero:
         raise InvariantViolation("Newton iteration did not converge")
     return g
 
@@ -234,12 +245,16 @@ def _solve_exact(ring, matrix, rhs) -> list[Scalar]:
 
 
 def _truncated_power_product(
-    factors, alpha: tuple[int, ...], m: int, one: SparsePolynomial
+    factors,
+    alpha: tuple[int, ...],
+    m: int,
+    one: SparsePolynomial,
+    caps: ExpansionCaps,
 ) -> SparsePolynomial:
     acc = one
     for poly, e in zip(factors, alpha):
         for _ in range(e):
-            acc = acc.mul(poly).truncate(m)
+            acc = acc.mul(poly, caps).truncate(m)
             if acc.is_zero:
                 return acc
     return acc
@@ -264,7 +279,8 @@ def root_circuit(
 
     The step count is compared against a budget derived from the
     emission shape (or ``size_budget`` when given); exceeding it raises
-    SizeBudgetExceeded rather than returning an oversized program.
+    SizeBudgetExceeded rather than returning an oversized program.  The
+    Newton series and the power products multiply under rp.caps.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -282,7 +298,9 @@ def root_circuit(
         for i, c in enumerate(rp.coefficients)
     ]
     alphas = rp.index_set()
-    g_alpha = [_truncated_power_product(deltas, alpha, m, one) for alpha in alphas]
+    g_alpha = [
+        _truncated_power_product(deltas, alpha, m, one, rp.caps) for alpha in alphas
+    ]
 
     mono_set = set(f.terms)
     for g in g_alpha:

@@ -15,12 +15,19 @@ from slpforge.circuits import (
     SlpBuilder,
     StraightLineProgram,
     evaluate,
+    fold,
     syntactic_degree,
 )
 from slpforge.errors import GridTooLarge, ModeMismatch, ParamError
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
 from slpforge.pit import HardFamily, Verdict, _rng, nw_design
-from slpforge.polynomials import COMMUTATIVE, SparsePolynomial
+from slpforge.polynomials import (
+    COMMUTATIVE,
+    DEFAULT_CAPS,
+    ExpansionCaps,
+    Monomial,
+    SparsePolynomial,
+)
 from slpforge.rings import Ring, Scalar
 from slpforge.stagger import (
     EdgeStep,
@@ -433,3 +440,64 @@ def reference_nw_pit(
             witness = tuple(points[t] for t in grid_point)
             return Verdict("nonzero", witness)
     return Verdict("zero")
+
+
+def reference_expand(obj, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
+    """The expansion as first written: fold over SparsePolynomial add/mul.
+
+    Kept as the oracle for circuits.expand, which must return an equal
+    polynomial or raise the same exception class.
+    """
+    ring, mode, n = obj.ring, obj.mode, obj.num_variables
+    return fold(
+        obj,
+        lambda i: SparsePolynomial.variable(ring, mode, n, i),
+        lambda c: SparsePolynomial.constant(ring, mode, n, c),
+        lambda a, b: a.add(b, caps),
+        lambda a, b: a.mul(b, caps),
+    )
+
+
+def homogeneous_part(poly: SparsePolynomial, d: int) -> SparsePolynomial:
+    """The terms of poly of degree exactly d."""
+    return SparsePolynomial(
+        poly.ring,
+        poly.mode,
+        poly.num_variables,
+        {m: c for m, c in poly.terms.items() if m.degree == d},
+    )
+
+
+def is_homogeneous(poly: SparsePolynomial) -> bool:
+    degrees = {m.degree for m in poly.terms}
+    return len(degrees) <= 1
+
+
+def substitute_scalar(poly: SparsePolynomial, var: int, value) -> SparsePolynomial:
+    """Replace one variable by a ring constant."""
+    val = poly.ring.scalar(value)
+    acc: dict[Monomial, Scalar] = {}
+    for mono, coeff in poly.terms.items():
+        if poly.mode == COMMUTATIVE:
+            exps = dict(mono.key)
+            e = exps.pop(var, 0)
+            new_mono = Monomial.from_exponents(exps)
+            new_coeff = coeff * val**e
+        else:
+            kept = []
+            new_coeff = coeff
+            for idx in mono.key:
+                if idx == var:
+                    new_coeff = new_coeff * val
+                else:
+                    kept.append(idx)
+            new_mono = Monomial.word(kept)
+        if new_coeff.is_zero:
+            continue
+        prev = acc.get(new_mono)
+        total = new_coeff if prev is None else prev + new_coeff
+        if total.is_zero:
+            acc.pop(new_mono, None)
+        else:
+            acc[new_mono] = total
+    return SparsePolynomial(poly.ring, poly.mode, poly.num_variables, acc)

@@ -356,3 +356,23 @@ def test_expression_parser_forms():
         _formula_from_expression("y1 + 2", RATIONALS, COMMUTATIVE, 1)
     with pytest.raises(Exception):
         _formula_from_expression("x1**x2", RATIONALS, COMMUTATIVE, 2)
+
+
+def test_root_under_a_small_term_cap_exits_1(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "base.ckt"
+    run(
+        capsys,
+        "depth2width", "--expr", "x4*x4-1-x1-x2-x3", "--vars", "4",
+        "-o", str(base),
+    )
+    argv = ["root", "-i", str(base), "--y0", "1", "--m", "4", "--r", "2"]
+    monkeypatch.setenv("SLPFORGE_CAPS", "max_terms=8")
+    code, out, err = run(capsys, "expand", "-i", str(base))
+    assert code == 0 and result_line(out)["terms"] == "5"
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "capped.ckt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds cap 8" in err
+    monkeypatch.delenv("SLPFORGE_CAPS")
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "root.ckt"))
+    assert code == 0

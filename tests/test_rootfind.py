@@ -1,5 +1,6 @@
 """Newton series roots and the circuit assembly that replays them."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,13 +14,18 @@ from slpforge.errors import (
     DegreeBoundViolated,
     ParamError,
     SizeBudgetExceeded,
+    TermCapExceeded,
     UnsolvableSystem,
 )
-from slpforge.polynomials import COMMUTATIVE, Monomial, SparsePolynomial
+from slpforge.polynomials import COMMUTATIVE, ExpansionCaps, Monomial, SparsePolynomial
 from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 from slpforge.rootfind import (
     RootProblem,
+    _poly_at_series,
+    _series_inverse,
+    _simplex,
     _solve_exact,
+    _truncated_power_product,
     newton_series_root,
     root_circuit,
 )
@@ -184,3 +190,57 @@ def test_solver_prefers_zero_free_variables():
     solution = _solve_exact(BIG, [[one, one]], [one])
     assert solution[0] == one
     assert solution[1] == zero
+
+
+def test_index_set_is_the_filtered_product_in_lex_order():
+    program, _, y0 = planted_root_program(random.Random(11), BIG, 1, 1)
+    for r in range(1, 4):
+        for m in range(5):
+            rp = RootProblem(program, r=r, m=m, y0=y0)
+            expected = [
+                alpha
+                for alpha in itertools.product(range(m + 1), repeat=r + 1)
+                if sum(alpha) <= m
+            ]
+            assert rp.index_set() == expected
+    assert _simplex(1, 3) == [(0,), (1,), (2,), (3,)]
+    assert _simplex(0, 3) == [()]
+
+
+def _program_y2_minus_sum(ring):
+    """P = y^2 - (1 + x1 + x2 + x3) over (x1, x2, x3, y): 5 terms."""
+    sb = SlpBuilder(ring, COMMUTATIVE, 4, register_count=2, name="sqrt3")
+    sb.load(0, sb.var(4))
+    sb.apply(0, "mul", sb.reg(0), sb.var(4))
+    sb.apply(0, "add", sb.reg(0), sb.const(-1))
+    for v in (1, 2, 3):
+        sb.load(1, sb.var(v))
+        sb.apply(1, "mul", sb.reg(1), sb.const(-1))
+        sb.apply(0, "add", sb.reg(0), sb.reg(1))
+    return sb.finish(0)
+
+
+def test_newton_iterate_past_the_term_cap_raises():
+    # P itself fits in 8 terms; its square-root series to degree 4 has 35.
+    caps = ExpansionCaps(max_terms=8)
+    rp = RootProblem(_program_y2_minus_sum(BIG), r=2, m=4, y0=1, caps=caps)
+    with pytest.raises(TermCapExceeded):
+        newton_series_root(rp)
+    with pytest.raises(TermCapExceeded):
+        root_circuit(rp)
+    roomy = RootProblem(_program_y2_minus_sum(BIG), r=2, m=4, y0=1)
+    assert newton_series_root(roomy).term_count == 35
+
+
+def test_series_helpers_multiply_under_the_caps():
+    caps = ExpansionCaps(max_terms=8)
+    x = [SparsePolynomial.variable(BIG, COMMUTATIVE, 3, i) for i in (1, 2, 3)]
+    one = SparsePolynomial.constant(BIG, COMMUTATIVE, 3, 1)
+    u = one.add(x[0]).add(x[1]).add(x[2])  # 1 + x1 + x2 + x3, 4 terms
+    with pytest.raises(TermCapExceeded):
+        _poly_at_series([one, one, one], u, 4, caps)
+    with pytest.raises(TermCapExceeded):
+        _series_inverse(u, 4, caps)
+    with pytest.raises(TermCapExceeded):
+        _truncated_power_product([u], (2,), 4, one, caps)
+    assert _truncated_power_product([u], (2,), 4, one, ExpansionCaps()) == u.mul(u)

@@ -1,25 +1,34 @@
 """The shared fold: every semantics agrees across circuits, SLPs and ABPs."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genutil import random_layered_circuit, random_slp, with_mode
+from genutil import random_layered_circuit, random_slp, reference_expand, with_mode
 from slpforge.circuits import (
     _HOMOGENEITY_SET_CAP,
     AlgebraicBranchingProgram,
     CircuitBuilder,
     LinearForm,
+    SlpBuilder,
     evaluate,
     evaluate_mod_p,
     expand,
     syntactic_degree,
     validate,
 )
-from slpforge.errors import ArityMismatch, ParamError, RingMismatch
+from slpforge.errors import (
+    ArityMismatch,
+    DegreeCapExceeded,
+    ParamError,
+    RingMismatch,
+    SlpforgeError,
+)
 from slpforge.families import build_E_abp
-from slpforge.polynomials import COMMUTATIVE, MODES
+from slpforge.polynomials import COMMUTATIVE, MODES, ExpansionCaps, SparsePolynomial
+from slpforge.transforms import homogeneous_components
 from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 
 F = PrimeField(101)
@@ -120,6 +129,133 @@ def test_degree_sets_past_the_cap_give_no_verdict():
     cb.set_output(gate)
     assert 2**12 + 1 > _HOMOGENEITY_SET_CAP
     assert validate(cb.build(check=False)).homogeneous is None
+
+
+# ---------------------------------------------------------------------------
+# expand against the SparsePolynomial fold it replaced
+
+EXPAND_RINGS = (RATIONALS, F, PrimeField(DEFAULT_PRIME))
+
+
+def outcome(fn, obj, caps):
+    """The expansion with its terms in order, or the error raised."""
+    try:
+        poly = fn(obj, caps)
+    except SlpforgeError as exc:
+        return type(exc), str(exc)
+    return poly, list(poly.terms), [c.value for c in poly.terms.values()]
+
+
+def assert_expand_matches_reference(obj, caps):
+    assert outcome(expand, obj, caps) == outcome(reference_expand, obj, caps)
+
+
+def fractional_slp(rng, ring, mode, register_count=3, step_count=16):
+    """Random program whose constants are fractions over Q."""
+    sb = SlpBuilder(ring, mode, 3, register_count=register_count, name="frac")
+
+    def operand():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return sb.reg(rng.randrange(register_count))
+        if kind == 1:
+            return sb.var(rng.randrange(1, 4))
+        return sb.const(Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)))
+
+    for _ in range(step_count):
+        sb.apply(rng.randrange(register_count), rng.choice(("add", "mul")), operand(), operand())
+    return sb.finish(rng.randrange(register_count))
+
+
+def expand_objects(seed):
+    rng = random.Random(seed)
+    for ring in EXPAND_RINGS:
+        for mode in MODES:
+            yield random_layered_circuit(rng, ring, mode, width=4, num_variables=3)
+            yield random_slp(rng, ring, mode, register_count=3, step_count=24)
+            yield random_abp(rng, ring, mode)
+            yield with_mode(build_E_abp(2, ring), mode)
+            yield fractional_slp(rng, ring, mode)
+    base = random_slp(rng, RATIONALS, COMMUTATIVE, register_count=2, step_count=12)
+    yield from homogeneous_components(base, 6)
+
+
+def cap_grid(obj):
+    full = reference_expand(obj)
+    d, t = full.degree(), full.term_count
+    for max_degree in (0, 1, d - 1, d):
+        for max_terms in (1, t - 1, t):
+            yield ExpansionCaps(max_degree=max_degree, max_terms=max_terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_matches_reference_under_default_caps(seed):
+    for obj in expand_objects(seed):
+        assert_expand_matches_reference(obj, ExpansionCaps())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_expand_matches_reference_at_the_caps(seed):
+    for obj in expand_objects(100 + seed):
+        for caps in cap_grid(obj):
+            assert_expand_matches_reference(obj, caps)
+
+
+def difference_circuit(ring, mode):
+    """f - f for f = (x1 + x2)(x2 x3) + (x1 + x2)^2, built gate by gate."""
+    cb = CircuitBuilder(ring, mode, 3)
+    x1, x2, x3 = (cb.var_leaf(i) for i in (1, 2, 3))
+    a = cb.gate(2, "add", x1, x2)
+    b = cb.gate(2, "mul", x2, x3)
+    f = cb.gate(4, "add", cb.gate(3, "mul", a, b), cb.gate(3, "mul", a, a))
+    neg = cb.gate(5, "mul", f, cb.const_leaf(-1))
+    cb.set_output(cb.gate(6, "add", cb.copy(5, f), neg))
+    return cb.build()
+
+
+@pytest.mark.parametrize("ring", EXPAND_RINGS)
+@pytest.mark.parametrize("mode", MODES)
+def test_expand_of_a_difference_cancels_to_zero(ring, mode):
+    c = difference_circuit(ring, mode)
+    assert expand(c).is_zero
+    for caps in (ExpansionCaps(), ExpansionCaps(3, 5), ExpansionCaps(3, 4), ExpansionCaps(2, 9)):
+        assert_expand_matches_reference(c, caps)
+
+
+def squaring_chain(ring, squarings):
+    """(x1 + x2 + 1)^(2^squarings) as a width-1 program."""
+    sb = SlpBuilder(ring, COMMUTATIVE, 2, register_count=1, name="sq")
+    sb.load(0, sb.var(1))
+    sb.apply(0, "add", sb.reg(0), sb.var(2))
+    sb.apply(0, "add", sb.reg(0), sb.const(1))
+    for _ in range(squarings):
+        sb.apply(0, "mul", sb.reg(0), sb.reg(0))
+    return sb.finish(0)
+
+
+@pytest.mark.parametrize("ring", EXPAND_RINGS)
+def test_squaring_chain_at_and_past_the_degree_cap(ring):
+    caps = ExpansionCaps(max_degree=8, max_terms=1000)
+    at_cap = squaring_chain(ring, 3)
+    assert expand(at_cap, caps).degree() == 8
+    assert_expand_matches_reference(at_cap, caps)
+    past = squaring_chain(ring, 4)
+    with pytest.raises(DegreeCapExceeded):
+        expand(past, caps)
+    assert_expand_matches_reference(past, caps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_variable_program_under_degree_cap_zero_is_x1(mode):
+    sb = SlpBuilder(F, mode, 1, register_count=1, name="x")
+    sb.load(0, sb.var(1))
+    caps = ExpansionCaps(max_degree=0)
+    x1 = SparsePolynomial.variable(F, mode, 1, 1)
+    assert expand(sb.finish(0), caps) == x1
+    cb = CircuitBuilder(F, mode, 1)
+    cb.set_output(cb.var_leaf(1))
+    assert expand(cb.build(), caps) == x1
+    assert_expand_matches_reference(sb.finish(0), caps)
 
 
 # ---------------------------------------------------------------------------

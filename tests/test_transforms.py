@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from genutil import formula_expand, random_formula, random_slp
+from genutil import formula_expand, homogeneous_part, random_formula, random_slp
 from slpforge.circuits import SlpBuilder, expand, slp_to_circuit, validate
 from slpforge.errors import (
     CharacteristicTooSmall,
@@ -167,7 +167,7 @@ def test_components_sum_and_purity_random():
         assert full.degree() <= m
         parts = [expand(h) for h in homogeneous_components(c, m)]
         for i, part in enumerate(parts):
-            assert part == full.homogeneous_part(i)
+            assert part == homogeneous_part(full, i)
         total = parts[0]
         for part in parts[1:]:
             total = total.add(part)
