@@ -25,17 +25,22 @@ objects built only when the result is wrapped into a SparsePolynomial.
   denominator is 1 and Fractions otherwise; zeros are deleted.
 
 Caps are checked where SparsePolynomial.add/mul check them: the degree
-of every monomial product (DegreeCapExceeded), the term count after
-each row of a product and at the end of a sum (TermCapExceeded).  Terms
-are merged in the same order, so the result, its term order and the
-error raised on any input are those of the SparsePolynomial fold.
+of every monomial product (DegreeCapExceeded, tested once per row of a
+product against the top degree of the other operand), the term count
+after each row of a product and at the end of a sum (TermCapExceeded).
+Terms are merged in the same order, so the result, its term order and
+the error raised on any input are those of the SparsePolynomial fold.
+One product loop serves both rings, with the coefficient add and
+multiply passed in.  Over Q it runs on integer numerators over the
+operands' common denominators and divides once per result term.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -519,9 +524,6 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         def decode(key: tuple) -> tuple:
             return key
 
-    def term_cap(count: int) -> TermCapExceeded:
-        return TermCapExceeded(f"{count} terms exceeds cap {max_terms}")
-
     if isinstance(ring, PrimeField):
         p = ring.p
 
@@ -534,50 +536,10 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         def cmul(x: int, y: int) -> int:
             return x * y % p
 
-        def merge(a: dict, b: dict) -> dict:
-            merged = a.copy()
-            get = merged.get
-            for k, c in b.items():
-                prev = get(k)
-                if prev is None:
-                    merged[k] = c
-                else:
-                    c = (prev + c) % p
-                    if c:
-                        merged[k] = c
-                    else:
-                        del merged[k]
-            return merged
+        def mul(a: dict, b: dict) -> dict:
+            return product(a, b, cadd, cmul)
 
-        def scale_right(a: dict, k2, c2: int) -> dict:
-            return {k1 + k2: c1 * c2 % p for k1, c1 in a.items()}
-
-        def scale_left(k1, c1: int, b: dict) -> dict:
-            return {k1 + k2: c1 * c2 % p for k2, c2 in b.items()}
-
-        def product(a: dict, b: dict) -> dict:
-            acc: dict = {}
-            get = acc.get
-            right = tuple(b.items())
-            for k1, c1 in a.items():
-                for k2, c2 in right:
-                    k = k1 + k2
-                    prev = get(k)
-                    if prev is None:
-                        acc[k] = c1 * c2 % p
-                    else:
-                        c = (prev + c1 * c2) % p
-                        if c:
-                            acc[k] = c
-                        else:
-                            del acc[k]
-                if len(acc) > max_terms:
-                    raise term_cap(len(acc))
-            return acc
-
-    else:
-        if not isinstance(ring, RationalField):
-            raise ParamError(f"cannot expand over {ring!r}")
+    elif isinstance(ring, RationalField):
 
         def coefficient(c: Scalar):
             return _rational(ring.scalar(c).value)
@@ -585,83 +547,27 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         def cadd(x, y):
             return _rational(x + y)
 
-        def cmul(x, y):
-            return _rational(x * y)
-
-        def merge(a: dict, b: dict) -> dict:
-            merged = a.copy()
-            get = merged.get
-            for k, c in b.items():
-                prev = get(k)
-                if prev is None:
-                    merged[k] = c
-                else:
-                    c += prev
-                    if not c:
-                        del merged[k]
-                    elif type(c) is int or c.denominator != 1:
-                        merged[k] = c
-                    else:
-                        merged[k] = c.numerator
-            return merged
-
-        def scale_right(a: dict, k2, c2) -> dict:
-            return {k1 + k2: _rational(c1 * c2) for k1, c1 in a.items()}
-
-        def scale_left(k1, c1, b: dict) -> dict:
-            return {k1 + k2: _rational(c1 * c2) for k2, c2 in b.items()}
-
-        def product(a: dict, b: dict) -> dict:
-            # Exact integer products of numerators over a common
-            # denominator: zeros, term order and row counts are those of
-            # the rational products, at int speed.
+        def mul(a: dict, b: dict) -> dict:
+            # Integer numerators over the operands' common denominators:
+            # every product and partial sum is the rational one times
+            # da * db, so zeros, term order and row counts are the same.
             da, db = _denominator(a), _denominator(b)
-            acc: dict = {}
-            get = acc.get
-            right = tuple(_numerators(b, db).items())
-            for k1, c1 in _numerators(a, da).items():
-                for k2, c2 in right:
-                    k = k1 + k2
-                    prev = get(k)
-                    if prev is None:
-                        acc[k] = c1 * c2
-                    else:
-                        c = prev + c1 * c2
-                        if c:
-                            acc[k] = c
-                        else:
-                            del acc[k]
-                if len(acc) > max_terms:
-                    raise term_cap(len(acc))
+            acc = product(
+                _numerators(a, da), _numerators(b, db), operator.add, operator.mul
+            )
             d = da * db
             if d == 1:
                 return acc
             return {k: _rational(Fraction(c, d)) for k, c in acc.items()}
 
-    def checked_product(a: dict, b: dict) -> dict:
-        # SparsePolynomial.mul term by term: reached only when a product
-        # passes the degree cap or an operand is empty, so it raises the
-        # error (or returns the empty result) that mul would.
-        acc: dict = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                d = degree(k1) + degree(k2)
-                if d > max_degree:
-                    raise DegreeCapExceeded(
-                        f"monomial degree {d} exceeds cap {max_degree}"
-                    )
-                k = k1 + k2
-                prev = acc.get(k)
-                c = cmul(c1, c2)
-                if prev is not None:
-                    c = cadd(prev, c)
-                if c:
-                    acc[k] = c
-                else:
-                    del acc[k]
-            if len(acc) > max_terms:
-                raise term_cap(len(acc))
-        return acc
+    else:
+        raise ParamError(f"cannot expand over {ring!r}")
+
+    def degree_cap(d: int) -> DegreeCapExceeded:
+        return DegreeCapExceeded(f"monomial degree {d} exceeds cap {max_degree}")
+
+    def term_cap(count: int) -> TermCapExceeded:
+        return TermCapExceeded(f"{count} terms exceeds cap {max_terms}")
 
     leaves = {index: {var_key(index): 1} for index in range(1, n + 1)}
 
@@ -675,28 +581,51 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         return {unit: value} if value else {}
 
     def add(a: dict, b: dict) -> dict:
-        merged = merge(a, b) if a and b else a or b
+        if a and b:
+            merged = a.copy()
+            get = merged.get
+            for k, c in b.items():
+                prev = get(k)
+                if prev is not None:
+                    c = cadd(prev, c)
+                    if not c:
+                        del merged[k]
+                        continue
+                merged[k] = c
+        else:
+            merged = a or b
         if len(merged) > max_terms:
             raise term_cap(len(merged))
         return merged
 
-    def mul(a: dict, b: dict) -> dict:
-        if not (a and b) or top_degree(a) + top_degree(b) > max_degree:
-            return checked_product(a, b)
-        if len(b) == 1:
-            ((k2, c2),) = b.items()
-            acc = a if k2 == unit and c2 == 1 else scale_right(a, k2, c2)
-        elif len(a) == 1:
-            ((k1, c1),) = a.items()
-            acc = scale_left(k1, c1, b)
-        else:
-            return product(a, b)
-        # A scaled value has one term per row.  Every value holds at most
-        # max(max_terms, 1) terms, so this trips only for max_terms < 1 on
-        # one term, where the row-by-row count of SparsePolynomial.mul
-        # trips at the same count.
-        if len(acc) > max_terms:
-            raise term_cap(len(acc))
+    def product(a: dict, b: dict, cadd, cmul) -> dict:
+        # SparsePolynomial.mul row by row.  The degree of k1 + k2 is
+        # degree(k1) + degree(k2), so a row holds a product past the cap
+        # exactly when degree(k1) + top_degree(b) does; mul would raise
+        # there before the row's term count, so the row raises at once.
+        # An empty b gives no products, so no degree to check.
+        acc: dict = {}
+        get = acc.get
+        right = tuple(b.items())
+        room = max_degree - top_degree(b) if b else inf
+        for k1, c1 in a.items():
+            if degree(k1) > room:
+                d1 = degree(k1)
+                raise degree_cap(
+                    next(d1 + d for d in map(degree, b) if d1 + d > max_degree)
+                )
+            for k2, c2 in right:
+                k = k1 + k2
+                prev = get(k)
+                c = cmul(c1, c2)
+                if prev is not None:
+                    c = cadd(prev, c)
+                    if not c:
+                        del acc[k]
+                        continue
+                acc[k] = c
+            if len(acc) > max_terms:
+                raise term_cap(len(acc))
         return acc
 
     def wrap(terms: dict) -> SparsePolynomial:

@@ -51,7 +51,7 @@ class RootProblem:
     expands the program once (under ``caps``) to extract the coefficient
     polynomials C_0..C_r with P = sum_i C_i(x_bar) y^i, and checks the
     two root conditions.  Every later product on the root path
-    (newton_series_root, root_circuit) is taken under the same caps.
+    (newton_series_root, root_circuit) is taken under series_caps.
     Raises DegreeBoundViolated when the actual y-degree exceeds r,
     ParamError when y0 is not a root of P(0, y), and DegenerateRoot when
     the derivative at the root vanishes.
@@ -122,6 +122,20 @@ class RootProblem:
     def index_bound(self) -> int:
         return (self.m + self.r) ** self.r
 
+    @property
+    def series_caps(self) -> ExpansionCaps:
+        """The caps for the series products: the term cap of ``caps`` alone.
+
+        Every product on the root path is truncated to degree m at once,
+        so truncation bounds the degree.  The degree cap is raised to the
+        largest untruncated product, m + max(m, deg C_i), so that it never
+        trips there.
+        """
+        top = max(c.degree() for c in self.coefficients)
+        return ExpansionCaps(
+            max_degree=self.m + max(self.m, top), max_terms=self.caps.max_terms
+        )
+
     def index_set(self) -> list[tuple[int, ...]]:
         """All exponent vectors over (C_0..C_r) of total degree <= m, lex order."""
         return _simplex(self.r + 1, self.m)
@@ -181,7 +195,8 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
     degree m+1; each step doubles the correct precision, so m.bit_length()
     steps suffice; a nonzero final residue is an InvariantViolation, a
     bug rather than a property of the input.  Every product is taken
-    under rp.caps, so a series that outgrows them raises CapExceeded.
+    under rp.series_caps, so a series that outgrows the term cap raises
+    TermCapExceeded.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -189,7 +204,7 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
         raise CharacteristicTooSmall(
             f"characteristic {char} must be 0 or exceed the target degree {rp.m}"
         )
-    m, caps = rp.m, rp.caps
+    m, caps = rp.m, rp.series_caps
     n = rp.num_x_variables
     coeffs = list(rp.coefficients)
     deriv_coeffs = [c.scale(i) for i, c in enumerate(coeffs)][1:]
@@ -280,7 +295,7 @@ def root_circuit(
     The step count is compared against a budget derived from the
     emission shape (or ``size_budget`` when given); exceeding it raises
     SizeBudgetExceeded rather than returning an oversized program.  The
-    Newton series and the power products multiply under rp.caps.
+    Newton series and the power products multiply under rp.series_caps.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -298,8 +313,9 @@ def root_circuit(
         for i, c in enumerate(rp.coefficients)
     ]
     alphas = rp.index_set()
+    caps = rp.series_caps
     g_alpha = [
-        _truncated_power_product(deltas, alpha, m, one, rp.caps) for alpha in alphas
+        _truncated_power_product(deltas, alpha, m, one, caps) for alpha in alphas
     ]
 
     mono_set = set(f.terms)

@@ -376,3 +376,21 @@ def test_root_under_a_small_term_cap_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SLPFORGE_CAPS")
     code, out, err = run(capsys, *argv, "-o", str(tmp_path / "root.ckt"))
     assert code == 0
+
+
+def test_root_past_half_the_degree_cap(tmp_path, capsys, monkeypatch):
+    # The series products reach 2m = 10 before truncation to m = 5; only
+    # the term cap limits the root path, so max_degree=8 still gives a root.
+    base = tmp_path / "sqrt.ckt"
+    run(capsys, "depth2width", "--expr", "x2*x2-1-x1", "--vars", "2", "-o", str(base))
+    monkeypatch.setenv("SLPFORGE_CAPS", "max_degree=8")
+    out_path = tmp_path / "root.ckt"
+    code, out, err = run(
+        capsys, "root", "-i", str(base), "--y0", "1", "--m", "5", "--r", "2",
+        "-o", str(out_path),
+    )
+    assert code == 0 and err == ""
+    assert result_line(out)["m"] == "5"
+    monkeypatch.delenv("SLPFORGE_CAPS")
+    code, out, err = run(capsys, "expand", "-i", str(out_path))
+    assert code == 0 and result_line(out)["terms"] == "6"

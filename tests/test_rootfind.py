@@ -244,3 +244,52 @@ def test_series_helpers_multiply_under_the_caps():
     with pytest.raises(TermCapExceeded):
         _truncated_power_product([u], (2,), 4, one, caps)
     assert _truncated_power_product([u], (2,), 4, one, ExpansionCaps()) == u.mul(u)
+
+
+def _program_y2_plus_x62y_minus_1_plus_x1():
+    """P = y^2 + x1^62*y - (1 + x1) over (x1, y), x1^62 by squaring."""
+    sb = SlpBuilder(BIG, COMMUTATIVE, 2, register_count=3, name="high")
+    sb.load(1, sb.var(1))
+    sb.apply(1, "mul", sb.reg(1), sb.reg(1))
+    sb.load(2, sb.const(1))
+    sb.apply(2, "mul", sb.reg(2), sb.reg(1))
+    for _ in range(4):  # x1^(2 + 4 + 8 + 16 + 32)
+        sb.apply(1, "mul", sb.reg(1), sb.reg(1))
+        sb.apply(2, "mul", sb.reg(2), sb.reg(1))
+    sb.load(0, sb.var(2))
+    sb.apply(0, "add", sb.reg(0), sb.reg(2))
+    sb.apply(0, "mul", sb.reg(0), sb.var(2))
+    sb.apply(0, "add", sb.reg(0), sb.const(-1))
+    sb.load(1, sb.var(1))
+    sb.apply(1, "mul", sb.reg(1), sb.const(-1))
+    sb.apply(0, "add", sb.reg(0), sb.reg(1))
+    return sb.finish(0)
+
+
+def test_series_products_are_not_held_to_the_degree_cap():
+    # Truncation bounds the degree of every series.  The last Newton step
+    # multiplies two degree-33 series (66 > 64, the default max_degree),
+    # and under max_degree=8 the products for m = 5 reach 10.
+    rp = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=33, y0=1)
+    assert rp.m > rp.caps.max_degree // 2
+    f = newton_series_root(rp)
+    assert f.degree() == 33 and f.mul(f).truncate(33) == expand(
+        rp.program
+    ).coefficients_in(2)[0].neg().truncate(33)
+    caps = ExpansionCaps(max_degree=8)
+    rp = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=5, y0=1, caps=caps)
+    f = newton_series_root(rp)
+    assert f.degree() == 5
+    assert expand(root_circuit(rp)) == f
+
+
+def test_high_degree_coefficients_are_not_held_to_the_degree_cap():
+    # C_1 = x1^62 fits the default caps, but g * C_1 (degree 66) and
+    # delta_0^3 * delta_1 (degree 65) do not, before truncation to m = 4.
+    rp = RootProblem(_program_y2_plus_x62y_minus_1_plus_x1(), r=2, m=4, y0=1)
+    assert max(c.degree() for c in rp.coefficients) == 62
+    sqrt = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=4, y0=1)
+    f = newton_series_root(rp)
+    assert f == newton_series_root(sqrt)
+    assert expand(root_circuit(rp)) == f
+    assert rp.series_caps == ExpansionCaps(max_degree=66, max_terms=1 << 20)
