@@ -6,7 +6,9 @@ Three forms share one polynomial semantics:
   leaves (variables and constants).  An internal gate in V_i (i > 1)
   reads operands from V_1 or V_{i-1} only.  Width is the largest
   internal layer; a circuit with no internal layer has width 0.  Size
-  counts every gate, leaves included.
+  counts every gate, leaves included.  The gate table is a read-only
+  mapping, so validate() computes its report once per circuit object
+  and stores it on the circuit.
 
 * StraightLineProgram: a register program over w registers.  Steps are
   load (register := variable or constant) and apply (register :=
@@ -39,6 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
@@ -94,9 +97,15 @@ Gate = Union[VarLeaf, ConstLeaf, BinGate]
 
 
 class LayeredCircuit:
-    """Immutable layered circuit.  Built via CircuitBuilder or the parser."""
+    """Immutable layered circuit.  Built via CircuitBuilder or the parser.
 
-    __slots__ = ("name", "ring", "mode", "num_variables", "layers", "gates", "output_id")
+    gates is a read-only view of a private copy of the gate table, so the
+    report validate() stores on the circuit cannot go stale.
+    """
+
+    __slots__ = (
+        "name", "ring", "mode", "num_variables", "layers", "gates", "output_id", "_report"
+    )
 
     def __init__(
         self,
@@ -114,8 +123,9 @@ class LayeredCircuit:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "num_variables", num_variables)
         object.__setattr__(self, "layers", tuple(tuple(layer) for layer in layers))
-        object.__setattr__(self, "gates", dict(gates))
+        object.__setattr__(self, "gates", MappingProxyType(dict(gates)))
         object.__setattr__(self, "output_id", output_id)
+        object.__setattr__(self, "_report", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("LayeredCircuit is immutable")
@@ -179,8 +189,18 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     """Check structural invariants and summarize the circuit.
 
     Raises BadOperandLayer, DanglingOutput, CircuitSemanticError,
-    RingMismatch, or ParamError on ill-formed circuits.
+    RingMismatch, or ParamError on ill-formed circuits.  The report is
+    computed once per circuit object and stored on it; a circuit that
+    fails stores nothing and raises again on the next call.
     """
+    report = circuit._report
+    if report is None:
+        report = _validate(circuit)
+        object.__setattr__(circuit, "_report", report)
+    return report
+
+
+def _validate(circuit: LayeredCircuit) -> ValidationReport:
     seen: set[int] = set()
     layer_of: dict[int, int] = {}
     for i, layer in enumerate(circuit.layers, start=1):
@@ -294,15 +314,19 @@ class CircuitBuilder:
         self._const_ids: dict[Scalar, int] = {}
         self._one: int | None = None
 
-    def _fresh(self, layer: int, gate: Gate) -> int:
+    def _layer(self, layer: int) -> list[int]:
         if layer < 1:
             raise ParamError(f"layer must be >= 1, got {layer}")
         while len(self._layers) < layer:
             self._layers.append([])
+        return self._layers[layer - 1]
+
+    def _fresh(self, layer: int, gate: Gate) -> int:
+        target = self._layer(layer)
         gid = self._next_id
         self._next_id += 1
         self._gates[gid] = gate
-        self._layers[layer - 1].append(gid)
+        target.append(gid)
         return gid
 
     def var_leaf(self, index: int) -> int:
@@ -322,11 +346,21 @@ class CircuitBuilder:
             raise ParamError(f"op must be add or mul, got {op!r}")
         return self._fresh(layer, BinGate(op, left, right))
 
+    def copies(self, layer: int, sources: Sequence[int]) -> range:
+        """Ferry each gate s*1 into the given layer, in order, with consecutive ids."""
+        target = self._layer(layer)
+        if sources and self._one is None:
+            self._one = self.const_leaf(1)
+        one = self._one
+        ids = range(self._next_id, self._next_id + len(sources))
+        self._next_id = ids.stop
+        self._gates.update(zip(ids, [BinGate(MUL, s, one) for s in sources]))
+        target.extend(ids)
+        return ids
+
     def copy(self, layer: int, source: int) -> int:
         """Ferry gate source*1 into the given layer."""
-        if self._one is None:
-            self._one = self.const_leaf(1)
-        return self.gate(layer, MUL, source, self._one)
+        return self.copies(layer, [source])[0]
 
     def set_output(self, gid: int) -> None:
         self._output = gid
@@ -471,7 +505,6 @@ class SlpBuilder:
         self.register_count = register_count
         self.name = name
         self._steps: list[Step] = []
-        self._high_register = -1
 
     def reg(self, index: int) -> RegOperand:
         return RegOperand(index)
@@ -482,26 +515,27 @@ class SlpBuilder:
     def const(self, value: ScalarLike) -> ConstOperand:
         return ConstOperand(self.ring.scalar(value))
 
-    def _touch(self, *operands) -> None:
-        for op in operands:
-            if isinstance(op, int):
-                self._high_register = max(self._high_register, op)
-            elif isinstance(op, RegOperand):
-                self._high_register = max(self._high_register, op.register)
-
     def load(self, dest: int, source: Union[VarOperand, ConstOperand]) -> None:
-        self._touch(dest)
         self._steps.append(LoadStep(dest, source))
 
     def apply(self, dest: int, op: str, left: Operand, right: Operand) -> None:
-        self._touch(dest, left, right)
         self._steps.append(ApplyStep(dest, op, left, right))
 
     def finish(self, output_register: int) -> StraightLineProgram:
-        self._touch(output_register)
+        """The program; without a register count, one past the highest register named.
+
+        StraightLineProgram checks every register against the count.
+        """
         count = self.register_count
         if count is None:
-            count = self._high_register + 1
+            high = output_register
+            for step in self._steps:
+                high = max(high, step.dest)
+                if isinstance(step, ApplyStep):
+                    for op in (step.left, step.right):
+                        if isinstance(op, RegOperand):
+                            high = max(high, op.register)
+            count = high + 1
         return StraightLineProgram(
             self.name,
             self.ring,
@@ -813,6 +847,8 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
         layer += 1
         new_gate = b.gate(layer, step.op, operand_ids[0], operand_ids[1])
         next_binding: dict[int, tuple[int, bool]] = {}
+        carried: list[int] = []
+        sources: list[int] = []
         for reg in live_after[idx]:
             if reg == step.dest:
                 continue
@@ -820,7 +856,10 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
             if is_leaf:
                 next_binding[reg] = (gid, True)
             else:
-                next_binding[reg] = (b.copy(layer, gid), False)
+                carried.append(reg)
+                sources.append(gid)
+        for reg, gid in zip(carried, b.copies(layer, sources)):
+            next_binding[reg] = (gid, False)
         next_binding[step.dest] = (new_gate, False)
         binding = next_binding
 
@@ -870,10 +909,11 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
                 continue
             register_of[gid] = register_of[source]
             taken.add(register_of[gid])
+        # Registers no copy holds, smallest first, handed out lazily.
+        free = (r for r in range(width) if r not in taken)
         for gid in real:
             g = gates[gid]
-            dest = next(r for r in range(width) if r not in taken)
-            taken.add(dest)
+            dest = next(free)
             operands = []
             for ref in (g.left, g.right):
                 if ref in leaf_ids:

@@ -104,18 +104,6 @@ class Formula:
 
         return walk(self.root)
 
-    def is_alternating(self) -> bool:
-        """Do add and mul strictly alternate down every path?"""
-
-        def walk(node: FormulaNode, parent_op: str | None) -> bool:
-            if not isinstance(node, FOp):
-                return True
-            if node.op == parent_op:
-                return False
-            return all(walk(child, node.op) for child in node.children)
-
-        return walk(self.root, None)
-
 
 def substitute_leaves(
     formula: Formula,

@@ -329,22 +329,3 @@ def lagrange_matrix(ring: Ring, points: Sequence[ScalarLike]) -> list[list[Scala
         columns.append([c * inv for c in quotient])
     return [[columns[j][i] for j in range(n)] for i in range(n)]
 
-
-def vandermonde_solve(
-    ring: Ring, points: Sequence[ScalarLike], values: Sequence[ScalarLike]
-) -> list[Scalar]:
-    """Coefficients (low-order-first) of the unique polynomial of degree
-    < len(points) taking the given values at the given points."""
-    if len(points) != len(values):
-        raise ParamError(
-            f"{len(points)} points but {len(values)} values"
-        )
-    vals = [ring.scalar(v) for v in values]
-    matrix = lagrange_matrix(ring, points)
-    out = []
-    for row in matrix:
-        acc = ring.zero()
-        for a, v in zip(row, vals):
-            acc = acc + a * v
-        out.append(acc)
-    return out

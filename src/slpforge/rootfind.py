@@ -119,10 +119,6 @@ class RootProblem:
         return self.program.num_variables - 1
 
     @property
-    def index_bound(self) -> int:
-        return (self.m + self.r) ** self.r
-
-    @property
     def series_caps(self) -> ExpansionCaps:
         """The caps for the series products: the term cap of ``caps`` alone.
 

@@ -4,19 +4,30 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 from slpforge.circuits import (
+    MUL,
     AlgebraicBranchingProgram,
     BinGate,
     CircuitBuilder,
     ConstLeaf,
+    ConstOperand,
     LayeredCircuit,
     LinearForm,
+    LoadStep,
+    Operand,
+    RegOperand,
     SlpBuilder,
     StraightLineProgram,
+    VarOperand,
+    _copy_source,
+    _one_leaves,
     evaluate,
     fold,
+    leaf_operand,
     syntactic_degree,
+    validate,
 )
 from slpforge.errors import GridTooLarge, ModeMismatch, ParamError
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
@@ -28,7 +39,8 @@ from slpforge.polynomials import (
     Monomial,
     SparsePolynomial,
 )
-from slpforge.rings import Ring, Scalar
+from slpforge.rings import Ring, Scalar, ScalarLike, lagrange_matrix
+from slpforge.rootfind import RootProblem
 from slpforge.stagger import (
     EdgeStep,
     LayerMultigraph,
@@ -456,6 +468,171 @@ def reference_expand(obj, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomia
         lambda a, b: a.add(b, caps),
         lambda a, b: a.mul(b, caps),
     )
+
+
+def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> LayeredCircuit:
+    """slp_to_circuit as first written: one builder call per copy gate.
+
+    Kept as the oracle for circuits.slp_to_circuit, which must return a
+    circuit with the same gate ids, layers and leaves.  Copies are built
+    with CircuitBuilder.gate, not CircuitBuilder.copy, so the oracle does
+    not share the bulk copy path it checks.
+    """
+    b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
+
+    # Liveness per step: registers read strictly later, plus the output.
+    live_after: list[set[int]] = []
+    live: set[int] = {slp.output_register}
+    for step in reversed(slp.steps):
+        live_after.append(set(live))
+        live.discard(step.dest)
+        operands = (step.source,) if isinstance(step, LoadStep) else (step.left, step.right)
+        for op in operands:
+            if isinstance(op, RegOperand):
+                live.add(op.register)
+    live_after.reverse()
+
+    def leaf_for(op: Operand) -> int:
+        if isinstance(op, VarOperand):
+            return b.var_leaf(op.index)
+        if isinstance(op, ConstOperand):
+            return b.const_leaf(op.value)
+        raise ParamError(f"not a leaf operand: {op!r}")
+
+    # binding: register -> (gate id, is_leaf).  Unwritten registers are zero.
+    binding: dict[int, tuple[int, bool]] = {}
+    zero_leaf: int | None = None
+    one_leaf: int | None = None
+    layer = 1
+
+    def gate_of(reg: int) -> tuple[int, bool]:
+        nonlocal zero_leaf
+        if reg not in binding:
+            if zero_leaf is None:
+                zero_leaf = b.const_leaf(0)
+            binding[reg] = (zero_leaf, True)
+        return binding[reg]
+
+    def copy(layer: int, source: int) -> int:
+        nonlocal one_leaf
+        if one_leaf is None:
+            one_leaf = b.const_leaf(1)
+        return b.gate(layer, MUL, source, one_leaf)
+
+    for idx, step in enumerate(slp.steps):
+        if isinstance(step, LoadStep):
+            binding[step.dest] = (leaf_for(step.source), True)
+            continue
+        operand_ids = []
+        for op in (step.left, step.right):
+            if isinstance(op, RegOperand):
+                operand_ids.append(gate_of(op.register)[0])
+            else:
+                operand_ids.append(leaf_for(op))
+        layer += 1
+        new_gate = b.gate(layer, step.op, operand_ids[0], operand_ids[1])
+        next_binding: dict[int, tuple[int, bool]] = {}
+        for reg in live_after[idx]:
+            if reg == step.dest:
+                continue
+            gid, is_leaf = gate_of(reg)
+            if is_leaf:
+                next_binding[reg] = (gid, True)
+            else:
+                next_binding[reg] = (copy(layer, gid), False)
+        next_binding[step.dest] = (new_gate, False)
+        binding = next_binding
+
+    out_gid, _ = gate_of(slp.output_register)
+    b.set_output(out_gid)
+    return b.build()
+
+
+def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
+    """circuit_to_slp as first written: a scan of range(width) per register taken.
+
+    Kept as the oracle for circuits.circuit_to_slp, which must return the
+    same steps over the same registers.
+    """
+    report = validate(circuit)
+    if not report.staggered:
+        raise ParamError("circuit is not staggered")
+    width = max(report.width, 1)
+    sb = SlpBuilder(
+        circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
+    )
+
+    gates, ones = circuit.gates, _one_leaves(circuit)
+    leaf_ids = set(circuit.layers[0])
+    register_of: dict[int, int] = {}
+    for layer in circuit.layers[1:]:
+        sources = {gid: _copy_source(gates[gid], ones) for gid in layer}
+        copies = [gid for gid in layer if sources[gid] is not None]
+        real = [gid for gid in layer if sources[gid] is None]
+        taken: set[int] = set()
+        for gid in copies:
+            source = sources[gid]
+            if source in leaf_ids:
+                # A copy of a leaf still needs a register of its own.
+                real.append(gid)
+                continue
+            register_of[gid] = register_of[source]
+            taken.add(register_of[gid])
+        for gid in real:
+            g = gates[gid]
+            dest = next(r for r in range(width) if r not in taken)
+            taken.add(dest)
+            operands = []
+            for ref in (g.left, g.right):
+                if ref in leaf_ids:
+                    operands.append(leaf_operand(circuit, ref))
+                else:
+                    operands.append(sb.reg(register_of[ref]))
+            sb.apply(dest, g.op, operands[0], operands[1])
+            register_of[gid] = dest
+
+    if circuit.output_id in leaf_ids:
+        sb.load(0, leaf_operand(circuit, circuit.output_id))
+        return sb.finish(0)
+    return sb.finish(register_of[circuit.output_id])
+
+
+def is_alternating(formula: Formula) -> bool:
+    """Do add and mul strictly alternate down every path of the formula?"""
+
+    def walk(node: FormulaNode, parent_op: str | None) -> bool:
+        if not isinstance(node, FOp):
+            return True
+        if node.op == parent_op:
+            return False
+        return all(walk(child, node.op) for child in node.children)
+
+    return walk(formula.root, None)
+
+
+def index_bound(problem: RootProblem) -> int:
+    """(m + r)^r, a power bound on the size of problem.index_set()."""
+    return (problem.m + problem.r) ** problem.r
+
+
+def vandermonde_solve(
+    ring: Ring, points: Sequence[ScalarLike], values: Sequence[ScalarLike]
+) -> list[Scalar]:
+    """Coefficients (low-order-first) of the unique polynomial of degree
+    < len(points) taking the given values at the given points."""
+    if len(points) != len(values):
+        raise ParamError(
+            f"{len(points)} points but {len(values)} values"
+        )
+    vals = [ring.scalar(v) for v in values]
+    matrix = lagrange_matrix(ring, points)
+    out = []
+    for row in matrix:
+        acc = ring.zero()
+        for a, v in zip(row, vals):
+            acc = acc + a * v
+        out.append(acc)
+    return out
 
 
 def homogeneous_part(poly: SparsePolynomial, d: int) -> SparsePolynomial:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from genutil import formula_expand, random_formula
+from genutil import formula_expand, is_alternating, random_formula
 from slpforge.circuits import evaluate, expand, validate
 from slpforge.errors import (
     BadCharacteristic,
@@ -73,7 +73,7 @@ def test_block_family_formula_shape():
     params = FamilyParams(2, 2)
     f = build_P(params)
     assert f.depth == 2 * params.k
-    assert f.is_alternating()
+    assert is_alternating(f)
     poly = formula_expand(f)
     assert all(m.degree == params.degree for m in poly.terms)
     assert all(c == 1 for c in poly.terms.values())

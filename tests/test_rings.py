@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from genutil import vandermonde_solve
 from slpforge.errors import DuplicatePoint, FieldTooSmall, ParamError, RingMismatch
 from slpforge.rings import (
     DEFAULT_PRIME,
@@ -15,7 +16,6 @@ from slpforge.rings import (
     lagrange_matrix,
     poly_eval,
     ring_from_descriptor,
-    vandermonde_solve,
 )
 
 

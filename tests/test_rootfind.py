@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import planted_root_program
+from genutil import index_bound, planted_root_program
 from slpforge.circuits import SlpBuilder, expand
 from slpforge.errors import (
     CharacteristicTooSmall,
@@ -133,7 +133,7 @@ def test_index_set_shape():
     rp = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=2, y0=1)
     alphas = rp.index_set()
     assert len(alphas) == 10  # compositions of <= 2 into 3 slots
-    assert len(alphas) <= rp.index_bound == 16
+    assert len(alphas) <= index_bound(rp) == 16
     assert all(sum(a) <= 2 for a in alphas)
 
 

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from genutil import formula_expand, homogeneous_part, random_formula, random_slp
+from genutil import (
+    formula_expand,
+    homogeneous_part,
+    is_alternating,
+    random_formula,
+    random_slp,
+)
 from slpforge.circuits import SlpBuilder, expand, slp_to_circuit, validate
 from slpforge.errors import (
     CharacteristicTooSmall,
@@ -77,7 +83,7 @@ def _p22_formula(ring):
 def test_depth4_block_formula():
     f = _p22_formula(F)
     assert f.depth == 4
-    assert f.is_alternating()
+    assert is_alternating(f)
     c = depth_to_width(f)
     assert c.width <= 4
     expansion = expand(c)
