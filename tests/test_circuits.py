@@ -4,17 +4,21 @@ import random
 
 import pytest
 
-from genutil import linear_form_value, substitute_scalar
+from genutil import linear_form_value, random_layered_circuit, substitute_scalar
+from slpforge import circuits
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     ApplyStep,
+    BinGate,
     CircuitBuilder,
+    ConstLeaf,
     ConstOperand,
     LinearForm,
     LoadStep,
     RegOperand,
     SlpBuilder,
     StraightLineProgram,
+    VarLeaf,
     VarOperand,
     circuit_to_slp,
     evaluate,
@@ -33,6 +37,8 @@ from slpforge.errors import (
 )
 from slpforge.polynomials import COMMUTATIVE, Monomial, NONCOMMUTATIVE, SparsePolynomial
 from slpforge.rings import PrimeField, RATIONALS
+from slpforge.stagger import staggerize
+from slpforge.textio import parse_circuit, serialize_circuit
 
 F = PrimeField(PrimeField(101).p)
 
@@ -84,6 +90,75 @@ def test_skipping_a_layer_is_rejected():
     b.set_output(g4)
     with pytest.raises(BadOperandLayer):
         b.build()
+
+
+def test_failed_validation_raises_again():
+    b = CircuitBuilder(F, COMMUTATIVE, 2)
+    g2 = b.gate(2, "mul", b.var_leaf(1), b.var_leaf(2))
+    g3 = b.gate(3, "add", g2, g2)
+    b.set_output(b.gate(4, "add", g2, g3))  # layer 4 reading layer 2
+    c = b.build(check=False)
+    for _ in range(2):
+        with pytest.raises(BadOperandLayer):
+            validate(c)
+
+
+def test_gate_table_is_read_only():
+    c = product_sum_circuit()
+    with pytest.raises(TypeError):
+        c.gates[1] = VarLeaf(2)
+    with pytest.raises(TypeError):
+        del c.gates[1]
+    with pytest.raises(AttributeError):
+        c.gates = {}
+    assert c.gates[1] == VarLeaf(1)
+
+
+def test_validate_returns_the_stored_report():
+    c = product_sum_circuit()
+    assert validate(c) is validate(c)
+
+
+def test_round_trip_folds_each_circuit_once(monkeypatch):
+    folded = []
+    real_fold = circuits.fold
+
+    def counting_fold(obj, *algebra):
+        folded.append(obj)
+        return real_fold(obj, *algebra)
+
+    monkeypatch.setattr(circuits, "fold", counting_fold)
+    rng = random.Random(31)
+    for mode in (COMMUTATIVE, NONCOMMUTATIVE):
+        built = random_layered_circuit(rng, F, mode, 6)
+        c = parse_circuit(serialize_circuit(built))  # a fresh, unvalidated object
+        folded.clear()
+        staggered = slp_to_circuit(staggerize(c))
+        assert validate(staggered).staggered
+        circuit_to_slp(staggered)
+        validate(c)
+        assert len(folded) == 2
+        assert folded[0] is c and folded[1] is staggered
+
+
+def test_copies_take_consecutive_ids_in_one_layer():
+    b = CircuitBuilder(F, COMMUTATIVE, 2)
+    x1, x2 = b.var_leaf(1), b.var_leaf(2)
+    g = b.gate(2, "add", x1, x2)
+    h = b.gate(2, "mul", x1, x2)
+    assert b.copies(3, []) == range(5, 5)  # no copies, no 1 leaf
+    ids = b.copies(3, [g, h, g])
+    one = 5  # created on the first copy, before the copy ids
+    assert ids == range(6, 9)
+    assert b.copy(3, h) == 9
+    b.set_output(b.gate(4, "add", 6, 7))
+    c = b.build()
+    assert c.layers[0] == (x1, x2, one)
+    assert c.layers[2] == (6, 7, 8, 9)
+    assert c.gates[one] == ConstLeaf(F.one())
+    assert [c.gates[gid] for gid in c.layers[2]] == [
+        BinGate("mul", src, one) for src in (g, h, g, h)
+    ]
 
 
 def test_missing_output_rejected():
@@ -162,6 +237,51 @@ def test_slp_register_bounds_checked():
     sb.apply(1, "add", sb.var(1), sb.var(1))
     with pytest.raises(ParamError):
         sb.finish(0)
+    # Every register a step names is checked against an explicit count.
+    cases = [
+        lambda sb: sb.apply(2, "add", sb.var(1), sb.var(1)),
+        lambda sb: sb.apply(-1, "add", sb.var(1), sb.var(1)),
+        lambda sb: sb.apply(0, "add", sb.reg(2), sb.var(1)),
+        lambda sb: sb.apply(0, "mul", sb.var(1), sb.reg(5)),
+        lambda sb: sb.load(2, sb.var(1)),
+    ]
+    for emit in cases:
+        sb = SlpBuilder(F, COMMUTATIVE, 1, register_count=2)
+        sb.apply(1, "add", sb.var(1), sb.reg(0))
+        emit(sb)
+        with pytest.raises(ParamError):
+            sb.finish(0)
+    sb = SlpBuilder(F, COMMUTATIVE, 1, register_count=2)
+    sb.load(0, sb.var(1))
+    with pytest.raises(ParamError):
+        sb.finish(2)
+
+
+def test_implicit_register_count_is_one_past_the_highest_register():
+    rng = random.Random(4711)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        sb = SlpBuilder(F, COMMUTATIVE, 2)
+        named = []
+
+        def operand():
+            if rng.random() < 0.5:
+                r = rng.randrange(n)
+                named.append(r)
+                return sb.reg(r)
+            return sb.var(rng.randrange(1, 3))
+
+        for _ in range(rng.randrange(0, 10)):
+            dest = rng.randrange(n)
+            named.append(dest)
+            if rng.random() < 0.3:
+                sb.load(dest, sb.var(1))
+            else:
+                sb.apply(dest, rng.choice(("add", "mul")), operand(), operand())
+        out = rng.randrange(n)
+        named.append(out)
+        slp = sb.finish(out)
+        assert slp.register_count == max(named) + 1
 
 
 def test_slp_to_circuit_is_staggered_and_equivalent():

@@ -5,17 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import random_layered_circuit, reference_order_edges
+from genutil import (
+    random_layered_circuit,
+    random_slp,
+    reference_circuit_to_slp,
+    reference_order_edges,
+    reference_slp_to_circuit,
+)
 from slpforge.circuits import (
     CircuitBuilder,
     circuit_to_slp,
+    evaluate,
     expand,
     slp_to_circuit,
     validate,
 )
 from slpforge.polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE
-from slpforge.rings import PrimeField, RationalField
-from slpforge.textio import parse_circuit
+from slpforge.rings import RATIONALS, PrimeField, RationalField
+from slpforge.textio import parse_circuit, serialize_circuit
 from slpforge.stagger import (
     LayerMultigraph,
     MultiEdge,
@@ -202,6 +209,58 @@ def test_roundtrip_through_circuit_to_slp():
         staggered = slp_to_circuit(staggerize(c))
         back = circuit_to_slp(staggered)
         assert expand(back) == expand(c)
+
+
+def program_parts(slp):
+    return (slp.name, slp.register_count, slp.steps, slp.output_register)
+
+
+def assert_conversions_match_reference(slp):
+    """Both conversions give the output of their first-written versions."""
+    staggered = slp_to_circuit(slp)
+    assert serialize_circuit(staggered) == serialize_circuit(reference_slp_to_circuit(slp))
+    back = circuit_to_slp(staggered)
+    assert program_parts(back) == program_parts(reference_circuit_to_slp(staggered))
+    return staggered, back
+
+
+def test_round_trip_matches_reference_on_generated_circuits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32),
+        st.sampled_from(MODES),
+        st.sampled_from((F, RATIONALS)),
+        st.integers(1, 12),
+        st.integers(1, 5),
+    )
+    def check(seed, mode, ring, width, internal_layers):
+        rng = random.Random(seed)
+        c = random_layered_circuit(rng, ring, mode, width, internal_layers=internal_layers)
+        staggered, back = assert_conversions_match_reference(staggerize(c))
+        report = validate(staggered)
+        assert report.staggered
+        assert report.width <= c.width + 1
+        for _ in range(3):
+            point = [rng.randrange(-50, 51) for _ in range(c.num_variables)]
+            assert evaluate(back, point) == evaluate(c, point)
+
+    check()
+
+
+def test_conversions_match_reference_on_random_programs():
+    # Loads, constant operands and registers read before any write: the
+    # paths that create the 0 and 1 leaves between gates.
+    rng = random.Random(41)
+    for mode in MODES:
+        for _ in range(150):
+            slp = random_slp(
+                rng, F, mode, rng.randrange(1, 6), step_count=rng.randrange(0, 16)
+            )
+            staggered, back = assert_conversions_match_reference(slp)
+            assert expand(back) == expand(slp)
 
 
 def multigraph(pairs, isolated=(), constants=0) -> LayerMultigraph:
