@@ -365,7 +365,8 @@ class CircuitBuilder:
     def set_output(self, gid: int) -> None:
         self._output = gid
 
-    def build(self, check: bool = True) -> LayeredCircuit:
+    def build(self) -> LayeredCircuit:
+        """The circuit, validated."""
         if self._output is None:
             raise DanglingOutput("no output designated")
         circuit = LayeredCircuit(
@@ -377,8 +378,7 @@ class CircuitBuilder:
             self._gates,
             self._output,
         )
-        if check:
-            validate(circuit)
+        validate(circuit)
         return circuit
 
 
@@ -937,20 +937,12 @@ def substitute_constants(
     circuit: LayeredCircuit,
     values: Mapping[int, ScalarLike],
     name: str | None = None,
-    renames: Mapping[int, int] | None = None,
 ) -> LayeredCircuit:
-    """Replace variable leaves by ring constants, keeping the shape.
-
-    Variables absent from values but present in renames are read as the
-    variable they rename to.
-    """
-    renames = renames or {}
+    """Replace variable leaves by ring constants, keeping the shape."""
     gates: dict[int, Gate] = {}
     for gid, g in circuit.gates.items():
         if isinstance(g, VarLeaf) and g.index in values:
             gates[gid] = ConstLeaf(circuit.ring.scalar(values[g.index]))
-        elif isinstance(g, VarLeaf) and g.index in renames:
-            gates[gid] = VarLeaf(renames[g.index])
         else:
             gates[gid] = g
     return LayeredCircuit(

@@ -17,6 +17,12 @@ Three testers with different trust models:
                     identities via Laplace expansion along the first
                     row, then delegates each identity to a backend
 
+Both testers share one loop for every ring.  A point is a column of
+indices into a value table (the sample points, or the S^m values of the
+hard family), and _first_nonzero evaluates a batch of columns: at once
+in int64 over F_p with p < 2^31, one column at a time over every other
+ring.  The first batch holds one point, so an early hit stays cheap.
+
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
 mechanism testable at desk scale; nothing about them is known to be
@@ -35,9 +41,12 @@ import numpy as np
 from .circuits import (
     BATCH_MODULUS_LIMIT,
     AlgebraicBranchingProgram,
+    ConstOperand,
     LayeredCircuit,
+    Operand,
     SlpBuilder,
     StraightLineProgram,
+    VarOperand,
     evaluate,
     evaluate_mod_p,
     slp_to_circuit,
@@ -88,14 +97,6 @@ _BATCH_CELLS = 1 << 20
 _BATCH_POINTS = 4096
 
 
-def _batch_modulus(c) -> int | None:
-    """p when the testers evaluate c in int64 batches (F_p, p < 2^31)."""
-    ring = c.ring
-    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
-        return ring.p
-    return None
-
-
 def _batch_points(c) -> int:
     """Points per batch, so one batch stays within _BATCH_CELLS values."""
     if isinstance(c, StraightLineProgram):
@@ -107,10 +108,35 @@ def _batch_points(c) -> int:
     return max(1, min(_BATCH_POINTS, _BATCH_CELLS // max(1, cells)))
 
 
-def _first_nonzero(c, columns: np.ndarray, p: int) -> int | None:
-    """Index of the first point (column) where c is nonzero mod p."""
-    hits = np.flatnonzero(evaluate_mod_p(c, columns, p))
-    return int(hits[0]) if hits.size else None
+def _batches(c, total: int):
+    """(start, stop) point ranges: one point first, then _batch_points(c) each.
+
+    The lone first point keeps an input that is nonzero there as cheap
+    as a one-point evaluation.
+    """
+    yield 0, 1
+    step = _batch_points(c)
+    for start in range(1, total, step):
+        yield start, min(start + step, total)
+
+
+def _first_nonzero(c, values: Sequence[Scalar], columns: np.ndarray) -> int | None:
+    """Index of the first point (column) where c is nonzero.
+
+    Row i-1 of columns holds, for every point, the index into values of
+    x_i.  Over F_p with p < 2^31 the batch runs through evaluate_mod_p
+    at once; over every other ring each column runs through evaluate,
+    in order.
+    """
+    ring = c.ring
+    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
+        residues = np.array([v.value for v in values], dtype=np.int64)
+        hits = np.flatnonzero(evaluate_mod_p(c, residues[columns], ring.p))
+        return int(hits[0]) if hits.size else None
+    for t, column in enumerate(columns.T.tolist()):
+        if not evaluate(c, [values[i] for i in column]).is_zero:
+            return t
+    return None
 
 
 def schwartz_zippel(
@@ -122,12 +148,12 @@ def schwartz_zippel(
 ) -> Verdict:
     """Random evaluation test over a fixed sample grid.
 
-    A nonzero verdict is always correct and returns the witness point.
-    A zero verdict is wrong with probability at most
-    (degree_bound / sample_size) per trial, by the degree bound on the
-    number of roots along each coordinate.  Over F_p with p < 2^31 the
-    trials run in int64 batches; the verdict and witness are those of
-    the one-trial-at-a-time loop used for every other ring.
+    A nonzero verdict is always correct and returns the witness: the
+    first nonzero trial, in trial order.  A zero verdict is wrong with
+    probability at most (degree_bound / sample_size) per trial, by the
+    degree bound on the number of roots along each coordinate.  Trial t
+    reads the t-th size-n draw of the seeded Philox stream; each batch
+    takes its trials in one (trials, n) draw, which is the same stream.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("point sampling tests commutative circuits only")
@@ -140,23 +166,9 @@ def schwartz_zippel(
     points = c.ring.sample_points(sample_size)
     rng = _rng(seed)
     n = c.num_variables
-    p = _batch_modulus(c)
-    if p is None:
-        for _ in range(trials):
-            indices = rng.integers(0, sample_size, size=n)
-            assignment = [points[i] for i in indices]
-            if not evaluate(c, assignment).is_zero:
-                return Verdict("nonzero", tuple(assignment))
-        return Verdict("zero")
-
-    residues = np.array([pt.value for pt in points], dtype=np.int64)
-    batch = _batch_points(c)
-    for start in range(0, trials, batch):
-        indices = np.empty((n, min(batch, trials - start)), dtype=np.int64)
-        # One draw per trial, in trial order, exactly as the scalar loop.
-        for t in range(indices.shape[1]):
-            indices[:, t] = rng.integers(0, sample_size, size=n)
-        hit = _first_nonzero(c, residues[indices], p)
+    for start, stop in _batches(c, trials):
+        indices = rng.integers(0, sample_size, size=(stop - start, n)).T
+        hit = _first_nonzero(c, points, indices)
         if hit is not None:
             return Verdict("nonzero", tuple(points[i] for i in indices[:, hit]))
     return Verdict("zero")
@@ -281,8 +293,8 @@ def nw_pit(
     itertools.product order; the witness is the first nonzero point.  A
     zero input always yields a zero verdict; a zero verdict on a nonzero
     input would contradict the family's assumed hardness, which is not
-    checked here.  Over F_p with p < 2^31 the grid runs in int64
-    batches, with the same verdict and witness.
+    checked here.  The S^m values of P_m are computed once; the grid
+    points then run in the batches schwartz_zippel uses.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("the grid tester handles commutative circuits only")
@@ -296,42 +308,26 @@ def nw_pit(
         )
     ring = c.ring
     points = ring.sample_points(sample_size)
-    ordered = [sorted(s) for s in design.sets]
-
-    # P_m restricted to a set depends only on the grid coordinates of the
-    # set (its key), the same way for every set.
-    cache: dict[tuple[int, ...], Scalar] = {}
+    side = len(points)
 
     def inner(key: tuple[int, ...]) -> Scalar:
-        if key not in cache:
-            cache[key] = hf.evaluate(m, ring, [points[t] for t in key])
-        return cache[key]
+        return hf.evaluate(m, ring, [points[t] for t in key])
 
-    p = _batch_modulus(c)
-    if p is None:
-        for grid_point in itertools.product(range(sample_size), repeat=universe):
-            assignment = [inner(tuple(grid_point[u] for u in s)) for s in ordered]
-            if not evaluate(c, assignment).is_zero:
-                return Verdict("nonzero", tuple(points[t] for t in grid_point))
-        return Verdict("zero")
-
-    side = len(points)
-    keys = itertools.product(range(side), repeat=m)
-    table = np.array([inner(key).value for key in keys], dtype=np.int64)
-    # The key (k_1..k_m) of set i sits at row k_1*S^(m-1) + ... + k_m.
-    weights = np.zeros((len(ordered), universe), dtype=np.int64)
-    for i, s in enumerate(ordered):
-        for k, u in enumerate(s):
+    # P_m restricted to a set depends only on the grid coordinates of the
+    # set (its key), the same way for every set: one table of S^m values,
+    # where key (k_1..k_m) sits at row k_1*S^(m-1) + ... + k_m.
+    table = [inner(key) for key in itertools.product(range(side), repeat=m)]
+    weights = np.zeros((c.num_variables, universe), dtype=np.int64)
+    for i, s in enumerate(design.sets):
+        for k, u in enumerate(sorted(s)):
             weights[i, u] = side ** (m - 1 - k)
-    total = side**universe
-    batch = _batch_points(c)
-    for start in range(0, total, batch):
+    for start, stop in _batches(c, side**universe):
         # Digits of grid index g in product order: the last one fastest.
-        rest = np.arange(start, min(start + batch, total), dtype=np.int64)
+        rest = np.arange(start, stop, dtype=np.int64)
         digits = np.empty((universe, rest.size), dtype=np.int64)
         for u in reversed(range(universe)):
             rest, digits[u] = np.divmod(rest, side)
-        hit = _first_nonzero(c, table[weights @ digits], p)
+        hit = _first_nonzero(c, table, weights @ digits)
         if hit is not None:
             return Verdict("nonzero", tuple(points[t] for t in digits[:, hit]))
     return Verdict("zero")
@@ -353,44 +349,50 @@ class PermVerdict:
 
 @dataclass(frozen=True)
 class PermCheckInstance:
-    """The candidate, its restrictions C_k, and the identities B_k.
+    """The candidate and the identities B_k.
 
-    B_k subtracts the first-row Laplace expansion from C_k, so the
-    candidate computes the permanent exactly when every B_k is zero.
+    B_k subtracts the first-row Laplace expansion from C_k, the
+    candidate restricted to its k x k corner, so the candidate computes
+    the permanent exactly when every B_k is zero.
     """
 
     candidate: LayeredCircuit
     n: int
-    restricted: tuple[LayeredCircuit, ...]
     identities: tuple[LayeredCircuit, ...]
 
 
-def _restriction_constants(n: int, k: int) -> dict[int, int]:
-    """x_ij <- 1 if i = j else 0, for every entry outside the k x k corner."""
-    fixed = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i > k or j > k:
-                fixed[permanent_var_index(n, i, j)] = 1 if i == j else 0
-    return fixed
+def _restriction_leaves(ring: Ring, n: int, k: int) -> dict[int, Operand]:
+    """x_ij reads 1 if i = j else 0, for every entry outside the k x k corner."""
+    one, zero = ConstOperand(ring.one()), ConstOperand(ring.zero())
+    return {
+        permanent_var_index(n, i, j): one if i == j else zero
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i > k or j > k
+    }
 
 
-def minor_variable_map(n: int, k: int, i: int) -> dict[int, int]:
-    """Feed the (k-1)-corner circuit the minor lacking row 1 and column i."""
-    renames = {}
+def _minor_leaves(ring: Ring, n: int, k: int, i: int) -> dict[int, Operand]:
+    """Read C_{k-1} as the minor of the k x k corner lacking row 1 and column i."""
+    leaves = _restriction_leaves(ring, n, k - 1)
     for a in range(1, k):
         for b in range(1, k):
             col = b if b < i else b + 1
-            renames[permanent_var_index(n, a, b)] = permanent_var_index(n, a + 1, col)
-    return renames
+            leaves[permanent_var_index(n, a, b)] = VarOperand(permanent_var_index(n, a + 1, col))
+    return leaves
 
 
 def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
-    """Build every restriction and identity circuit for a candidate.
+    """Build every identity circuit for a candidate.
 
-    Each B_k is assembled from staggered forms of C_k and the minor
-    reindexings of C_{k-1}, sharing one register pool plus a single
-    accumulator, so its width exceeds the candidate's by at most 2.
+    The candidate is staggered once.  Each restriction C_k, and each
+    minor of C_{k-1}, is that one program re-emitted with its variable
+    reads rewritten: a fixed entry reads its constant, a minor entry
+    reads the variable it is renamed to.  Staggering keys on gate ids
+    and never on leaves, so each re-emission equals the staggering of
+    the rewritten circuit.  Each B_k runs these in one register pool
+    plus a single accumulator, so its width exceeds the candidate's by
+    at most 2.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("the permanent is a commutative polynomial")
@@ -399,47 +401,29 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
         raise ParamError(
             f"candidate must read an n x n grid, got {c.num_variables} variables"
         )
-    restricted = [
-        substitute_constants(c, _restriction_constants(n, k), name=f"C_{k}")
-        for k in range(1, n + 1)
-    ]
-    programs = [staggerize(rc) for rc in restricted]
-
+    ring = c.ring
+    # Staggered on a copy: validate stores its report on the circuit it
+    # checks, and the caller's candidate should not change.
+    program = staggerize(substitute_constants(c, {}, name=f"C_{n}"))
+    acc = program.register_count
     identities = []
     for k in range(1, n + 1):
-        parts = [programs[k - 1]]
+        sb = SlpBuilder(ring, c.mode, c.num_variables, register_count=acc + 1, name=f"B_{k}")
+        # Later runs clear the registers the program reads before writing.
+        emitter = _BodyEmitter(sb, program, None)
+        out = emitter.run(leaves=_restriction_leaves(ring, n, k))
+        sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
         for i in range(1, k + 1):
             if k == 1:
-                sb0 = SlpBuilder(c.ring, c.mode, c.num_variables, name="one")
-                sb0.load(0, sb0.const(1))
-                parts.append(sb0.finish(0))
+                out = 0
+                sb.load(out, sb.const(1))  # the empty minor's permanent
             else:
-                minor = substitute_constants(
-                    restricted[k - 2],
-                    {},
-                    name=f"C_{k - 1}_minor_{i}",
-                    renames=minor_variable_map(n, k, i),
-                )
-                parts.append(staggerize(minor))
-        pool = max(p.register_count for p in parts)
-        acc = pool
-        sb = SlpBuilder(
-            c.ring, c.mode, c.num_variables, register_count=pool + 1, name=f"B_{k}"
-        )
-        for i, part in enumerate(parts):
-            # Earlier parts may have dirtied registers this one reads blind.
-            out = _BodyEmitter(sb, part, None, dirty=i > 0).run()
-            if i > 0:
-                sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
-                sb.apply(out, "mul", sb.const(-1), sb.reg(out))
+                out = emitter.run(leaves=_minor_leaves(ring, n, k, i))
+            sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
+            sb.apply(out, "mul", sb.const(-1), sb.reg(out))
             sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
         identities.append(slp_to_circuit(sb.finish(acc)))
-    return PermCheckInstance(
-        candidate=c,
-        n=n,
-        restricted=tuple(restricted),
-        identities=tuple(identities),
-    )
+    return PermCheckInstance(candidate=c, n=n, identities=tuple(identities))
 
 
 def verify_permanent_circuit(

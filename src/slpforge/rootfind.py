@@ -255,20 +255,29 @@ def _solve_exact(ring, matrix, rhs) -> list[Scalar]:
     return solution
 
 
-def _truncated_power_product(
+def _power_products(
     factors,
-    alpha: tuple[int, ...],
+    alphas: list[tuple[int, ...]],
     m: int,
     one: SparsePolynomial,
     caps: ExpansionCaps,
-) -> SparsePolynomial:
-    acc = one
-    for poly, e in zip(factors, alpha):
-        for _ in range(e):
-            acc = acc.mul(poly, caps).truncate(m)
-            if acc.is_zero:
-                return acc
-    return acc
+) -> list[SparsePolynomial]:
+    """prod_i factors[i]^alpha_i truncated to degree m, for alphas in lex order.
+
+    For alpha with last nonzero entry j, the product is that of its
+    lex-order prefix alpha - e_j (listed earlier) times factors[j].  That
+    is the last multiplication of a factor-by-factor build, so the results
+    equal it at one multiplication per nonzero alpha.
+    """
+    built: dict[tuple[int, ...], SparsePolynomial] = {}
+    for alpha in alphas:
+        j = max((i for i, e in enumerate(alpha) if e), default=None)
+        if j is None:
+            built[alpha] = one
+            continue
+        prefix = built[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+        built[alpha] = prefix.mul(factors[j], caps).truncate(m)
+    return list(built.values())
 
 
 def root_circuit(
@@ -310,9 +319,7 @@ def root_circuit(
     ]
     alphas = rp.index_set()
     caps = rp.series_caps
-    g_alpha = [
-        _truncated_power_product(deltas, alpha, m, one, caps) for alpha in alphas
-    ]
+    g_alpha = _power_products(deltas, alphas, m, one, caps)
 
     mono_set = set(f.terms)
     for g in g_alpha:
@@ -363,7 +370,7 @@ def root_circuit(
                 weight = y_matrix[i][t]
                 if weight == zero:
                     continue
-                out = emitter.run(scale=z, substitute=(y, y_points[t]))
+                out = emitter.run(scale=z, leaves={y: ConstOperand(y_points[t])})
                 sb.apply(out, "mul", sb.reg(out), ConstOperand(weight))
                 sb.apply(delta_base + i, "add", sb.reg(delta_base + i), sb.reg(out))
         sb.load(sum_reg, ConstOperand(zero))

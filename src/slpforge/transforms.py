@@ -20,6 +20,8 @@ since the re-emitted copies share one register file.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from .circuits import (
     ApplyStep,
     ConstOperand,
@@ -115,14 +117,15 @@ class _BodyEmitter:
     """Re-emits one program's steps into a wider builder, once per point.
 
     Registers the program reads before writing are cleared before every
-    run but the first, and before the first too when ``dirty`` is set.
+    run but the first.
 
-    Variable reads can be scaled by a constant (every variable, for the
-    homogeneous transforms) or one designated variable can be replaced
-    by a constant (for derivative and root assembly).  Scaling a
-    variable inside an apply step stages the scaled value through
-    ``stage_register``; substitution needs no staging because the
-    operand becomes a plain constant.
+    Each run may rewrite variable reads through ``leaves``, a map from
+    variable index to the operand read in its place: a constant (for
+    derivative and root assembly, and the permanent's restrictions) or
+    another variable (the permanent's minors).  Variable reads that stay
+    variables can also be scaled by a constant (for the homogeneous
+    transforms and root assembly); scaling a variable inside an apply
+    step stages the scaled value through ``stage_register``.
     """
 
     def __init__(
@@ -130,18 +133,17 @@ class _BodyEmitter:
         sb: SlpBuilder,
         program: StraightLineProgram,
         stage_register: int | None,
-        dirty: bool = False,
     ):
         self.sb = sb
         self.program = program
         self.stage = stage_register  # only runs that scale use it
         self.stale = _stale_read_registers(program)
-        self.ran_before = dirty
+        self.ran_before = False
 
     def run(
         self,
         scale: Scalar | None = None,
-        substitute: tuple[int, Scalar] | None = None,
+        leaves: Mapping[int, VarOperand | ConstOperand] | None = None,
     ) -> int:
         """Emit one run; returns the register holding the program's output."""
         sb = self.sb
@@ -153,15 +155,14 @@ class _BodyEmitter:
                 sb.load(r, zero)
         self.ran_before = True
 
-        sub_index = substitute[0] if substitute else None
+        leaves = leaves or {}
+        scaled = scale is not None and scale != one
 
         def rewrite(op):
-            # Turns a variable operand into the constant it substitutes to,
-            # or marks it as needing a scale stage.
-            if isinstance(op, VarOperand) and op.index == sub_index:
-                return ConstOperand(substitute[1]), False
-            if isinstance(op, VarOperand) and scale is not None and scale != one:
-                return op, True
+            # The operand read in op's place, and whether it needs a scale stage.
+            if isinstance(op, VarOperand):
+                op = leaves.get(op.index, op)
+                return op, scaled and isinstance(op, VarOperand)
             return op, False
 
         def stage_into(register: int, var_op: VarOperand) -> None:
@@ -327,7 +328,7 @@ def partial_derivative_y(
         ]
         if all(value == zero for value in coeffs):
             continue
-        out = emitter.run(substitute=(y, points[t]))
+        out = emitter.run(leaves={y: ConstOperand(points[t])})
         sb.load(horner, ConstOperand(coeffs[-1]))
         for value in reversed(coeffs[:-1]):
             sb.apply(horner, "mul", sb.reg(horner), sb.var(y))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Sequence
 
@@ -20,18 +21,22 @@ from slpforge.circuits import (
     RegOperand,
     SlpBuilder,
     StraightLineProgram,
+    VarLeaf,
     VarOperand,
     _copy_source,
     _one_leaves,
     evaluate,
     fold,
     leaf_operand,
+    slp_to_circuit,
+    substitute_constants,
     syntactic_degree,
     validate,
 )
 from slpforge.errors import GridTooLarge, ModeMismatch, ParamError
+from slpforge.families import permanent_var_index
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
-from slpforge.pit import HardFamily, Verdict, _rng, nw_design
+from slpforge.pit import HardFamily, PermCheckInstance, Verdict, _rng, nw_design
 from slpforge.polynomials import (
     COMMUTATIVE,
     DEFAULT_CAPS,
@@ -48,7 +53,9 @@ from slpforge.stagger import (
     OrderResult,
     _components,
     _edge_key,
+    staggerize,
 )
+from slpforge.transforms import _stale_read_registers
 
 
 def random_layered_circuit(
@@ -678,3 +685,128 @@ def substitute_scalar(poly: SparsePolynomial, var: int, value) -> SparsePolynomi
         else:
             acc[new_mono] = total
     return SparsePolynomial(poly.ring, poly.mode, poly.num_variables, acc)
+
+
+def replace_leaves(
+    circuit: LayeredCircuit, leaves: dict[int, VarOperand | ConstOperand], name: str | None = None
+) -> LayeredCircuit:
+    """The circuit with each variable leaf x_i in leaves read as leaves[i] instead."""
+    gates = {}
+    for gid, g in circuit.gates.items():
+        op = leaves.get(g.index) if isinstance(g, VarLeaf) else None
+        if isinstance(op, ConstOperand):
+            gates[gid] = ConstLeaf(op.value)
+        elif isinstance(op, VarOperand):
+            gates[gid] = VarLeaf(op.index)
+        else:
+            gates[gid] = g
+    return LayeredCircuit(
+        name or circuit.name,
+        circuit.ring,
+        circuit.mode,
+        circuit.num_variables,
+        circuit.layers,
+        gates,
+        circuit.output_id,
+    )
+
+
+def _emit_verbatim(sb: SlpBuilder, program: StraightLineProgram, dirty: bool) -> int:
+    """Append program's steps to sb, first clearing its stale reads when dirty."""
+    if dirty:
+        zero = ConstOperand(program.ring.zero())
+        for r in _stale_read_registers(program):
+            sb.load(r, zero)
+    for step in program.steps:
+        if isinstance(step, LoadStep):
+            sb.load(step.dest, step.source)
+        else:
+            sb.apply(step.dest, step.op, step.left, step.right)
+    return program.output_register
+
+
+def _restriction_constants(n: int, k: int) -> dict[int, int]:
+    """x_ij <- 1 if i = j else 0, for every entry outside the k x k corner."""
+    fixed = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i > k or j > k:
+                fixed[permanent_var_index(n, i, j)] = 1 if i == j else 0
+    return fixed
+
+
+def _minor_variable_map(n: int, k: int, i: int) -> dict[int, int]:
+    """Feed the (k-1)-corner circuit the minor lacking row 1 and column i."""
+    renames = {}
+    for a in range(1, k):
+        for b in range(1, k):
+            col = b if b < i else b + 1
+            renames[permanent_var_index(n, a, b)] = permanent_var_index(n, a + 1, col)
+    return renames
+
+
+def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
+    """The permanent construction as first written: one staggering per part.
+
+    Every restriction C_k and every minor (a renaming of C_{k-1}) is
+    rewritten as a circuit and staggered on its own.  Kept as the oracle
+    for pit.perm_check_instance, whose identities must serialize equal.
+    """
+    n = math.isqrt(c.num_variables)
+    restricted = [
+        substitute_constants(c, _restriction_constants(n, k), name=f"C_{k}")
+        for k in range(1, n + 1)
+    ]
+    programs = [staggerize(rc) for rc in restricted]
+
+    identities = []
+    for k in range(1, n + 1):
+        parts = [programs[k - 1]]
+        for i in range(1, k + 1):
+            if k == 1:
+                sb0 = SlpBuilder(c.ring, c.mode, c.num_variables, name="one")
+                sb0.load(0, sb0.const(1))
+                parts.append(sb0.finish(0))
+            else:
+                renames = _minor_variable_map(n, k, i)
+                minor = replace_leaves(
+                    restricted[k - 2],
+                    {a: VarOperand(b) for a, b in renames.items()},
+                    name=f"C_{k - 1}_minor_{i}",
+                )
+                parts.append(staggerize(minor))
+        pool = max(p.register_count for p in parts)
+        acc = pool
+        sb = SlpBuilder(
+            c.ring, c.mode, c.num_variables, register_count=pool + 1, name=f"B_{k}"
+        )
+        for i, part in enumerate(parts):
+            # Earlier parts may have dirtied registers this one reads blind.
+            out = _emit_verbatim(sb, part, dirty=i > 0)
+            if i > 0:
+                sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
+                sb.apply(out, "mul", sb.const(-1), sb.reg(out))
+            sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
+        identities.append(slp_to_circuit(sb.finish(acc)))
+    return PermCheckInstance(candidate=c, n=n, identities=tuple(identities))
+
+
+def reference_truncated_power_product(
+    factors,
+    alpha: tuple[int, ...],
+    m: int,
+    one: SparsePolynomial,
+    caps: ExpansionCaps,
+) -> SparsePolynomial:
+    """prod_i factors[i]^alpha_i truncated to degree m, built from one.
+
+    The root assembly's power product as first written, kept as the
+    oracle for rootfind._power_products.
+    """
+    acc = one
+    for poly, e in zip(factors, alpha):
+        for _ in range(e):
+            acc = acc.mul(poly, caps).truncate(m)
+            if acc.is_zero:
+                return acc
+    return acc

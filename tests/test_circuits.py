@@ -13,6 +13,7 @@ from slpforge.circuits import (
     CircuitBuilder,
     ConstLeaf,
     ConstOperand,
+    LayeredCircuit,
     LinearForm,
     LoadStep,
     RegOperand,
@@ -93,11 +94,14 @@ def test_skipping_a_layer_is_rejected():
 
 
 def test_failed_validation_raises_again():
-    b = CircuitBuilder(F, COMMUTATIVE, 2)
-    g2 = b.gate(2, "mul", b.var_leaf(1), b.var_leaf(2))
-    g3 = b.gate(3, "add", g2, g2)
-    b.set_output(b.gate(4, "add", g2, g3))  # layer 4 reading layer 2
-    c = b.build(check=False)
+    gates = {
+        1: VarLeaf(1),
+        2: VarLeaf(2),
+        3: BinGate("mul", 1, 2),
+        4: BinGate("add", 3, 3),
+        5: BinGate("add", 3, 4),  # layer 4 reading layer 2
+    }
+    c = LayeredCircuit("bad", F, COMMUTATIVE, 2, [[1, 2], [3], [4], [5]], gates, 5)
     for _ in range(2):
         with pytest.raises(BadOperandLayer):
             validate(c)

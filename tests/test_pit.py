@@ -11,13 +11,18 @@ from genutil import (
     random_formula,
     random_layered_circuit,
     reference_nw_pit,
+    reference_perm_check_instance,
     reference_schwartz_zippel,
+    replace_leaves,
 )
 from slpforge import pit
 from slpforge.circuits import (
     CircuitBuilder,
+    ConstOperand,
     SlpBuilder,
+    VarOperand,
     evaluate,
+    evaluate_mod_p,
     expand,
     slp_to_circuit,
     validate,
@@ -39,8 +44,10 @@ from slpforge.pit import (
     verify_permanent_circuit,
 )
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
-from slpforge.rings import RATIONALS, PrimeField
-from slpforge.transforms import depth_to_width, sparse_to_width2
+from slpforge.rings import DEFAULT_PRIME, RATIONALS, PrimeField
+from slpforge.stagger import staggerize
+from slpforge.textio import serialize_circuit
+from slpforge.transforms import _BodyEmitter, depth_to_width, sparse_to_width2
 
 BIG = PrimeField((1 << 61) - 1)
 
@@ -268,9 +275,11 @@ def test_perm_rejects_wrong_polynomial_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# Batched testers against the scalar loops they replace (F_p, p < 2^31)
+# The one tester loop against the scalar loops it replaces, on every ring
 
 SMALL_PRIMES = (PrimeField(101), PrimeField((1 << 31) - 1))
+# Batched through evaluate_mod_p (p < 2^31), then one column at a time.
+RINGS = SMALL_PRIMES + (RATIONALS, PrimeField(DEFAULT_PRIME))
 DESK = HARD_FAMILIES["desk-rule"]
 
 
@@ -326,7 +335,9 @@ def _tester_inputs(seed, ring):
     yield _late_grid_circuit(ring, 3), None, 3
 
 
-@pytest.mark.parametrize("ring", SMALL_PRIMES, ids=lambda r: str(r.p))
+@pytest.mark.parametrize(
+    "ring", RINGS, ids=lambda r: str(r.p) if isinstance(r, PrimeField) else "Q"
+)
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("batch_points", [None, 3])
 def test_batched_testers_equal_the_scalar_loops(seed, ring, batch_points, monkeypatch):
@@ -341,6 +352,45 @@ def test_batched_testers_equal_the_scalar_loops(seed, ring, batch_points, monkey
             for fam in HARD_FAMILIES.values():
                 args = (c, fam, m, nw_side)
                 assert nw_pit(*args) == reference_nw_pit(*args)
+
+
+def _one_plus_x1(ring):
+    cb = CircuitBuilder(ring, COMMUTATIVE, 1)
+    cb.set_output(cb.gate(2, "add", cb.var_leaf(1), cb.const_leaf(1)))
+    return cb.build()
+
+
+def test_a_hit_at_the_first_point_evaluates_one_column(monkeypatch):
+    # 1 + x1 is nonzero at every sample point, so the first point hits.
+    columns = []
+
+    def batched(obj, cols, p):
+        columns.append(cols.shape[1])
+        return evaluate_mod_p(obj, cols, p)
+
+    def one_point(obj, assignment):
+        columns.append(1)
+        return evaluate(obj, assignment)
+
+    monkeypatch.setattr(pit, "evaluate_mod_p", batched)
+    monkeypatch.setattr(pit, "evaluate", one_point)
+    for ring in (PrimeField((1 << 31) - 1), RATIONALS):
+        c = _one_plus_x1(ring)
+        assert not schwartz_zippel(c, trials=100, seed=3).is_zero
+        assert not nw_pit(c, DESK, 2).is_zero
+        assert columns == [1, 1]
+        columns.clear()
+
+
+def test_one_draw_per_batch_is_the_per_trial_stream():
+    for seed in (0, 7, 123):
+        for n in (0, 1, 5, 13):
+            for side in (1, 2, 3, 69, 10**12):
+                rng = np.random.Generator(np.random.Philox(seed))
+                per_trial = np.array([rng.integers(0, side, size=n) for _ in range(40)])
+                rng = np.random.Generator(np.random.Philox(seed))
+                blocks = [rng.integers(0, side, size=(b, n)) for b in (1, 3, 3, 8, 25)]
+                assert np.array_equal(np.concatenate(blocks), per_trial.reshape(40, n))
 
 
 def test_batched_sz_first_hit_in_a_later_batch():
@@ -384,6 +434,55 @@ def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
     ]
     assert batched == scalar
     assert batched[0].accepted and not all(v.accepted for v in batched)
+
+
+@pytest.mark.parametrize(
+    "ring", [PrimeField((1 << 31) - 1), PrimeField(DEFAULT_PRIME), RATIONALS], ids=str
+)
+def test_perm_identities_equal_one_staggering_per_part(ring):
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(n, ring)))
+        for c in [good] + [corrupt_circuit(rng, good) for _ in range(3)]:
+            ours = perm_check_instance(c).identities
+            first = reference_perm_check_instance(c).identities
+            assert [serialize_circuit(b) for b in ours] == [serialize_circuit(b) for b in first]
+
+
+def test_perm_check_leaves_the_candidate_unvalidated():
+    c = slp_to_circuit(sparse_to_width2(build_permanent_sparse(2)))
+    c = replace_leaves(c, {})  # a fresh circuit, not yet validated
+    perm_check_instance(c)
+    assert c._report is None
+
+
+def test_staggering_commutes_with_leaf_maps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ring = PrimeField(101)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32),
+        st.integers(1, 6),
+        st.dictionaries(
+            st.integers(1, 4),
+            st.one_of(
+                st.integers(-3, 3).map(lambda v: ConstOperand(ring.scalar(v))),
+                st.integers(1, 4).map(VarOperand),
+            ),
+        ),
+    )
+    def check(seed, width, leaves):
+        c = random_layered_circuit(random.Random(seed), ring, COMMUTATIVE, width)
+        program = staggerize(c)
+        sb = SlpBuilder(ring, COMMUTATIVE, c.num_variables, program.register_count)
+        out = _BodyEmitter(sb, program, None).run(leaves=leaves)
+        expected = staggerize(replace_leaves(c, leaves))
+        assert sb.finish(out).steps == expected.steps
+        assert out == expected.output_register
+
+    check()
 
 
 def test_perm_requires_square_grid():

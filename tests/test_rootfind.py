@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import index_bound, planted_root_program
+from genutil import index_bound, planted_root_program, reference_truncated_power_product
 from slpforge.circuits import SlpBuilder, expand
 from slpforge.errors import (
     CharacteristicTooSmall,
@@ -23,9 +23,9 @@ from slpforge.rootfind import (
     RootProblem,
     _poly_at_series,
     _series_inverse,
+    _power_products,
     _simplex,
     _solve_exact,
-    _truncated_power_product,
     newton_series_root,
     root_circuit,
 )
@@ -242,8 +242,53 @@ def test_series_helpers_multiply_under_the_caps():
     with pytest.raises(TermCapExceeded):
         _series_inverse(u, 4, caps)
     with pytest.raises(TermCapExceeded):
-        _truncated_power_product([u], (2,), 4, one, caps)
-    assert _truncated_power_product([u], (2,), 4, one, ExpansionCaps()) == u.mul(u)
+        _power_products([u], [(0,), (1,), (2,)], 4, one, caps)
+    assert _power_products([u], [(0,), (1,), (2,)], 4, one, ExpansionCaps())[2] == u.mul(u)
+
+
+def _random_delta(rng, ring, n):
+    """A random polynomial of degree <= 2 over n variables, no constant term."""
+    x = [SparsePolynomial.variable(ring, COMMUTATIVE, n, i) for i in range(1, n + 1)]
+    acc = SparsePolynomial.zero(ring, COMMUTATIVE, n)
+    for _ in range(rng.randrange(1, 4)):
+        term = SparsePolynomial.constant(ring, COMMUTATIVE, n, rng.randrange(-3, 4))
+        for _ in range(rng.randrange(1, 3)):
+            term = term.mul(rng.choice(x))
+        acc = acc.add(term)
+    return acc
+
+
+def test_power_products_equal_the_factor_by_factor_build():
+    rng = random.Random(19)
+    for ring in (BIG, RATIONALS):
+        one = SparsePolynomial.constant(ring, COMMUTATIVE, 2, 1)
+        for r in (1, 2, 3):
+            deltas = [_random_delta(rng, ring, 2) for _ in range(r + 1)]
+            for m in range(5):
+                alphas = _simplex(r + 1, m)
+                caps = ExpansionCaps()
+                expected = [
+                    reference_truncated_power_product(deltas, a, m, one, caps) for a in alphas
+                ]
+                assert _power_products(deltas, alphas, m, one, caps) == expected
+
+
+def test_power_products_hit_the_term_cap_where_the_first_build_does():
+    rng = random.Random(23)
+    one = SparsePolynomial.constant(BIG, COMMUTATIVE, 3, 1)
+    for max_terms in (3, 6, 10, 20):
+        caps = ExpansionCaps(max_terms=max_terms)
+        deltas = [_random_delta(rng, BIG, 3) for _ in range(3)]
+        alphas = _simplex(3, 3)
+        try:
+            expected = [
+                reference_truncated_power_product(deltas, a, 3, one, caps) for a in alphas
+            ]
+        except TermCapExceeded as first:
+            with pytest.raises(TermCapExceeded, match=f"^{first}$"):
+                _power_products(deltas, alphas, 3, one, caps)
+        else:
+            assert _power_products(deltas, alphas, 3, one, caps) == expected
 
 
 def _program_y2_plus_x62y_minus_1_plus_x1():

@@ -128,7 +128,7 @@ def test_degree_sets_past_the_cap_give_no_verdict():
         gate = cb.gate(layer, "mul", gate, gate)
     cb.set_output(gate)
     assert 2**12 + 1 > _HOMOGENEITY_SET_CAP
-    assert validate(cb.build(check=False)).homogeneous is None
+    assert validate(cb.build()).homogeneous is None
 
 
 # ---------------------------------------------------------------------------
