@@ -31,9 +31,8 @@ an algebra given as four functions (var, const, add, mul).  Each
 semantics is such an algebra: evaluate() over ring scalars,
 evaluate_mod_p() over int64 columns of residues (one column entry per
 point, for F_p with p < 2^31), expand() over raw sparse terms under hard
-caps (polynomials.term_algebra), syntactic_degree() over integers, the
-homogeneity check in validate() over degree sets, and monotone.mon_set()
-over monomial sets.
+caps (polynomials.term_algebra), and syntactic_degree() and the
+homogeneity check in validate() over integer degrees.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     BadOperandLayer,
-    CapExceeded,
     CircuitSemanticError,
     DanglingOutput,
     ParamError,
@@ -142,14 +140,6 @@ class LayeredCircuit:
     def layer_count(self) -> int:
         return len(self.layers)
 
-    def layer_of(self) -> dict[int, int]:
-        """Gate id -> 1-based layer index."""
-        out = {}
-        for i, layer in enumerate(self.layers, start=1):
-            for gid in layer:
-                out[gid] = i
-        return out
-
 
 def _one_leaves(circuit: LayeredCircuit) -> frozenset[int]:
     """Ids of the leaves holding the constant 1."""
@@ -179,10 +169,7 @@ class ValidationReport:
     layer_count: int
     staggered: bool
     monotone: bool
-    homogeneous: bool | None  # None when the degree analysis hit its cap
-
-
-_HOMOGENEITY_SET_CAP = 4096
+    homogeneous: bool  # exact: every gate has a single syntactic degree
 
 
 def validate(circuit: LayeredCircuit) -> ValidationReport:
@@ -201,91 +188,75 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
 
 
 def _validate(circuit: LayeredCircuit) -> ValidationReport:
-    seen: set[int] = set()
+    gates = circuit.gates
     layer_of: dict[int, int] = {}
     for i, layer in enumerate(circuit.layers, start=1):
         for gid in layer:
-            if gid in seen:
+            if gid in layer_of:
                 raise CircuitSemanticError(f"gate {gid} appears in two layers")
-            seen.add(gid)
             layer_of[gid] = i
-    if set(circuit.gates) != seen:
-        stray = set(circuit.gates) ^ seen
+    if gates.keys() != layer_of.keys():
+        stray = set(gates) ^ set(layer_of)
         raise CircuitSemanticError(f"gate table and layers disagree on ids {sorted(stray)}")
 
+    # One pass over the layers checks every gate and counts, per internal
+    # layer, the gates that are not copies u*1 (the 1-leaves are all in
+    # layer 1, so they are known before the first copy is met).
+    one = circuit.ring.one()
+    ones: set[int] = set()
     monotone = circuit.ring.characteristic == 0
-    for gid, g in circuit.gates.items():
-        layer = layer_of[gid]
-        if isinstance(g, VarLeaf):
-            if layer != 1:
-                raise BadOperandLayer(f"variable leaf {gid} in layer {layer}")
-            if not 1 <= g.index <= circuit.num_variables:
-                raise ParamError(f"gate {gid} reads x{g.index} beyond vars {circuit.num_variables}")
-        elif isinstance(g, ConstLeaf):
-            if layer != 1:
-                raise BadOperandLayer(f"constant leaf {gid} in layer {layer}")
-            if g.value.ring != circuit.ring:
-                raise RingMismatch(f"gate {gid} constant from a different ring")
-            if monotone and g.value.value < 0:
-                monotone = False
-        else:
-            if layer == 1:
-                raise BadOperandLayer(f"internal gate {gid} in the leaf layer")
-            if g.op not in OPS:
-                raise ParamError(f"gate {gid} has unknown op {g.op!r}")
-            for ref in (g.left, g.right):
-                if ref not in circuit.gates:
-                    raise CircuitSemanticError(f"gate {gid} reads undefined gate {ref}")
-                ref_layer = layer_of[ref]
-                if ref_layer not in (1, layer - 1):
-                    raise BadOperandLayer(
-                        f"gate {gid} in layer {layer} reads layer {ref_layer}"
-                    )
-    if circuit.output_id not in circuit.gates:
+    staggered = True
+    for layer, ids in enumerate(circuit.layers, start=1):
+        real = 0
+        for gid in ids:
+            g = gates[gid]
+            if isinstance(g, VarLeaf):
+                if layer != 1:
+                    raise BadOperandLayer(f"variable leaf {gid} in layer {layer}")
+                if not 1 <= g.index <= circuit.num_variables:
+                    raise ParamError(f"gate {gid} reads x{g.index} beyond vars {circuit.num_variables}")
+            elif isinstance(g, ConstLeaf):
+                if layer != 1:
+                    raise BadOperandLayer(f"constant leaf {gid} in layer {layer}")
+                if g.value.ring != circuit.ring:
+                    raise RingMismatch(f"gate {gid} constant from a different ring")
+                if monotone and g.value.value < 0:
+                    monotone = False
+                if g.value == one:
+                    ones.add(gid)
+            else:
+                if layer == 1:
+                    raise BadOperandLayer(f"internal gate {gid} in the leaf layer")
+                if g.op not in OPS:
+                    raise ParamError(f"gate {gid} has unknown op {g.op!r}")
+                for ref in (g.left, g.right):
+                    if ref not in gates:
+                        raise CircuitSemanticError(f"gate {gid} reads undefined gate {ref}")
+                    ref_layer = layer_of[ref]
+                    if ref_layer not in (1, layer - 1):
+                        raise BadOperandLayer(
+                            f"gate {gid} in layer {layer} reads layer {ref_layer}"
+                        )
+                if _copy_source(g, ones) is None:
+                    real += 1
+        if real > 1:
+            staggered = False
+    if circuit.output_id not in gates:
         raise DanglingOutput(f"output {circuit.output_id} is not a gate")
 
-    gates, ones = circuit.gates, _one_leaves(circuit)
-    staggered = all(
-        sum(1 for gid in layer if _copy_source(gates[gid], ones) is None) <= 1
-        for layer in circuit.layers[1:]
-    )
+    # Syntactic homogeneity: the integer degree fold of syntactic_degree,
+    # whose add notes operands of two different degrees.  The first gate
+    # with more than one possible degree is such an add, since a product
+    # of single degrees has a single degree.
+    mixed = False
 
-    # Syntactic homogeneity: possible total degrees per gate, add unions,
-    # mul takes sumsets.  Abandon (None) if a set grows past the cap.
-    widest = 1
+    def add(a: int, b: int) -> int:
+        nonlocal mixed
+        if a != b:
+            mixed = True
+        return max(a, b)
 
-    def degrees(ds: frozenset[int]) -> frozenset[int]:
-        nonlocal widest
-        widest = max(widest, len(ds))
-        if widest > _HOMOGENEITY_SET_CAP:
-            raise CapExceeded("degree set past the homogeneity cap")
-        return ds
-
-    constant, linear = frozenset((0,)), frozenset((1,))
-
-    def sumset(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-        # {0} + B = B, which degrees() has already seen: copy gates u*1.
-        if a == constant:
-            return b
-        if b == constant:
-            return a
-        # |A+B| >= |A|+|B|-1 for integer sets: refuse before the product.
-        if len(a) + len(b) - 1 > _HOMOGENEITY_SET_CAP:
-            raise CapExceeded("degree set past the homogeneity cap")
-        return degrees(frozenset(x + y for x in a for y in b))
-
-    homogeneous: bool | None
-    try:
-        fold(
-            circuit,
-            lambda i: linear,
-            lambda c: constant,
-            lambda a, b: degrees(a | b),
-            sumset,
-        )
-        homogeneous = widest == 1
-    except CapExceeded:
-        homogeneous = None
+    fold(circuit, lambda i: 1, lambda c: 0, add, operator.add)
 
     return ValidationReport(
         width=circuit.width,
@@ -293,7 +264,7 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
         layer_count=circuit.layer_count,
         staggered=staggered,
         monotone=monotone,
-        homogeneous=homogeneous,
+        homogeneous=not mixed,
     )
 
 
@@ -814,57 +785,56 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
                 live.add(op.register)
     live_after.reverse()
 
-    def leaf_for(op: Operand) -> int:
-        if isinstance(op, VarOperand):
-            return b.var_leaf(op.index)
-        if isinstance(op, ConstOperand):
-            return b.const_leaf(op.value)
-        raise ParamError(f"not a leaf operand: {op!r}")
-
-    # binding: register -> (gate id, is_leaf).  Unwritten registers are zero.
-    binding: dict[int, tuple[int, bool]] = {}
+    # binding: register -> gate id, kept for every register written or
+    # read so far; leaf_ids marks the gates that are leaves.  Unwritten
+    # registers are zero.
+    binding: dict[int, int] = {}
+    leaf_ids: set[int] = set()
     zero_leaf: int | None = None
     layer = 1
 
-    def gate_of(reg: int) -> tuple[int, bool]:
+    def leaf_for(op: Operand) -> int:
+        if isinstance(op, VarOperand):
+            gid = b.var_leaf(op.index)
+        elif isinstance(op, ConstOperand):
+            gid = b.const_leaf(op.value)
+        else:
+            raise ParamError(f"not a leaf operand: {op!r}")
+        leaf_ids.add(gid)
+        return gid
+
+    def gate_of(reg: int) -> int:
         nonlocal zero_leaf
         if reg not in binding:
             if zero_leaf is None:
                 zero_leaf = b.const_leaf(0)
-            binding[reg] = (zero_leaf, True)
+                leaf_ids.add(zero_leaf)
+            binding[reg] = zero_leaf
         return binding[reg]
 
     for idx, step in enumerate(slp.steps):
         if isinstance(step, LoadStep):
-            binding[step.dest] = (leaf_for(step.source), True)
+            binding[step.dest] = leaf_for(step.source)
             continue
-        operand_ids = []
-        for op in (step.left, step.right):
-            if isinstance(op, RegOperand):
-                operand_ids.append(gate_of(op.register)[0])
-            else:
-                operand_ids.append(leaf_for(op))
+        operand_ids = [
+            gate_of(op.register) if isinstance(op, RegOperand) else leaf_for(op)
+            for op in (step.left, step.right)
+        ]
         layer += 1
         new_gate = b.gate(layer, step.op, operand_ids[0], operand_ids[1])
-        next_binding: dict[int, tuple[int, bool]] = {}
-        carried: list[int] = []
-        sources: list[int] = []
-        for reg in live_after[idx]:
-            if reg == step.dest:
-                continue
-            gid, is_leaf = gate_of(reg)
-            if is_leaf:
-                next_binding[reg] = (gid, True)
-            else:
-                carried.append(reg)
-                sources.append(gid)
-        for reg, gid in zip(carried, b.copies(layer, sources)):
-            next_binding[reg] = (gid, False)
-        next_binding[step.dest] = (new_gate, False)
-        binding = next_binding
+        # Live registers bound to a leaf keep it; the others are copied
+        # into the new layer.  Dead registers keep stale gates, which no
+        # later step reads before writing them.
+        carried = [
+            reg
+            for reg in live_after[idx]
+            if reg != step.dest and gate_of(reg) not in leaf_ids
+        ]
+        copies = b.copies(layer, [binding[reg] for reg in carried])
+        binding.update(zip(carried, copies))
+        binding[step.dest] = new_gate
 
-    out_gid, _ = gate_of(slp.output_register)
-    b.set_output(out_gid)
+    b.set_output(gate_of(slp.output_register))
     return b.build()
 
 

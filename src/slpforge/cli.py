@@ -153,6 +153,12 @@ def _write(path: str | None, text: str) -> None:
         handle.write(text)
 
 
+def _write_program(path: str | None, prog: StraightLineProgram) -> dict[str, object]:
+    """Write the program as its staggered circuit; its RESULT register and step counts."""
+    _write(path, serialize_circuit(slp_to_circuit(prog)))
+    return {"registers": prog.register_count, "steps": prog.step_count}
+
+
 def _load_circuit(path: str) -> LayeredCircuit:
     obj = parse_circuit(_read(path))
     if not isinstance(obj, LayeredCircuit):
@@ -305,10 +311,7 @@ def _cmd_family(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 
     if args.name == "E-width2":
         _need(args, ["n"])
-        prog = build_E_width2(BenOrParams(args.n), ring)
-        c = slp_to_circuit(prog)
-        _write(args.output, serialize_circuit(c))
-        return {"registers": prog.register_count, "steps": prog.step_count}
+        return _write_program(args.output, build_E_width2(BenOrParams(args.n), ring))
 
     _need(args, ["k"])
     poly = build_permanent_sparse(args.k, ring, caps.expansion)
@@ -346,32 +349,19 @@ def _cmd_homog(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     else:
         out = homogeneous_prefix(prog, args.degree)
         keys = {"degree": args.degree}
-    _write(args.output, serialize_circuit(slp_to_circuit(out)))
-    keys.update({"registers": out.register_count, "steps": out.step_count})
-    return keys
+    return {**keys, **_write_program(args.output, out)}
 
 
 def _cmd_deriv(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     prog = _load_program(args.input)
     out = partial_derivative_y(prog, args.j, args.r, caps.expansion)
-    _write(args.output, serialize_circuit(slp_to_circuit(out)))
-    return {
-        "j": args.j,
-        "r": args.r,
-        "registers": out.register_count,
-        "steps": out.step_count,
-    }
+    return {"j": args.j, "r": args.r, **_write_program(args.output, out)}
 
 
 def _cmd_compile_sparse(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     name, poly = parse_polynomial(_read(args.input))
     prog = sparse_to_width2(poly, name=name)
-    _write(args.output, serialize_circuit(slp_to_circuit(prog)))
-    return {
-        "registers": prog.register_count,
-        "steps": prog.step_count,
-        "terms": len(poly.terms),
-    }
+    return {**_write_program(args.output, prog), "terms": len(poly.terms)}
 
 
 def _cmd_root(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
@@ -379,13 +369,7 @@ def _cmd_root(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     y0 = prog.ring.parse(args.y0)
     problem = RootProblem(prog, args.r, args.m, y0, caps.expansion)
     out = root_circuit(problem)
-    _write(args.output, serialize_circuit(slp_to_circuit(out)))
-    return {
-        "m": args.m,
-        "r": args.r,
-        "registers": out.register_count,
-        "steps": out.step_count,
-    }
+    return {"m": args.m, "r": args.r, **_write_program(args.output, out)}
 
 
 def _cmd_expand(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:

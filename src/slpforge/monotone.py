@@ -1,26 +1,18 @@
 """Monomial-support analysis for monotone circuits.
 
 A monotone circuit (characteristic-zero ring, no negative constants)
-can never cancel a term, so the support of its expansion is computable
-over plain sets: union for addition, pairwise products for
-multiplication.  All operations here work on that set level and refuse
-circuits where cancellation could hide a monomial.
+can never cancel a term, so the monomials of its expansion are exactly
+the monomials it can produce.  All operations here work on that set
+level and refuse circuits where cancellation could hide a monomial.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import LayeredCircuit, fold, validate
-from .errors import (
-    DegreeCapExceeded,
-    ModeMismatch,
-    NotMonotone,
-    ParamError,
-    TermCapExceeded,
-)
+from .circuits import LayeredCircuit, expand, validate
+from .errors import ModeMismatch, NotMonotone, ParamError
 from .families import FamilyParams, family_monomial_set
 from .polynomials import COMMUTATIVE, DEFAULT_CAPS, ExpansionCaps, Monomial
 
@@ -65,41 +57,14 @@ class MonVarGraph:
 
 
 def mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> MonomialSet:
-    """Support of expand(c), computed without coefficients.
+    """Support of expand(c): the monomials of its expansion under caps.
 
     Sound only for monotone circuits; anything else raises NotMonotone
     because a cancellation could make the set overshoot the support.
     """
-    report = validate(c)
-    if not report.monotone:
+    if not validate(c).monotone:
         raise NotMonotone("set semantics require a monotone circuit")
-    unit = frozenset((Monomial.unit(c.mode),))
-    empty: frozenset[Monomial] = frozenset()
-
-    def products(left: frozenset[Monomial], right: frozenset[Monomial]) -> frozenset[Monomial]:
-        out = set()
-        for a in left:
-            for b in right:
-                mono = a * b
-                if mono.degree > caps.max_degree:
-                    raise DegreeCapExceeded(
-                        f"support monomial degree {mono.degree} "
-                        f"exceeds cap {caps.max_degree}"
-                    )
-                out.add(mono)
-                if len(out) > caps.max_terms:
-                    raise TermCapExceeded(
-                        f"support grew past {caps.max_terms} monomials"
-                    )
-        return frozenset(out)
-
-    members = fold(
-        c,
-        lambda i: frozenset((Monomial.variable(c.mode, i),)),
-        lambda value: empty if value.is_zero else unit,
-        operator.or_,
-        products,
-    )
+    members = frozenset(expand(c, caps).terms)
     bound = max((m.degree for m in members), default=0)
     return MonomialSet(c.mode, c.num_variables, members, bound)
 

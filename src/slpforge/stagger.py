@@ -246,8 +246,9 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
         name or f"{circuit.name}-staggered",
     )
 
-    layer_of = circuit.layer_of()
-    out_layer = layer_of[circuit.output_id]
+    out_layer = next(
+        i for i, layer in enumerate(circuit.layers, start=1) if circuit.output_id in layer
+    )
     leaf_ids = set(circuit.layers[0])
 
     if out_layer == 1:

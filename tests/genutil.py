@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from typing import Sequence
 
@@ -33,9 +34,18 @@ from slpforge.circuits import (
     syntactic_degree,
     validate,
 )
-from slpforge.errors import GridTooLarge, ModeMismatch, ParamError
+from slpforge.errors import (
+    CapExceeded,
+    DegreeCapExceeded,
+    GridTooLarge,
+    ModeMismatch,
+    NotMonotone,
+    ParamError,
+    TermCapExceeded,
+)
 from slpforge.families import permanent_var_index
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
+from slpforge.monotone import MonomialSet
 from slpforge.pit import HardFamily, PermCheckInstance, Verdict, _rng, nw_design
 from slpforge.polynomials import (
     COMMUTATIVE,
@@ -475,6 +485,94 @@ def reference_expand(obj, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomia
         lambda a, b: a.add(b, caps),
         lambda a, b: a.mul(b, caps),
     )
+
+
+_HOMOGENEITY_SET_CAP = 4096
+
+
+def reference_homogeneous(circuit: LayeredCircuit) -> bool | None:
+    """validate's homogeneity check as first written: a fold over degree sets.
+
+    Kept as the oracle for ValidationReport.homogeneous, which must give
+    the same verdict wherever this one gives any: None means a degree set
+    grew past the cap.
+    """
+    # Syntactic homogeneity: possible total degrees per gate, add unions,
+    # mul takes sumsets.  Abandon (None) if a set grows past the cap.
+    widest = 1
+
+    def degrees(ds: frozenset[int]) -> frozenset[int]:
+        nonlocal widest
+        widest = max(widest, len(ds))
+        if widest > _HOMOGENEITY_SET_CAP:
+            raise CapExceeded("degree set past the homogeneity cap")
+        return ds
+
+    constant, linear = frozenset((0,)), frozenset((1,))
+
+    def sumset(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+        # {0} + B = B, which degrees() has already seen: copy gates u*1.
+        if a == constant:
+            return b
+        if b == constant:
+            return a
+        # |A+B| >= |A|+|B|-1 for integer sets: refuse before the product.
+        if len(a) + len(b) - 1 > _HOMOGENEITY_SET_CAP:
+            raise CapExceeded("degree set past the homogeneity cap")
+        return degrees(frozenset(x + y for x in a for y in b))
+
+    try:
+        fold(
+            circuit,
+            lambda i: linear,
+            lambda c: constant,
+            lambda a, b: degrees(a | b),
+            sumset,
+        )
+    except CapExceeded:
+        return None
+    return widest == 1
+
+
+def reference_mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> MonomialSet:
+    """mon_set as first written: a fold over monomial sets.
+
+    Kept as the oracle for monotone.mon_set, which must return the same
+    members wherever neither raises, and raise a CapExceeded wherever
+    this one does.
+    """
+    report = validate(c)
+    if not report.monotone:
+        raise NotMonotone("set semantics require a monotone circuit")
+    unit = frozenset((Monomial.unit(c.mode),))
+    empty: frozenset[Monomial] = frozenset()
+
+    def products(left: frozenset[Monomial], right: frozenset[Monomial]) -> frozenset[Monomial]:
+        out = set()
+        for a in left:
+            for b in right:
+                mono = a * b
+                if mono.degree > caps.max_degree:
+                    raise DegreeCapExceeded(
+                        f"support monomial degree {mono.degree} "
+                        f"exceeds cap {caps.max_degree}"
+                    )
+                out.add(mono)
+                if len(out) > caps.max_terms:
+                    raise TermCapExceeded(
+                        f"support grew past {caps.max_terms} monomials"
+                    )
+        return frozenset(out)
+
+    members = fold(
+        c,
+        lambda i: frozenset((Monomial.variable(c.mode, i),)),
+        lambda value: empty if value.is_zero else unit,
+        operator.or_,
+        products,
+    )
+    bound = max((m.degree for m in members), default=0)
+    return MonomialSet(c.mode, c.num_variables, members, bound)
 
 
 def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> LayeredCircuit:

@@ -4,9 +4,15 @@ import random
 
 import pytest
 
-from genutil import random_layered_circuit
-from slpforge.circuits import CircuitBuilder, expand
-from slpforge.errors import ModeMismatch, NotMonotone, ParamError, TermCapExceeded
+from genutil import random_layered_circuit, reference_mon_set
+from slpforge.circuits import CircuitBuilder
+from slpforge.errors import (
+    CapExceeded,
+    ModeMismatch,
+    NotMonotone,
+    ParamError,
+    TermCapExceeded,
+)
 from slpforge.families import (
     FamilyParams,
     _block_formula,
@@ -81,7 +87,42 @@ def test_mon_set_equals_expansion_support():
         c = random_layered_circuit(
             rng, RATIONALS, mode, width=rng.randrange(2, 5), internal_layers=3
         )
-        assert mon_set(c).members == frozenset(expand(c).terms)
+        assert mon_set(c).members == reference_mon_set(c).members
+
+
+def _outcome(fn, c, caps):
+    try:
+        return fn(c, caps).members
+    except CapExceeded as err:
+        return err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mon_set_equals_the_set_fold_under_caps(seed):
+    # Random monotone circuits under tight caps: equal members wherever
+    # neither side raises, and a cap error wherever the set fold hits one.
+    rng = random.Random(5150 + seed)
+    seen = set()
+    for trial in range(30):
+        mode = COMMUTATIVE if trial % 2 else NONCOMMUTATIVE
+        c = random_layered_circuit(
+            rng, RATIONALS, mode, width=rng.randrange(1, 5), internal_layers=rng.randrange(1, 5)
+        )
+        caps = ExpansionCaps(max_degree=rng.randrange(1, 12), max_terms=rng.randrange(1, 40))
+        want = _outcome(reference_mon_set, c, caps)
+        got = _outcome(mon_set, c, caps)
+        if isinstance(want, CapExceeded):
+            assert isinstance(got, CapExceeded)
+        elif not isinstance(got, CapExceeded):
+            assert got == want
+        seen.add(isinstance(want, CapExceeded))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+def test_mon_set_equals_the_set_fold_on_the_block_family(l, k):
+    c = build_P(FamilyParams(l, k), form="circuit")
+    assert mon_set(c).members == reference_mon_set(c).members
 
 
 def test_mon_set_term_cap():

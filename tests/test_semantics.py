@@ -6,9 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genutil import random_layered_circuit, random_slp, reference_expand, with_mode
+from genutil import (
+    random_layered_circuit,
+    random_slp,
+    reference_expand,
+    reference_homogeneous,
+    with_mode,
+)
 from slpforge.circuits import (
-    _HOMOGENEITY_SET_CAP,
     AlgebraicBranchingProgram,
     CircuitBuilder,
     LinearForm,
@@ -16,6 +21,7 @@ from slpforge.circuits import (
     evaluate,
     evaluate_mod_p,
     expand,
+    slp_to_circuit,
     syntactic_degree,
     validate,
 )
@@ -30,6 +36,7 @@ from slpforge.families import build_E_abp
 from slpforge.polynomials import COMMUTATIVE, MODES, ExpansionCaps, SparsePolynomial
 from slpforge.transforms import homogeneous_components
 from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
+from slpforge.stagger import staggerize
 
 F = PrimeField(101)
 
@@ -121,14 +128,56 @@ def test_copy_gates_keep_the_degree_set_of_their_source(inner_degree):
     assert validate(cb.build()).homogeneous is (inner_degree == 2)
 
 
-def test_degree_sets_past_the_cap_give_no_verdict():
+def _repeated_squares(base: str, squarings: int):
+    """(x1 + 1) or x1, squared the given number of times, one layer each."""
     cb = CircuitBuilder(F, COMMUTATIVE, 1)
-    gate = cb.gate(2, "add", cb.var_leaf(1), cb.const_leaf(1))
-    for layer in range(3, 15):  # 12 squarings: degrees 0..4096
+    x1 = cb.var_leaf(1)
+    if base == "x1+1":
+        gate = cb.gate(2, "add", x1, cb.const_leaf(1))
+    else:
+        gate = cb.gate(2, "mul", x1, cb.const_leaf(1))
+    for layer in range(3, 3 + squarings):
         gate = cb.gate(layer, "mul", gate, gate)
     cb.set_output(gate)
-    assert 2**12 + 1 > _HOMOGENEITY_SET_CAP
-    assert validate(cb.build()).homogeneous is None
+    return cb.build()
+
+
+def test_degrees_past_the_old_set_cap_get_an_exact_verdict():
+    # (x1+1)^(2^12) has degrees 0..4096, past the degree-set oracle's cap.
+    mixed = _repeated_squares("x1+1", 12)
+    assert reference_homogeneous(mixed) is None
+    assert validate(mixed).homogeneous is False
+    # x1^(2^13) has the single degree 8192 at its output.
+    pure = _repeated_squares("x1", 13)
+    assert reference_homogeneous(pure) is True
+    assert validate(pure).homogeneous is True
+    assert syntactic_degree(pure) == 2**13
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_homogeneity_equals_the_degree_set_fold(seed):
+    rng = random.Random(4400 + seed)
+    verdicts = []
+    for ring in (F, RATIONALS):
+        for mode in MODES:
+            for _ in range(12):
+                c = random_layered_circuit(
+                    rng,
+                    ring,
+                    mode,
+                    width=rng.randrange(1, 4),
+                    num_variables=rng.randrange(1, 4),
+                    internal_layers=rng.randrange(1, 5),
+                )
+                # The staggered copy adds copy gates u*1 and a 1-leaf.
+                for circuit in (c, slp_to_circuit(staggerize(c))):
+                    want = reference_homogeneous(circuit)
+                    got = validate(circuit).homogeneous
+                    assert type(got) is bool
+                    if want is not None:
+                        assert got is want
+                    verdicts.append(got)
+    assert set(verdicts) == {True, False}
 
 
 # ---------------------------------------------------------------------------
