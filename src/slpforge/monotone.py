@@ -59,8 +59,9 @@ class MonVarGraph:
 def mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> MonomialSet:
     """Support of expand(c): the monomials of its expansion under caps.
 
-    Sound only for monotone circuits; anything else raises NotMonotone
-    because a cancellation could make the set overshoot the support.
+    Defined for monotone circuits only, where nothing cancels, so these
+    are also all the monomials the circuit produces; anything else
+    raises NotMonotone.
     """
     if not validate(c).monotone:
         raise NotMonotone("set semantics require a monotone circuit")
