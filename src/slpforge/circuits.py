@@ -750,8 +750,8 @@ def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
 
     Raises TermCapExceeded or DegreeCapExceeded rather than truncating.
     """
-    var, const, add, mul, wrap = term_algebra(obj.ring, obj.mode, obj.num_variables, caps)
-    return wrap(fold(obj, var, const, add, mul))
+    alg = term_algebra(obj.ring, obj.mode, obj.num_variables, caps)
+    return alg.wrap(fold(obj, alg.var, alg.const, alg.add, alg.mul))
 
 
 def syntactic_degree(obj: IRForm) -> int:

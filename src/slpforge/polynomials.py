@@ -10,9 +10,10 @@ polynomials concatenate words left-to-right.  Operations optionally take
 ExpansionCaps and fail loudly, never truncating, when an intermediate
 result would exceed them.
 
-term_algebra() is the kernel of circuits.expand: the same arithmetic on
-raw terms, a dict key -> coefficient per value, with Monomial and Scalar
-objects built only when the result is wrapped into a SparsePolynomial.
+term_algebra() is the kernel of circuits.expand and of the root path
+(rootfind): the same arithmetic on raw terms, a dict key -> coefficient
+per value, with Monomial and Scalar objects built only when the result is
+wrapped into a SparsePolynomial.
 
 * A commutative key is one int: field i-1 (W bits wide) holds the
   exponent of x_i and the field above them holds the total degree, so a
@@ -28,6 +29,8 @@ Caps are checked where SparsePolynomial.add/mul check them: the degree
 of every monomial product (DegreeCapExceeded, tested once per row of a
 product against the top degree of the other operand), the term count
 after each row of a product and at the end of a sum (TermCapExceeded).
+A lifted polynomial's degree is checked too, since a wider key could
+carry.
 Terms are merged in the same order, so the result, its term order and
 the error raised on any input are those of the SparsePolynomial fold.
 One product loop serves both rings, with the coefficient add and
@@ -41,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -465,11 +468,31 @@ def _numerators(terms: dict, d: int) -> dict:
     }
 
 
-def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps):
-    """Sparse polynomial arithmetic on raw terms, under hard caps.
+@dataclass(frozen=True)
+class TermAlgebra:
+    """Sparse polynomial arithmetic on raw terms; see term_algebra.
 
-    Returns (var, const, add, mul, wrap): the first four are a fold()
-    algebra and wrap turns its result into a SparsePolynomial.
+    var, const, add and mul are a fold() algebra; wrap turns a value into
+    a SparsePolynomial and lift turns one back.  scale multiplies by a raw
+    coefficient, truncate drops the terms above a degree, and unit is the
+    key of the constant monomial.
+    """
+
+    var: Callable[[int], dict]
+    const: Callable[[Scalar], dict]
+    add: Callable[[dict, dict], dict]
+    mul: Callable[[dict, dict], dict]
+    wrap: Callable[[dict], "SparsePolynomial"]
+    lift: Callable[["SparsePolynomial"], dict]
+    scale: Callable[[dict, object], dict]
+    truncate: Callable[[dict, int], dict]
+    unit: object
+
+
+def term_algebra(
+    ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps
+) -> TermAlgebra:
+    """Sparse polynomial arithmetic on raw terms, under hard caps.
 
     A value is a dict key -> coefficient that the operations never mutate,
     so one value may feed many gates.  Commutative keys are packed ints
@@ -511,6 +534,17 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
                 var += 1
             return tuple(items)
 
+        def encode(mono: Monomial) -> int:
+            key = mono.degree << shift
+            for var, exp in mono.key:
+                key += exp << width * (var - 1)
+            return key
+
+        def truncate(terms: dict, limit: int) -> dict:
+            # The degree is the top field: degree <= limit is a key bound.
+            bound = (limit + 1) << shift
+            return {k: c for k, c in terms.items() if k < bound}
+
     else:
         unit = ()
         degree = len
@@ -524,11 +558,20 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         def decode(key: tuple) -> tuple:
             return key
 
+        def encode(mono: Monomial) -> tuple:
+            return mono.key
+
+        def truncate(terms: dict, limit: int) -> dict:
+            return {k: c for k, c in terms.items() if len(k) <= limit}
+
     if isinstance(ring, PrimeField):
         p = ring.p
 
         def coefficient(c: Scalar) -> int:
             return ring.scalar(c).value
+
+        def raw(c: int) -> int:
+            return c % p
 
         def cadd(x: int, y: int) -> int:
             return (x + y) % p
@@ -544,8 +587,13 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
         def coefficient(c: Scalar):
             return _rational(ring.scalar(c).value)
 
+        raw = _rational
+
         def cadd(x, y):
             return _rational(x + y)
+
+        def cmul(x, y):
+            return _rational(x * y)
 
         def mul(a: dict, b: dict) -> dict:
             # Integer numerators over the operands' common denominators:
@@ -633,4 +681,19 @@ def term_algebra(ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps)
             ring, mode, n, {Monomial(mode, decode(k)): c for k, c in terms.items()}
         )
 
-    return var, const, add, mul, wrap
+    def lift(poly: SparsePolynomial) -> dict:
+        if poly.ring != ring or poly.mode != mode or poly.num_variables != n:
+            raise ParamError(f"cannot lift {poly!r} into this algebra")
+        top = poly.degree()
+        if top > max_degree:
+            raise degree_cap(top)
+        return {encode(mono): coefficient(c) for mono, c in poly.terms.items()}
+
+    def scale(terms: dict, factor) -> dict:
+        # factor is a raw coefficient; over F_p any int.
+        factor = raw(factor)
+        if not factor:
+            return {}
+        return {k: cmul(c, factor) for k, c in terms.items()}
+
+    return TermAlgebra(var, const, add, mul, wrap, lift, scale, truncate, unit)

@@ -11,10 +11,14 @@ truncated series.  root_circuit assembles a straight-line program with
 the same expansion out of r+1 substituted copies of P per evaluation
 point, using the Newton result only to solve for the scalar mixing
 coefficients.  The two routes share no arithmetic, which is what makes
-comparing them a meaningful test.
+comparing them a meaningful test.  The series, the power products and
+the mixing solve run on the raw terms of polynomials.term_algebra;
+SparsePolynomial and Scalar objects are built only for the results.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .circuits import (
     ConstOperand,
@@ -31,16 +35,18 @@ from .errors import (
     ModeMismatch,
     ParamError,
     SizeBudgetExceeded,
+    TermCapExceeded,
     UnsolvableSystem,
 )
 from .polynomials import (
     COMMUTATIVE,
     DEFAULT_CAPS,
     ExpansionCaps,
-    Monomial,
     SparsePolynomial,
+    TermAlgebra,
+    term_algebra,
 )
-from .rings import Scalar, ScalarLike, lagrange_matrix
+from .rings import ScalarLike, lagrange_matrix
 from .transforms import _BodyEmitter
 
 
@@ -149,39 +155,70 @@ def _simplex(length: int, total: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Newton oracle
+# Newton iteration on raw terms
 
 
-def _poly_at_series(
-    coeffs, g: SparsePolynomial, m: int, caps: ExpansionCaps
-) -> SparsePolynomial:
+def _series_algebra(rp: RootProblem) -> TermAlgebra:
+    """The raw-term algebra of the root path: x variables, rp.series_caps."""
+    return term_algebra(
+        rp.program.ring, COMMUTATIVE, rp.num_x_variables, rp.series_caps
+    )
+
+
+def _inverse(ring, c):
+    """The inverse of a nonzero raw coefficient (an int mod p, or a rational)."""
+    p = ring.characteristic
+    return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+def _poly_at_series(alg: TermAlgebra, coeffs, g: dict, m: int) -> dict:
     """sum_i coeffs[i] * g^i truncated to degree m, by Horner."""
-    acc = SparsePolynomial.zero(g.ring, g.mode, g.num_variables)
+    acc: dict = {}
     for c in reversed(coeffs):
-        acc = acc.mul(g, caps).truncate(m).add(c)
+        acc = alg.add(alg.truncate(alg.mul(acc, g), m), c)
     # The added coefficients are not truncated, so clip once at the end.
-    return acc.truncate(m)
+    return alg.truncate(acc, m)
 
 
-def _series_inverse(
-    u: SparsePolynomial, m: int, caps: ExpansionCaps
-) -> SparsePolynomial:
+def _series_inverse(alg: TermAlgebra, ring, u: dict, m: int) -> dict:
     """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
-    unit = Monomial.unit(u.mode)
-    u0 = u.coefficient(unit)
-    if u0.is_zero:
+    u0 = u.get(alg.unit)
+    if not u0:
         raise InvariantViolation("series inverse at a non-unit")
-    u0_inv = u0.inverse()
-    one = SparsePolynomial.constant(u.ring, u.mode, u.num_variables, 1)
-    tail = one.sub(u.scale(u0_inv)).truncate(m)
+    u0_inv = _inverse(ring, u0)
+    one = {alg.unit: 1}
+    tail = alg.truncate(alg.add(one, alg.scale(u, -u0_inv)), m)
     acc = one
     term = one
     for _ in range(m):
-        term = term.mul(tail, caps).truncate(m)
-        if term.is_zero:
+        term = alg.truncate(alg.mul(term, tail), m)
+        if not term:
             break
-        acc = acc.add(term)
-    return acc.scale(u0_inv)
+        acc = alg.add(acc, term)
+    return alg.scale(acc, u0_inv)
+
+
+def _newton_terms(rp: RootProblem, alg: TermAlgebra) -> dict:
+    """newton_series_root(rp) as raw terms of alg."""
+    ring = rp.program.ring
+    char = ring.characteristic
+    if 0 < char <= rp.m:
+        raise CharacteristicTooSmall(
+            f"characteristic {char} must be 0 or exceed the target degree {rp.m}"
+        )
+    m = rp.m
+    coeffs = [alg.lift(c) for c in rp.coefficients]
+    deriv_coeffs = [alg.scale(c, i) for i, c in enumerate(coeffs)][1:]
+
+    g = alg.const(rp.y0)
+    for _ in range(m.bit_length()):
+        value = _poly_at_series(alg, coeffs, g, m)
+        slope = _poly_at_series(alg, deriv_coeffs, g, m)
+        step = alg.mul(value, _series_inverse(alg, ring, slope, m))
+        g = alg.truncate(alg.add(g, alg.scale(alg.truncate(step, m), -1)), m)
+    if _poly_at_series(alg, coeffs, g, m):
+        raise InvariantViolation("Newton iteration did not converge")
+    return g
 
 
 def newton_series_root(rp: RootProblem) -> SparsePolynomial:
@@ -190,41 +227,26 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
     Iterates y <- y - P(x_bar, y)/P'(x_bar, y) on series truncated at
     degree m+1; each step doubles the correct precision, so m.bit_length()
     steps suffice; a nonzero final residue is an InvariantViolation, a
-    bug rather than a property of the input.  Every product is taken
-    under rp.series_caps, so a series that outgrows the term cap raises
+    bug rather than a property of the input.  The series are raw terms of
+    polynomials.term_algebra under rp.series_caps, wrapped once at the
+    end: a product or sum that outgrows the term cap raises
     TermCapExceeded.
     """
-    ring = rp.program.ring
-    char = ring.characteristic
-    if 0 < char <= rp.m:
-        raise CharacteristicTooSmall(
-            f"characteristic {char} must be 0 or exceed the target degree {rp.m}"
-        )
-    m, caps = rp.m, rp.series_caps
-    n = rp.num_x_variables
-    coeffs = list(rp.coefficients)
-    deriv_coeffs = [c.scale(i) for i, c in enumerate(coeffs)][1:]
-
-    g = SparsePolynomial.constant(ring, COMMUTATIVE, n, rp.y0)
-    for _ in range(m.bit_length()):
-        value = _poly_at_series(coeffs, g, m, caps)
-        slope = _poly_at_series(deriv_coeffs, g, m, caps)
-        step = value.mul(_series_inverse(slope, m, caps), caps)
-        g = g.sub(step.truncate(m)).truncate(m)
-    if not _poly_at_series(coeffs, g, m, caps).is_zero:
-        raise InvariantViolation("Newton iteration did not converge")
-    return g
+    alg = _series_algebra(rp)
+    return alg.wrap(_newton_terms(rp, alg))
 
 
 # ---------------------------------------------------------------------------
 # Circuit assembly
 
 
-def _solve_exact(ring, matrix, rhs) -> list[Scalar]:
-    """Exact Gauss-Jordan solve; free variables are set to zero.
+def _solve_exact(ring, matrix, rhs) -> list:
+    """Exact Gauss-Jordan solve on raw coefficients; free variables are zero.
 
-    Raises UnsolvableSystem when the equations are inconsistent.
+    Entries are ints mod p over F_p and ints or Fractions over Q.  Raises
+    UnsolvableSystem when the equations are inconsistent.
     """
+    p = ring.characteristic
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     pivots: list[tuple[int, int]] = []
@@ -232,36 +254,40 @@ def _solve_exact(ring, matrix, rhs) -> list[Scalar]:
     for col in range(ncols):
         pivot_row = None
         for rr in range(rank, len(rows)):
-            if not rows[rr][col].is_zero:
+            if rows[rr][col]:
                 pivot_row = rr
                 break
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for rr in range(len(rows)):
-            if rr != rank and not rows[rr][col].is_zero:
-                factor = rows[rr][col]
-                rows[rr] = [a - factor * b for a, b in zip(rows[rr], rows[rank])]
+        inv = _inverse(ring, rows[rank][col])
+        if p:
+            pivot = [v * inv % p for v in rows[rank]]
+        else:
+            pivot = [v * inv if v else 0 for v in rows[rank]]
+        rows[rank] = pivot
+        for rr, row in enumerate(rows):
+            factor = row[col]
+            if rr == rank or not factor:
+                continue
+            if p:
+                rows[rr] = [(a - factor * b) % p if b else a for a, b in zip(row, pivot)]
+            else:
+                rows[rr] = [a - factor * b if b else a for a, b in zip(row, pivot)]
         pivots.append((rank, col))
         rank += 1
     for rr in range(rank, len(rows)):
-        if not rows[rr][ncols].is_zero:
+        if rows[rr][ncols]:
             raise UnsolvableSystem("mixing system is inconsistent")
-    solution = [ring.zero()] * ncols
+    solution = [0] * ncols
     for row_index, col in pivots:
         solution[col] = rows[row_index][ncols]
     return solution
 
 
 def _power_products(
-    factors,
-    alphas: list[tuple[int, ...]],
-    m: int,
-    one: SparsePolynomial,
-    caps: ExpansionCaps,
-) -> list[SparsePolynomial]:
+    alg: TermAlgebra, factors, alphas: list[tuple[int, ...]], m: int
+) -> list[dict]:
     """prod_i factors[i]^alpha_i truncated to degree m, for alphas in lex order.
 
     For alpha with last nonzero entry j, the product is that of its
@@ -269,15 +295,46 @@ def _power_products(
     is the last multiplication of a factor-by-factor build, so the results
     equal it at one multiplication per nonzero alpha.
     """
-    built: dict[tuple[int, ...], SparsePolynomial] = {}
+    built: dict[tuple[int, ...], dict] = {}
     for alpha in alphas:
         j = max((i for i, e in enumerate(alpha) if e), default=None)
         if j is None:
-            built[alpha] = one
+            built[alpha] = {alg.unit: 1}
             continue
         prefix = built[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
-        built[alpha] = prefix.mul(factors[j], caps).truncate(m)
+        built[alpha] = alg.truncate(alg.mul(prefix, factors[j]), m)
     return list(built.values())
+
+
+def _mixing_values(rp: RootProblem, alg: TermAlgebra, f: dict) -> list:
+    """The raw mixing scalars Q_alpha, one per alpha in rp.index_set().
+
+    They solve sum_alpha Q_alpha * prod_i (C_i - C_i(0))^alpha_i = f
+    (mod degree m+1) for the raw series f.  Raises TermCapExceeded when
+    the dense system, one row per monomial and one column per alpha, has
+    more entries than the term cap.
+    """
+    unit = alg.unit
+    deltas = [
+        {k: c for k, c in alg.lift(poly).items() if k != unit}
+        for poly in rp.coefficients
+    ]
+    alphas = rp.index_set()
+    g_alpha = _power_products(alg, deltas, alphas, rp.m)
+
+    keys = set(f)
+    for g in g_alpha:
+        keys.update(g)
+    entries = len(keys) * len(alphas)
+    if entries > rp.caps.max_terms:
+        raise TermCapExceeded(
+            f"mixing system of {len(keys)} x {len(alphas)} = {entries} entries"
+            f" exceeds cap {rp.caps.max_terms}"
+        )
+    rows = sorted(keys)
+    matrix = [[g.get(k, 0) for g in g_alpha] for k in rows]
+    rhs = [f.get(k, 0) for k in rows]
+    return _solve_exact(rp.program.ring, matrix, rhs)
 
 
 def root_circuit(
@@ -289,9 +346,11 @@ def root_circuit(
     sum_alpha Q_alpha * prod_i (C_i - C_i(0))^alpha_i = f (mod degree m+1),
     then emit a program computing that combination with every C_i
     recovered from runs of P at constant y-values, wrapped in the
-    degree-(<= m) slice extraction.  The slice extraction is fused into
-    the emission loop rather than wrapping the finished program, which
-    is what keeps the register overhead at r + 3: the program uses the
+    degree-(<= m) slice extraction.  The program runs P r+1 times per
+    interpolation point z, once per y-point, and feeds every coefficient
+    accumulator from each run.  The slice extraction is fused into the
+    emission loop rather than wrapping the finished program, which is
+    what keeps the register overhead at r + 3: the program uses the
     original registers plus one staging register, r+1 coefficient
     accumulators, and one global accumulator, with the per-point product
     and sum living in the recycled body registers.  For r <= 3 that is
@@ -300,7 +359,9 @@ def root_circuit(
     The step count is compared against a budget derived from the
     emission shape (or ``size_budget`` when given); exceeding it raises
     SizeBudgetExceeded rather than returning an oversized program.  The
-    Newton series and the power products multiply under rp.series_caps.
+    Newton series, the power products and the mixing solve run on raw
+    terms under rp.series_caps, and a mixing system with more entries
+    than the term cap raises TermCapExceeded.
     """
     ring = rp.program.ring
     char = ring.characteristic
@@ -309,25 +370,9 @@ def root_circuit(
             f"characteristic {char} must exceed r = {rp.r} and m = {rp.m}"
         )
     m, r = rp.m, rp.r
-    n = rp.num_x_variables
-    f = newton_series_root(rp)
-
-    one = SparsePolynomial.constant(ring, COMMUTATIVE, n, 1)
-    deltas = [
-        c.sub(SparsePolynomial.constant(ring, COMMUTATIVE, n, rp.base_point[i]))
-        for i, c in enumerate(rp.coefficients)
-    ]
+    alg = _series_algebra(rp)
+    mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
     alphas = rp.index_set()
-    caps = rp.series_caps
-    g_alpha = _power_products(deltas, alphas, m, one, caps)
-
-    mono_set = set(f.terms)
-    for g in g_alpha:
-        mono_set.update(g.terms)
-    monos = sorted(mono_set, key=Monomial.sort_key)
-    matrix = [[g.coefficient(mono) for g in g_alpha] for mono in monos]
-    rhs = [f.coefficient(mono) for mono in monos]
-    mixing = _solve_exact(ring, matrix, rhs)
 
     # Interpolation data: y-points recover the C_i from runs of P, and
     # z-points extract the degree <= m slice of the assembled product.
@@ -351,6 +396,18 @@ def root_circuit(
     global_acc = delta_base + r + 1
     prod_reg, sum_reg = 0, 1
     y = rp.program.num_variables
+    # y-point t feeds accumulator i with weight y_matrix[i][t].
+    feeds = [
+        [
+            (delta_base + i, ConstOperand(y_matrix[i][t]))
+            for i in range(r + 1)
+            if y_matrix[i][t] != zero
+        ]
+        for t in range(r + 1)
+    ]
+    terms = [
+        (ConstOperand(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
+    ]
 
     sb = SlpBuilder(
         ring,
@@ -365,19 +422,18 @@ def root_circuit(
             continue
         for i in range(r + 1):
             sb.load(delta_base + i, ConstOperand(-rp.base_point[i]))
-        for i in range(r + 1):
-            for t in range(r + 1):
-                weight = y_matrix[i][t]
-                if weight == zero:
-                    continue
-                out = emitter.run(scale=z, leaves={y: ConstOperand(y_points[t])})
-                sb.apply(out, "mul", sb.reg(out), ConstOperand(weight))
-                sb.apply(delta_base + i, "add", sb.reg(delta_base + i), sb.reg(out))
-        sb.load(sum_reg, ConstOperand(zero))
-        for alpha, q in zip(alphas, mixing):
-            if q == zero:
+        for t in range(r + 1):
+            if not feeds[t]:
                 continue
-            sb.load(prod_reg, ConstOperand(q))
+            out = emitter.run(scale=z, leaves={y: ConstOperand(y_points[t])})
+            # Every run writes the staging register before reading it, so
+            # it is free between runs.
+            for acc, weight in feeds[t]:
+                sb.apply(stage, "mul", sb.reg(out), weight)
+                sb.apply(acc, "add", sb.reg(acc), sb.reg(stage))
+        sb.load(sum_reg, ConstOperand(zero))
+        for q, alpha in terms:
+            sb.load(prod_reg, q)
             for i, e in enumerate(alpha):
                 for _ in range(e):
                     sb.apply(prod_reg, "mul", sb.reg(prod_reg), sb.reg(delta_base + i))
@@ -386,11 +442,15 @@ def root_circuit(
         sb.apply(global_acc, "add", sb.reg(global_acc), sb.reg(sum_reg))
 
     program = sb.finish(global_acc)
-    per_run = 5 * rp.program.step_count + w0 + 2
+    # Per z-point: r+1 runs of at most 5 steps per body step plus the
+    # cleared registers, two weight steps per (coefficient, y-point),
+    # r+1 accumulator loads, one product of at most m+2 steps per alpha,
+    # and the sum, slice weight and global accumulation.
+    per_run = 5 * rp.program.step_count + w0
     budget = size_budget
     if budget is None:
         budget = z_count * (
-            (r + 1) ** 2 * per_run + (r + 1) + len(alphas) * (m + 2) + 4
+            (r + 1) * per_run + 2 * (r + 1) ** 2 + (r + 1) + len(alphas) * (m + 2) + 4
         )
     if program.step_count > budget:
         raise SizeBudgetExceeded(

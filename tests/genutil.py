@@ -36,12 +36,15 @@ from slpforge.circuits import (
 )
 from slpforge.errors import (
     CapExceeded,
+    CharacteristicTooSmall,
     DegreeCapExceeded,
     GridTooLarge,
+    InvariantViolation,
     ModeMismatch,
     NotMonotone,
     ParamError,
     TermCapExceeded,
+    UnsolvableSystem,
 )
 from slpforge.families import permanent_var_index
 from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
@@ -908,3 +911,99 @@ def reference_truncated_power_product(
             if acc.is_zero:
                 return acc
     return acc
+
+
+def reference_poly_at_series(
+    coeffs, g: SparsePolynomial, m: int, caps: ExpansionCaps
+) -> SparsePolynomial:
+    """sum_i coeffs[i] * g^i truncated to degree m, by Horner."""
+    acc = SparsePolynomial.zero(g.ring, g.mode, g.num_variables)
+    for c in reversed(coeffs):
+        acc = acc.mul(g, caps).truncate(m).add(c)
+    # The added coefficients are not truncated, so clip once at the end.
+    return acc.truncate(m)
+
+
+def reference_series_inverse(
+    u: SparsePolynomial, m: int, caps: ExpansionCaps
+) -> SparsePolynomial:
+    """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
+    unit = Monomial.unit(u.mode)
+    u0 = u.coefficient(unit)
+    if u0.is_zero:
+        raise InvariantViolation("series inverse at a non-unit")
+    u0_inv = u0.inverse()
+    one = SparsePolynomial.constant(u.ring, u.mode, u.num_variables, 1)
+    tail = one.sub(u.scale(u0_inv)).truncate(m)
+    acc = one
+    term = one
+    for _ in range(m):
+        term = term.mul(tail, caps).truncate(m)
+        if term.is_zero:
+            break
+        acc = acc.add(term)
+    return acc.scale(u0_inv)
+
+
+def reference_newton_series_root(rp: RootProblem) -> SparsePolynomial:
+    """rootfind.newton_series_root as first written, on SparsePolynomial.
+
+    Only products are capped (sums are not), so it raises no more often
+    than the raw-term Newton; kept as its oracle.
+    """
+    ring = rp.program.ring
+    char = ring.characteristic
+    if 0 < char <= rp.m:
+        raise CharacteristicTooSmall(
+            f"characteristic {char} must be 0 or exceed the target degree {rp.m}"
+        )
+    m, caps = rp.m, rp.series_caps
+    n = rp.num_x_variables
+    coeffs = list(rp.coefficients)
+    deriv_coeffs = [c.scale(i) for i, c in enumerate(coeffs)][1:]
+
+    g = SparsePolynomial.constant(ring, COMMUTATIVE, n, rp.y0)
+    for _ in range(m.bit_length()):
+        value = reference_poly_at_series(coeffs, g, m, caps)
+        slope = reference_poly_at_series(deriv_coeffs, g, m, caps)
+        step = value.mul(reference_series_inverse(slope, m, caps), caps)
+        g = g.sub(step.truncate(m)).truncate(m)
+    if not reference_poly_at_series(coeffs, g, m, caps).is_zero:
+        raise InvariantViolation("Newton iteration did not converge")
+    return g
+
+
+def reference_solve_exact(ring, matrix, rhs) -> list[Scalar]:
+    """rootfind._solve_exact as first written, on Scalar entries.
+
+    Exact Gauss-Jordan solve; free variables are set to zero.  Raises
+    UnsolvableSystem when the equations are inconsistent.
+    """
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots: list[tuple[int, int]] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for rr in range(rank, len(rows)):
+            if not rows[rr][col].is_zero:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for rr in range(len(rows)):
+            if rr != rank and not rows[rr][col].is_zero:
+                factor = rows[rr][col]
+                rows[rr] = [a - factor * b for a, b in zip(rows[rr], rows[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    for rr in range(rank, len(rows)):
+        if not rows[rr][ncols].is_zero:
+            raise UnsolvableSystem("mixing system is inconsistent")
+    solution = [ring.zero()] * ncols
+    for row_index, col in pivots:
+        solution[col] = rows[row_index][ncols]
+    return solution

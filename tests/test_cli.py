@@ -394,3 +394,27 @@ def test_root_past_half_the_degree_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SLPFORGE_CAPS")
     code, out, err = run(capsys, "expand", "-i", str(out_path))
     assert code == 0 and result_line(out)["terms"] == "6"
+
+
+def test_root_past_the_mixing_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # Every series and product fits 12 terms; the 3 x 15 mixing system does not.
+    base = tmp_path / "cubic.ckt"
+    run(
+        capsys,
+        "depth2width", "--expr", "(x2-1-x1)*(x2-2-2*x1)*(x2-3+x1)", "--vars", "2",
+        "-o", str(base),
+    )
+    argv = ["root", "-i", str(base), "--y0", "1", "--m", "2", "--r", "3"]
+    monkeypatch.setenv("SLPFORGE_CAPS", "max_terms=12")
+    code, out, err = run(capsys, "expand", "-i", str(base))
+    assert code == 0 and result_line(out)["terms"] == "10"
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "capped.ckt"))
+    assert code == 1 and out == ""
+    assert err == "error: mixing system of 3 x 15 = 45 entries exceeds cap 12\n"
+    monkeypatch.setenv("SLPFORGE_CAPS", "max_terms=45")
+    out_path = tmp_path / "root.ckt"
+    code, out, err = run(capsys, *argv, "-o", str(out_path))
+    assert code == 0 and err == ""
+    monkeypatch.delenv("SLPFORGE_CAPS")
+    code, out, err = run(capsys, "expand", "-i", str(out_path))
+    assert code == 0 and result_line(out)["terms"] == "2"  # the root 1 + x1

@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import index_bound, planted_root_program, reference_truncated_power_product
+from genutil import (
+    index_bound,
+    planted_root_program,
+    reference_newton_series_root,
+    reference_solve_exact,
+    reference_truncated_power_product,
+)
 from slpforge.circuits import SlpBuilder, expand
 from slpforge.errors import (
+    CapExceeded,
     CharacteristicTooSmall,
     DegenerateRoot,
     DegreeBoundViolated,
@@ -17,13 +24,22 @@ from slpforge.errors import (
     TermCapExceeded,
     UnsolvableSystem,
 )
-from slpforge.polynomials import COMMUTATIVE, ExpansionCaps, Monomial, SparsePolynomial
+from slpforge.polynomials import (
+    COMMUTATIVE,
+    ExpansionCaps,
+    Monomial,
+    SparsePolynomial,
+    term_algebra,
+)
 from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 from slpforge.rootfind import (
     RootProblem,
+    _mixing_values,
+    _newton_terms,
     _poly_at_series,
-    _series_inverse,
     _power_products,
+    _series_algebra,
+    _series_inverse,
     _simplex,
     _solve_exact,
     newton_series_root,
@@ -167,7 +183,7 @@ def test_root_circuit_planted_products():
         f = newton_series_root(rp)
         assert f == planted[0].truncate(m)
         slp = root_circuit(rp)
-        assert slp.register_count <= program.register_count + 6
+        assert slp.register_count == program.register_count + r + 3
         assert expand(slp) == f
 
 
@@ -177,19 +193,28 @@ def test_root_circuit_budget_trips():
         root_circuit(rp, size_budget=3)
 
 
+def test_root_circuit_budget_is_exact_at_the_step_count():
+    rng = random.Random(29)
+    for r, m in ((1, 1), (2, 2), (3, 2)):
+        program, _, y0 = planted_root_program(rng, RATIONALS, 2, r)
+        rp = RootProblem(program, r=r, m=m, y0=y0)
+        steps = root_circuit(rp).step_count
+        assert root_circuit(rp, size_budget=steps).step_count == steps
+        with pytest.raises(SizeBudgetExceeded, match=f"^assembled {steps} steps"):
+            root_circuit(rp, size_budget=steps - 1)
+
+
 def test_solver_inconsistent_system():
-    one = BIG.one()
-    zero = BIG.zero()
     with pytest.raises(UnsolvableSystem):
-        _solve_exact(BIG, [[one], [one]], [zero, one])
+        _solve_exact(BIG, [[1], [1]], [0, 1])
+    with pytest.raises(UnsolvableSystem):
+        _solve_exact(RATIONALS, [[Fraction(1, 2)], [1]], [1, 1])
 
 
 def test_solver_prefers_zero_free_variables():
-    one = BIG.one()
-    zero = BIG.zero()
-    solution = _solve_exact(BIG, [[one, one]], [one])
-    assert solution[0] == one
-    assert solution[1] == zero
+    assert _solve_exact(BIG, [[1, 1]], [1]) == [1, 0]
+    assert _solve_exact(RATIONALS, [[0, 3, 3]], [Fraction(1, 2)]) == [0, Fraction(1, 6), 0]
+    assert _solve_exact(BIG, [[0, 3, 3]], [1]) == [0, pow(3, -1, DEFAULT_PRIME), 0]
 
 
 def test_index_set_is_the_filtered_product_in_lex_order():
@@ -233,17 +258,22 @@ def test_newton_iterate_past_the_term_cap_raises():
 
 
 def test_series_helpers_multiply_under_the_caps():
-    caps = ExpansionCaps(max_terms=8)
     x = [SparsePolynomial.variable(BIG, COMMUTATIVE, 3, i) for i in (1, 2, 3)]
     one = SparsePolynomial.constant(BIG, COMMUTATIVE, 3, 1)
     u = one.add(x[0]).add(x[1]).add(x[2])  # 1 + x1 + x2 + x3, 4 terms
+    alg = term_algebra(BIG, COMMUTATIVE, 3, ExpansionCaps(max_terms=8))
+    raw_one, raw_u = alg.lift(one), alg.lift(u)
     with pytest.raises(TermCapExceeded):
-        _poly_at_series([one, one, one], u, 4, caps)
+        _poly_at_series(alg, [raw_one, raw_one, raw_one], raw_u, 4)
     with pytest.raises(TermCapExceeded):
-        _series_inverse(u, 4, caps)
+        _series_inverse(alg, BIG, raw_u, 4)
     with pytest.raises(TermCapExceeded):
-        _power_products([u], [(0,), (1,), (2,)], 4, one, caps)
-    assert _power_products([u], [(0,), (1,), (2,)], 4, one, ExpansionCaps())[2] == u.mul(u)
+        _power_products(alg, [raw_u], [(0,), (1,), (2,)], 4)
+    roomy = term_algebra(BIG, COMMUTATIVE, 3, ExpansionCaps())
+    products = _power_products(roomy, [roomy.lift(u)], [(0,), (1,), (2,)], 4)
+    assert roomy.wrap(products[2]) == u.mul(u)
+    inverse = roomy.wrap(_series_inverse(roomy, BIG, roomy.lift(u), 4))
+    assert inverse.mul(u).truncate(4) == one
 
 
 def _random_delta(rng, ring, n):
@@ -258,6 +288,14 @@ def _random_delta(rng, ring, n):
     return acc
 
 
+def _raw_power_products(deltas, alphas, m, caps):
+    """rootfind._power_products on the lifted deltas, wrapped back."""
+    d = deltas[0]
+    alg = term_algebra(d.ring, COMMUTATIVE, d.num_variables, caps)
+    products = _power_products(alg, [alg.lift(p) for p in deltas], alphas, m)
+    return [alg.wrap(g) for g in products]
+
+
 def test_power_products_equal_the_factor_by_factor_build():
     rng = random.Random(19)
     for ring in (BIG, RATIONALS):
@@ -270,7 +308,7 @@ def test_power_products_equal_the_factor_by_factor_build():
                 expected = [
                     reference_truncated_power_product(deltas, a, m, one, caps) for a in alphas
                 ]
-                assert _power_products(deltas, alphas, m, one, caps) == expected
+                assert _raw_power_products(deltas, alphas, m, caps) == expected
 
 
 def test_power_products_hit_the_term_cap_where_the_first_build_does():
@@ -286,9 +324,9 @@ def test_power_products_hit_the_term_cap_where_the_first_build_does():
             ]
         except TermCapExceeded as first:
             with pytest.raises(TermCapExceeded, match=f"^{first}$"):
-                _power_products(deltas, alphas, 3, one, caps)
+                _raw_power_products(deltas, alphas, 3, caps)
         else:
-            assert _power_products(deltas, alphas, 3, one, caps) == expected
+            assert _raw_power_products(deltas, alphas, 3, caps) == expected
 
 
 def _program_y2_plus_x62y_minus_1_plus_x1():
@@ -338,3 +376,79 @@ def test_high_degree_coefficients_are_not_held_to_the_degree_cap():
     assert f == newton_series_root(sqrt)
     assert expand(root_circuit(rp)) == f
     assert rp.series_caps == ExpansionCaps(max_degree=66, max_terms=1 << 20)
+
+
+def _reference_mixing(rp, f):
+    """The mixing values as first computed: Scalar system, monomial rows."""
+    ring = rp.program.ring
+    n = rp.num_x_variables
+    caps = rp.series_caps
+    one = SparsePolynomial.constant(ring, COMMUTATIVE, n, 1)
+    deltas = [
+        c.sub(SparsePolynomial.constant(ring, COMMUTATIVE, n, rp.base_point[i]))
+        for i, c in enumerate(rp.coefficients)
+    ]
+    g_alpha = [
+        reference_truncated_power_product(deltas, alpha, rp.m, one, caps)
+        for alpha in rp.index_set()
+    ]
+    monos = set(f.terms)
+    for g in g_alpha:
+        monos.update(g.terms)
+    monos = sorted(monos, key=Monomial.sort_key)
+    matrix = [[g.coefficient(mono) for g in g_alpha] for mono in monos]
+    rhs = [f.coefficient(mono) for mono in monos]
+    return reference_solve_exact(ring, matrix, rhs)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(2**31 - 1), BIG])
+def test_raw_root_path_equals_the_sparse_polynomial_path(ring):
+    # Random planted roots under random term caps.  Where neither path
+    # raises, the series and the mixing values agree; the raw path caps
+    # sums as well as products, so it may raise where the reference does
+    # not, but never the other way round.
+    rng = random.Random(61)
+    outcomes = {"equal": 0, "both raise": 0, "raw stricter": 0}
+    while sum(outcomes.values()) < 40:
+        n, r, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(0, 5)
+        program, planted, y0 = planted_root_program(rng, ring, n, r)
+        caps = ExpansionCaps(max_terms=rng.choice((8, 12, 16, 24, 40, 1 << 20)))
+        try:
+            rp = RootProblem(program, r=r, m=m, y0=y0, caps=caps)
+        except CapExceeded:
+            continue
+        try:
+            f_ref = reference_newton_series_root(rp)
+            mix_ref = _reference_mixing(rp, f_ref)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                alg = _series_algebra(rp)
+                _mixing_values(rp, alg, _newton_terms(rp, alg))
+            outcomes["both raise"] += 1
+            continue
+        try:
+            f = newton_series_root(rp)
+            alg = _series_algebra(rp)
+            mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
+        except CapExceeded:
+            outcomes["raw stricter"] += 1
+            continue
+        assert f == f_ref == planted[0].truncate(m)
+        assert [ring.scalar(q) for q in mixing] == mix_ref
+        outcomes["equal"] += 1
+    assert outcomes["equal"] >= 10 and outcomes["both raise"] >= 3
+
+
+def test_mixing_system_past_the_term_cap_raises():
+    # n = 1, r = 3, m = 2: every series and product has at most 5 terms,
+    # but the system has 3 monomial rows and C(6, 4) = 15 columns.
+    program, planted, y0 = planted_root_program(random.Random(7), RATIONALS, 1, 3)
+    rp = RootProblem(program, r=3, m=2, y0=y0, caps=ExpansionCaps(max_terms=12))
+    assert newton_series_root(rp) == planted[0].truncate(2)
+    alg = _series_algebra(rp)
+    deltas = [alg.lift(c) for c in rp.coefficients]
+    assert all(len(g) <= 5 for g in _power_products(alg, deltas, rp.index_set(), 2))
+    with pytest.raises(TermCapExceeded, match="mixing system of 3 x 15 = 45 entries"):
+        root_circuit(rp)
+    roomy = RootProblem(program, r=3, m=2, y0=y0, caps=ExpansionCaps(max_terms=45))
+    assert expand(root_circuit(roomy)) == planted[0].truncate(2)
