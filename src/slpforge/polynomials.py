@@ -29,8 +29,8 @@ Caps are checked where SparsePolynomial.add/mul check them: the degree
 of every monomial product (DegreeCapExceeded, tested once per row of a
 product against the top degree of the other operand), the term count
 after each row of a product and at the end of a sum (TermCapExceeded).
-A lifted polynomial's degree is checked too, since a wider key could
-carry.
+A lifted polynomial's degree is checked against max_degree too, since
+a key of higher degree could carry when added.
 Terms are merged in the same order, so the result, its term order and
 the error raised on any input are those of the SparsePolynomial fold.
 One product loop serves both rings, with the coefficient add and

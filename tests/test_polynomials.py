@@ -19,6 +19,7 @@ from slpforge.polynomials import (
     Monomial,
     NONCOMMUTATIVE,
     SparsePolynomial,
+    term_algebra,
 )
 from slpforge.rings import PrimeField, RATIONALS
 
@@ -177,3 +178,32 @@ def test_text_rendering():
     assert p.text() == "2 + 3*x1^2"
     w = x(1, NONCOMMUTATIVE).mul(x(2, NONCOMMUTATIVE))
     assert w.text() == "x1*x2"
+
+
+@pytest.mark.parametrize("mode", [COMMUTATIVE, NONCOMMUTATIVE])
+@pytest.mark.parametrize("ring", [F, RATIONALS])
+def test_term_algebra_lift_scale_truncate_match_the_polynomial_methods(ring, mode):
+    rng = random.Random(37)
+    alg = term_algebra(ring, mode, 4, ExpansionCaps(max_degree=8))
+    factor = Fraction(-2, 7) if ring is RATIONALS else -2
+    for _ in range(20):
+        p = SparsePolynomial.zero(ring, mode, 4)
+        for _ in range(rng.randrange(1, 6)):
+            term = SparsePolynomial.constant(ring, mode, 4, Fraction(rng.randrange(-5, 6), 3))
+            for _ in range(rng.randrange(0, 5)):
+                term = term.mul(x(rng.randrange(1, 5), mode, ring=ring))
+            p = p.add(term)
+        raw = alg.lift(p)
+        assert alg.wrap(raw) == p
+        assert alg.wrap(alg.truncate(raw, 2)) == p.truncate(2)
+        assert alg.wrap(alg.scale(raw, factor)) == p.scale(factor)
+        assert alg.scale(raw, 0) == {}
+    # Over F_101 a factor of 101 is zero, so the terms vanish.
+    assert alg.scale({alg.unit: 3}, 101) == ({} if ring is F else {alg.unit: 303})
+    high = x(1, mode, ring=ring)
+    for _ in range(8):
+        high = high.mul(x(1, mode, ring=ring))
+    with pytest.raises(DegreeCapExceeded):
+        alg.lift(high)  # degree 9 > 8: its key could carry into the next field
+    with pytest.raises(ParamError):
+        alg.lift(x(1, mode, n=3, ring=ring))

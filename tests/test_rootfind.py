@@ -145,6 +145,27 @@ def test_newton_characteristic_guard():
         newton_series_root(rp)
 
 
+def test_newton_where_the_characteristic_divides_a_y_exponent():
+    # P = y^3 + y - x1 over F_3: the y^3 term drops out of dP/dy, so its
+    # scaled coefficient must vanish rather than stay as a zero term.
+    f3 = PrimeField(3)
+    sb = SlpBuilder(f3, COMMUTATIVE, 2, register_count=2, name="cubic")
+    sb.load(0, sb.var(2))
+    sb.apply(0, "mul", sb.reg(0), sb.var(2))
+    sb.apply(0, "mul", sb.reg(0), sb.var(2))
+    sb.apply(0, "add", sb.reg(0), sb.var(2))
+    sb.load(1, sb.var(1))
+    sb.apply(1, "mul", sb.reg(1), sb.const(-1))
+    sb.apply(0, "add", sb.reg(0), sb.reg(1))
+    rp = RootProblem(sb.finish(0), r=3, m=2, y0=0)
+    x1 = SparsePolynomial.variable(f3, COMMUTATIVE, 1, 1)
+    assert newton_series_root(rp) == reference_newton_series_root(rp) == x1
+    alg = _series_algebra(rp)
+    assert alg.scale({alg.unit: 1}, 3) == {}
+    with pytest.raises(CharacteristicTooSmall):
+        root_circuit(rp)
+
+
 def test_index_set_shape():
     rp = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=2, y0=1)
     alphas = rp.index_set()
