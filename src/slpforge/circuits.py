@@ -8,7 +8,13 @@ Three forms share one polynomial semantics:
   internal layer; a circuit with no internal layer has width 0.  Size
   counts every gate, leaves included.  The gate table is a read-only
   mapping, so validate() computes its report once per circuit object
-  and stores it on the circuit.
+  and stores it on the circuit.  It holds two tables: explicit gates
+  (leaves and BinGates) and implicit copies, copy id -> source id, each
+  standing for BinGate("mul", source, one) with one the circuit's
+  1-leaf.  Only CircuitBuilder.copies creates implicit copies, so a
+  staggered circuit from slp_to_circuit stores no gate object per copy;
+  looking a copy up in the table builds its BinGate on demand.  Parsed
+  circuits and gates built with CircuitBuilder.gate stay explicit.
 
 * StraightLineProgram: a register program over w registers.  Steps are
   load (register := variable or constant) and apply (register :=
@@ -32,16 +38,21 @@ semantics is such an algebra: evaluate() over ring scalars,
 evaluate_mod_p() over int64 columns of residues (one column entry per
 point, for F_p with p < 2^31), expand() over raw sparse terms under hard
 caps (polynomials.term_algebra), and syntactic_degree() and the
-homogeneity check in validate() over integer degrees.
+homogeneity check in validate() over integer degrees.  fold() gives an
+implicit copy its source's value itself, without calling mul; that is
+exact in every one of these algebras, since const(1) is the
+multiplicative identity and none of them mutates an operand.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, TypeVar, Union
+from itertools import repeat
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -94,11 +105,50 @@ class BinGate:
 Gate = Union[VarLeaf, ConstLeaf, BinGate]
 
 
+class _GateTable(Mapping):
+    """Read-only gate table: explicit gates plus implicit copies.
+
+    explicit maps ids to leaves and BinGates, copies maps each implicit
+    copy id to its source, and one is the id of the 1-leaf every copy
+    reads.  Looking up a copy builds BinGate("mul", source, one); ids
+    iterate in id order.  The passes of this package read the two tables
+    directly and never change them.
+    """
+
+    __slots__ = ("explicit", "copies", "one")
+
+    def __init__(self, explicit: dict[int, Gate], copies: dict[int, int], one: int | None):
+        self.explicit = explicit
+        self.copies = copies
+        self.one = one
+
+    def __getitem__(self, gid: int) -> Gate:
+        g = self.explicit.get(gid)
+        if g is None:
+            return BinGate(MUL, self.copies[gid], self.one)
+        return g
+
+    def __contains__(self, gid: object) -> bool:
+        return gid in self.explicit or gid in self.copies
+
+    def __len__(self) -> int:
+        return len(self.explicit) + len(self.copies)
+
+    def __iter__(self) -> Iterator[int]:
+        # Builders hand out ascending ids, so both tables are in id order.
+        if not self.copies:
+            return iter(self.explicit)
+        return heapq.merge(self.explicit, self.copies)
+
+
 class LayeredCircuit:
     """Immutable layered circuit.  Built via CircuitBuilder or the parser.
 
-    gates is a read-only view of a private copy of the gate table, so the
-    report validate() stores on the circuit cannot go stale.
+    gates is a read-only table over a private copy of the given gates, so
+    the report validate() stores on the circuit cannot go stale.  Copy
+    gates u*1 that CircuitBuilder.copies made are held implicitly, as a
+    copy id -> source id table (see the module docstring); every other
+    gate, and every gate of a parsed circuit, is held as given.
     """
 
     __slots__ = (
@@ -116,12 +166,15 @@ class LayeredCircuit:
         output_id: int,
     ):
         _check_mode(mode)
+        # A _GateTable never changes, so it is shared rather than copied.
+        if not isinstance(gates, _GateTable):
+            gates = _GateTable(dict(gates), {}, None)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "num_variables", num_variables)
         object.__setattr__(self, "layers", tuple(tuple(layer) for layer in layers))
-        object.__setattr__(self, "gates", MappingProxyType(dict(gates)))
+        object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "output_id", output_id)
         object.__setattr__(self, "_report", None)
 
@@ -188,28 +241,45 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
 
 
 def _validate(circuit: LayeredCircuit) -> ValidationReport:
-    gates = circuit.gates
+    table = circuit.gates
+    gates, copies = table.explicit, table.copies
     layer_of: dict[int, int] = {}
     for i, layer in enumerate(circuit.layers, start=1):
         for gid in layer:
             if gid in layer_of:
                 raise CircuitSemanticError(f"gate {gid} appears in two layers")
             layer_of[gid] = i
-    if gates.keys() != layer_of.keys():
-        stray = set(gates) ^ set(layer_of)
+    table_ids = gates.keys() | copies.keys() if copies else gates.keys()
+    if table_ids != layer_of.keys():
+        stray = set(table_ids) ^ set(layer_of)
         raise CircuitSemanticError(f"gate table and layers disagree on ids {sorted(stray)}")
 
-    # One pass over the layers checks every gate and counts, per internal
-    # layer, the gates that are not copies u*1 (the 1-leaves are all in
-    # layer 1, so they are known before the first copy is met).
+    # Implicit copies in bulk: each reads its source from layer 1 or the
+    # layer below, through a 1-leaf.  Should one not, the loop below
+    # checks the copies one by one, as explicit gates, and raises what
+    # the explicit circuit would.
     one = circuit.ring.one()
+    check_copies = False
+    if copies:
+        leaf = gates.get(table.one)
+        if layer_of.get(table.one) != 1 or not (isinstance(leaf, ConstLeaf) and leaf.value == one):
+            raise CircuitSemanticError(f"implicit copies read gate {table.one}, not a 1-leaf")
+        count = len(copies)
+        dest = np.fromiter(map(layer_of.__getitem__, copies), np.int64, count)
+        source = np.fromiter(map(layer_of.get, copies.values(), repeat(0)), np.int64, count)
+        check_copies = bool(((dest == 1) | ((source != 1) & (source != dest - 1))).any())
+
+    # One pass over the layers checks every explicit gate and counts, per
+    # internal layer, the gates that are not copies u*1 (the 1-leaves are
+    # all in layer 1, so they are known before the first copy is met).
+    gate_of = table.__getitem__ if check_copies else gates.__getitem__
     ones: set[int] = set()
     monotone = circuit.ring.characteristic == 0
     staggered = True
     for layer, ids in enumerate(circuit.layers, start=1):
         real = 0
-        for gid in ids:
-            g = gates[gid]
+        for gid in ids if check_copies else filter(gates.__contains__, ids):
+            g = gate_of(gid)
             if isinstance(g, VarLeaf):
                 if layer != 1:
                     raise BadOperandLayer(f"variable leaf {gid} in layer {layer}")
@@ -230,9 +300,9 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
                 if g.op not in OPS:
                     raise ParamError(f"gate {gid} has unknown op {g.op!r}")
                 for ref in (g.left, g.right):
-                    if ref not in gates:
+                    ref_layer = layer_of.get(ref)
+                    if ref_layer is None:
                         raise CircuitSemanticError(f"gate {gid} reads undefined gate {ref}")
-                    ref_layer = layer_of[ref]
                     if ref_layer not in (1, layer - 1):
                         raise BadOperandLayer(
                             f"gate {gid} in layer {layer} reads layer {ref_layer}"
@@ -241,7 +311,7 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
                     real += 1
         if real > 1:
             staggered = False
-    if circuit.output_id not in gates:
+    if circuit.output_id not in layer_of:
         raise DanglingOutput(f"output {circuit.output_id} is not a gate")
 
     # Syntactic homogeneity: the integer degree fold of syntactic_degree,
@@ -278,6 +348,7 @@ class CircuitBuilder:
         self.num_variables = num_variables
         self.name = name
         self._gates: dict[int, Gate] = {}
+        self._copies: dict[int, int] = {}
         self._layers: list[list[int]] = []
         self._next_id = 1
         self._output: int | None = None
@@ -318,14 +389,16 @@ class CircuitBuilder:
         return self._fresh(layer, BinGate(op, left, right))
 
     def copies(self, layer: int, sources: Sequence[int]) -> range:
-        """Ferry each gate s*1 into the given layer, in order, with consecutive ids."""
+        """Ferry each gate s*1 into the given layer, in order, with consecutive ids.
+
+        The copies are implicit: the circuit stores their sources only.
+        """
         target = self._layer(layer)
         if sources and self._one is None:
             self._one = self.const_leaf(1)
-        one = self._one
         ids = range(self._next_id, self._next_id + len(sources))
         self._next_id = ids.stop
-        self._gates.update(zip(ids, [BinGate(MUL, s, one) for s in sources]))
+        self._copies.update(zip(ids, sources))
         target.extend(ids)
         return ids
 
@@ -346,7 +419,7 @@ class CircuitBuilder:
             self.mode,
             self.num_variables,
             self._layers,
-            self._gates,
+            _GateTable(dict(self._gates), dict(self._copies), self._one),
             self._output,
         )
         validate(circuit)
@@ -635,17 +708,24 @@ def fold(
     """The output of any IR form interpreted in the algebra (var, const, add, mul).
 
     Every gate of a circuit is computed, including gates the output does
-    not read.  Unwritten SLP registers read as const(0).  An ABP vertex
-    is the sum over its incoming edges of mul(parent, label), in edge
-    order, and the source is const(1); a vertex no path reaches has no
-    value, so an unreachable sink yields const(0).  Each distinct edge
-    label c0 + c1*x_i1 + ... is built once per call, left to right.
+    not read.  An implicit copy takes its source's value itself, with no
+    call to mul: exact in every algebra of this library, whose const(1)
+    is the multiplicative identity and none of which mutates an operand.
+    Unwritten SLP registers read as const(0).  An ABP vertex is the sum
+    over its incoming edges of mul(parent, label), in edge order, and the
+    source is const(1); a vertex no path reaches has no value, so an
+    unreachable sink yields const(0).  Each distinct edge label
+    c0 + c1*x_i1 + ... is built once per call, left to right.
     """
     if isinstance(obj, LayeredCircuit):
-        gates = obj.gates
+        gates, copy_source = obj.gates.explicit, obj.gates.copies.get
         values: dict[int, T] = {}
         for layer in obj.layers:
             for gid in layer:
+                source = copy_source(gid)
+                if source is not None:
+                    values[gid] = values[source]
+                    continue
                 g = gates[gid]
                 if isinstance(g, BinGate):
                     op = add if g.op == ADD else mul
@@ -863,34 +943,44 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
     )
 
-    gates, ones = circuit.gates, _one_leaves(circuit)
+    table, ones = circuit.gates, _one_leaves(circuit)
+    gates, copy_source = table.explicit, table.copies.get
     leaf_ids = set(circuit.layers[0])
     register_of: dict[int, int] = {}
     for layer in circuit.layers[1:]:
-        sources = {gid: _copy_source(gates[gid], ones) for gid in layer}
-        copies = [gid for gid in layer if sources[gid] is not None]
-        real = [gid for gid in layer if sources[gid] is None]
+        # (gid, op, left, right) of the gates that need a register of
+        # their own: the non-copies, then the copies of leaves.
+        real: list[tuple[int, str, int, int]] = []
+        leaf_copies: list[tuple[int, str, int, int]] = []
         taken: set[int] = set()
-        for gid in copies:
-            source = sources[gid]
-            if source in leaf_ids:
-                # A copy of a leaf still needs a register of its own.
-                real.append(gid)
+        for gid in layer:
+            source = copy_source(gid)
+            if source is None:
+                g = gates[gid]
+                source = _copy_source(g, ones)
+                if source is None:
+                    real.append((gid, g.op, g.left, g.right))
+                    continue
+                if source in leaf_ids:
+                    # A copy of a leaf still needs a register of its own.
+                    leaf_copies.append((gid, g.op, g.left, g.right))
+                    continue
+            elif source in leaf_ids:
+                leaf_copies.append((gid, MUL, source, table.one))
                 continue
-            register_of[gid] = register_of[source]
-            taken.add(register_of[gid])
+            register_of[gid] = register = register_of[source]
+            taken.add(register)
         # Registers no copy holds, smallest first, handed out lazily.
         free = (r for r in range(width) if r not in taken)
-        for gid in real:
-            g = gates[gid]
+        for gid, op, *refs in real + leaf_copies:
             dest = next(free)
             operands = []
-            for ref in (g.left, g.right):
+            for ref in refs:
                 if ref in leaf_ids:
                     operands.append(leaf_operand(circuit, ref))
                 else:
                     operands.append(sb.reg(register_of[ref]))
-            sb.apply(dest, g.op, operands[0], operands[1])
+            sb.apply(dest, op, operands[0], operands[1])
             register_of[gid] = dest
 
     if circuit.output_id in leaf_ids:
@@ -908,9 +998,13 @@ def substitute_constants(
     values: Mapping[int, ScalarLike],
     name: str | None = None,
 ) -> LayeredCircuit:
-    """Replace variable leaves by ring constants, keeping the shape."""
+    """Replace variable leaves by ring constants, keeping the shape.
+
+    Implicit copies stay implicit.
+    """
+    table = circuit.gates
     gates: dict[int, Gate] = {}
-    for gid, g in circuit.gates.items():
+    for gid, g in table.explicit.items():
         if isinstance(g, VarLeaf) and g.index in values:
             gates[gid] = ConstLeaf(circuit.ring.scalar(values[g.index]))
         else:
@@ -921,6 +1015,6 @@ def substitute_constants(
         circuit.mode,
         circuit.num_variables,
         circuit.layers,
-        gates,
+        _GateTable(gates, table.copies, table.one),
         circuit.output_id,
     )

@@ -277,10 +277,13 @@ def serialize_circuit(obj: Parsed) -> str:
             f"mode {obj.mode}",
             f"vars {obj.num_variables}",
         ]
+        gates, copies, one = obj.gates.explicit, obj.gates.copies, obj.gates.one
         for layer_index, layer in enumerate(obj.layers, start=1):
             for gid in layer:
-                g = obj.gates[gid]
-                if isinstance(g, VarLeaf):
+                g = gates.get(gid)
+                if g is None:
+                    lines.append(f"gate {gid} {layer_index} mul {copies[gid]} {one}")
+                elif isinstance(g, VarLeaf):
                     lines.append(f"gate {gid} 1 var {g.index}")
                 elif isinstance(g, ConstLeaf):
                     lines.append(f"gate {gid} 1 const {g.value.text()}")

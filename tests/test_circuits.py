@@ -165,6 +165,88 @@ def test_copies_take_consecutive_ids_in_one_layer():
     ]
 
 
+def _circuit_with_copy(layer, source, implicit):
+    """x1*x2, then +x1, then *x2, with one more copy source*1 in the given layer.
+
+    source names a gate of that build: "x1", "g" (layer 2) or an undefined id.
+    The copy is implicit (CircuitBuilder.copy) or explicit (CircuitBuilder.gate).
+    """
+    b = CircuitBuilder(F, COMMUTATIVE, 2)
+    x1, x2, one = b.var_leaf(1), b.var_leaf(2), b.const_leaf(1)
+    g = b.gate(2, "mul", x1, x2)
+    h = b.gate(3, "add", g, x1)
+    source = {"x1": x1, "g": g}.get(source, source)
+    if implicit:
+        b.copy(layer, source)
+    else:
+        b.gate(layer, "mul", source, one)
+    b.set_output(b.gate(4, "mul", h, x2))
+    return b.build()
+
+
+@pytest.mark.parametrize(
+    "layer, source, error",
+    [
+        (4, "g", BadOperandLayer),  # the source is two layers down
+        (1, "x1", BadOperandLayer),  # a copy in the leaf layer
+        (4, 99, CircuitSemanticError),  # an undefined source
+    ],
+)
+def test_ill_formed_implicit_copy_raises_as_its_explicit_twin(layer, source, error):
+    messages = []
+    for implicit in (False, True):
+        with pytest.raises(error) as info:
+            _circuit_with_copy(layer, source, implicit)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_well_formed_implicit_copy_matches_its_explicit_twin():
+    explicit, implicit = (_circuit_with_copy(4, "x1", flag) for flag in (False, True))
+    assert implicit.gates.copies == {6: 1}
+    assert dict(implicit.gates) == dict(explicit.gates)
+    assert validate(implicit) == validate(explicit)
+    assert serialize_circuit(implicit) == serialize_circuit(explicit)
+    assert circuit_to_slp(implicit).steps == circuit_to_slp(explicit).steps
+
+
+def test_implicit_copies_must_read_a_one_leaf():
+    gates = {1: VarLeaf(1), 2: ConstLeaf(F.scalar(2)), 3: BinGate("add", 1, 2)}
+    table = circuits._GateTable(gates, {4: 3}, 2)  # copies through the 2-leaf
+    c = LayeredCircuit("two", F, COMMUTATIVE, 1, [[1, 2], [3], [4]], table, 4)
+    with pytest.raises(CircuitSemanticError):
+        validate(c)
+
+
+def test_passes_read_implicit_copies_without_gate_objects(monkeypatch):
+    rng = random.Random(47)
+    prog = staggerize(random_layered_circuit(rng, F, NONCOMMUTATIVE, 6))
+    table = circuits._GateTable
+    lookup, classify = table.__getitem__, circuits._copy_source
+    classified = []
+
+    def guarded_lookup(self, gid):
+        if gid in self.copies:
+            raise AssertionError(f"copy {gid} built as a gate object")
+        return lookup(self, gid)
+
+    def counting_classify(g, ones):
+        classified.append(g)
+        return classify(g, ones)
+
+    monkeypatch.setattr(table, "__getitem__", guarded_lookup)
+    monkeypatch.setattr(circuits, "_copy_source", counting_classify)
+    c = slp_to_circuit(prog)  # validates
+    circuit_to_slp(c)
+    serialize_circuit(c)
+    expand(c)
+    evaluate(c, [rng.randrange(101) for _ in range(c.num_variables)])
+    assert c.gates.copies
+    internal = [g for g in c.gates.explicit.values() if isinstance(g, BinGate)]
+    assert len(classified) == 2 * len(internal)
+    assert all(any(g is gate for gate in internal) for g in classified)
+
+
 def test_missing_output_rejected():
     b = CircuitBuilder(F, COMMUTATIVE, 1)
     b.var_leaf(1)

@@ -1,7 +1,12 @@
 """The shared fold: every semantics agrees across circuits, SLPs and ABPs."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from slpforge.errors import (
     RingMismatch,
     SlpforgeError,
 )
+import slpforge
 from slpforge.families import build_E_abp
 from slpforge.polynomials import COMMUTATIVE, MODES, ExpansionCaps, SparsePolynomial
 from slpforge.transforms import homogeneous_components
@@ -282,6 +288,39 @@ def squaring_chain(ring, squarings):
     return sb.finish(0)
 
 
+def test_expand_memory_follows_the_term_cap_not_the_copy_count():
+    # The staggered P(3, 3) family circuit holds most of its gates as
+    # copies; each shares its source's terms, so expand reaches the term
+    # cap long before 512 MB of address space (one term dict per copy
+    # would run out of memory first).
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("address-space hard limit below 512 MB")
+    code = textwrap.dedent(
+        f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard}))
+        from slpforge.circuits import expand
+        from slpforge.errors import TermCapExceeded
+        from slpforge.families import FamilyParams, build_P
+        from slpforge.polynomials import ExpansionCaps
+        try:
+            expand(build_P(FamilyParams(3, 3), "circuit"), ExpansionCaps(max_terms=65536))
+        except TermCapExceeded:
+            print("TermCapExceeded")
+        """
+    )
+    src = str(Path(slpforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.stdout.strip() == "TermCapExceeded", run.stderr[-2000:]
+
+
 @pytest.mark.parametrize("ring", EXPAND_RINGS)
 def test_squaring_chain_at_and_past_the_degree_cap(ring):
     caps = ExpansionCaps(max_degree=8, max_terms=1000)
@@ -305,6 +344,21 @@ def test_one_variable_program_under_degree_cap_zero_is_x1(mode):
     cb.set_output(cb.var_leaf(1))
     assert expand(cb.build(), caps) == x1
     assert_expand_matches_reference(sb.finish(0), caps)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_copies_add_no_degree_cap_error_to_their_program(mode):
+    # r0 stays live across the second step, so the staggered circuit copies
+    # x1 + x2 into layer 3.  The copy shares its source's terms instead of
+    # multiplying by 1, so under degree cap 0 the circuit expands exactly
+    # as its program does.
+    sb = SlpBuilder(F, mode, 2, register_count=2)
+    sb.apply(0, "add", sb.var(1), sb.var(2))
+    sb.apply(1, "add", sb.var(1), sb.var(1))
+    sb.apply(0, "add", sb.reg(0), sb.reg(1))
+    slp = sb.finish(0)
+    caps = ExpansionCaps(max_degree=0)
+    assert expand(slp_to_circuit(slp), caps) == expand(slp, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from genutil import (
@@ -13,11 +14,15 @@ from genutil import (
     reference_slp_to_circuit,
 )
 from slpforge.circuits import (
+    BATCH_MODULUS_LIMIT,
+    ApplyStep,
     CircuitBuilder,
     circuit_to_slp,
     evaluate,
+    evaluate_mod_p,
     expand,
     slp_to_circuit,
+    syntactic_degree,
     validate,
 )
 from slpforge.polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE
@@ -215,12 +220,43 @@ def program_parts(slp):
     return (slp.name, slp.register_count, slp.steps, slp.output_register)
 
 
+def assert_implicit_matches_explicit(implicit, explicit, rng):
+    """A circuit with implicit copies behaves as its explicit twin."""
+    assert validate(implicit) == validate(explicit)
+    assert dict(implicit.gates) == dict(explicit.gates)
+    assert list(implicit.gates) == list(explicit.gates)
+    assert program_parts(circuit_to_slp(implicit)) == program_parts(circuit_to_slp(explicit))
+    assert expand(implicit) == expand(explicit)
+    assert syntactic_degree(implicit) == syntactic_degree(explicit)
+    points = [
+        [rng.randrange(-50, 51) for _ in range(implicit.num_variables)] for _ in range(3)
+    ]
+    for point in points:
+        assert evaluate(implicit, point) == evaluate(explicit, point)
+    ring = implicit.ring
+    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
+        columns = np.array(points, dtype=np.int64).reshape(3, -1).T % ring.p
+        assert np.array_equal(
+            evaluate_mod_p(implicit, columns, ring.p), evaluate_mod_p(explicit, columns, ring.p)
+        )
+
+
 def assert_conversions_match_reference(slp):
-    """Both conversions give the output of their first-written versions."""
+    """Both conversions give the output of their first-written versions.
+
+    The first-written slp_to_circuit builds its copies as explicit gates,
+    so it is also the explicit twin of the circuit with implicit copies.
+    """
     staggered = slp_to_circuit(slp)
-    assert serialize_circuit(staggered) == serialize_circuit(reference_slp_to_circuit(slp))
+    explicit = reference_slp_to_circuit(slp)
+    # One explicit gate per apply step; every copy is implicit.
+    applies = sum(isinstance(step, ApplyStep) for step in slp.steps)
+    assert len(staggered.gates.explicit) == len(staggered.layers[0]) + applies
+    assert not explicit.gates.copies
+    assert serialize_circuit(staggered) == serialize_circuit(explicit)
     back = circuit_to_slp(staggered)
     assert program_parts(back) == program_parts(reference_circuit_to_slp(staggered))
+    assert_implicit_matches_explicit(staggered, explicit, random.Random(len(slp.steps)))
     return staggered, back
 
 
