@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import os
 import re
 import sys
@@ -159,8 +160,16 @@ def _write_program(path: str | None, prog: StraightLineProgram) -> dict[str, obj
     return {"registers": prog.register_count, "steps": prog.step_count}
 
 
-def _load_circuit(path: str) -> LayeredCircuit:
+def _load(path: str) -> LayeredCircuit | AlgebraicBranchingProgram:
+    """Parse a circuit or branching-program file; a layered circuit is validated."""
     obj = parse_circuit(_read(path))
+    if isinstance(obj, LayeredCircuit):
+        validate(obj)
+    return obj
+
+
+def _load_circuit(path: str) -> LayeredCircuit:
+    obj = _load(path)
     if not isinstance(obj, LayeredCircuit):
         raise ParamError(f"{path} holds a branching program, expected a circuit")
     return obj
@@ -373,7 +382,7 @@ def _cmd_root(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 
 
 def _cmd_expand(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
-    obj = parse_circuit(_read(args.input))
+    obj = _load(args.input)
     poly = expand(obj, caps.expansion)
     _write(args.output, serialize_polynomial(poly, name=obj.name))
     degree = max((m.degree for m in poly.terms), default=0)
@@ -381,7 +390,7 @@ def _cmd_expand(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 
 
 def _cmd_eval(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
-    obj = parse_circuit(_read(args.input))
+    obj = _load(args.input)
     tokens = [t for t in args.point.split(",") if t.strip()]
     point = [obj.ring.parse(t.strip()) for t in tokens]
     value = evaluate(obj, point)
@@ -476,7 +485,9 @@ def _cmd_verify_perm(args: argparse.Namespace, caps: _Caps) -> dict[str, object]
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="slpforge",
         description="Bounded-width arithmetic circuits: build, transform, analyze, test.",

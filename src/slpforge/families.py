@@ -48,7 +48,7 @@ from .polynomials import (
     NONCOMMUTATIVE,
     SparsePolynomial,
 )
-from .rings import RATIONALS, Ring, lagrange_matrix
+from .rings import RATIONALS, Ring, lagrange_grid
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +383,7 @@ def build_E_width2(params: BenOrParams, ring: Ring) -> StraightLineProgram:
             f"characteristic divides the word multiplicity {params.multiplicity}"
         )
     aux_degree = N * params.heavy_exponent  # largest power of z in the seed^N
-    points = ring.sample_points(aux_degree + 1)
-    matrix = lagrange_matrix(ring, points)
+    points, matrix = lagrange_grid(ring, aux_degree + 1)
     weights = [w / mult for w in matrix[params.target_exponent]]
 
     sb = SlpBuilder(

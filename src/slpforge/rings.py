@@ -5,18 +5,19 @@ values are canonical integers in [0, p); rational values are
 fractions.Fraction.  Every operation is exact and nothing in this module
 (or anywhere downstream of it) touches floating point.
 
-The module also provides exact univariate interpolation.  Solving the
-Vandermonde system is done through Lagrange basis polynomials built from
-a master polynomial and synthetic division, which costs O(n^2) ring
-operations and avoids Gaussian elimination entirely.
+The module also provides exact univariate interpolation on the canonical
+grid 0..k-1: the Lagrange basis polynomials come from a master polynomial
+and synthetic division in integers, O(k^2) operations and no Gaussian
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence, Union
 
-from .errors import DuplicatePoint, FieldTooSmall, ParamError, RingMismatch
+from .errors import FieldTooSmall, ParamError, RingMismatch
 
 ScalarLike = Union["Scalar", int, Fraction]
 
@@ -296,36 +297,30 @@ def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     return acc
 
 
-def lagrange_matrix(ring: Ring, points: Sequence[ScalarLike]) -> list[list[Scalar]]:
-    """Matrix A with A[i][j] = coefficient of z**i in the j-th Lagrange basis
-    polynomial over the given sample points."""
-    pts = [ring.scalar(x) for x in points]
-    if not pts:
-        raise ParamError("need at least one interpolation point")
-    seen = set()
-    for x in pts:
-        if x in seen:
-            raise DuplicatePoint(f"repeated interpolation point {x.text()}")
-        seen.add(x)
-    n = len(pts)
-    # Master polynomial prod_k (z - x_k), low-order-first, monic of degree n.
-    master = [ring.one()]
-    for x in pts:
-        nxt = [ring.zero()] * (len(master) + 1)
-        for i, c in enumerate(master):
-            nxt[i] = nxt[i] - c * x
-            nxt[i + 1] = nxt[i + 1] + c
-        master = nxt
-    columns = []
-    for xj in pts:
-        # Synthetic division by (z - xj); the quotient is the unnormalized basis.
-        quotient = [ring.zero()] * n
-        carry = master[n]
-        for i in range(n - 1, -1, -1):
-            quotient[i] = carry
-            carry = master[i] + carry * xj
-        denom = poly_eval(quotient, xj)
-        inv = denom.inverse()
-        columns.append([c * inv for c in quotient])
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
+def lagrange_grid(ring: Ring, count: int) -> tuple[list[Scalar], list[list[Scalar]]]:
+    """The grid ring.sample_points(count) and its Lagrange matrix A, with
+    A[i][j] the coefficient of z**i in the j-th Lagrange basis polynomial.
 
+    The master polynomial z(z-1)...(z-count+1) and its synthetic division
+    by each z - j run on exact ints; column j is the quotient times one
+    inverse of D_j = prod_{i != j} (j - i) = (-1)^(count-1-j) j! (count-1-j)!.
+    Every factor of D_j is below count in absolute value, so it is a unit
+    whenever the grid fits in the ring (FieldTooSmall otherwise).
+    """
+    if count < 1:
+        raise ParamError("need at least one interpolation point")
+    points = ring.sample_points(count)
+    master = [1]  # low-order first; times (z - x) per grid point x
+    for x in range(count):
+        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    columns = []
+    for j in range(count):
+        quotient = [0] * count
+        carry = master[count]
+        for i in range(count - 1, -1, -1):
+            quotient[i] = carry
+            carry = master[i] + carry * j
+        sign = -1 if (count - 1 - j) % 2 else 1
+        inv = ring.scalar(Fraction(sign, factorial(j) * factorial(count - 1 - j)))
+        columns.append([ring.scalar(q) * inv for q in quotient])
+    return points, [list(row) for row in zip(*columns)]

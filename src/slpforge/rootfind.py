@@ -42,12 +42,13 @@ from .polynomials import (
     COMMUTATIVE,
     DEFAULT_CAPS,
     ExpansionCaps,
+    Monomial,
     SparsePolynomial,
     TermAlgebra,
     term_algebra,
 )
-from .rings import ScalarLike, lagrange_matrix
-from .transforms import _BodyEmitter
+from .rings import ScalarLike, lagrange_grid, poly_eval
+from .transforms import _BodyEmitter, _prefix_weights
 
 
 class RootProblem:
@@ -90,13 +91,6 @@ class RootProblem:
         if actual_r > r:
             raise DegreeBoundViolated(f"y-degree {actual_r} exceeds the stated bound {r}")
 
-        origin = [ring.zero()] * n + [y0]
-        if not full.evaluate(origin).is_zero:
-            raise ParamError("y0 is not a root of P at x_bar = 0")
-        xi = full.formal_derivative(y).evaluate(origin)
-        if xi.is_zero:
-            raise DegenerateRoot("derivative in y vanishes at the chosen root")
-
         # Coefficients are rebuilt over the x variables alone; their
         # monomials never mention y, so shrinking the arity is sound.
         coefficients = []
@@ -105,7 +99,15 @@ class RootProblem:
             terms = c_i.terms if c_i is not None else {}
             coefficients.append(SparsePolynomial(ring, COMMUTATIVE, n, terms))
 
-        zeros = [ring.zero()] * n
+        # C_i(0) is the unit coefficient of C_i, so P(0, y) = sum_i C_i(0) y^i.
+        unit, zero = Monomial.unit(COMMUTATIVE), ring.zero()
+        base_point = tuple(c.terms.get(unit, zero) for c in coefficients)
+        if not poly_eval(base_point, y0).is_zero:
+            raise ParamError("y0 is not a root of P at x_bar = 0")
+        xi = poly_eval([i * b for i, b in enumerate(base_point)][1:], y0)
+        if xi.is_zero:
+            raise DegenerateRoot("derivative in y vanishes at the chosen root")
+
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "m", m)
@@ -113,9 +115,7 @@ class RootProblem:
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "coefficients", tuple(coefficients))
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(
-            self, "base_point", tuple(c.evaluate(zeros) for c in coefficients)
-        )
+        object.__setattr__(self, "base_point", base_point)
 
     def __setattr__(self, key, value):
         raise AttributeError("RootProblem is immutable")
@@ -376,19 +376,11 @@ def root_circuit(
 
     # Interpolation data: y-points recover the C_i from runs of P, and
     # z-points extract the degree <= m slice of the assembled product.
-    y_points = ring.sample_points(r + 1)
-    y_matrix = lagrange_matrix(ring, y_points)
-    d_body = syntactic_degree(rp.program)
-    z_count = m * d_body + 1
-    z_points = ring.sample_points(z_count)
-    z_matrix = lagrange_matrix(ring, z_points)
+    y_points, y_matrix = lagrange_grid(ring, r + 1)
+    z_count = m * syntactic_degree(rp.program) + 1
+    z_points, z_matrix = lagrange_grid(ring, z_count)
+    slice_weights = _prefix_weights(ring, z_matrix, m)
     zero = ring.zero()
-    slice_weights = []
-    for j in range(z_count):
-        total = zero
-        for i in range(min(m, z_count - 1) + 1):
-            total = total + z_matrix[i][j]
-        slice_weights.append(total)
 
     w0 = rp.program.register_count
     stage = w0

@@ -49,7 +49,7 @@ from .polynomials import (
     Monomial,
     SparsePolynomial,
 )
-from .rings import Scalar, lagrange_matrix
+from .rings import Ring, Scalar, lagrange_grid
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,12 @@ def _homogeneity_weights(c: StraightLineProgram, m: int):
         raise ParamError(f"degree bound must be nonnegative, got {m}")
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("homogeneous components need a commutative program")
-    points = c.ring.sample_points(m + 1)  # FieldTooSmall when the ring is short
-    return points, lagrange_matrix(c.ring, points)
+    return lagrange_grid(c.ring, m + 1)
+
+
+def _prefix_weights(ring: Ring, matrix: list[list[Scalar]], k: int) -> list[Scalar]:
+    """Per grid point, the weight of H_0 + ... + H_k: column sums of rows 0..k."""
+    return [sum(column[: k + 1], ring.zero()) for column in zip(*matrix)]
 
 
 def homogeneous_components(c: StraightLineProgram, m: int) -> list[StraightLineProgram]:
@@ -252,12 +256,7 @@ def homogeneous_prefix(
     if not 0 <= k <= m:
         raise ParamError(f"prefix degree {k} outside 0..{m}")
     points, matrix = _homogeneity_weights(c, m)
-    weights = []
-    for j in range(m + 1):
-        total = c.ring.zero()
-        for i in range(k + 1):
-            total = total + matrix[i][j]
-        weights.append(total)
+    weights = _prefix_weights(c.ring, matrix, k)
     return _scaled_combination(c, points, weights, f"{c.name}_Hle{k}")
 
 
@@ -313,8 +312,7 @@ def partial_derivative_y(
     if revealed is not None and revealed > r:
         raise DegreeBoundViolated(f"y-degree {revealed} exceeds the stated bound {r}")
 
-    points = c.ring.sample_points(r + 1)
-    matrix = lagrange_matrix(c.ring, points)
+    points, matrix = lagrange_grid(c.ring, r + 1)
     zero = c.ring.zero()
 
     w = c.register_count

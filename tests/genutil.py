@@ -38,6 +38,7 @@ from slpforge.errors import (
     CapExceeded,
     CharacteristicTooSmall,
     DegreeCapExceeded,
+    DuplicatePoint,
     GridTooLarge,
     InvariantViolation,
     ModeMismatch,
@@ -57,7 +58,7 @@ from slpforge.polynomials import (
     Monomial,
     SparsePolynomial,
 )
-from slpforge.rings import Ring, Scalar, ScalarLike, lagrange_matrix
+from slpforge.rings import Ring, Scalar, ScalarLike, poly_eval
 from slpforge.rootfind import RootProblem
 from slpforge.stagger import (
     EdgeStep,
@@ -723,6 +724,43 @@ def index_bound(problem: RootProblem) -> int:
     return (problem.m + problem.r) ** problem.r
 
 
+def reference_lagrange_matrix(
+    ring: Ring, points: Sequence[ScalarLike]
+) -> list[list[Scalar]]:
+    """Matrix A with A[i][j] = coefficient of z**i in the j-th Lagrange basis
+    polynomial over arbitrary distinct sample points, in Scalar arithmetic:
+    the oracle for rings.lagrange_grid."""
+    pts = [ring.scalar(x) for x in points]
+    if not pts:
+        raise ParamError("need at least one interpolation point")
+    seen = set()
+    for x in pts:
+        if x in seen:
+            raise DuplicatePoint(f"repeated interpolation point {x.text()}")
+        seen.add(x)
+    n = len(pts)
+    # Master polynomial prod_k (z - x_k), low-order-first, monic of degree n.
+    master = [ring.one()]
+    for x in pts:
+        nxt = [ring.zero()] * (len(master) + 1)
+        for i, c in enumerate(master):
+            nxt[i] = nxt[i] - c * x
+            nxt[i + 1] = nxt[i + 1] + c
+        master = nxt
+    columns = []
+    for xj in pts:
+        # Synthetic division by (z - xj); the quotient is the unnormalized basis.
+        quotient = [ring.zero()] * n
+        carry = master[n]
+        for i in range(n - 1, -1, -1):
+            quotient[i] = carry
+            carry = master[i] + carry * xj
+        denom = poly_eval(quotient, xj)
+        inv = denom.inverse()
+        columns.append([c * inv for c in quotient])
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
+
+
 def vandermonde_solve(
     ring: Ring, points: Sequence[ScalarLike], values: Sequence[ScalarLike]
 ) -> list[Scalar]:
@@ -733,7 +771,7 @@ def vandermonde_solve(
             f"{len(points)} points but {len(values)} values"
         )
     vals = [ring.scalar(v) for v in values]
-    matrix = lagrange_matrix(ring, points)
+    matrix = reference_lagrange_matrix(ring, points)
     out = []
     for row in matrix:
         acc = ring.zero()

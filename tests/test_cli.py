@@ -4,7 +4,7 @@ import pytest
 
 from genutil import reference_nw_pit, reference_schwartz_zippel
 from slpforge.circuits import evaluate, expand
-from slpforge.cli import _formula_from_expression, main
+from slpforge.cli import _build_parser, _formula_from_expression, main
 from slpforge.pit import HARD_FAMILIES
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField
@@ -311,6 +311,63 @@ def test_bare_source_line_is_operation_error(tmp_path, capsys):
     assert "source <id>" in err
     assert "Traceback" not in err
     assert "RESULT" not in out
+
+
+# A leaf reading x2 in a 1-variable circuit, and a layer-4 gate reading
+# layer 2: both parse, and neither is a valid layered circuit.
+_INVALID_CIRCUITS = {
+    "var_beyond_vars": (
+        "circuit badvar\nring rational\nmode commutative\nvars 1\n"
+        "gate 1 1 var 2\ngate 2 2 add 1 1\noutput 2\n",
+        "gate 1 reads x2 beyond vars 1",
+    ),
+    "skipped_layer": (
+        "circuit skip\nring rational\nmode commutative\nvars 2\n"
+        "gate 1 1 var 1\ngate 2 1 var 2\ngate 3 2 add 1 2\n"
+        "gate 4 3 mul 3 3\ngate 5 4 mul 3 4\noutput 5\n",
+        "gate 5 in layer 4 reads layer 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INVALID_CIRCUITS))
+@pytest.mark.parametrize("command", ["eval", "expand", "pit", "stagger", "mon"])
+def test_every_command_rejects_an_invalid_circuit(tmp_path, capsys, kind, command):
+    text, message = _INVALID_CIRCUITS[kind]
+    src = tmp_path / "bad.ckt"
+    src.write_text(text)
+    argv = {
+        "eval": ["eval", "-i", str(src), "--point", "1,3"],
+        "expand": ["expand", "-i", str(src)],
+        "pit": ["pit", "--circuit", str(src), "--mode", "sz"],
+        "stagger": ["stagger", "-i", str(src)],
+        "mon": ["mon", "--circuit", str(src)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert "RESULT" not in out
+
+
+def test_repeated_main_calls_equal_fresh_ones(tmp_path, capsys):
+    sequence = [
+        ["--help"],
+        ["homog", "--degree", "2"],
+        ["depth2width", "--expr", "(x1+x2)*x3", "--vars", "3", "-o", str(tmp_path / "c.ckt")],
+    ]
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert fresh[0][1].startswith("usage: slpforge")
+    assert "required: -i/--input" in fresh[1][2]
+    assert fresh[2][1] == "RESULT width=1 size=5 depth=2\n"
+
+    parser = _build_parser()
+    reused = [run(capsys, *argv) for argv in sequence + sequence]
+    assert reused == fresh + fresh
+    assert _build_parser() is parser
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

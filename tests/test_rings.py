@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import vandermonde_solve
+from genutil import reference_lagrange_matrix, vandermonde_solve
 from slpforge.errors import DuplicatePoint, FieldTooSmall, ParamError, RingMismatch
 from slpforge.rings import (
     DEFAULT_PRIME,
@@ -13,7 +13,7 @@ from slpforge.rings import (
     RATIONALS,
     Scalar,
     is_probable_prime,
-    lagrange_matrix,
+    lagrange_grid,
     poly_eval,
     ring_from_descriptor,
 )
@@ -135,8 +135,7 @@ def test_interpolation_reconstructs_random_polynomials():
 
 def test_lagrange_matrix_columns_are_basis_polynomials():
     f = PrimeField(13)
-    points = f.sample_points(4)
-    matrix = lagrange_matrix(f, points)
+    points, matrix = lagrange_grid(f, 4)
     for j, xj in enumerate(points):
         column = [matrix[i][j] for i in range(4)]
         for k, xk in enumerate(points):
@@ -147,3 +146,41 @@ def test_lagrange_matrix_columns_are_basis_polynomials():
 def test_vandermonde_length_mismatch():
     with pytest.raises(ParamError):
         vandermonde_solve(RATIONALS, [0, 1], [1])
+
+
+def _exact(entries):
+    return [(s.ring, type(s.value), s.value) for s in entries]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RATIONALS, PrimeField(101), PrimeField(2**31 - 1), PrimeField(DEFAULT_PRIME)],
+    ids=["Q", "F101", "F2^31-1", "F2^61-1"],
+)
+def test_lagrange_grid_equals_the_general_oracle(ring):
+    for k in range(1, 41):
+        points, matrix = lagrange_grid(ring, k)
+        assert _exact(points) == _exact(ring.sample_points(k))
+        want = reference_lagrange_matrix(ring, points)
+        assert [_exact(row) for row in matrix] == [_exact(row) for row in want]
+
+
+def test_lagrange_grid_over_a_field_just_large_enough():
+    # k = p is the largest grid: every D_j = prod (j - i) still has
+    # factors below p only, so it is a unit.
+    f = PrimeField(7)
+    for k in range(1, 8):
+        points, matrix = lagrange_grid(f, k)
+        assert [_exact(row) for row in matrix] == [
+            _exact(row) for row in reference_lagrange_matrix(f, points)
+        ]
+
+
+def test_lagrange_grid_rejects_bad_counts():
+    with pytest.raises(FieldTooSmall):
+        lagrange_grid(PrimeField(7), 8)
+    with pytest.raises(FieldTooSmall):
+        lagrange_grid(PrimeField(101), 102)
+    for k in (0, -1):
+        with pytest.raises(ParamError):
+            lagrange_grid(RATIONALS, k)

@@ -13,7 +13,14 @@ from genutil import (
     reference_solve_exact,
     reference_truncated_power_product,
 )
-from slpforge.circuits import SlpBuilder, expand
+from slpforge.circuits import (
+    ConstOperand,
+    LoadStep,
+    RegOperand,
+    SlpBuilder,
+    VarOperand,
+    expand,
+)
 from slpforge.errors import (
     CapExceeded,
     CharacteristicTooSmall,
@@ -110,6 +117,26 @@ def test_newton_over_rationals():
     rp = RootProblem(_program_y2_minus_1_plus_x1(RATIONALS), r=2, m=3, y0=1)
     f = newton_series_root(rp)
     assert f.coefficient(mono(x1=3)) == RATIONALS.scalar(Fraction(1, 16))
+
+
+@pytest.mark.parametrize(
+    "ring", [RATIONALS, PrimeField(101), BIG], ids=["Q", "F101", "F2^61-1"]
+)
+def test_root_constants_are_the_values_of_the_expansion(ring):
+    # base_point and xi are read off the unit coefficients; the oracle
+    # evaluates the expansion and its y-derivative at (0, y0).
+    rng = random.Random(97)
+    for t in range(40):
+        n, r = 1 + t % 3, 1 + t % 4
+        program, _, y0 = planted_root_program(rng, ring, n, r)
+        rp = RootProblem(program, r=r, m=2, y0=y0)
+        full = expand(program)
+        origin = [ring.zero()] * n + [rp.y0]
+        assert rp.xi == full.formal_derivative(n + 1).evaluate(origin)
+        assert rp.base_point == tuple(
+            c.evaluate([ring.zero()] * n) for c in rp.coefficients
+        )
+        assert full.evaluate(origin).is_zero
 
 
 def test_degenerate_root_rejected():
@@ -473,3 +500,91 @@ def test_mixing_system_past_the_term_cap_raises():
         root_circuit(rp)
     roomy = RootProblem(program, r=3, m=2, y0=y0, caps=ExpansionCaps(max_terms=45))
     assert expand(root_circuit(roomy)) == planted[0].truncate(2)
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle
+
+
+def _rational(sympy, value):
+    value = Fraction(value)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def _sympy_program(sympy, program, gens):
+    """The polynomial a program computes, by running its steps on sympy Polys."""
+
+    def poly(expr):
+        return sympy.Poly(expr, *gens, domain="QQ")
+
+    regs = [poly(0)] * program.register_count
+
+    def read(op):
+        if isinstance(op, RegOperand):
+            return regs[op.register]
+        if isinstance(op, VarOperand):
+            return poly(gens[op.index - 1])
+        assert isinstance(op, ConstOperand)
+        return poly(_rational(sympy, op.value.value))
+
+    for step in program.steps:
+        if isinstance(step, LoadStep):
+            regs[step.dest] = read(step.source)
+        elif step.op == "add":
+            regs[step.dest] = read(step.left) + read(step.right)
+        else:
+            regs[step.dest] = read(step.left) * read(step.right)
+    return regs[program.output_register]
+
+
+def _sympy_series_root(sympy, p, xs, y, y0, m):
+    """The root f of p(x, f) = 0 with f(0) = y0, to total degree m.
+
+    Degree d of p(x, f) is linear in the degree-d coefficients of f once
+    the lower ones are fixed, so each degree is one linear solve.
+    """
+    f = _rational(sympy, y0)
+    for d in range(1, m + 1):
+        exps = [e for e in itertools.product(range(d + 1), repeat=len(xs)) if sum(e) == d]
+        unknowns = sympy.symbols(f"c0:{len(exps)}")
+        trial = f + sum(c * sympy.Mul(*(x**e for x, e in zip(xs, exp))) for c, exp in zip(unknowns, exps))
+        residue = sympy.Poly(sympy.expand(p.as_expr().subs(y, trial)), *xs)
+        equations = [residue.coeff_monomial(exp) for exp in exps]
+        (solution,) = sympy.solve(equations, unknowns, dict=True)
+        f = sympy.expand(trial.subs(solution))
+    return f
+
+
+def _sympy_of(sympy, poly, gens):
+    expr = sympy.Integer(0)
+    for mono, coeff in poly.terms.items():
+        term = _rational(sympy, coeff.value)
+        for var, exp in mono.key:
+            term *= gens[var - 1] ** exp
+        expr += term
+    return expr
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sqrt(1+x1)", "planted n=2 r=2", "planted n=1 r=3"],
+)
+def test_root_path_equals_a_sympy_series_root(case):
+    sympy = pytest.importorskip("sympy")
+    if case == "sqrt(1+x1)":
+        program, r, m, y0 = _program_y2_minus_1_plus_x1(RATIONALS), 2, 4, 1
+    else:
+        n, r = (2, 2) if case == "planted n=2 r=2" else (1, 3)
+        program, _, y0 = planted_root_program(random.Random(61 + n), RATIONALS, n, r)
+        y0, m = y0.value, 2
+    gens = sympy.symbols(f"x1:{program.num_variables + 1}")
+    xs, y = gens[:-1], gens[-1]
+    p = _sympy_program(sympy, program, gens)
+    want = _sympy_series_root(sympy, p, xs, y, y0, m)
+    if case == "sqrt(1+x1)":
+        assert want == sympy.series(sympy.sqrt(1 + xs[0]), xs[0], 0, m + 1).removeO()
+
+    rp = RootProblem(program, r=r, m=m, y0=y0)
+    assert sympy.expand(_sympy_of(sympy, newton_series_root(rp), xs) - want) == 0
+    emitted = _sympy_program(sympy, root_circuit(rp), gens)
+    assert sympy.expand(emitted.as_expr() - want) == 0
