@@ -38,7 +38,10 @@ semantics is such an algebra: evaluate() over ring scalars,
 evaluate_mod_p() over int64 columns of residues (one column entry per
 point, for F_p with p < 2^31), expand() over raw sparse terms under hard
 caps (polynomials.term_algebra), and syntactic_degree() and the
-homogeneity check in validate() over integer degrees.  fold() gives an
+homogeneity check in validate() over integer degrees.  The four public
+semantics validate a circuit before folding it, so a parsed circuit
+that breaks an invariant raises validate's typed error; fold() itself
+does not, since validate() runs it.  fold() gives an
 implicit copy its source's value itself, without calling mul; that is
 exact in every one of these algebras, since const(1) is the
 multiplicative identity and none of them mutates an operand.
@@ -781,8 +784,16 @@ def fold(
     raise ParamError(f"cannot interpret {type(obj).__name__}")
 
 
+def _checked(obj: IRForm) -> IRForm:
+    """obj, validated first if it is a circuit (a built one carries its report)."""
+    if isinstance(obj, LayeredCircuit):
+        validate(obj)
+    return obj
+
+
 def evaluate(obj: IRForm, assignment: Sequence[ScalarLike]) -> Scalar:
     """Evaluate any IR form at a point, exactly."""
+    _checked(obj)
     if len(assignment) != obj.num_variables:
         raise ArityMismatch(
             f"expected {obj.num_variables} scalars, got {len(assignment)}"
@@ -804,6 +815,7 @@ def evaluate_mod_p(obj: IRForm, columns: np.ndarray, p: int) -> np.ndarray:
     when the output is constant.  Raises ParamError unless p < 2^31 and
     RingMismatch unless the object is over F_p.
     """
+    _checked(obj)
     if not p < BATCH_MODULUS_LIMIT:
         raise ParamError(f"batched evaluation needs p < 2^31, got {p}")
     if not (isinstance(obj.ring, PrimeField) and obj.ring.p == p):
@@ -831,12 +843,12 @@ def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
     Raises TermCapExceeded or DegreeCapExceeded rather than truncating.
     """
     alg = term_algebra(obj.ring, obj.mode, obj.num_variables, caps)
-    return alg.wrap(fold(obj, alg.var, alg.const, alg.add, alg.mul))
+    return alg.wrap(fold(_checked(obj), alg.var, alg.const, alg.add, alg.mul))
 
 
 def syntactic_degree(obj: IRForm) -> int:
     """Upper bound on the output degree: leaves 1/0, add max, mul sum."""
-    return fold(obj, lambda i: 1, lambda c: 0, max, operator.add)
+    return fold(_checked(obj), lambda i: 1, lambda c: 0, max, operator.add)
 
 
 # ---------------------------------------------------------------------------

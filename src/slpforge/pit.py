@@ -349,16 +349,22 @@ class PermVerdict:
 
 @dataclass(frozen=True)
 class PermCheckInstance:
-    """The candidate and the identities B_k.
+    """The candidate and the identity programs B_k.
 
     B_k subtracts the first-row Laplace expansion from C_k, the
     candidate restricted to its k x k corner, so the candidate computes
-    the permanent exactly when every B_k is zero.
+    the permanent exactly when every B_k is zero.  The testers evaluate
+    the programs as they are; identities converts them to staggered
+    circuits with slp_to_circuit on every read.
     """
 
     candidate: LayeredCircuit
     n: int
-    identities: tuple[LayeredCircuit, ...]
+    programs: tuple[StraightLineProgram, ...]
+
+    @property
+    def identities(self) -> tuple[LayeredCircuit, ...]:
+        return tuple(slp_to_circuit(program) for program in self.programs)
 
 
 def _restriction_leaves(ring: Ring, n: int, k: int) -> dict[int, Operand]:
@@ -383,16 +389,17 @@ def _minor_leaves(ring: Ring, n: int, k: int, i: int) -> dict[int, Operand]:
 
 
 def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
-    """Build every identity circuit for a candidate.
+    """Build every identity program for a candidate.
 
     The candidate is staggered once.  Each restriction C_k, and each
     minor of C_{k-1}, is that one program re-emitted with its variable
     reads rewritten: a fixed entry reads its constant, a minor entry
     reads the variable it is renamed to.  Staggering keys on gate ids
-    and never on leaves, so each re-emission equals the staggering of
-    the rewritten circuit.  Each B_k runs these in one register pool
-    plus a single accumulator, so its width exceeds the candidate's by
-    at most 2.
+    and the copy table, never on leaves, so each re-emission equals the
+    staggering of the rewritten circuit.  Each B_k runs these in one
+    register pool plus a single accumulator, so its width exceeds the
+    candidate's by at most 2.  The B_k stay programs: the testers
+    evaluate them as they are.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("the permanent is a commutative polynomial")
@@ -406,7 +413,7 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     # checks, and the caller's candidate should not change.
     program = staggerize(substitute_constants(c, {}, name=f"C_{n}"))
     acc = program.register_count
-    identities = []
+    programs = []
     for k in range(1, n + 1):
         sb = SlpBuilder(ring, c.mode, c.num_variables, register_count=acc + 1, name=f"B_{k}")
         # Later runs clear the registers the program reads before writing.
@@ -422,8 +429,8 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
             sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
             sb.apply(out, "mul", sb.const(-1), sb.reg(out))
             sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
-        identities.append(slp_to_circuit(sb.finish(acc)))
-    return PermCheckInstance(candidate=c, n=n, identities=tuple(identities))
+        programs.append(sb.finish(acc))
+    return PermCheckInstance(candidate=c, n=n, programs=tuple(programs))
 
 
 def verify_permanent_circuit(
@@ -442,12 +449,12 @@ def verify_permanent_circuit(
     if backend not in ("schwartz_zippel", "nw_pit"):
         raise ParamError(f"unknown backend {backend!r}")
     instance = perm_check_instance(c)
-    for k, identity in enumerate(instance.identities, start=1):
+    for k, program in enumerate(instance.programs, start=1):
         if backend == "schwartz_zippel":
-            verdict = schwartz_zippel(identity, trials=trials, seed=seed + k)
+            verdict = schwartz_zippel(program, trials=trials, seed=seed + k)
         else:
             verdict = nw_pit(
-                identity, HARD_FAMILIES["desk-rule"], m, sample_size=sample_size
+                program, HARD_FAMILIES["desk-rule"], m, sample_size=sample_size
             )
         if not verdict.is_zero:
             return PermVerdict("reject", failing_index=k, witness=verdict.witness)

@@ -8,11 +8,27 @@ registers until it is emitted and goes to the constant list.  Because
 each layer-(i+1) gate contributes one edge or one constant entry,
 |V(G)| <= w and |E(G)| + |V'| <= w.
 
+Implicit copies are aliases.  The first implicit copy of a layer-i gate
+u (one from the circuit's copy table, not a parsed or built gate u*1)
+takes over u's register and emits no step.  From then on u is read like
+a leaf: it is no vertex of the multigraph, so the schedule never frees
+its register, and a gate reading u counts only its other operand.  A
+second copy of u, a copy of a leaf, and every explicit gate u*1 are
+ordinary gates, so two live gates never share a register.  With A
+aliases, the A registers they hold and the graph of the remaining gates
+together respect the bound: A + |V(G)| <= w, since the aliased sources
+are layer-i gates that are not vertices, and A + |E(G)| + |V'| <= w,
+since every layer-(i+1) gate is an alias, an edge or a constant entry.
+Staggering keys on gate ids and the copy table and never on leaf
+values, so mapping a variable leaf to 1 changes no alias.
+
 order_edges schedules the edges so that the running register demand --
 results already computed plus layer-i values still needed -- never
-exceeds max{|V(G)|, |E(G)|+1, |E(G)|+|V'|}.  The result register can
-reuse the register of an operand that dies with the edge; a self-loop
-reads its register twice and therefore always takes a fresh one.
+exceeds max{|V(G)|, |E(G)|+1, |E(G)|+|V'|}, so with the aliases a
+transition needs at most A + that <= w+1 registers (census_bound).  The
+result register can reuse the register of an operand that dies with the
+edge; a self-loop reads its register twice and therefore always takes a
+fresh one.
 
 The order is fixed, because slp_to_circuit derives copy gates from it
 and so emitted sizes depend on it.  Components go acyclic first, then
@@ -24,8 +40,10 @@ one.  Cost: one bridge DFS per step while the component has a cycle,
 then one scan for leaf edges per step, so O(E^2) per layer.
 
 staggerize replays the schedule as straight-line code, giving at most
-w+1 registers and one apply step per internal gate: leaf operands are
-embedded as immediates, so no loads are spent on them.
+w+1 registers and one apply step per internal gate that is not an
+alias: leaf operands are embedded as immediates, so no loads are spent
+on them.  A staggered circuit from slp_to_circuit, whose copies are all
+aliases, costs one step per layer, as in circuit_to_slp.
 """
 
 from __future__ import annotations
@@ -64,27 +82,49 @@ class LayerMultigraph:
     vertices: frozenset[int]
     edges: tuple[MultiEdge, ...]
     constant_gates: tuple[int, ...]
+    # (copy id, source id) for each implicit copy that takes over its
+    # source's register; the source is not a vertex.
+    aliases: tuple[tuple[int, int], ...] = ()
 
 
 def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMultigraph:
     """Multigraph for the transition V_layer_index -> V_{layer_index+1}.
 
     For layer_index 1 the register-resident set is empty (leaves are
-    immediates), so every layer-2 gate lands in constant_gates.
+    immediates), so every layer-2 gate lands in constant_gates.  The
+    first implicit copy of each resident gate is an alias, not an edge,
+    and its source is read like a leaf by every other gate of the layer.
     """
     if not 1 <= layer_index < circuit.layer_count:
         raise ParamError(
             f"no transition starting at layer {layer_index} in a "
             f"{circuit.layer_count}-layer circuit"
         )
+    table = circuit.gates
+    gates, copies = table.explicit, table.copies
+    layer = circuit.layers[layer_index]
     resident = set(circuit.layers[layer_index - 1]) if layer_index >= 2 else set()
+    aliases: dict[int, int] = {}
+    if copies and resident:
+        for gid in layer:
+            source = copies.get(gid)
+            if source in resident:
+                resident.remove(source)
+                aliases[gid] = source
     edges = []
     constants = []
-    for gid in circuit.layers[layer_index]:
-        g = circuit.gates[gid]
-        if not isinstance(g, BinGate):
-            raise ParamError(f"gate {gid} in layer {layer_index + 1} is not internal")
-        ends = [ref for ref in (g.left, g.right) if ref in resident]
+    for gid in layer:
+        source = copies.get(gid)
+        if source is not None:
+            if gid in aliases:
+                continue
+            operands = (source, table.one)
+        else:
+            g = gates[gid]
+            if not isinstance(g, BinGate):
+                raise ParamError(f"gate {gid} in layer {layer_index + 1} is not internal")
+            operands = (g.left, g.right)
+        ends = [ref for ref in operands if ref in resident]
         if not ends:
             constants.append(gid)
         elif len(ends) == 1:
@@ -92,7 +132,9 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
         else:
             a, b = sorted(ends)
             edges.append(MultiEdge(a, b, gid))
-    return LayerMultigraph(frozenset(resident), tuple(edges), tuple(constants))
+    return LayerMultigraph(
+        frozenset(resident), tuple(edges), tuple(constants), tuple(aliases.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -227,10 +269,14 @@ def order_edges(graph: LayerMultigraph) -> OrderResult:
 
 
 def census_bound(graph: LayerMultigraph) -> int:
-    """max{|V|, |E|+1, |E|+|V'|}, the register budget for one transition."""
+    """|A| + max{|V|, |E|+1, |E|+|V'|}, the register budget for one transition.
+
+    The |A| aliased copies hold their sources' registers throughout; the
+    census of order_edges counts the rest.
+    """
     v = len(graph.vertices)
     e = len(graph.edges)
-    return max(v, e + 1, e + len(graph.constant_gates))
+    return len(graph.aliases) + max(v, e + 1, e + len(graph.constant_gates))
 
 
 def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
@@ -268,6 +314,10 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
     register_of: dict[int, int] = {}
     for i in range(1, out_layer):
         graph = build_layer_multigraph(circuit, i)
+        # An aliased copy takes over its source's register.  The source is
+        # read there until the layer is done and is never released.
+        for gid, source in graph.aliases:
+            register_of[gid] = register_of[source]
         # Layer-i gates nothing consumes die now.
         used = {e.u for e in graph.edges} | {e.v for e in graph.edges}
         for vid in sorted(graph.vertices - used):
@@ -301,6 +351,8 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
             dest = alloc()
             sb.apply(dest, gate.op, operand_for(gate.left), operand_for(gate.right))
             register_of[gid] = dest
+        for _, source in graph.aliases:
+            del register_of[source]
         # Registers now hold exactly the layer-(i+1) values.
         if set(register_of) != set(circuit.layers[i]):
             raise InvariantViolation(f"layer {i + 1} not fully consumed; scheduling bug")

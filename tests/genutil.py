@@ -25,6 +25,7 @@ from slpforge.circuits import (
     VarLeaf,
     VarOperand,
     _copy_source,
+    _GateTable,
     _one_leaves,
     evaluate,
     fold,
@@ -829,9 +830,13 @@ def substitute_scalar(poly: SparsePolynomial, var: int, value) -> SparsePolynomi
 def replace_leaves(
     circuit: LayeredCircuit, leaves: dict[int, VarOperand | ConstOperand], name: str | None = None
 ) -> LayeredCircuit:
-    """The circuit with each variable leaf x_i in leaves read as leaves[i] instead."""
+    """The circuit with each variable leaf x_i in leaves read as leaves[i] instead.
+
+    Implicit copies stay implicit, as in substitute_constants.
+    """
+    table = circuit.gates
     gates = {}
-    for gid, g in circuit.gates.items():
+    for gid, g in table.explicit.items():
         op = leaves.get(g.index) if isinstance(g, VarLeaf) else None
         if isinstance(op, ConstOperand):
             gates[gid] = ConstLeaf(op.value)
@@ -845,7 +850,7 @@ def replace_leaves(
         circuit.mode,
         circuit.num_variables,
         circuit.layers,
-        gates,
+        _GateTable(gates, table.copies, table.one),
         circuit.output_id,
     )
 
@@ -898,7 +903,7 @@ def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     ]
     programs = [staggerize(rc) for rc in restricted]
 
-    identities = []
+    identity_programs = []
     for k in range(1, n + 1):
         parts = [programs[k - 1]]
         for i in range(1, k + 1):
@@ -926,8 +931,8 @@ def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
                 sb.apply(out, "mul", sb.var(permanent_var_index(n, 1, i)), sb.reg(out))
                 sb.apply(out, "mul", sb.const(-1), sb.reg(out))
             sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
-        identities.append(slp_to_circuit(sb.finish(acc)))
-    return PermCheckInstance(candidate=c, n=n, identities=tuple(identities))
+        identity_programs.append(sb.finish(acc))
+    return PermCheckInstance(candidate=c, n=n, programs=tuple(identity_programs))
 
 
 def reference_truncated_power_product(

@@ -23,6 +23,7 @@ from slpforge.circuits import (
     VarOperand,
     circuit_to_slp,
     evaluate,
+    evaluate_mod_p,
     expand,
     slp_to_circuit,
     substitute_constants,
@@ -35,6 +36,7 @@ from slpforge.errors import (
     CircuitSemanticError,
     DanglingOutput,
     ParamError,
+    SlpforgeError,
 )
 from slpforge.polynomials import COMMUTATIVE, Monomial, NONCOMMUTATIVE, SparsePolynomial
 from slpforge.rings import PrimeField, RATIONALS
@@ -252,6 +254,48 @@ def test_missing_output_rejected():
     b.var_leaf(1)
     with pytest.raises(DanglingOutput):
         b.build()
+
+
+# Files the parser accepts and validate rejects: a leaf beyond the
+# declared variables, and a layer-4 gate reading layer 2.
+ILL_FORMED_FILES = {
+    "leaf beyond vars": """\
+circuit beyond
+ring prime 101
+mode commutative
+vars 1
+gate 1 1 var 1
+gate 2 1 var 2
+gate 3 2 mul 1 2
+output 3
+""",
+    "skips a layer": """\
+circuit skip
+ring prime 101
+mode commutative
+vars 1
+gate 1 1 var 1
+gate 2 2 mul 1 1
+gate 3 3 mul 2 1
+gate 4 4 mul 3 2
+output 4
+""",
+}
+
+SEMANTICS = {
+    "evaluate": lambda c: evaluate(c, [1]),
+    "evaluate_mod_p": lambda c: evaluate_mod_p(c, [[1]], 101),
+    "expand": expand,
+    "syntactic_degree": syntactic_degree,
+}
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("text", ILL_FORMED_FILES.values(), ids=list(ILL_FORMED_FILES))
+def test_semantics_validate_parsed_circuits(text, semantics):
+    # A typed error, neither an IndexError nor a value.
+    with pytest.raises(SlpforgeError):
+        SEMANTICS[semantics](parse_circuit(text))
 
 
 def test_evaluate_product_sum():

@@ -10,6 +10,7 @@ from genutil import (
     corrupt_circuit,
     random_formula,
     random_layered_circuit,
+    random_slp,
     reference_nw_pit,
     reference_perm_check_instance,
     reference_schwartz_zippel,
@@ -461,10 +462,12 @@ def test_staggering_commutes_with_leaf_maps():
     st = hypothesis.strategies
     ring = PrimeField(101)
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
         st.integers(0, 2**32),
         st.integers(1, 6),
+        st.sampled_from([COMMUTATIVE, NONCOMMUTATIVE]),
+        st.booleans(),
         st.dictionaries(
             st.integers(1, 4),
             st.one_of(
@@ -473,16 +476,43 @@ def test_staggering_commutes_with_leaf_maps():
             ),
         ),
     )
-    def check(seed, width, leaves):
-        c = random_layered_circuit(random.Random(seed), ring, COMMUTATIVE, width)
+    def check(seed, width, mode, with_copies, leaves):
+        rng = random.Random(seed)
+        if with_copies:
+            # A staggered circuit: its copies are implicit, and mapping a
+            # leaf to 1 makes explicit copies u*1 of some of its gates.
+            slp = random_slp(rng, ring, mode, width, num_variables=4, step_count=rng.randrange(16))
+            c = slp_to_circuit(slp)
+        else:
+            c = random_layered_circuit(rng, ring, mode, width)
         program = staggerize(c)
-        sb = SlpBuilder(ring, COMMUTATIVE, c.num_variables, program.register_count)
+        sb = SlpBuilder(ring, mode, c.num_variables, program.register_count)
         out = _BodyEmitter(sb, program, None).run(leaves=leaves)
         expected = staggerize(replace_leaves(c, leaves))
         assert sb.finish(out).steps == expected.steps
         assert out == expected.output_register
 
     check()
+
+
+@pytest.mark.parametrize("ring", [PrimeField((1 << 31) - 1), RATIONALS], ids=str)
+def test_perm_check_tests_programs_without_converting(ring, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return slp_to_circuit(*args, **kwargs)
+
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
+    bad = corrupt_circuit(random.Random(5), good)
+    monkeypatch.setattr(pit, "slp_to_circuit", counting)
+    for c in (good, bad):
+        for backend in ("schwartz_zippel", "nw_pit"):
+            verify_permanent_circuit(c, backend, seed=3, sample_size=3)
+    assert calls == []
+    # The identities are still circuits, converted when read.
+    assert len(perm_check_instance(good).identities) == 3
+    assert len(calls) == 3
 
 
 def test_perm_requires_square_grid():

@@ -17,6 +17,9 @@ from slpforge.circuits import (
     BATCH_MODULUS_LIMIT,
     ApplyStep,
     CircuitBuilder,
+    LayeredCircuit,
+    _copy_source,
+    _one_leaves,
     circuit_to_slp,
     evaluate,
     evaluate_mod_p,
@@ -387,3 +390,77 @@ output 12
     slp = circuit_to_slp(c)
     assert slp.register_count == 3
     assert expand(slp) == expand(c)
+
+
+def explicit_copies_of_gates(c) -> int:
+    """Explicit gates u*1 with u internal: edges here, inheritances in circuit_to_slp."""
+    ones, leaves = _one_leaves(c), set(c.layers[0])
+    sources = (_copy_source(g, ones) for g in c.gates.explicit.values())
+    return sum(source is not None and source not in leaves for source in sources)
+
+
+def explicit_twin(c):
+    """c with every implicit copy held as an explicit gate u*1."""
+    return LayeredCircuit(
+        c.name, c.ring, c.mode, c.num_variables, c.layers, dict(c.gates), c.output_id
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("ring", (RATIONALS, F), ids=("Q", "101"))
+def test_aliased_copies_on_random_programs(ring, mode):
+    rng = random.Random(43)
+    for trial in range(150):
+        slp = random_slp(rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 20))
+        c = slp_to_circuit(slp)
+        for layer_index in range(1, c.layer_count):
+            g = build_layer_multigraph(c, layer_index)
+            assert len(g.vertices) + len(g.aliases) <= c.width
+            assert len(g.edges) + len(g.constant_gates) + len(g.aliases) <= c.width
+            assert max(order_edges(g).census) + len(g.aliases) <= census_bound(g) <= c.width + 1
+        staggered = staggerize(c)
+        assert staggered.register_count <= c.width + 1, trial
+        assert expand(staggered) == expand(c), trial
+        # Each layer holds one explicit gate and aliases its implicit
+        # copies, so it costs one step; layers past the output's never run.
+        out_layer = next(i for i, layer in enumerate(c.layers, 1) if c.output_id in layer)
+        assert staggered.step_count == max(out_layer - 1, 1), trial
+        # Implicit copies cost no step, as in circuit_to_slp; explicit u*1
+        # gates are edges here and register inheritances there.
+        back = circuit_to_slp(c)
+        assert staggered.step_count <= back.step_count + explicit_copies_of_gates(c), trial
+
+        twin = explicit_twin(c)
+        assert not twin.gates.copies
+        program = staggerize(twin)
+        assert program.register_count <= c.width + 1, trial
+        assert expand(program) == expand(c), trial
+        point = [rng.randrange(-50, 51) for _ in range(c.num_variables)]
+        assert evaluate(program, point) == evaluate(staggered, point) == evaluate(c, point)
+
+
+def test_a_second_copy_and_a_copy_of_a_leaf_are_steps():
+    cb = CircuitBuilder(F, COMMUTATIVE, 2)
+    x1, x2 = cb.var_leaf(1), cb.var_leaf(2)
+    a = cb.gate(2, "mul", x1, x2)
+    b = cb.gate(2, "add", x1, x2)
+    first, second = cb.copies(3, [a, a])
+    leaf_copy = cb.copy(3, x2)
+    s = cb.gate(3, "add", a, b)
+    t = cb.gate(4, "add", first, second)
+    u = cb.gate(4, "mul", leaf_copy, s)
+    cb.set_output(cb.gate(5, "mul", t, u))
+    c = cb.build()
+
+    graph = build_layer_multigraph(c, 2)
+    assert graph.aliases == ((first, a),)
+    # a is read like a leaf: the second copy is a constant gate, a + b a loop at b.
+    assert graph.vertices == frozenset({b})
+    assert set(graph.constant_gates) == {second, leaf_copy}
+    assert graph.edges == (MultiEdge(b, b, s),)
+    assert max(order_edges(graph).census) <= census_bound(graph) <= c.width + 1
+
+    program = staggerize(c)
+    assert program.register_count <= c.width + 1
+    assert expand(program) == expand(c)
+    assert program.step_count == 2 + 3 + 2 + 1  # the first copy emits nothing
