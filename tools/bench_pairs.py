@@ -1,6 +1,6 @@
 """Alternating parent/change runs of the benchmark, summarized as BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr 12 --parent HEAD~1 \
+    python3 tools/bench_pairs.py --pr N --parent HEAD~1 \
         --claim identity_grid:instances_per_s --change "what the change does"
 
 Run from anywhere inside the repository.  The change side is this
@@ -184,14 +184,14 @@ def main(argv=None) -> int:
     if args.parent_dir is not None:
         summary = bench(args, spec, args.parent_dir.resolve())
     else:
-        scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        worktree = scratch / "parent"
+        tmpdir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+        worktree = tmpdir / "parent"
         _git("worktree", "add", "--detach", str(worktree), args.parent)
         try:
             summary = bench(args, spec, worktree)
         finally:
             _git("worktree", "remove", "--force", str(worktree))
-            shutil.rmtree(scratch, ignore_errors=True)
+            shutil.rmtree(tmpdir, ignore_errors=True)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n")
     print(out)
