@@ -90,3 +90,11 @@ def test_a_failed_run_clears_correct_all():
     out = bench_pairs.summarize_workload(SPECS, [7], parent, change)
     assert not out["correct_all"]
     assert out["metrics"]["instances_per_s"]["parent"] == {"median": 10, "q1": 10, "q3": 10}
+
+
+def test_seeds_are_fresh_for_every_pr_and_workload():
+    seeds = {pr: [bench_pairs.seeds_for(pr, w) for w in range(3)] for pr in (12, 13)}
+    assert seeds[12][0] == list(range(12001, 12011))
+    assert seeds[12][2] == list(range(12201, 12211))
+    drawn = [s for pr in seeds for per_workload in seeds[pr] for s in per_workload]
+    assert len(drawn) == len(set(drawn)) == 2 * 3 * bench_pairs.PAIRS

@@ -3,17 +3,18 @@
     python3 tools/bench_pairs.py --pr N --parent HEAD~1 \
         --claim identity_grid:instances_per_s --change "what the change does"
 
-Run from anywhere inside the repository.  The change side is this
-checkout; the parent side is a detached git worktree of --parent, added
-under a temporary directory and removed afterwards (or an existing
-checkout given with --parent-dir).  For every workload of
-BENCHMARK.json, pair i runs ``perfbench/run.py`` once in each checkout
-with seed 3000 + 100 * (workload index) + i + 1: the parent first when
-i is even, the change first when i is odd.  The summary gives, per
-end-to-end metric and side, the median and quartiles of the runs, the
-change's median over the parent's, the pairs the change wins and ties,
-the parent's quartile distance and every run's value.  Standard library
-only.
+Run from anywhere inside the repository, after committing the change.
+Each side is the committed files of its commit (--parent, and HEAD for
+the change), extracted with ``git archive`` into a fresh temporary
+directory that is removed afterwards, as the benchmark itself runs a
+commit.  For every workload of BENCHMARK.json, pair i of 10 runs
+``perfbench/run.py`` once per side for BENCHMARK.json's run_seconds with
+seed 1000 * pr + 100 * (workload index) + i + 1, so every PR measures on
+seeds of its own: the parent first when i is even, the change first when
+i is odd.  The summary gives, per end-to-end metric and side, the median
+and quartiles of the runs, the change's median over the parent's, the
+pairs the change wins and ties, the parent's quartile distance and every
+run's value.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,10 +30,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 ORDER = "pair i runs the parent first when i is even and the change first when i is odd"
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over the runs of one side"
 COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace 0"
-SEED_BASE = 3000
+
+
+def seeds_for(pr: int, workload_index: int) -> list[int]:
+    """The seeds of the pairs of one workload: fresh for every PR."""
+    return [1000 * pr + 100 * workload_index + i + 1 for i in range(PAIRS)]
 
 
 def parse_run(stdout: str) -> dict:
@@ -110,10 +116,19 @@ def summarize_workload(
     }
 
 
-def _git(*args: str, cwd: Path = ROOT) -> str:
+def _git(*args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def _extract(commit: str, dest: Path) -> None:
+    """The committed files of commit, written under dest."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -125,33 +140,50 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(proc.stdout)
 
 
-def bench(args, spec: dict, parent_dir: Path) -> dict:
-    names = [w["name"] for w in spec["workloads"]]
-    chosen = args.workloads.split(",") if args.workloads else names
-    sides = {"parent": parent_dir, "change": ROOT}
+def bench(pr: int, spec: dict, sides: dict[str, Path]) -> dict:
+    """Every workload of spec, in PAIRS alternating pairs over the two checkouts."""
+    seconds = spec["run_seconds"]
     workloads = {}
-    for index, workload in enumerate(names):
-        if workload not in chosen:
-            continue
-        seeds = [SEED_BASE + 100 * index + i + 1 for i in range(args.pairs)]
+    for index, workload in enumerate(w["name"] for w in spec["workloads"]):
+        seeds = seeds_for(pr, index)
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(_run(sides[side], workload, seed, args.seconds))
+                runs[side].append(_run(sides[side], workload, seed, seconds))
                 print(f"{workload} pair {i} {side} done", file=sys.stderr, flush=True)
         workloads[workload] = summarize_workload(
             spec["end_to_end"], seeds, runs["parent"], runs["change"]
         )
-    parent_commit = _git("rev-parse", args.parent)
-    change_commit = _git("rev-parse", "HEAD")
+    return workloads
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True,
+                        help="writes BENCH_<pr>.json at the root and picks the seeds")
+    parser.add_argument("--parent", required=True, help="the parent commit")
+    parser.add_argument("--claim", help="workload:metric the change claims a gain on")
+    parser.add_argument("--change", default="", help="one line saying what the change does")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
+
+    tmpdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        sides = {side: tmpdir / side for side in commits}
+        for side, commit in commits.items():
+            _extract(commit, sides[side])
+        workloads = bench(args.pr, spec, sides)
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
     summary = {
         "change": args.change,
-        "parent_commit": parent_commit,
-        "change_commit": change_commit,
-        "parent_src_tree": _git("rev-parse", f"{parent_commit}:src"),
-        "change_src_tree": _git("rev-parse", "HEAD:src"),
-        "change_uncommitted": bool(_git("status", "--porcelain", "src", "perfbench")),
-        "command": COMMAND.format(seconds=args.seconds),
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "parent_src_tree": _git("rev-parse", f"{commits['parent']}:src"),
+        "change_src_tree": _git("rev-parse", f"{commits['change']}:src"),
+        "command": COMMAND.format(seconds=spec["run_seconds"]),
         "python": platform.python_version(),
         "order": ORDER,
         "quartiles": QUARTILES,
@@ -161,37 +193,6 @@ def bench(args, spec: dict, parent_dir: Path) -> dict:
         workload, metric = args.claim.split(":")
         summary["claimed"] = {"workload": workload, "metric": metric}
     summary["workloads"] = workloads
-    return summary
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the root")
-    parser.add_argument("--parent", required=True, help="the parent commit")
-    parser.add_argument("--parent-dir", type=Path,
-                        help="an existing checkout of the parent, used instead of a worktree")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="per run; default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
-    parser.add_argument("--claim", help="workload:metric the change claims a gain on")
-    parser.add_argument("--change", default="", help="one line saying what the change does")
-    args = parser.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
-
-    if args.parent_dir is not None:
-        summary = bench(args, spec, args.parent_dir.resolve())
-    else:
-        tmpdir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        worktree = tmpdir / "parent"
-        _git("worktree", "add", "--detach", str(worktree), args.parent)
-        try:
-            summary = bench(args, spec, worktree)
-        finally:
-            _git("worktree", "remove", "--force", str(worktree))
-            shutil.rmtree(tmpdir, ignore_errors=True)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n")
     print(out)
