@@ -18,7 +18,6 @@ from .circuits import (
     evaluate_mod_p,
     expand,
     slp_to_circuit,
-    substitute_constants,
     syntactic_degree,
     validate,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "slp_to_circuit",
     "sparse_to_width2",
     "staggerize",
-    "substitute_constants",
     "syntactic_degree",
     "validate",
     "verify_permanent_circuit",

@@ -999,34 +999,3 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
     return sb.finish(register_of[circuit.output_id])
-
-
-# ---------------------------------------------------------------------------
-# Helpers shared by transforms and analyses
-
-
-def substitute_constants(
-    circuit: LayeredCircuit,
-    values: Mapping[int, ScalarLike],
-    name: str | None = None,
-) -> LayeredCircuit:
-    """Replace variable leaves by ring constants, keeping the shape.
-
-    Implicit copies stay implicit.
-    """
-    table = circuit.gates
-    gates: dict[int, Gate] = {}
-    for gid, g in table.explicit.items():
-        if isinstance(g, VarLeaf) and g.index in values:
-            gates[gid] = ConstLeaf(circuit.ring.scalar(values[g.index]))
-        else:
-            gates[gid] = g
-    return LayeredCircuit(
-        name or circuit.name,
-        circuit.ring,
-        circuit.mode,
-        circuit.num_variables,
-        circuit.layers,
-        _GateTable(gates, table.copies, table.one),
-        circuit.output_id,
-    )

@@ -329,8 +329,7 @@ def _cmd_family(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 
 
 def _cmd_stagger(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
-    c = _load_circuit(args.input)
-    prog = staggerize(c)
+    prog = _load_program(args.input)
     out = slp_to_circuit(prog)
     _write(args.output, serialize_circuit(out))
     return {

@@ -50,7 +50,6 @@ from .circuits import (
     evaluate,
     evaluate_mod_p,
     slp_to_circuit,
-    substitute_constants,
     syntactic_degree,
 )
 from .errors import GridTooLarge, ModeMismatch, ParamError
@@ -409,9 +408,12 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
             f"candidate must read an n x n grid, got {c.num_variables} variables"
         )
     ring = c.ring
-    # Staggered on a copy: validate stores its report on the circuit it
-    # checks, and the caller's candidate should not change.
-    program = staggerize(substitute_constants(c, {}, name=f"C_{n}"))
+    # Staggered on a copy sharing the read-only gate table: validate
+    # stores its report on the circuit it checks, and the caller's
+    # candidate should not change.
+    program = staggerize(
+        LayeredCircuit(f"C_{n}", ring, c.mode, c.num_variables, c.layers, c.gates, c.output_id)
+    )
     acc = program.register_count
     programs = []
     for k in range(1, n + 1):

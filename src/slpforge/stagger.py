@@ -34,10 +34,20 @@ The order is fixed, because slp_to_circuit derives copy gates from it
 and so emitted sizes depend on it.  Components go acyclic first, then
 by least vertex.  Inside a component each step removes, while any edge
 lies on a cycle (loops and parallel copies included), the least such
-edge by (u, v, gate); after that the component is a forest, and each
-step removes the least edge by (u, v, gate) with an endpoint of degree
-one.  Cost: one bridge DFS per step while the component has a cycle,
-then one scan for leaf edges per step, so O(E^2) per layer.
+edge by (u, v, gate); after that the component is a tree, and each step
+removes the least edge by (u, v, gate) with an endpoint of degree one.
+
+The cycle steps have a closed form.  Removing an edge never turns a
+bridge into a non-bridge, so every edge below the one just removed
+stays a bridge, and the cycle edges go in increasing key order.  That
+is a reverse-delete pass (Kruskal 1956) visiting the edges in
+increasing key order and deleting each that still lies on a cycle:
+what survives is the maximum-key spanning forest, and the cycle steps
+are the other edges, in key order.  order_edges finds them in one
+union-find pass over the edges, largest key first, where an edge whose
+ends are already joined is a cycle edge; the same pass gives the
+components.  Cost: one sort and one union-find pass, then one scan for
+leaf edges per tree step, so still O(E^2) per layer in the worst case.
 
 staggerize replays the schedule as straight-line code, giving at most
 w+1 registers and one apply step per internal gate that is not an
@@ -157,8 +167,17 @@ def _edge_key(e: MultiEdge) -> tuple[int, int, int]:
     return (e.u, e.v, e.gate)
 
 
-def _components(edges: list[MultiEdge]) -> list[set[int]]:
+def order_edges(graph: LayerMultigraph) -> OrderResult:
+    """Schedule the edges within the documented register census."""
+    edges = graph.edges
+    by_key = sorted(range(len(edges)), key=lambda i: _edge_key(edges[i]))
+    degree: dict[int, int] = {}
     parent: dict[int, int] = {}
+    for e in edges:
+        degree[e.u] = degree.get(e.u, 0) + 1
+        degree[e.v] = degree.get(e.v, 0) + 1
+        parent[e.u] = e.u
+        parent[e.v] = e.v
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -166,105 +185,49 @@ def _components(edges: list[MultiEdge]) -> list[set[int]]:
             x = parent[x]
         return x
 
-    for e in edges:
-        for x in (e.u, e.v):
-            parent.setdefault(x, x)
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
+    # Kruskal, largest key first: an edge whose ends are already joined
+    # lies outside the maximum-key spanning forest.
+    cycle_edges: set[int] = set()
+    for i in reversed(by_key):
+        ru, rv = find(edges[i].u), find(edges[i].v)
+        if ru == rv:
+            cycle_edges.add(i)
+        else:
             parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for x in parent:
-        groups.setdefault(find(x), set()).add(x)
-    return list(groups.values())
-
-
-def _bridges(edges: tuple[MultiEdge, ...], live: list[int]) -> set[int]:
-    """Indices in live of the edges whose removal disconnects their ends.
-
-    Iterative Tarjan low-link DFS.  The tree edge back to the parent is
-    skipped by index, so a parallel copy counts as a second path and
-    parallel edges are never bridges; self-loops never are either.
-    """
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for i in live:
-        e = edges[i]
-        if e.u != e.v:
-            adjacency.setdefault(e.u, []).append((e.v, i))
-            adjacency.setdefault(e.v, []).append((e.u, i))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[int] = set()
-    for root in adjacency:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        stack = [(root, -1, iter(adjacency[root]))]
-        while stack:
-            x, via, neighbours = stack[-1]
-            for y, i in neighbours:
-                if i == via:
-                    continue
-                if y in disc:
-                    low[x] = min(low[x], disc[y])
-                else:
-                    disc[y] = low[y] = len(disc)
-                    stack.append((y, i, iter(adjacency[y])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[x])
-                    if low[x] > disc[parent]:
-                        bridges.add(via)
-    return bridges
-
-
-def order_edges(graph: LayerMultigraph) -> OrderResult:
-    """Schedule the edges within the documented register census."""
-    edges = graph.edges
-    degree: dict[int, int] = {}
-    for e in edges:
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
-    nonisolated = len(degree)
-
-    components = _components(list(edges))
-
-    def is_acyclic(comp: set[int]) -> bool:
-        count = sum(1 for e in edges if e.u in comp)
-        return count == len(comp) - 1
-
-    components.sort(key=lambda comp: (0 if is_acyclic(comp) else 1, min(comp)))
+    groups: dict[int, list[int]] = {}
+    for i in by_key:
+        groups.setdefault(find(edges[i].u), []).append(i)
+    # A component's least-key edge has its least vertex as u.
+    components = sorted(
+        groups.values(),
+        key=lambda comp: (any(i in cycle_edges for i in comp), edges[comp[0]].u),
+    )
 
     order: list[MultiEdge] = []
     steps: list[EdgeStep] = []
-    census = [nonisolated]
+    census = [len(degree)]
+    nonisolated = len(degree)
+
+    def remove(e: MultiEdge) -> None:
+        nonlocal nonisolated
+        degree[e.u] -= 1
+        degree[e.v] -= 1
+        freed = tuple(sorted({x for x in (e.u, e.v) if degree[x] == 0}))
+        fresh = e.is_loop or not freed
+        census.append(len(order) + nonisolated + (1 if fresh else 0))
+        nonisolated -= len(freed)
+        order.append(e)
+        steps.append(EdgeStep(e, fresh, freed))
+
     for comp in components:
-        live = [i for i, e in enumerate(edges) if e.u in comp]
-        forest = False
+        for i in comp:
+            if i in cycle_edges:
+                remove(edges[i])
+        # What is left is a tree: prune the least edge at a leaf, in key order.
+        live = [edges[i] for i in comp if i not in cycle_edges]
         while live:
-            if not forest:
-                bridges = _bridges(edges, live)
-                candidates = [i for i in live if i not in bridges]
-                forest = not candidates
-            if forest:
-                # Removing edges keeps a forest one: no more DFS is needed.
-                candidates = [
-                    i for i in live if degree[edges[i].u] == 1 or degree[edges[i].v] == 1
-                ]
-            pick = min(candidates, key=lambda i: _edge_key(edges[i]))
-            live.remove(pick)
-            e = edges[pick]
-            ni_before = nonisolated
-            degree[e.u] -= 1
-            degree[e.v] -= 1
-            freed = tuple(sorted({x for x in (e.u, e.v) if degree[x] == 0}))
-            nonisolated -= len(freed)
-            fresh = e.is_loop or not freed
-            census.append(len(order) + ni_before + (1 if fresh else 0))
-            order.append(e)
-            steps.append(EdgeStep(e, fresh, freed))
+            j = next(j for j, e in enumerate(live) if degree[e.u] == 1 or degree[e.v] == 1)
+            remove(live.pop(j))
     return OrderResult(tuple(order), tuple(census), tuple(steps))
 
 

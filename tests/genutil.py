@@ -31,7 +31,6 @@ from slpforge.circuits import (
     fold,
     leaf_operand,
     slp_to_circuit,
-    substitute_constants,
     syntactic_degree,
     validate,
 )
@@ -66,7 +65,6 @@ from slpforge.stagger import (
     LayerMultigraph,
     MultiEdge,
     OrderResult,
-    _components,
     _edge_key,
     staggerize,
 )
@@ -342,6 +340,21 @@ def _connected_without(edges: list[MultiEdge], skip: MultiEdge, start: int, goal
                 seen.add(y)
                 stack.append(y)
     return goal in seen
+
+
+def _components(edges: list[MultiEdge]) -> list[set[int]]:
+    """Vertex sets of the connected components: each edge merges every set it touches."""
+    groups: list[set[int]] = []
+    for e in edges:
+        joined = {e.u, e.v}
+        rest = []
+        for group in groups:
+            if group & joined:
+                joined |= group
+            else:
+                rest.append(group)
+        groups = rest + [joined]
+    return groups
 
 
 def reference_order_edges(graph: LayerMultigraph) -> OrderResult:
@@ -832,7 +845,7 @@ def replace_leaves(
 ) -> LayeredCircuit:
     """The circuit with each variable leaf x_i in leaves read as leaves[i] instead.
 
-    Implicit copies stay implicit, as in substitute_constants.
+    Implicit copies stay implicit.
     """
     table = circuit.gates
     gates = {}
@@ -898,7 +911,11 @@ def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     """
     n = math.isqrt(c.num_variables)
     restricted = [
-        substitute_constants(c, _restriction_constants(n, k), name=f"C_{k}")
+        replace_leaves(
+            c,
+            {i: ConstOperand(c.ring.scalar(v)) for i, v in _restriction_constants(n, k).items()},
+            name=f"C_{k}",
+        )
         for k in range(1, n + 1)
     ]
     programs = [staggerize(rc) for rc in restricted]

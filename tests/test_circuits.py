@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from genutil import linear_form_value, random_layered_circuit, substitute_scalar
+from genutil import linear_form_value, random_layered_circuit
 from slpforge import circuits
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
@@ -26,7 +26,6 @@ from slpforge.circuits import (
     evaluate_mod_p,
     expand,
     slp_to_circuit,
-    substitute_constants,
     syntactic_degree,
     validate,
 )
@@ -575,13 +574,6 @@ def test_abp_structure_validation():
             source=1,
             sink=3,
         )
-
-
-def test_substitute_constants():
-    c = product_sum_circuit()
-    fixed = substitute_constants(c, {3: 0, 4: 0})
-    assert expand(fixed) == substitute_scalar(substitute_scalar(expand(c), 3, 0), 4, 0)
-    assert evaluate(fixed, [2, 5, 9, 9]) == F.scalar(10)
 
 
 def test_syntactic_degree_bounds_actual_degree():

@@ -1,13 +1,16 @@
 """Command-line surface: grammar, files, RESULT lines, exit codes."""
 
+import random
+
 import pytest
 
-from genutil import reference_nw_pit, reference_schwartz_zippel
-from slpforge.circuits import evaluate, expand
+from genutil import random_layered_circuit, reference_nw_pit, reference_schwartz_zippel
+from slpforge.circuits import circuit_to_slp, evaluate, expand, slp_to_circuit
 from slpforge.cli import _build_parser, _formula_from_expression, main
 from slpforge.pit import HARD_FAMILIES
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField
+from slpforge.stagger import staggerize
 from slpforge.textio import parse_circuit, parse_polynomial, serialize_circuit
 from slpforge.transforms import depth_to_width
 
@@ -86,6 +89,19 @@ def test_stagger_roundtrip(tmp_path, capsys):
     assert int(keys["registers"]) <= 5
     staggered = parse_circuit(dst.read_text())
     assert expand(staggered) == expand(parse_circuit(src.read_text()))
+
+
+def test_stagger_converts_a_staggered_file_as_circuit_to_slp(tmp_path, capsys):
+    # A file writes each copy as an explicit gate u*1; read as a program,
+    # the staggered form of a width-128 circuit costs one step per layer.
+    rng = random.Random(13)
+    c = random_layered_circuit(rng, PrimeField(101), COMMUTATIVE, 128, layer_sizes=[128, 128, 16])
+    src = tmp_path / "in.ckt"
+    src.write_text(serialize_circuit(slp_to_circuit(staggerize(c))))
+    code, out, _ = run(capsys, "stagger", "-i", str(src), "-o", str(tmp_path / "out.ckt"))
+    assert code == 0
+    steps = circuit_to_slp(parse_circuit(src.read_text())).step_count
+    assert int(result_line(out)["steps"]) == steps
 
 
 def test_depth2width_and_eval(tmp_path, capsys):

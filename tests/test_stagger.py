@@ -309,18 +309,30 @@ def multigraph(pairs, isolated=(), constants=0) -> LayerMultigraph:
     return LayerMultigraph(vertices, edges, tuple(range(2000, 2000 + constants)))
 
 
-def random_multigraph(rng: random.Random) -> LayerMultigraph:
-    """Several components, loops, parallel copies, isolated vertices, constants."""
+def random_multigraph(rng: random.Random, dense: bool = False) -> LayerMultigraph:
+    """Several components, loops, parallel copies, isolated vertices, constants.
+
+    A dense graph has up to 30 edges on 6 vertices drawn in two or three
+    groups, with runs of two to four parallel edges.
+    """
+    if dense:
+        vertices = rng.sample(range(1, 60), 6)
+        cuts = sorted(rng.sample(range(1, 6), rng.randrange(1, 3)))
+        comps = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, 6])]
+    else:
+        comps = (rng.sample(range(1, 60), rng.randrange(1, 7)) for _ in range(rng.randrange(0, 4)))
     pairs = []
-    for _ in range(rng.randrange(0, 4)):
-        comp = rng.sample(range(1, 60), rng.randrange(1, 7))
-        for _ in range(rng.randrange(0, 2 * len(comp) + 1)):
+    for comp in comps:
+        for _ in range(rng.randrange(0, (5 if dense else 2) * len(comp) + 1)):
             a = rng.choice(comp)
             b = a if rng.random() < 0.15 else rng.choice(comp)
             pairs.append((a, b))
             if rng.random() < 0.15:
-                pairs.append((b, a))  # a parallel copy
+                # Parallel copies.
+                pairs.extend([(b, a)] * (rng.randrange(1, 4) if dense else 1))
     rng.shuffle(pairs)
+    if dense:
+        del pairs[30:]
     isolated = rng.sample(range(60, 70), rng.randrange(0, 3))
     return multigraph(pairs, isolated, rng.randrange(0, 3))
 
@@ -335,6 +347,8 @@ def test_order_edges_matches_reference_on_random_multigraphs():
     rng = random.Random(23)
     for _ in range(2000):
         assert_matches_reference(random_multigraph(rng))
+    for _ in range(1000):
+        assert_matches_reference(random_multigraph(rng, dense=True))
 
 
 def test_order_edges_matches_reference_on_every_layer_of_wide_circuits():
@@ -351,10 +365,15 @@ def test_order_edges_matches_reference_on_generated_multigraphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     vertex = st.integers(1, 8)
+    dense_vertex = st.integers(1, 6)
+    # Up to 10 runs of 1-3 parallel edges on 6 vertices: up to 30 edges.
+    dense = st.lists(
+        st.tuples(st.tuples(dense_vertex, dense_vertex), st.integers(1, 3)), min_size=6, max_size=10
+    ).map(lambda runs: [pair for pair, count in runs for _ in range(count)])
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
-        st.lists(st.tuples(vertex, vertex), max_size=14),
+        st.one_of(st.lists(st.tuples(vertex, vertex), max_size=14), dense),
         st.sets(st.integers(9, 12), max_size=2),
         st.integers(0, 2),
     )
