@@ -859,74 +859,63 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     """Staggered layered circuit equivalent to the program.
 
     Loads bind registers straight to leaves (readable from every layer),
-    so only apply steps create layers: one real gate plus a copy gate for
-    every other register that is still needed later and is not currently
-    bound to a leaf.  The resulting width is at most the register count.
+    so only apply steps create layers: one real gate, then a copy gate
+    for every other register whose value is not a leaf and is still read
+    later, in ascending register order.  An unwritten register reads the
+    0-leaf, made at the first such read.  The resulting width is at most
+    the register count.
     """
     b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
 
-    # Liveness per step: registers read strictly later, plus the output.
-    live_after: list[set[int]] = []
-    live: set[int] = {slp.output_register}
+    # Backward: dying[i] holds the registers whose value step i reads
+    # for the last time; kept[i] says whether a later step, or the
+    # output, reads the value step i writes.
+    dying: list[set[int]] = []
+    kept: list[bool] = []
+    live = {slp.output_register}
     for step in reversed(slp.steps):
-        live_after.append(set(live))
+        kept.append(step.dest in live)
         live.discard(step.dest)
-        operands = (step.source,) if isinstance(step, LoadStep) else (step.left, step.right)
-        for op in operands:
-            if isinstance(op, RegOperand):
-                live.add(op.register)
-    live_after.reverse()
+        reads = set()
+        if isinstance(step, ApplyStep):
+            reads = {op.register for op in (step.left, step.right) if isinstance(op, RegOperand)}
+        dying.append(reads - live)
+        live |= reads
+    dying.reverse()
+    kept.reverse()
 
-    # binding: register -> gate id, kept for every register written or
-    # read so far; leaf_ids marks the gates that are leaves.  Unwritten
-    # registers are zero.
-    binding: dict[int, int] = {}
-    leaf_ids: set[int] = set()
-    zero_leaf: int | None = None
+    # held: register -> gate of its value, while that value is not a
+    # leaf and is still read later; leaf: register -> its leaf gate.
+    held: dict[int, int] = {}
+    leaf: dict[int, int] = {}
     layer = 1
 
-    def leaf_for(op: Operand) -> int:
+    def read(op: Operand) -> int:
         if isinstance(op, VarOperand):
-            gid = b.var_leaf(op.index)
-        elif isinstance(op, ConstOperand):
-            gid = b.const_leaf(op.value)
-        else:
-            raise ParamError(f"not a leaf operand: {op!r}")
-        leaf_ids.add(gid)
-        return gid
+            return b.var_leaf(op.index)
+        if isinstance(op, ConstOperand):
+            return b.const_leaf(op.value)
+        if op.register in held:
+            return held[op.register]
+        if op.register in leaf:
+            return leaf[op.register]
+        return b.const_leaf(0)
 
-    def gate_of(reg: int) -> int:
-        nonlocal zero_leaf
-        if reg not in binding:
-            if zero_leaf is None:
-                zero_leaf = b.const_leaf(0)
-                leaf_ids.add(zero_leaf)
-            binding[reg] = zero_leaf
-        return binding[reg]
-
-    for idx, step in enumerate(slp.steps):
+    for step, ends, keep in zip(slp.steps, dying, kept):
         if isinstance(step, LoadStep):
-            binding[step.dest] = leaf_for(step.source)
+            leaf[step.dest] = read(step.source)
             continue
-        operand_ids = [
-            gate_of(op.register) if isinstance(op, RegOperand) else leaf_for(op)
-            for op in (step.left, step.right)
-        ]
+        left, right = read(step.left), read(step.right)
         layer += 1
-        new_gate = b.gate(layer, step.op, operand_ids[0], operand_ids[1])
-        # Live registers bound to a leaf keep it; the others are copied
-        # into the new layer.  Dead registers keep stale gates, which no
-        # later step reads before writing them.
-        carried = [
-            reg
-            for reg in live_after[idx]
-            if reg != step.dest and gate_of(reg) not in leaf_ids
-        ]
-        copies = b.copies(layer, [binding[reg] for reg in carried])
-        binding.update(zip(carried, copies))
-        binding[step.dest] = new_gate
+        gid = b.gate(layer, step.op, left, right)
+        for reg in ends:
+            held.pop(reg, None)
+        carried = sorted(held)
+        held.update(zip(carried, b.copies(layer, [held[reg] for reg in carried])))
+        if keep:
+            held[step.dest] = gid
 
-    b.set_output(gate_of(slp.output_register))
+    b.set_output(read(RegOperand(slp.output_register)))
     return b.build()
 
 
@@ -957,7 +946,7 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
 
     table, ones = circuit.gates, _one_leaves(circuit)
     gates, copy_source = table.explicit, table.copies.get
-    leaf_ids = set(circuit.layers[0])
+    leaves = set(circuit.layers[0])
     register_of: dict[int, int] = {}
     for layer in circuit.layers[1:]:
         # (gid, op, left, right) of the gates that need a register of
@@ -973,11 +962,11 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
                 if source is None:
                     real.append((gid, g.op, g.left, g.right))
                     continue
-                if source in leaf_ids:
+                if source in leaves:
                     # A copy of a leaf still needs a register of its own.
                     leaf_copies.append((gid, g.op, g.left, g.right))
                     continue
-            elif source in leaf_ids:
+            elif source in leaves:
                 leaf_copies.append((gid, MUL, source, table.one))
                 continue
             register_of[gid] = register = register_of[source]
@@ -988,14 +977,14 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
             dest = next(free)
             operands = []
             for ref in refs:
-                if ref in leaf_ids:
+                if ref in leaves:
                     operands.append(leaf_operand(circuit, ref))
                 else:
                     operands.append(sb.reg(register_of[ref]))
             sb.apply(dest, op, operands[0], operands[1])
             register_of[gid] = dest
 
-    if circuit.output_id in leaf_ids:
+    if circuit.output_id in leaves:
         sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
     return sb.finish(register_of[circuit.output_id])

@@ -155,8 +155,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _write_program(path: str | None, prog: StraightLineProgram) -> dict[str, object]:
-    """Write the program as its staggered circuit; its RESULT register and step counts."""
-    _write(path, serialize_circuit(slp_to_circuit(prog)))
+    """Write the program as its staggered circuit; its RESULT register and step counts.
+
+    The circuit is built only when there is a path to write it to.
+    """
+    if path is not None:
+        _write(path, serialize_circuit(slp_to_circuit(prog)))
     return {"registers": prog.register_count, "steps": prog.step_count}
 
 

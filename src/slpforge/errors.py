@@ -23,10 +23,6 @@ class ModeMismatch(SlpforgeError):
     """Commutative and noncommutative objects were mixed."""
 
 
-class DuplicatePoint(SlpforgeError):
-    """Interpolation received the same sample point twice."""
-
-
 class BadOperandLayer(SlpforgeError):
     """An internal gate reads a layer other than the leaves or the previous layer."""
 

@@ -90,8 +90,9 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-# A batch of points holds at most this many int64 values: fold keeps
-# every gate of a circuit, so a 17k-gate circuit gets 61 points a batch.
+# A batch of points holds at most this many int64 values: fold keeps a
+# value for every explicit gate of a circuit, and an implicit copy shares
+# its source's, so a circuit with 278 explicit gates gets 3771 points.
 _BATCH_CELLS = 1 << 20
 _BATCH_POINTS = 4096
 
@@ -103,7 +104,7 @@ def _batch_points(c) -> int:
     elif isinstance(c, AlgebraicBranchingProgram):
         cells = c.size + len(c.edges)
     else:
-        cells = c.size
+        cells = len(c.gates.explicit)
     return max(1, min(_BATCH_POINTS, _BATCH_CELLS // max(1, cells)))
 
 

@@ -44,10 +44,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    ArityMismatch,
     DegreeCapExceeded,
     ModeMismatch,
     ParamError,
@@ -150,16 +149,6 @@ class Monomial:
         for var, exp in other.key:
             merged[var] = merged.get(var, 0) + exp
         return Monomial.from_exponents(merged)
-
-    def evaluate(self, assignment: Sequence[Scalar], ring: Ring) -> Scalar:
-        acc = ring.one()
-        if self.mode == COMMUTATIVE:
-            for var, exp in self.key:
-                acc = acc * assignment[var - 1] ** exp
-        else:
-            for var in self.key:
-                acc = acc * assignment[var - 1]
-        return acc
 
     def sort_key(self) -> tuple:
         return (self.degree, self.key)
@@ -336,18 +325,6 @@ class SparsePolynomial:
                 )
         return SparsePolynomial(self.ring, self.mode, self.num_variables, acc)
 
-    def evaluate(self, assignment: Sequence[ScalarLike]) -> Scalar:
-        """Evaluate at assignment[i-1] for variable xi."""
-        if len(assignment) != self.num_variables:
-            raise ArityMismatch(
-                f"expected {self.num_variables} scalars, got {len(assignment)}"
-            )
-        point = [self.ring.scalar(v) for v in assignment]
-        acc = self.ring.zero()
-        for mono, coeff in self.terms.items():
-            acc = acc + coeff * mono.evaluate(point, self.ring)
-        return acc
-
     def truncate(self, max_degree: int) -> "SparsePolynomial":
         """Drop every term of degree above max_degree."""
         return SparsePolynomial(
@@ -375,37 +352,6 @@ class SparsePolynomial:
             e: SparsePolynomial(self.ring, self.mode, self.num_variables, t)
             for e, t in buckets.items()
         }
-
-    def formal_derivative(self, var: int, order: int = 1) -> "SparsePolynomial":
-        """Iterated formal partial derivative with respect to one variable."""
-        if self.mode != COMMUTATIVE:
-            raise ModeMismatch("formal derivative needs a commutative polynomial")
-        if order < 0:
-            raise ParamError(f"derivative order must be >= 0, got {order}")
-        poly = self
-        for _ in range(order):
-            acc: dict[Monomial, Scalar] = {}
-            for mono, coeff in poly.terms.items():
-                exps = dict(mono.key)
-                e = exps.get(var, 0)
-                if e == 0:
-                    continue
-                if e == 1:
-                    exps.pop(var)
-                else:
-                    exps[var] = e - 1
-                new_mono = Monomial.from_exponents(exps)
-                new_coeff = coeff * e
-                if new_coeff.is_zero:
-                    continue
-                prev = acc.get(new_mono)
-                total = new_coeff if prev is None else prev + new_coeff
-                if total.is_zero:
-                    acc.pop(new_mono, None)
-                else:
-                    acc[new_mono] = total
-            poly = SparsePolynomial(self.ring, self.mode, self.num_variables, acc)
-        return poly
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePolynomial):

@@ -258,7 +258,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
     out_layer = next(
         i for i, layer in enumerate(circuit.layers, start=1) if circuit.output_id in layer
     )
-    leaf_ids = set(circuit.layers[0])
+    leaves = set(circuit.layers[0])
 
     if out_layer == 1:
         sb.load(0, leaf_operand(circuit, circuit.output_id))
@@ -287,7 +287,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
             release(register_of.pop(vid))
 
         def operand_for(ref: int) -> Operand:
-            if ref in leaf_ids:
+            if ref in leaves:
                 return leaf_operand(circuit, ref)
             return RegOperand(register_of[ref])
 

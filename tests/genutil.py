@@ -35,15 +35,16 @@ from slpforge.circuits import (
     validate,
 )
 from slpforge.errors import (
+    ArityMismatch,
     CapExceeded,
     CharacteristicTooSmall,
     DegreeCapExceeded,
-    DuplicatePoint,
     GridTooLarge,
     InvariantViolation,
     ModeMismatch,
     NotMonotone,
     ParamError,
+    SlpforgeError,
     TermCapExceeded,
     UnsolvableSystem,
 )
@@ -81,6 +82,7 @@ def random_layered_circuit(
     degree_budget: int = 10,
     name: str = "rand",
     layer_sizes: list[int] | None = None,
+    constants: Sequence[ScalarLike] = range(1, 7),
 ) -> LayeredCircuit:
     """A valid layered circuit hitting the requested width in some layer.
 
@@ -88,6 +90,7 @@ def random_layered_circuit(
     whose syntactic degree would pass the budget is demoted to add so
     test oracles can expand the result cheaply.  layer_sizes, when
     given, fixes the internal layer sizes instead of drawing them.
+    Constant leaves are drawn from constants.
     """
     cb = CircuitBuilder(ring, mode, num_variables, name=name)
     degree: dict[int, int] = {}
@@ -97,7 +100,7 @@ def random_layered_circuit(
         degree[gid] = 1
         leaves.append(gid)
     for _ in range(rng.randrange(1, 3)):
-        gid = cb.const_leaf(rng.randrange(1, 7))
+        gid = cb.const_leaf(rng.choice(constants))
         degree[gid] = 0
         leaves.append(gid)
 
@@ -140,8 +143,12 @@ def random_slp(
     step_count: int = 20,
     degree_budget: int = 6,
     name: str = "rslp",
+    constants: Sequence[ScalarLike] = range(7),
 ) -> StraightLineProgram:
-    """A random program whose syntactic degree respects the budget."""
+    """A random program whose syntactic degree respects the budget.
+
+    Constant operands are drawn from constants.
+    """
     sb = SlpBuilder(ring, mode, num_variables, register_count=register_count, name=name)
     degree = [0] * register_count
 
@@ -152,7 +159,7 @@ def random_slp(
             return sb.reg(r), degree[r]
         if kind == 1:
             return sb.var(rng.randrange(1, num_variables + 1)), 1
-        return sb.const(rng.randrange(7)), 0
+        return sb.const(rng.choice(constants)), 0
 
     written = []
     for _ in range(step_count):
@@ -162,7 +169,7 @@ def random_slp(
                 sb.load(dest, sb.var(rng.randrange(1, num_variables + 1)))
                 degree[dest] = 1
             else:
-                sb.load(dest, sb.const(rng.randrange(7)))
+                sb.load(dest, sb.const(rng.choice(constants)))
                 degree[dest] = 0
         else:
             left, dl = operand()
@@ -300,7 +307,7 @@ def planted_root_program(
                 sb.apply(factor, "add", sb.reg(factor), sb.reg(scratch))
         sb.apply(acc, "mul", sb.reg(acc), sb.reg(factor))
     program = sb.finish(acc)
-    return program, planted, planted[0].evaluate([0] * n)
+    return program, planted, evaluate_sparse(planted[0], [0] * n)
 
 
 def linear_form_value(label: LinearForm, point: list[Scalar]) -> Scalar:
@@ -599,7 +606,9 @@ def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) 
     Kept as the oracle for circuits.slp_to_circuit, which must return a
     circuit with the same gate ids, layers and leaves.  Copies are built
     with CircuitBuilder.gate, not CircuitBuilder.copy, so the oracle does
-    not share the bulk copy path it checks.
+    not share the bulk copy path it checks.  Copies come in ascending
+    register order, and an unwritten register is bound to the 0-leaf
+    only when it is read.
     """
     b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
 
@@ -655,8 +664,8 @@ def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) 
         layer += 1
         new_gate = b.gate(layer, step.op, operand_ids[0], operand_ids[1])
         next_binding: dict[int, tuple[int, bool]] = {}
-        for reg in live_after[idx]:
-            if reg == step.dest:
+        for reg in sorted(live_after[idx]):
+            if reg == step.dest or reg not in binding:
                 continue
             gid, is_leaf = gate_of(reg)
             if is_leaf:
@@ -738,6 +747,10 @@ def index_bound(problem: RootProblem) -> int:
     return (problem.m + problem.r) ** problem.r
 
 
+class DuplicatePoint(SlpforgeError):
+    """Interpolation received the same sample point twice."""
+
+
 def reference_lagrange_matrix(
     ring: Ring, points: Sequence[ScalarLike]
 ) -> list[list[Scalar]]:
@@ -808,6 +821,59 @@ def homogeneous_part(poly: SparsePolynomial, d: int) -> SparsePolynomial:
 def is_homogeneous(poly: SparsePolynomial) -> bool:
     degrees = {m.degree for m in poly.terms}
     return len(degrees) <= 1
+
+
+def evaluate_sparse(poly: SparsePolynomial, assignment: Sequence[ScalarLike]) -> Scalar:
+    """poly at assignment[i-1] for variable xi, term by term in ring scalars.
+
+    The oracle for circuits.evaluate on the expansion of an object.
+    """
+    if len(assignment) != poly.num_variables:
+        raise ArityMismatch(f"expected {poly.num_variables} scalars, got {len(assignment)}")
+    ring = poly.ring
+    point = [ring.scalar(v) for v in assignment]
+    acc = ring.zero()
+    for mono, coeff in poly.terms.items():
+        value = ring.one()
+        if poly.mode == COMMUTATIVE:
+            for var, exp in mono.key:
+                value = value * point[var - 1] ** exp
+        else:
+            for var in mono.key:
+                value = value * point[var - 1]
+        acc = acc + coeff * value
+    return acc
+
+
+def formal_derivative(poly: SparsePolynomial, var: int, order: int = 1) -> SparsePolynomial:
+    """Iterated formal partial derivative with respect to one variable."""
+    if poly.mode != COMMUTATIVE:
+        raise ModeMismatch("formal derivative needs a commutative polynomial")
+    if order < 0:
+        raise ParamError(f"derivative order must be >= 0, got {order}")
+    for _ in range(order):
+        acc: dict[Monomial, Scalar] = {}
+        for mono, coeff in poly.terms.items():
+            exps = dict(mono.key)
+            e = exps.get(var, 0)
+            if e == 0:
+                continue
+            if e == 1:
+                exps.pop(var)
+            else:
+                exps[var] = e - 1
+            new_mono = Monomial.from_exponents(exps)
+            new_coeff = coeff * e
+            if new_coeff.is_zero:
+                continue
+            prev = acc.get(new_mono)
+            total = new_coeff if prev is None else prev + new_coeff
+            if total.is_zero:
+                acc.pop(new_mono, None)
+            else:
+                acc[new_mono] = total
+        poly = SparsePolynomial(poly.ring, poly.mode, poly.num_variables, acc)
+    return poly
 
 
 def substitute_scalar(poly: SparsePolynomial, var: int, value) -> SparsePolynomial:

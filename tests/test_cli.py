@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from genutil import random_layered_circuit, reference_nw_pit, reference_schwartz_zippel
+from genutil import (
+    evaluate_sparse,
+    random_layered_circuit,
+    reference_nw_pit,
+    reference_schwartz_zippel,
+)
+from slpforge import cli
 from slpforge.circuits import circuit_to_slp, evaluate, expand, slp_to_circuit
 from slpforge.cli import _build_parser, _formula_from_expression, main
 from slpforge.pit import HARD_FAMILIES
@@ -152,6 +158,36 @@ def test_homog_deriv_root_compile_pipeline(tmp_path, capsys):
     root_poly = expand(parse_circuit(rooted.read_text()))
     # Solving (y-1)(y-2) = -x1 around y0 = 1 gives y = 1 + x1 + x1^2 + O(x1^3).
     assert root_poly.text() == "1 + x1 + x1^2"
+
+
+def test_program_commands_build_the_circuit_only_for_output(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "base.ckt"
+    poly_file = tmp_path / "p.poly"
+    run(capsys, "depth2width", "--expr", "(x2-1)*(x2-2)+x1", "--vars", "2", "-o", str(base))
+    run(capsys, "family", "--name", "perm", "--k", "2", "-o", str(poly_file))
+    calls = []
+
+    def counted(prog):
+        calls.append(prog)
+        return slp_to_circuit(prog)
+
+    monkeypatch.setattr(cli, "slp_to_circuit", counted)
+    commands = [
+        ["homog", "-i", str(base), "--degree", "2", "--index", "1"],
+        ["deriv", "-i", str(base), "--j", "1", "--r", "2"],
+        ["root", "-i", str(base), "--y0", "1", "--m", "2", "--r", "2"],
+        ["compile-sparse", "-i", str(poly_file)],
+        ["family", "--name", "E-width2", "--n", "2"],
+    ]
+    for argv in commands:
+        calls.clear()
+        code, bare, _ = run(capsys, *argv)
+        assert code == 0 and calls == []
+        out_file = tmp_path / f"{argv[0]}.ckt"
+        code, written, _ = run(capsys, *argv, "-o", str(out_file))
+        assert code == 0 and len(calls) == 1
+        assert result_line(written) == result_line(bare)
+        assert out_file.read_text() == serialize_circuit(slp_to_circuit(calls[0]))
 
 
 def test_compile_sparse_inverts_expand(tmp_path, capsys):
@@ -415,7 +451,7 @@ def test_expression_parser_forms():
     f = _formula_from_expression("2*x1**3 - x2 + (x1+x2)**2", RATIONALS, COMMUTATIVE, 2)
     c = depth_to_width(f)
     poly = expand(c)
-    assert poly.evaluate([1, 2]).value == 2 - 2 + 9
+    assert evaluate_sparse(poly, [1, 2]).value == 2 - 2 + 9
 
     half = _formula_from_expression("3/4 * x1", RATIONALS, COMMUTATIVE, 1)
     assert expand(depth_to_width(half)).text() == "3/4*x1"

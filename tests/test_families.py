@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from genutil import formula_expand, is_alternating, random_formula
+from genutil import evaluate_sparse, formula_expand, is_alternating, random_formula
 from slpforge.circuits import evaluate, expand, validate
 from slpforge.errors import (
     BadCharacteristic,
@@ -244,7 +244,7 @@ def test_permanent_small_orders():
         rows = sorted((v - 1) // 3 + 1 for v in mono.variables())
         cols = sorted((v - 1) % 3 + 1 for v in mono.variables())
         assert rows == [1, 2, 3] and cols == [1, 2, 3]
-    assert p3.evaluate([1] * 9) == RATIONALS.scalar(6)
+    assert evaluate_sparse(p3, [1] * 9) == RATIONALS.scalar(6)
 
 
 def test_permanent_var_index():

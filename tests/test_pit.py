@@ -8,6 +8,7 @@ import pytest
 
 from genutil import (
     corrupt_circuit,
+    evaluate_sparse,
     random_formula,
     random_layered_circuit,
     random_slp,
@@ -173,7 +174,7 @@ def test_hard_family_evaluate_matches_expansion():
             poly = fam.polynomial(m, ring)
             for _ in range(4):
                 point = [ring.scalar(rng.randrange(1009)) for _ in range(m)]
-                assert fam.evaluate(m, ring, point) == poly.evaluate(point)
+                assert fam.evaluate(m, ring, point) == evaluate_sparse(poly, point)
 
 
 def test_nw_pit_completeness_both_families():
@@ -414,6 +415,29 @@ def test_batched_nw_first_hit_in_a_later_batch():
     assert verdict == reference_nw_pit(c, DESK, 2, side)
     assert verdict.witness[0] == ring.one()  # grid index >= 17^3
     assert side**3 >= pit._batch_points(c)
+
+
+def test_batches_count_the_gate_values_fold_stores():
+    # Each register is written once, then all are multiplied into r0:
+    # the staggered circuit carries every live register as an implicit
+    # copy, which shares its source's value in fold.
+    ring = PrimeField((1 << 31) - 1)
+    n, registers = 4, 150
+    sb = SlpBuilder(ring, COMMUTATIVE, n, register_count=registers)
+    for r in range(registers):
+        sb.apply(r, "mul", sb.var(r % n + 1), sb.const(1))
+    for r in range(1, registers):
+        sb.apply(0, "mul", sb.reg(0), sb.reg(r))
+    c = slp_to_circuit(sb.finish(0))
+    explicit = len(c.gates.explicit)
+    assert c.size > 50 * explicit
+    assert pit._batch_points(c) == pit._BATCH_CELLS // explicit < pit._BATCH_POINTS
+    # The product of x_i^37 or x_i^38 is nonzero on {0, 1}^4 at all ones only.
+    for seed in range(3):
+        args = (c, 200, None, seed, 2)
+        verdict = schwartz_zippel(*args)
+        assert verdict == reference_schwartz_zippel(*args)
+        assert verdict.witness == (ring.one(),) * n
 
 
 def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from genutil import reference_lagrange_matrix, vandermonde_solve
-from slpforge.errors import DuplicatePoint, FieldTooSmall, ParamError, RingMismatch
+from genutil import DuplicatePoint, reference_lagrange_matrix, vandermonde_solve
+from slpforge.errors import FieldTooSmall, ParamError, RingMismatch
 from slpforge.rings import (
     DEFAULT_PRIME,
     PrimeField,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from genutil import (
+    evaluate_sparse,
     random_layered_circuit,
     random_slp,
     reference_expand,
@@ -88,7 +89,7 @@ def test_evaluate_equals_expansion_at_random_points(seed):
         poly = expand(obj)
         for _ in range(3):
             point = [rng.randrange(-9, 10) for _ in range(obj.num_variables)]
-            assert evaluate(obj, point) == poly.evaluate(point)
+            assert evaluate(obj, point) == evaluate_sparse(poly, point)
 
 
 @pytest.mark.parametrize("seed", range(5))

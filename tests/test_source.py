@@ -16,3 +16,39 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(SOURCE.rglob("*.py"))) > 10
     assert found == []
+
+
+def _callee(node: ast.AST) -> str | None:
+    """Name of the function a call (or a bare decorator) refers to."""
+    func = node.func if isinstance(node, ast.Call) else node
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _pins_examples(node: ast.AST) -> bool:
+    """A settings(...) call with derandomize=True and database=None."""
+    if not isinstance(node, ast.Call) or _callee(node) != "settings":
+        return False
+    values = {k.arg: k.value for k in node.keywords}
+    return all(
+        isinstance(values.get(key), ast.Constant) and values[key].value is want
+        for key, want in (("derandomize", True), ("database", None))
+    )
+
+
+def test_property_tests_draw_fixed_examples():
+    # Every hypothesis.given sits under a settings decorator that fixes its
+    # examples, so each run of the suite tests the same inputs.
+    tests = Path(__file__).resolve().parent
+    givens, pinned = [], []
+    for path in sorted(tests.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _callee(node) == "given":
+                givens.append(f"{path.name}:{node.lineno}")
+            decorators = getattr(node, "decorator_list", [])
+            for i, decorator in enumerate(decorators):
+                if _callee(decorator) == "given" and any(map(_pins_examples, decorators[:i])):
+                    pinned.append(f"{path.name}:{decorator.lineno}")
+    assert len(givens) >= 6
+    assert sorted(givens) == sorted(pinned)

@@ -1,16 +1,20 @@
 """Text format parsing and serialization."""
 
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from genutil import with_mode
+from genutil import random_layered_circuit, random_slp, with_mode
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     LayeredCircuit,
+    LinearForm,
     evaluate,
     expand,
+    slp_to_circuit,
     validate,
 )
 from slpforge.errors import (
@@ -21,6 +25,7 @@ from slpforge.errors import (
 from slpforge.families import build_E_abp
 from slpforge.polynomials import (
     COMMUTATIVE,
+    MODES,
     NONCOMMUTATIVE,
     Monomial,
     SparsePolynomial,
@@ -276,3 +281,123 @@ def test_readme_format_examples_parse():
     for text in examples:
         obj = parse_circuit(text)
         assert parse_circuit(serialize_circuit(obj)).name == obj.name
+
+
+# Property tests: parse∘serialize is the identity on generated objects.
+# The ring list covers Q (with fractional constants), a small prime and
+# the default 2^61 - 1; over F_p a fraction is its residue.
+ROUND_TRIP_RINGS = (RATIONALS, PrimeField(101), PrimeField((1 << 61) - 1))
+
+
+def _constants(st):
+    return st.lists(
+        st.sampled_from((Fraction(3, 4), Fraction(-5, 2)))
+        | st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def test_generated_circuits_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32),
+        st.sampled_from(ROUND_TRIP_RINGS),
+        st.sampled_from(MODES),
+        _constants(st),
+        st.booleans(),
+    )
+    def check(seed, ring, mode, constants, from_program):
+        rng = random.Random(seed)
+        if from_program:
+            # Implicit copies, and the 0-leaf of an unwritten register.
+            program = random_slp(
+                rng, ring, mode, rng.randint(1, 6), step_count=rng.randint(0, 24),
+                constants=constants,
+            )
+            c = slp_to_circuit(program)
+        else:
+            c = random_layered_circuit(rng, ring, mode, rng.randint(1, 5), constants=constants)
+        text = serialize_circuit(c)
+        again = parse_circuit(text)
+        assert serialize_circuit(again) == text
+        assert dict(again.gates) == dict(c.gates)
+        assert again.layers == c.layers
+        assert again.output_id == c.output_id
+
+    check()
+
+
+def test_generated_abps_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def random_abps(draw):
+        ring = draw(st.sampled_from(ROUND_TRIP_RINGS))
+        n = draw(st.integers(1, 3))
+        scalars = _constants(st).map(lambda values: [ring.scalar(v) for v in values])
+        layers, next_id = [[0]], 1
+        for size in draw(st.lists(st.integers(1, 3), max_size=3)):
+            layers.append(list(range(next_id, next_id + size)))
+            next_id += size
+        layers.append([next_id])
+        edges = []
+        for below, above in zip(layers, layers[1:]):
+            for v in above:
+                for u in below:
+                    if draw(st.booleans()):
+                        constant, *coeffs = draw(scalars)
+                        variables = draw(st.permutations(range(1, n + 1)))
+                        label = LinearForm(constant, dict(zip(variables, coeffs)))
+                        edges.append((u, v, label))
+        mode = draw(st.sampled_from(MODES))
+        return AlgebraicBranchingProgram("rabp", ring, n, layers, edges, 0, next_id, mode=mode)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        random_abps()
+        | st.builds(
+            lambda n, ring, mode: with_mode(build_E_abp(n, ring), mode),
+            st.integers(1, 3),
+            st.sampled_from(ROUND_TRIP_RINGS),
+            st.sampled_from(MODES),
+        )
+    )
+    def check(abp):
+        text = serialize_circuit(abp)
+        assert serialize_circuit(parse_circuit(text)) == text
+
+    check()
+
+
+def test_generated_polynomials_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def polynomials(draw):
+        ring = draw(st.sampled_from(ROUND_TRIP_RINGS))
+        mode = draw(st.sampled_from(MODES))
+        n = draw(st.integers(0, 3))
+        if n == 0:
+            monomials = st.just(Monomial.unit(mode))
+        elif mode == COMMUTATIVE:
+            exponents = st.dictionaries(st.integers(1, n), st.integers(0, 3), max_size=n)
+            monomials = exponents.map(Monomial.from_exponents)
+        else:
+            monomials = st.lists(st.integers(1, n), max_size=4).map(Monomial.word)
+        terms = draw(st.lists(monomials, max_size=5))
+        coeffs = draw(_constants(st))
+        return SparsePolynomial(ring, mode, n, dict(zip(terms, coeffs * len(terms))))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polynomials(), st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True))
+    def check(poly, name):
+        text = serialize_polynomial(poly, name=name)
+        assert parse_polynomial(text) == (name, poly)
+
+    check()
