@@ -955,22 +955,18 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         leaf_copies: list[tuple[int, str, int, int]] = []
         taken: set[int] = set()
         for gid in layer:
-            source = copy_source(gid)
+            g = gates.get(gid)
+            source = copy_source(gid) if g is None else _copy_source(g, ones)
             if source is None:
-                g = gates[gid]
-                source = _copy_source(g, ones)
-                if source is None:
-                    real.append((gid, g.op, g.left, g.right))
-                    continue
-                if source in leaves:
-                    # A copy of a leaf still needs a register of its own.
-                    leaf_copies.append((gid, g.op, g.left, g.right))
-                    continue
+                real.append((gid, g.op, g.left, g.right))
             elif source in leaves:
-                leaf_copies.append((gid, MUL, source, table.one))
-                continue
-            register_of[gid] = register = register_of[source]
-            taken.add(register)
+                # A copy of a leaf still needs a register of its own.
+                if g is None:
+                    g = table[gid]
+                leaf_copies.append((gid, g.op, g.left, g.right))
+            else:
+                register_of[gid] = register = register_of[source]
+                taken.add(register)
         # Registers no copy holds, smallest first, handed out lazily.
         free = (r for r in range(width) if r not in taken)
         for gid, op, *refs in real + leaf_copies:

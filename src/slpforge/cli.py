@@ -50,7 +50,7 @@ from .families import (
 from .formulas import FConst, FOp, Formula, FormulaNode, FVar, substitute_leaves
 from .monotone import coverage, mon_set, mon_var_graph
 from .pit import HARD_FAMILIES, nw_pit, schwartz_zippel, verify_permanent_circuit
-from .polynomials import COMMUTATIVE, DEFAULT_CAPS, ExpansionCaps, MODES
+from .polynomials import COMMUTATIVE, DEFAULT_CAPS, ExpansionCaps, MODES, SparsePolynomial
 from .rings import DEFAULT_PRIME, PrimeField, RATIONALS, Ring
 from .rootfind import RootProblem, root_circuit
 from .stagger import staggerize
@@ -147,20 +147,26 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, obj, name: str = "p") -> None:
+    """Write obj to path in its text format; without a path nothing is built.
+
+    A polynomial is written under name, a program as its staggered circuit.
+    """
     if path is None:
         return
+    if isinstance(obj, SparsePolynomial):
+        text = serialize_polynomial(obj, name)
+    else:
+        if isinstance(obj, StraightLineProgram):
+            obj = slp_to_circuit(obj)
+        text = serialize_circuit(obj)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
 def _write_program(path: str | None, prog: StraightLineProgram) -> dict[str, object]:
-    """Write the program as its staggered circuit; its RESULT register and step counts.
-
-    The circuit is built only when there is a path to write it to.
-    """
-    if path is not None:
-        _write(path, serialize_circuit(slp_to_circuit(prog)))
+    """Write the program to path; its RESULT register and step counts."""
+    _write(path, prog)
     return {"registers": prog.register_count, "steps": prog.step_count}
 
 
@@ -303,23 +309,23 @@ def _cmd_family(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
         params = FamilyParams(args.l, args.k)
         if args.form == "circuit":
             c = build_P(params, "circuit", ring)
-            _write(args.output, serialize_circuit(c))
+            _write(args.output, c)
             return {"width": validate(c).width, "terms": params.monomial_count}
         c = build_P(params, "circuit", ring)
         poly = expand(c, caps.expansion)
-        _write(args.output, serialize_polynomial(poly, name=c.name))
+        _write(args.output, poly, c.name)
         return {"terms": len(poly.terms), "degree": params.degree}
 
     if args.name == "palindrome":
         _need(args, ["n"])
         c = build_palindrome(args.n, ring)
-        _write(args.output, serialize_circuit(c))
+        _write(args.output, c)
         return {"width": validate(c).width, "size": c.size, "words": 2 ** args.n}
 
     if args.name == "E-abp":
         _need(args, ["n"])
         abp = build_E_abp(args.n, ring)
-        _write(args.output, serialize_circuit(abp))
+        _write(args.output, abp)
         return {"vertices": abp.size, "edges": len(abp.edges)}
 
     if args.name == "E-width2":
@@ -328,14 +334,14 @@ def _cmd_family(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 
     _need(args, ["k"])
     poly = build_permanent_sparse(args.k, ring, caps.expansion)
-    _write(args.output, serialize_polynomial(poly, name=f"perm_{args.k}"))
+    _write(args.output, poly, f"perm_{args.k}")
     return {"terms": len(poly.terms), "degree": args.k}
 
 
 def _cmd_stagger(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     prog = _load_program(args.input)
     out = slp_to_circuit(prog)
-    _write(args.output, serialize_circuit(out))
+    _write(args.output, out)
     return {
         "registers": prog.register_count,
         "steps": prog.step_count,
@@ -347,7 +353,7 @@ def _cmd_depth2width(args: argparse.Namespace, caps: _Caps) -> dict[str, object]
     ring = _ring_from_name(args.ring)
     formula = _formula_from_expression(args.expr, ring, args.mode, args.vars)
     c = depth_to_width(formula, name="expr")
-    _write(args.output, serialize_circuit(c))
+    _write(args.output, c)
     return {"width": validate(c).width, "size": c.size, "depth": formula.depth}
 
 
@@ -387,7 +393,7 @@ def _cmd_root(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
 def _cmd_expand(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     obj = _load(args.input)
     poly = expand(obj, caps.expansion)
-    _write(args.output, serialize_polynomial(poly, name=obj.name))
+    _write(args.output, poly, obj.name)
     degree = max((m.degree for m in poly.terms), default=0)
     return {"terms": len(poly.terms), "degree": degree}
 
@@ -436,7 +442,7 @@ def _cmd_project(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
         family = build_P(params, "formula", ring)
         image_formula = substitute_leaves(family, mapping, target.num_variables)
         c = depth_to_width(image_formula, name="projected")
-        _write(args.output, serialize_circuit(c))
+        _write(args.output, c)
         keys["width"] = validate(c).width
     return keys
 

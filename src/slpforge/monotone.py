@@ -74,57 +74,42 @@ def mon_var_graph(s: MonomialSet) -> MonVarGraph:
     """Occurrence graph of a monomial set and its connected components.
 
     Components are reported smallest-variable first; a constant monomial
-    touches no variable and forms a component of its own.
+    touches no variable and forms a component of its own, reported last.
     """
-    parent: dict[object, object] = {}
+    variables_of = {mono: mono.variables() for mono in s.members}
+    edges = frozenset((var, mono) for mono, vs in variables_of.items() for var in vs)
+    parent = {var: var for vs in variables_of.values() for var in vs}
 
-    def find(x):
-        root = x
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[x] is not root:
-            parent[x], x = root, parent[x]
-        return root
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
+    # Each monomial joins its variables into one component.
+    for vs in variables_of.values():
+        if vs:
+            root = find(min(vs))
+            for var in vs:
+                parent[find(var)] = root
 
-    edges = set()
-    variables = set()
-    for mono in s.members:
-        mkey = ("m", mono)
-        parent.setdefault(mkey, mkey)
-        for var in mono.variables():
-            vkey = ("v", var)
-            parent.setdefault(vkey, vkey)
-            variables.add(var)
-            edges.add((var, mono))
-            union(mkey, vkey)
-
-    groups: dict[object, tuple[set[int], set[Monomial]]] = {}
-    for key in parent:
-        kind, value = key
-        vars_, monos = groups.setdefault(find(key), (set(), set()))
-        if kind == "v":
-            vars_.add(value)
-        else:
-            monos.add(value)
-    components = tuple(
-        sorted(
-            (
-                GraphComponent(frozenset(v), frozenset(m))
-                for v, m in groups.values()
-            ),
-            key=lambda comp: min(comp.variables) if comp.variables else float("inf"),
-        )
-    ) if groups else ()
+    # Keyed by root, inserted smallest variable first; the constant
+    # monomial's key None comes after every variable's.
+    groups: dict[int | None, tuple[set[int], set[Monomial]]] = {}
+    for var in sorted(parent):
+        vars_, _ = groups.setdefault(find(var), (set(), set()))
+        vars_.add(var)
+    for mono, vs in variables_of.items():
+        root = find(min(vs)) if vs else None
+        _, monos = groups.setdefault(root, (set(), set()))
+        monos.add(mono)
     return MonVarGraph(
         monomial_vertices=frozenset(s.members),
-        variable_vertices=frozenset(variables),
-        edges=frozenset(edges),
-        components=components,
+        variable_vertices=frozenset(parent),
+        edges=edges,
+        components=tuple(
+            GraphComponent(frozenset(v), frozenset(m)) for v, m in groups.values()
+        ),
     )
 
 

@@ -243,10 +243,11 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
 def _solve_exact(ring, matrix, rhs) -> list:
     """Exact Gauss-Jordan solve on raw coefficients; free variables are zero.
 
-    Entries are ints mod p over F_p and ints or Fractions over Q.  Raises
-    UnsolvableSystem when the equations are inconsistent.
+    Entries are ints mod p over F_p, reduced after every operation, and
+    ints or Fractions over Q.  Raises UnsolvableSystem when inconsistent.
     """
     p = ring.characteristic
+    reduce = (lambda v: v % p) if p else (lambda v: v)
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     pivots: list[tuple[int, int]] = []
@@ -261,19 +262,13 @@ def _solve_exact(ring, matrix, rhs) -> list:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = _inverse(ring, rows[rank][col])
-        if p:
-            pivot = [v * inv % p for v in rows[rank]]
-        else:
-            pivot = [v * inv if v else 0 for v in rows[rank]]
+        pivot = [reduce(v * inv) if v else 0 for v in rows[rank]]
         rows[rank] = pivot
         for rr, row in enumerate(rows):
             factor = row[col]
             if rr == rank or not factor:
                 continue
-            if p:
-                rows[rr] = [(a - factor * b) % p if b else a for a, b in zip(row, pivot)]
-            else:
-                rows[rr] = [a - factor * b if b else a for a, b in zip(row, pivot)]
+            rows[rr] = [reduce(a - factor * b) if b else a for a, b in zip(row, pivot)]
         pivots.append((rank, col))
         rank += 1
     for rr in range(rank, len(rows)):

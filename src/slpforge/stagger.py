@@ -295,19 +295,13 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
         for step in schedule.steps:
             gate = circuit.gates[step.edge.gate]
             left, right = operand_for(gate.left), operand_for(gate.right)
-            if step.fresh:
-                dest = alloc()
-                sb.apply(dest, gate.op, left, right)
-                for vid in step.freed:
-                    release(register_of.pop(vid))
-            else:
-                freed_regs = sorted(register_of[vid] for vid in step.freed)
-                dest = freed_regs[0]
-                sb.apply(dest, gate.op, left, right)
-                for vid in step.freed:
-                    reg = register_of.pop(vid)
-                    if reg != dest:
-                        release(reg)
+            # A fresh step allocates before any register it frees is back on the heap.
+            popped = sorted(register_of.pop(vid) for vid in step.freed)
+            dest = alloc() if step.fresh else popped[0]
+            sb.apply(dest, gate.op, left, right)
+            for reg in popped:
+                if reg != dest:
+                    release(reg)
             register_of[step.edge.gate] = dest
         for gid in graph.constant_gates:
             gate = circuit.gates[gid]

@@ -138,8 +138,7 @@ def _parse_layered(lines) -> LayeredCircuit:
     name, ring, mode, num_variables, rest = _header(lines, "circuit")
 
     gates: dict[int, Gate] = {}
-    gate_layer: dict[int, int] = {}
-    file_order: list[int] = []
+    layers: list[list[int]] = [[]]
     output_id: int | None = None
     for lineno, tokens in rest:
         if tokens[0] == "gate":
@@ -176,8 +175,9 @@ def _parse_layered(lines) -> LayeredCircuit:
             else:
                 raise CircuitSyntaxError(f"bad layer {layer}", lineno)
             gates[gid] = gate
-            gate_layer[gid] = layer
-            file_order.append(gid)
+            if layer > len(layers):
+                layers.extend([] for _ in range(layer - len(layers)))
+            layers[layer - 1].append(gid)
         elif tokens[0] == "output":
             if len(tokens) != 2:
                 raise CircuitSyntaxError("expected 'output <id>'", lineno)
@@ -198,11 +198,6 @@ def _parse_layered(lines) -> LayeredCircuit:
                     )
     if output_id not in gates:
         raise DanglingOutput(f"output {output_id} is not a gate")
-
-    top = max(gate_layer.values(), default=1)
-    layers: list[list[int]] = [[] for _ in range(top)]
-    for gid in file_order:
-        layers[gate_layer[gid] - 1].append(gid)
     return LayeredCircuit(name, ring, mode, num_variables, layers, gates, output_id)
 
 
@@ -268,15 +263,20 @@ def _parse_abp(lines) -> AlgebraicBranchingProgram:
     )
 
 
+def _header_lines(kind: str, name: str, obj) -> list[str]:
+    """The four header lines of every format; the inverse of _header."""
+    return [
+        f"{kind} {name}",
+        f"ring {obj.ring.descriptor()}",
+        f"mode {obj.mode}",
+        f"vars {obj.num_variables}",
+    ]
+
+
 def serialize_circuit(obj: Parsed) -> str:
     """Inverse of parse_circuit; output parses back structurally identical."""
     if isinstance(obj, LayeredCircuit):
-        lines = [
-            f"circuit {obj.name}",
-            f"ring {obj.ring.descriptor()}",
-            f"mode {obj.mode}",
-            f"vars {obj.num_variables}",
-        ]
+        lines = _header_lines("circuit", obj.name, obj)
         gates, copies, one = obj.gates.explicit, obj.gates.copies, obj.gates.one
         for layer_index, layer in enumerate(obj.layers, start=1):
             for gid in layer:
@@ -293,12 +293,7 @@ def serialize_circuit(obj: Parsed) -> str:
         return "\n".join(lines) + "\n"
 
     if isinstance(obj, AlgebraicBranchingProgram):
-        lines = [
-            f"abp {obj.name}",
-            f"ring {obj.ring.descriptor()}",
-            f"mode {obj.mode}",
-            f"vars {obj.num_variables}",
-        ]
+        lines = _header_lines("abp", obj.name, obj)
         for layer_index, layer in enumerate(obj.layers):
             for vid in layer:
                 lines.append(f"vertex {vid} {layer_index}")
@@ -317,12 +312,7 @@ def serialize_circuit(obj: Parsed) -> str:
 
 def serialize_polynomial(poly: SparsePolynomial, name: str = "p") -> str:
     """One term per line, coefficients first, monomials in canonical order."""
-    lines = [
-        f"polynomial {name}",
-        f"ring {poly.ring.descriptor()}",
-        f"mode {poly.mode}",
-        f"vars {poly.num_variables}",
-    ]
+    lines = _header_lines("polynomial", name, poly)
     for mono in poly.monomials():
         lines.append(f"term {poly.terms[mono].text()} {mono.text()}")
     return "\n".join(lines) + "\n"

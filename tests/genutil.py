@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+from fractions import Fraction
 from typing import Sequence
 
 from slpforge.circuits import (
@@ -1133,3 +1134,84 @@ def reference_solve_exact(ring, matrix, rhs) -> list[Scalar]:
     for row_index, col in pivots:
         solution[col] = rows[row_index][ncols]
     return solution
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle (callers importorskip sympy)
+
+
+def sympy_rational(sympy, value):
+    value = Fraction(value)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def sympy_program(sympy, obj, gens, domain="QQ"):
+    """The commutative polynomial obj computes, as a sympy Poly over domain.
+
+    obj is a straight-line program, a layered circuit or an ABP.  The walk
+    runs the program's steps, the circuit's gates in layer order, or the
+    ABP's edges in layer order on sympy Polys, so it shares no code with
+    circuits.fold.
+    """
+
+    def poly(expr):
+        return sympy.Poly(expr, *gens, domain=domain)
+
+    def constant(scalar):
+        return poly(sympy_rational(sympy, scalar.value))
+
+    def apply(op, left, right):
+        return left + right if op == "add" else left * right
+
+    if isinstance(obj, LayeredCircuit):
+        values = {}
+        for layer in obj.layers:
+            for gid in layer:
+                g = obj.gates[gid]
+                if isinstance(g, VarLeaf):
+                    values[gid] = poly(gens[g.index - 1])
+                elif isinstance(g, ConstLeaf):
+                    values[gid] = constant(g.value)
+                else:
+                    values[gid] = apply(g.op, values[g.left], values[g.right])
+        return values[obj.output_id]
+
+    if isinstance(obj, AlgebraicBranchingProgram):
+        # The sum over source-to-sink paths of the product of edge labels.
+        layer_of = {vid: i for i, layer in enumerate(obj.layers) for vid in layer}
+        reach = {obj.source: poly(1)}
+        for u, v, label in sorted(obj.edges, key=lambda edge: layer_of[edge[0]]):
+            if u in reach:
+                form = constant(label.constant)
+                for var, coeff in label.coefficients.items():
+                    form += constant(coeff) * poly(gens[var - 1])
+                reach[v] = reach.get(v, poly(0)) + reach[u] * form
+        return reach.get(obj.sink, poly(0))
+
+    regs = [poly(0)] * obj.register_count
+
+    def read(op):
+        if isinstance(op, RegOperand):
+            return regs[op.register]
+        if isinstance(op, VarOperand):
+            return poly(gens[op.index - 1])
+        assert isinstance(op, ConstOperand)
+        return constant(op.value)
+
+    for step in obj.steps:
+        if isinstance(step, LoadStep):
+            regs[step.dest] = read(step.source)
+        else:
+            regs[step.dest] = apply(step.op, read(step.left), read(step.right))
+    return regs[obj.output_register]
+
+
+def sympy_of(sympy, poly: SparsePolynomial, gens):
+    """A commutative SparsePolynomial as a sympy expression in gens."""
+    expr = sympy.Integer(0)
+    for mono, coeff in poly.terms.items():
+        term = sympy_rational(sympy, coeff.value)
+        for var, exp in mono.key:
+            term *= gens[var - 1] ** exp
+        expr += term
+    return expr

@@ -17,7 +17,12 @@ from slpforge.pit import HARD_FAMILIES
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField
 from slpforge.stagger import staggerize
-from slpforge.textio import parse_circuit, parse_polynomial, serialize_circuit
+from slpforge.textio import (
+    parse_circuit,
+    parse_polynomial,
+    serialize_circuit,
+    serialize_polynomial,
+)
 from slpforge.transforms import depth_to_width
 
 
@@ -166,28 +171,62 @@ def test_program_commands_build_the_circuit_only_for_output(tmp_path, capsys, mo
     run(capsys, "depth2width", "--expr", "(x2-1)*(x2-2)+x1", "--vars", "2", "-o", str(base))
     run(capsys, "family", "--name", "perm", "--k", "2", "-o", str(poly_file))
     calls = []
+    written = []
 
     def counted(prog):
         calls.append(prog)
         return slp_to_circuit(prog)
 
+    def counting(serialize):
+        def wrapper(*args, **kwargs):
+            written.append(serialize.__name__)
+            return serialize(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr(cli, "slp_to_circuit", counted)
-    commands = [
+    for serialize in (serialize_circuit, serialize_polynomial):
+        monkeypatch.setattr(cli, serialize.__name__, counting(serialize))
+    programs = [
         ["homog", "-i", str(base), "--degree", "2", "--index", "1"],
         ["deriv", "-i", str(base), "--j", "1", "--r", "2"],
         ["root", "-i", str(base), "--y0", "1", "--m", "2", "--r", "2"],
         ["compile-sparse", "-i", str(poly_file)],
         ["family", "--name", "E-width2", "--n", "2"],
     ]
-    for argv in commands:
+    # Commands whose output is a circuit, ABP or polynomial they build anyway.
+    others = [
+        ["family", "--name", "P", "--l", "2", "--k", "2"],
+        ["family", "--name", "P", "--l", "2", "--k", "2", "--form", "formula"],
+        ["family", "--name", "palindrome", "--n", "2"],
+        ["family", "--name", "E-abp", "--n", "2"],
+        ["family", "--name", "perm", "--k", "3"],
+        ["depth2width", "--expr", "(x1+x2)*x3", "--vars", "3"],
+        ["expand", "-i", str(base)],
+        ["stagger", "-i", str(base)],
+    ]
+    for index, argv in enumerate(programs + others):
         calls.clear()
+        written.clear()
         code, bare, _ = run(capsys, *argv)
-        assert code == 0 and calls == []
-        out_file = tmp_path / f"{argv[0]}.ckt"
-        code, written, _ = run(capsys, *argv, "-o", str(out_file))
-        assert code == 0 and len(calls) == 1
-        assert result_line(written) == result_line(bare)
-        assert out_file.read_text() == serialize_circuit(slp_to_circuit(calls[0]))
+        assert code == 0 and written == []
+        if argv in programs:
+            assert calls == []
+        out_file = tmp_path / f"out{index}.txt"
+        code, out, _ = run(capsys, *argv, "-o", str(out_file))
+        assert code == 0 and len(written) == 1
+        assert result_line(out) == result_line(bare)
+        if argv in programs:
+            assert len(calls) == 1
+            assert out_file.read_text() == serialize_circuit(slp_to_circuit(calls[0]))
+    # project builds its circuit only for output, and reports its width then.
+    project = ["project", "--expr", "x1*x2+x3", "--vars", "3", "--l", "2", "--k", "2"]
+    written.clear()
+    code, bare, _ = run(capsys, *project)
+    assert code == 0 and written == [] and "width" not in result_line(bare)
+    code, out, _ = run(capsys, *project, "-o", str(tmp_path / "project.ckt"))
+    assert code == 0 and written == ["serialize_circuit"]
+    assert result_line(out) == {**result_line(bare), "width": result_line(out)["width"]}
 
 
 def test_compile_sparse_inverts_expand(tmp_path, capsys):

@@ -14,15 +14,11 @@ from genutil import (
     reference_newton_series_root,
     reference_solve_exact,
     reference_truncated_power_product,
+    sympy_of,
+    sympy_program,
+    sympy_rational,
 )
-from slpforge.circuits import (
-    ConstOperand,
-    LoadStep,
-    RegOperand,
-    SlpBuilder,
-    VarOperand,
-    expand,
-)
+from slpforge.circuits import SlpBuilder, expand
 from slpforge.errors import (
     CapExceeded,
     CharacteristicTooSmall,
@@ -508,44 +504,13 @@ def test_mixing_system_past_the_term_cap_raises():
 # sympy as an independent oracle
 
 
-def _rational(sympy, value):
-    value = Fraction(value)
-    return sympy.Rational(value.numerator, value.denominator)
-
-
-def _sympy_program(sympy, program, gens):
-    """The polynomial a program computes, by running its steps on sympy Polys."""
-
-    def poly(expr):
-        return sympy.Poly(expr, *gens, domain="QQ")
-
-    regs = [poly(0)] * program.register_count
-
-    def read(op):
-        if isinstance(op, RegOperand):
-            return regs[op.register]
-        if isinstance(op, VarOperand):
-            return poly(gens[op.index - 1])
-        assert isinstance(op, ConstOperand)
-        return poly(_rational(sympy, op.value.value))
-
-    for step in program.steps:
-        if isinstance(step, LoadStep):
-            regs[step.dest] = read(step.source)
-        elif step.op == "add":
-            regs[step.dest] = read(step.left) + read(step.right)
-        else:
-            regs[step.dest] = read(step.left) * read(step.right)
-    return regs[program.output_register]
-
-
 def _sympy_series_root(sympy, p, xs, y, y0, m):
     """The root f of p(x, f) = 0 with f(0) = y0, to total degree m.
 
     Degree d of p(x, f) is linear in the degree-d coefficients of f once
     the lower ones are fixed, so each degree is one linear solve.
     """
-    f = _rational(sympy, y0)
+    f = sympy_rational(sympy, y0)
     for d in range(1, m + 1):
         exps = [e for e in itertools.product(range(d + 1), repeat=len(xs)) if sum(e) == d]
         unknowns = sympy.symbols(f"c0:{len(exps)}")
@@ -555,16 +520,6 @@ def _sympy_series_root(sympy, p, xs, y, y0, m):
         (solution,) = sympy.solve(equations, unknowns, dict=True)
         f = sympy.expand(trial.subs(solution))
     return f
-
-
-def _sympy_of(sympy, poly, gens):
-    expr = sympy.Integer(0)
-    for mono, coeff in poly.terms.items():
-        term = _rational(sympy, coeff.value)
-        for var, exp in mono.key:
-            term *= gens[var - 1] ** exp
-        expr += term
-    return expr
 
 
 @pytest.mark.parametrize(
@@ -581,12 +536,12 @@ def test_root_path_equals_a_sympy_series_root(case):
         y0, m = y0.value, 2
     gens = sympy.symbols(f"x1:{program.num_variables + 1}")
     xs, y = gens[:-1], gens[-1]
-    p = _sympy_program(sympy, program, gens)
+    p = sympy_program(sympy, program, gens)
     want = _sympy_series_root(sympy, p, xs, y, y0, m)
     if case == "sqrt(1+x1)":
         assert want == sympy.series(sympy.sqrt(1 + xs[0]), xs[0], 0, m + 1).removeO()
 
     rp = RootProblem(program, r=r, m=m, y0=y0)
-    assert sympy.expand(_sympy_of(sympy, newton_series_root(rp), xs) - want) == 0
-    emitted = _sympy_program(sympy, root_circuit(rp), gens)
+    assert sympy.expand(sympy_of(sympy, newton_series_root(rp), xs) - want) == 0
+    emitted = sympy_program(sympy, root_circuit(rp), gens)
     assert sympy.expand(emitted.as_expr() - want) == 0

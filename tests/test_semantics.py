@@ -17,6 +17,8 @@ from genutil import (
     random_slp,
     reference_expand,
     reference_homogeneous,
+    sympy_of,
+    sympy_program,
     with_mode,
 )
 from slpforge.circuits import (
@@ -255,6 +257,34 @@ def test_expand_matches_reference_at_the_caps(seed):
     for obj in expand_objects(100 + seed):
         for caps in cap_grid(obj):
             assert_expand_matches_reference(obj, caps)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, F], ids=["Q", "F101"])
+def test_expand_equals_a_sympy_walk(ring):
+    # An oracle outside the library: sympy runs each form's own structure.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    domain = sympy.GF(ring.characteristic) if ring.characteristic else sympy.QQ
+    gens = sympy.symbols("x1:4")
+    constants = (-2, -1, 1, 2, 3, Fraction(1, 3))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.sampled_from(["circuit", "program", "abp"]))
+    def check(seed, kind):
+        rng = random.Random(seed)
+        if kind == "circuit":
+            obj = random_layered_circuit(
+                rng, ring, COMMUTATIVE, width=3, num_variables=3, constants=constants
+            )
+        elif kind == "program":
+            obj = random_slp(rng, ring, COMMUTATIVE, register_count=3, constants=constants)
+        else:
+            obj = random_abp(rng, ring, COMMUTATIVE)
+        got = sympy.Poly(sympy_of(sympy, expand(obj), gens), *gens, domain=domain)
+        assert got == sympy_program(sympy, obj, gens, domain)
+
+    check()
 
 
 def difference_circuit(ring, mode):

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "slpforge"
@@ -52,3 +53,11 @@ def test_property_tests_draw_fixed_examples():
                     pinned.append(f"{path.name}:{decorator.lineno}")
     assert len(givens) >= 6
     assert sorted(givens) == sorted(pinned)
+
+
+def test_every_function_the_traced_benchmark_names_exists(monkeypatch):
+    # perfbench's traced run resolves library functions by module and
+    # name; a rename or a removed nested function fails here too, not only
+    # in a traced benchmark run.  Building Profiles only reads perfbench.
+    monkeypatch.syspath_prepend(str(SOURCE.parents[1]))
+    importlib.import_module("perfbench.tracing").Profiles()
