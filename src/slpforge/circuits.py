@@ -9,12 +9,11 @@ Three forms share one polynomial semantics:
   counts every gate, leaves included.  The gate table is a read-only
   mapping, so validate() computes its report once per circuit object
   and stores it on the circuit.  It holds two tables: explicit gates
-  (leaves and BinGates) and implicit copies, copy id -> source id, each
-  standing for BinGate("mul", source, one) with one the circuit's
-  1-leaf.  Only CircuitBuilder.copies creates implicit copies, so a
-  staggered circuit from slp_to_circuit stores no gate object per copy;
-  looking a copy up in the table builds its BinGate on demand.  Parsed
-  circuits and gates built with CircuitBuilder.gate stay explicit.
+  (leaves and BinGates) and copies, copy id -> source id.  A copy is
+  any mul gate with a constant-1 leaf of layer 1 as either operand,
+  stored so however the circuit is made (CircuitBuilder, parser, plain
+  mapping); looking it up builds BinGate("mul", source, one), with one
+  the 1-leaf of least id, so no pass needs a gate object per copy.
 
 * StraightLineProgram: a register program over w registers.  Steps are
   load (register := variable or constant) and apply (register :=
@@ -41,15 +40,14 @@ caps (polynomials.term_algebra), and syntactic_degree() and the
 homogeneity check in validate() over integer degrees.  The four public
 semantics validate a circuit before folding it, so a parsed circuit
 that breaks an invariant raises validate's typed error; fold() itself
-does not, since validate() runs it.  fold() gives an
-implicit copy its source's value itself, without calling mul; that is
+does not, since validate() runs it.  fold() gives a
+copy its source's value itself, without calling mul; that is
 exact in every one of these algebras, since const(1) is the
 multiplicative identity and none of them mutates an operand.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -109,13 +107,13 @@ Gate = Union[VarLeaf, ConstLeaf, BinGate]
 
 
 class _GateTable(Mapping):
-    """Read-only gate table: explicit gates plus implicit copies.
+    """Read-only gate table: explicit gates plus copies.
 
-    explicit maps ids to leaves and BinGates, copies maps each implicit
-    copy id to its source, and one is the id of the 1-leaf every copy
-    reads.  Looking up a copy builds BinGate("mul", source, one); ids
-    iterate in id order.  The passes of this package read the two tables
-    directly and never change them.
+    explicit maps ids to leaves and BinGates, copies maps each copy id
+    to its source, and one is the id of the 1-leaf every copy reads.
+    Looking up a copy builds BinGate("mul", source, one); ids iterate in
+    id order.  The passes of this package read the two tables directly
+    and never change them.
     """
 
     __slots__ = ("explicit", "copies", "one")
@@ -138,10 +136,22 @@ class _GateTable(Mapping):
         return len(self.explicit) + len(self.copies)
 
     def __iter__(self) -> Iterator[int]:
-        # Builders hand out ascending ids, so both tables are in id order.
-        if not self.copies:
-            return iter(self.explicit)
-        return heapq.merge(self.explicit, self.copies)
+        # A builder's two tables are each in id order, so this sort merges two runs.
+        return iter(sorted([*self.explicit, *self.copies]))
+
+
+def _split_copies(gates: Mapping[int, Gate], leaves: Sequence[int], one: Scalar) -> _GateTable:
+    """gates as a table whose copies are the mul gates reading a 1-leaf among leaves."""
+    ones = {g for g in leaves if isinstance(gates.get(g), ConstLeaf) and gates[g].value == one}
+    if not ones:
+        return _GateTable(dict(gates), {}, None)
+    copies = {
+        gid: g.right if g.left in ones else g.left
+        for gid, g in gates.items()
+        if isinstance(g, BinGate) and g.op == MUL and (g.left in ones or g.right in ones)
+    }
+    explicit = {gid: g for gid, g in gates.items() if gid not in copies}
+    return _GateTable(explicit, copies, min(ones))
 
 
 class LayeredCircuit:
@@ -149,9 +159,8 @@ class LayeredCircuit:
 
     gates is a read-only table over a private copy of the given gates, so
     the report validate() stores on the circuit cannot go stale.  Copy
-    gates u*1 that CircuitBuilder.copies made are held implicitly, as a
-    copy id -> source id table (see the module docstring); every other
-    gate, and every gate of a parsed circuit, is held as given.
+    gates u*1 are held as a copy id -> source id table (see the module
+    docstring); every other gate is held as given.
     """
 
     __slots__ = (
@@ -169,14 +178,14 @@ class LayeredCircuit:
         output_id: int,
     ):
         _check_mode(mode)
-        # A _GateTable never changes, so it is shared rather than copied.
-        if not isinstance(gates, _GateTable):
-            gates = _GateTable(dict(gates), {}, None)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "num_variables", num_variables)
         object.__setattr__(self, "layers", tuple(tuple(layer) for layer in layers))
+        # A _GateTable never changes, so it is shared rather than copied.
+        if not isinstance(gates, _GateTable):
+            gates = _split_copies(gates, self.layers[0] if self.layers else (), ring.one())
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "output_id", output_id)
         object.__setattr__(self, "_report", None)
@@ -195,27 +204,6 @@ class LayeredCircuit:
     @property
     def layer_count(self) -> int:
         return len(self.layers)
-
-
-def _one_leaves(circuit: LayeredCircuit) -> frozenset[int]:
-    """Ids of the leaves holding the constant 1."""
-    gates, one = circuit.gates, circuit.ring.one()
-    return frozenset(
-        gid
-        for gid in circuit.layers[0]
-        if isinstance(gates[gid], ConstLeaf) and gates[gid].value == one
-    )
-
-
-def _copy_source(g: Gate, ones: frozenset[int]) -> int | None:
-    """u for a copy gate u*1 or 1*u, None for any other gate."""
-    if not isinstance(g, BinGate) or g.op != MUL:
-        return None
-    if g.left in ones:
-        return g.right
-    if g.right in ones:
-        return g.left
-    return None
 
 
 @dataclass(frozen=True)
@@ -257,10 +245,9 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
         stray = set(table_ids) ^ set(layer_of)
         raise CircuitSemanticError(f"gate table and layers disagree on ids {sorted(stray)}")
 
-    # Implicit copies in bulk: each reads its source from layer 1 or the
-    # layer below, through a 1-leaf.  Should one not, the loop below
-    # checks the copies one by one, as explicit gates, and raises what
-    # the explicit circuit would.
+    # Copies in bulk: each reads its source from layer 1 or the layer
+    # below, through a 1-leaf.  Should one not, the loop below checks the
+    # copies one by one, as gates u*1, and raises what such a gate does.
     one = circuit.ring.one()
     check_copies = False
     if copies:
@@ -273,10 +260,8 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
         check_copies = bool(((dest == 1) | ((source != 1) & (source != dest - 1))).any())
 
     # One pass over the layers checks every explicit gate and counts, per
-    # internal layer, the gates that are not copies u*1 (the 1-leaves are
-    # all in layer 1, so they are known before the first copy is met).
+    # internal layer, its real gates: the explicit BinGates.
     gate_of = table.__getitem__ if check_copies else gates.__getitem__
-    ones: set[int] = set()
     monotone = circuit.ring.characteristic == 0
     staggered = True
     for layer, ids in enumerate(circuit.layers, start=1):
@@ -295,8 +280,6 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
                     raise RingMismatch(f"gate {gid} constant from a different ring")
                 if monotone and g.value.value < 0:
                     monotone = False
-                if g.value == one:
-                    ones.add(gid)
             else:
                 if layer == 1:
                     raise BadOperandLayer(f"internal gate {gid} in the leaf layer")
@@ -310,8 +293,7 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
                         raise BadOperandLayer(
                             f"gate {gid} in layer {layer} reads layer {ref_layer}"
                         )
-                if _copy_source(g, ones) is None:
-                    real += 1
+                real += 1
         if real > 1:
             staggered = False
     if circuit.output_id not in layer_of:
@@ -383,22 +365,27 @@ class CircuitBuilder:
     def const_leaf(self, value: ScalarLike) -> int:
         v = self.ring.scalar(value)
         if v not in self._const_ids:
-            self._const_ids[v] = self._fresh(1, ConstLeaf(v))
+            self._const_ids[v] = gid = self._fresh(1, ConstLeaf(v))
+            if v == self.ring.one():
+                self._one = gid
         return self._const_ids[v]
 
     def gate(self, layer: int, op: str, left: int, right: int) -> int:
+        """Gate op(left, right); a mul reading the 1-leaf is a copy of the other operand."""
         if op not in OPS:
             raise ParamError(f"op must be add or mul, got {op!r}")
+        if op == MUL and self._one in (left, right):
+            return self.copy(layer, right if left == self._one else left)
         return self._fresh(layer, BinGate(op, left, right))
 
     def copies(self, layer: int, sources: Sequence[int]) -> range:
         """Ferry each gate s*1 into the given layer, in order, with consecutive ids.
 
-        The copies are implicit: the circuit stores their sources only.
+        The circuit stores the copies' sources only.
         """
         target = self._layer(layer)
         if sources and self._one is None:
-            self._one = self.const_leaf(1)
+            self.const_leaf(1)
         ids = range(self._next_id, self._next_id + len(sources))
         self._next_id = ids.stop
         self._copies.update(zip(ids, sources))
@@ -711,7 +698,7 @@ def fold(
     """The output of any IR form interpreted in the algebra (var, const, add, mul).
 
     Every gate of a circuit is computed, including gates the output does
-    not read.  An implicit copy takes its source's value itself, with no
+    not read.  A copy takes its source's value itself, with no
     call to mul: exact in every algebra of this library, whose const(1)
     is the multiplicative identity and none of which mutates an operand.
     Unwritten SLP registers read as const(0).  An ABP vertex is the sum
@@ -944,7 +931,7 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
     )
 
-    table, ones = circuit.gates, _one_leaves(circuit)
+    table = circuit.gates
     gates, copy_source = table.explicit, table.copies.get
     leaves = set(circuit.layers[0])
     register_of: dict[int, int] = {}
@@ -955,15 +942,13 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
         leaf_copies: list[tuple[int, str, int, int]] = []
         taken: set[int] = set()
         for gid in layer:
-            g = gates.get(gid)
-            source = copy_source(gid) if g is None else _copy_source(g, ones)
+            source = copy_source(gid)
             if source is None:
+                g = gates[gid]
                 real.append((gid, g.op, g.left, g.right))
             elif source in leaves:
                 # A copy of a leaf still needs a register of its own.
-                if g is None:
-                    g = table[gid]
-                leaf_copies.append((gid, g.op, g.left, g.right))
+                leaf_copies.append((gid, MUL, source, table.one))
             else:
                 register_of[gid] = register = register_of[source]
                 taken.add(register)

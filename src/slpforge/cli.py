@@ -186,7 +186,10 @@ def _load_circuit(path: str) -> LayeredCircuit:
 
 
 def _load_program(path: str) -> StraightLineProgram:
-    """Circuit file as a register program; staggers first when needed."""
+    """Circuit file as a register program; staggers first when needed.
+
+    circuit_to_slp gives a staggered file width registers, staggerize width+1.
+    """
     c = _load_circuit(path)
     if validate(c).staggered:
         return circuit_to_slp(c)

@@ -11,7 +11,8 @@ Three testers with different trust models:
                     design and evaluates over a full grid; completeness
                     is unconditional, soundness rests on the family's
                     hardness (a configuration choice, never verified
-                    here)
+                    here); a zero verdict shows only that the
+                    composition vanishes on the grid
   verify_permanent_circuit
                     reduces "does C compute the permanent" to n circuit
                     identities via Laplace expansion along the first
@@ -26,7 +27,9 @@ ring.  The first batch holds one point, so an early hit stays cheap.
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
 mechanism testable at desk scale; nothing about them is known to be
-hard.
+hard.  nw_design repeats sets when m < degree_bound: nw_design(3, 1)
+has sets 0 and 2 equal, so nw_pit(c, hf, 1) says "zero" on x1 - x3
+over F_101 for both families, and schwartz_zippel(c, 20) "nonzero".
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 # A batch of points holds at most this many int64 values: fold keeps a
-# value for every explicit gate of a circuit, and an implicit copy shares
+# value for every explicit gate of a circuit, and a copy shares
 # its source's, so a circuit with 278 explicit gates gets 3771 points.
 _BATCH_CELLS = 1 << 20
 _BATCH_POINTS = 4096
@@ -198,7 +201,7 @@ class NWDesign:
 
 
 def nw_design(n: int, m: int) -> NWDesign:
-    """Design of n sets of size m with intersections below ceil(log2 n)."""
+    """n sets of size m with intersections below ceil(log2 n); repeats when m < degree_bound."""
     if n < 1 or m < 1:
         raise ParamError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     q = next(p for p in range(max(m, 2), 2 * m + 1) if is_probable_prime(p))
@@ -293,8 +296,10 @@ def nw_pit(
     itertools.product order; the witness is the first nonzero point.  A
     zero input always yields a zero verdict; a zero verdict on a nonzero
     input would contradict the family's assumed hardness, which is not
-    checked here.  The S^m values of P_m are computed once; the grid
-    points then run in the batches schwartz_zippel uses.
+    checked here: a zero verdict shows only that F vanishes on the grid,
+    where a set nw_design repeats feeds its variables equal inputs.  The
+    S^m values of P_m are computed once; the grid points then run in the
+    batches schwartz_zippel uses.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("the grid tester handles commutative circuits only")

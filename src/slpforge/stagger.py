@@ -8,12 +8,11 @@ registers until it is emitted and goes to the constant list.  Because
 each layer-(i+1) gate contributes one edge or one constant entry,
 |V(G)| <= w and |E(G)| + |V'| <= w.
 
-Implicit copies are aliases.  The first implicit copy of a layer-i gate
-u (one from the circuit's copy table, not a parsed or built gate u*1)
-takes over u's register and emits no step.  From then on u is read like
-a leaf: it is no vertex of the multigraph, so the schedule never frees
-its register, and a gate reading u counts only its other operand.  A
-second copy of u, a copy of a leaf, and every explicit gate u*1 are
+Copies are aliases.  The first copy u*1 of a layer-i gate u (see the
+circuits module docstring) takes over u's register and emits no step.
+From then on u is read like a leaf: it is no vertex of the multigraph,
+so the schedule never frees its register, and a gate reading u counts
+only its other operand.  A second copy of u and a copy of a leaf are
 ordinary gates, so two live gates never share a register.  With A
 aliases, the A registers they hold and the graph of the remaining gates
 together respect the bound: A + |V(G)| <= w, since the aliased sources
@@ -52,8 +51,9 @@ leaf edges per tree step, so still O(E^2) per layer in the worst case.
 staggerize replays the schedule as straight-line code, giving at most
 w+1 registers and one apply step per internal gate that is not an
 alias: leaf operands are embedded as immediates, so no loads are spent
-on them.  A staggered circuit from slp_to_circuit, whose copies are all
-aliases, costs one step per layer, as in circuit_to_slp.
+on them.  A circuit from slp_to_circuit, read back from a file or not,
+costs at most one step per layer up to the output, and exactly one
+when no step of its program multiplies by 1.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class LayerMultigraph:
     vertices: frozenset[int]
     edges: tuple[MultiEdge, ...]
     constant_gates: tuple[int, ...]
-    # (copy id, source id) for each implicit copy that takes over its
-    # source's register; the source is not a vertex.
+    # (copy id, source id) for each copy that takes over its source's
+    # register; the source is not a vertex.
     aliases: tuple[tuple[int, int], ...] = ()
 
 
@@ -102,7 +102,7 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
 
     For layer_index 1 the register-resident set is empty (leaves are
     immediates), so every layer-2 gate lands in constant_gates.  The
-    first implicit copy of each resident gate is an alias, not an edge,
+    first copy of each resident gate is an alias, not an edge,
     and its source is read like a leaf by every other gate of the layer.
     """
     if not 1 <= layer_index < circuit.layer_count:

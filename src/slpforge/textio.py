@@ -37,7 +37,10 @@ undefined references) raise CircuitSemanticError.
 
 Straight-line programs are stored as their staggered-circuit form, so
 one grammar covers both; parse_circuit followed by circuit_to_slp
-recovers the register program.
+recovers the register program.  A copy line, a mul gate with a 1-leaf
+as either operand, is read into the circuit's copy table, and every
+copy is written as 'mul <source> <one>', with one the 1-leaf of least
+id (see the circuits module docstring).
 """
 
 from __future__ import annotations
@@ -247,17 +250,13 @@ def _parse_abp(lines) -> AlgebraicBranchingProgram:
 
     if source is None or sink is None:
         raise CircuitSyntaxError("missing source or sink line", lines[-1][0])
-    for u, v, _ in edges:
-        for vid in (u, v):
-            if vid not in vertex_layer:
-                raise CircuitSemanticError(f"edge uses undefined vertex {vid}")
     declared = sorted(set(vertex_layer.values()))
     if declared != list(range(len(declared))):
         raise CircuitSemanticError(f"vertex layers must be 0..t, got {declared}")
     layers: list[list[int]] = [[] for _ in declared]
     for vid in sorted(vertex_layer):
         layers[vertex_layer[vid]].append(vid)
-    # Constructor enforces source/sink placement and adjacency.
+    # Constructor enforces source/sink placement, defined vertices and adjacency.
     return AlgebraicBranchingProgram(
         name, ring, num_variables, layers, edges, source, sink, mode
     )

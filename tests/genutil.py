@@ -25,9 +25,7 @@ from slpforge.circuits import (
     StraightLineProgram,
     VarLeaf,
     VarOperand,
-    _copy_source,
     _GateTable,
-    _one_leaves,
     evaluate,
     fold,
     leaf_operand,
@@ -599,6 +597,27 @@ def reference_mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> 
     )
     bound = max((m.degree for m in members), default=0)
     return MonomialSet(c.mode, c.num_variables, members, bound)
+
+
+def _one_leaves(circuit: LayeredCircuit) -> frozenset[int]:
+    """Ids of the leaves holding the constant 1: the oracles' own copy rule."""
+    gates, one = circuit.gates, circuit.ring.one()
+    return frozenset(
+        gid
+        for gid in circuit.layers[0]
+        if isinstance(gates[gid], ConstLeaf) and gates[gid].value == one
+    )
+
+
+def _copy_source(g, ones: frozenset[int]) -> int | None:
+    """u for a copy gate u*1 or 1*u, None for any other gate."""
+    if not isinstance(g, BinGate) or g.op != MUL:
+        return None
+    if g.left in ones:
+        return g.right
+    if g.right in ones:
+        return g.left
+    return None
 
 
 def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> LayeredCircuit:

@@ -170,7 +170,8 @@ def _circuit_with_copy(layer, source, implicit):
     """x1*x2, then +x1, then *x2, with one more copy source*1 in the given layer.
 
     source names a gate of that build: "x1", "g" (layer 2) or an undefined id.
-    The copy is implicit (CircuitBuilder.copy) or explicit (CircuitBuilder.gate).
+    The copy is made with CircuitBuilder.copy (implicit) or as the gate
+    source*1 with CircuitBuilder.gate (explicit); both give a copy id 6.
     """
     b = CircuitBuilder(F, COMMUTATIVE, 2)
     x1, x2, one = b.var_leaf(1), b.var_leaf(2), b.const_leaf(1)
@@ -194,17 +195,19 @@ def _circuit_with_copy(layer, source, implicit):
     ],
 )
 def test_ill_formed_implicit_copy_raises_as_its_explicit_twin(layer, source, error):
-    messages = []
+    expected = {
+        "g": "gate 6 in layer 4 reads layer 2",
+        "x1": "internal gate 6 in the leaf layer",
+        99: "gate 6 reads undefined gate 99",
+    }[source]
     for implicit in (False, True):
-        with pytest.raises(error) as info:
+        with pytest.raises(error, match=f"^{expected}$"):
             _circuit_with_copy(layer, source, implicit)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
 
 
 def test_well_formed_implicit_copy_matches_its_explicit_twin():
     explicit, implicit = (_circuit_with_copy(4, "x1", flag) for flag in (False, True))
-    assert implicit.gates.copies == {6: 1}
+    assert implicit.gates.copies == explicit.gates.copies == {6: 1}
     assert dict(implicit.gates) == dict(explicit.gates)
     assert validate(implicit) == validate(explicit)
     assert serialize_circuit(implicit) == serialize_circuit(explicit)
@@ -222,30 +225,25 @@ def test_implicit_copies_must_read_a_one_leaf():
 def test_passes_read_implicit_copies_without_gate_objects(monkeypatch):
     rng = random.Random(47)
     prog = staggerize(random_layered_circuit(rng, F, NONCOMMUTATIVE, 6))
-    table = circuits._GateTable
-    lookup, classify = table.__getitem__, circuits._copy_source
-    classified = []
+    lookup = circuits._GateTable.__getitem__
 
     def guarded_lookup(self, gid):
         if gid in self.copies:
             raise AssertionError(f"copy {gid} built as a gate object")
         return lookup(self, gid)
 
-    def counting_classify(g, ones):
-        classified.append(g)
-        return classify(g, ones)
-
-    monkeypatch.setattr(table, "__getitem__", guarded_lookup)
-    monkeypatch.setattr(circuits, "_copy_source", counting_classify)
+    monkeypatch.setattr(circuits._GateTable, "__getitem__", guarded_lookup)
     c = slp_to_circuit(prog)  # validates
-    circuit_to_slp(c)
-    serialize_circuit(c)
-    expand(c)
-    evaluate(c, [rng.randrange(101) for _ in range(c.num_variables)])
-    assert c.gates.copies
-    internal = [g for g in c.gates.explicit.values() if isinstance(g, BinGate)]
-    assert len(classified) == 2 * len(internal)
-    assert all(any(g is gate for gate in internal) for g in classified)
+    parsed = parse_circuit(serialize_circuit(c))
+    assert c.gates.copies and parsed.gates.copies == c.gates.copies
+    assert parsed.gates.explicit == c.gates.explicit
+    point = [rng.randrange(101) for _ in range(c.num_variables)]
+    for circuit in (c, parsed):
+        validate(circuit)
+        circuit_to_slp(circuit)
+        serialize_circuit(circuit)
+        expand(circuit)
+        evaluate(circuit, point)
 
 
 def test_missing_output_rejected():

@@ -202,6 +202,21 @@ def test_nw_pit_single_variable_nonzero():
     assert verdict.status == "nonzero"
 
 
+def test_nw_zero_verdict_shows_only_that_the_composition_vanishes():
+    # m = 1 is below the design's degree bound, so set 2 repeats set 0:
+    # x1 and x3 read the same input, and x1 - x3 composes to zero.
+    design = nw_design(3, 1)
+    assert design.m < design.degree_bound
+    assert design.sets[0] == design.sets[2]
+    cb = CircuitBuilder(PrimeField(101), COMMUTATIVE, 3)
+    minus_x3 = cb.gate(2, "mul", cb.var_leaf(3), cb.const_leaf(-1))
+    cb.set_output(cb.gate(3, "add", cb.var_leaf(1), minus_x3))
+    c = cb.build()
+    for hf in HARD_FAMILIES.values():
+        assert nw_pit(c, hf, 1).status == "zero"
+    assert schwartz_zippel(c, 20).status == "nonzero"
+
+
 def test_nw_pit_grid_budget():
     with pytest.raises(GridTooLarge):
         nw_pit(_zero_circuit(), HARD_FAMILIES["desk-rule"], 2, grid_budget=10)
@@ -419,20 +434,23 @@ def test_batched_nw_first_hit_in_a_later_batch():
 
 def test_batches_count_the_gate_values_fold_stores():
     # Each register is written once, then all are multiplied into r0:
-    # the staggered circuit carries every live register as an implicit
-    # copy, which shares its source's value in fold.
+    # the staggered circuit carries every live register as a copy, which
+    # shares its source's value in fold.  Over 256 explicit gates make a
+    # batch smaller than _BATCH_POINTS.
     ring = PrimeField((1 << 31) - 1)
     n, registers = 4, 150
     sb = SlpBuilder(ring, COMMUTATIVE, n, register_count=registers)
     for r in range(registers):
-        sb.apply(r, "mul", sb.var(r % n + 1), sb.const(1))
+        sb.apply(r, "mul", sb.var(r % n + 1), sb.const(2))
     for r in range(1, registers):
         sb.apply(0, "mul", sb.reg(0), sb.reg(r))
     c = slp_to_circuit(sb.finish(0))
     explicit = len(c.gates.explicit)
+    assert explicit > 256
     assert c.size > 50 * explicit
     assert pit._batch_points(c) == pit._BATCH_CELLS // explicit < pit._BATCH_POINTS
-    # The product of x_i^37 or x_i^38 is nonzero on {0, 1}^4 at all ones only.
+    # 2^150 times the product of x_i^37 or x_i^38 is nonzero on {0, 1}^4
+    # at all ones only.
     for seed in range(3):
         args = (c, 200, None, seed, 2)
         verdict = schwartz_zippel(*args)

@@ -19,6 +19,33 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _source_nodes():
+    """(file name, node) for every AST node of the library source."""
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
+def test_only_circuits_builds_a_gate_table():
+    # circuits decides what a copy is, so it alone fills a gate table.
+    builders = {
+        name
+        for name, node in _source_nodes()
+        if isinstance(node, ast.Call) and _callee(node) == "_GateTable"
+    }
+    assert builders == {"circuits.py"}
+
+
+def test_no_module_keeps_a_second_copy_rule():
+    # Copies u*1 are read off the copy table, never recognised again.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name in ("_copy_source", "_one_leaves")
+    ]
+    assert found == []
+
+
 def _callee(node: ast.AST) -> str | None:
     """Name of the function a call (or a bare decorator) refers to."""
     func = node.func if isinstance(node, ast.Call) else node

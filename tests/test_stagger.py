@@ -18,8 +18,6 @@ from slpforge.circuits import (
     ApplyStep,
     CircuitBuilder,
     LayeredCircuit,
-    _copy_source,
-    _one_leaves,
     circuit_to_slp,
     evaluate,
     evaluate_mod_p,
@@ -223,43 +221,62 @@ def program_parts(slp):
     return (slp.name, slp.register_count, slp.steps, slp.output_register)
 
 
-def assert_implicit_matches_explicit(implicit, explicit, rng):
-    """A circuit with implicit copies behaves as its explicit twin."""
-    assert validate(implicit) == validate(explicit)
-    assert dict(implicit.gates) == dict(explicit.gates)
-    assert list(implicit.gates) == list(explicit.gates)
-    assert program_parts(circuit_to_slp(implicit)) == program_parts(circuit_to_slp(explicit))
-    assert expand(implicit) == expand(explicit)
-    assert syntactic_degree(implicit) == syntactic_degree(explicit)
-    points = [
-        [rng.randrange(-50, 51) for _ in range(implicit.num_variables)] for _ in range(3)
-    ]
-    for point in points:
-        assert evaluate(implicit, point) == evaluate(explicit, point)
-    ring = implicit.ring
-    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
-        columns = np.array(points, dtype=np.int64).reshape(3, -1).T % ring.p
-        assert np.array_equal(
-            evaluate_mod_p(implicit, columns, ring.p), evaluate_mod_p(explicit, columns, ring.p)
-        )
+def twins(c):
+    """c made again by the other ways of making a circuit: parsed, and from a plain mapping."""
+    parsed = parse_circuit(serialize_circuit(c))
+    mapped = LayeredCircuit(
+        c.name, c.ring, c.mode, c.num_variables, c.layers, dict(c.gates), c.output_id
+    )
+    return parsed, mapped
+
+
+def assert_construction_paths_agree(c, rng):
+    """Every way of making c stores the same gates and copies and behaves alike."""
+    points = [[rng.randrange(-50, 51) for _ in range(c.num_variables)] for _ in range(3)]
+    ring = c.ring
+    batched = isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT
+    columns = np.array(points, dtype=np.int64).reshape(3, -1).T % ring.p if batched else None
+    for twin in twins(c):
+        assert twin.gates.explicit == c.gates.explicit
+        assert twin.gates.copies == c.gates.copies
+        assert twin.gates.one == c.gates.one
+        assert validate(twin) == validate(c)
+        assert list(twin.gates) == list(c.gates)
+        assert serialize_circuit(twin) == serialize_circuit(c)
+        assert program_parts(staggerize(twin)) == program_parts(staggerize(c))
+        if validate(c).staggered:
+            assert program_parts(circuit_to_slp(twin)) == program_parts(circuit_to_slp(c))
+        assert expand(twin) == expand(c)
+        assert syntactic_degree(twin) == syntactic_degree(c)
+        for point in points:
+            assert evaluate(twin, point) == evaluate(c, point)
+        if batched:
+            assert np.array_equal(
+                evaluate_mod_p(twin, columns, ring.p), evaluate_mod_p(c, columns, ring.p)
+            )
 
 
 def assert_conversions_match_reference(slp):
     """Both conversions give the output of their first-written versions.
 
-    The first-written slp_to_circuit builds its copies as explicit gates,
-    so it is also the explicit twin of the circuit with implicit copies.
+    The first-written slp_to_circuit builds each copy with
+    CircuitBuilder.gate, one gate u*1 at a time, and the builder stores
+    it in the copy table all the same.
     """
     staggered = slp_to_circuit(slp)
-    explicit = reference_slp_to_circuit(slp)
-    # One explicit gate per apply step; every copy is implicit.
+    first = reference_slp_to_circuit(slp)
+    # One layer per apply step, holding at most one explicit gate; every
+    # copy is in the copy table.
     applies = sum(isinstance(step, ApplyStep) for step in slp.steps)
-    assert len(staggered.gates.explicit) == len(staggered.layers[0]) + applies
-    assert not explicit.gates.copies
-    assert serialize_circuit(staggered) == serialize_circuit(explicit)
+    explicit = staggered.gates.explicit
+    assert len(staggered.layers) == applies + 1
+    assert all(sum(gid in explicit for gid in layer) <= 1 for layer in staggered.layers[1:])
+    assert explicit == first.gates.explicit
+    assert staggered.gates.copies == first.gates.copies
+    assert serialize_circuit(staggered) == serialize_circuit(first)
     back = circuit_to_slp(staggered)
     assert program_parts(back) == program_parts(reference_circuit_to_slp(staggered))
-    assert_implicit_matches_explicit(staggered, explicit, random.Random(len(slp.steps)))
+    assert_construction_paths_agree(staggered, random.Random(len(slp.steps)))
     return staggered, back
 
 
@@ -411,18 +428,8 @@ output 12
     assert expand(slp) == expand(c)
 
 
-def explicit_copies_of_gates(c) -> int:
-    """Explicit gates u*1 with u internal: edges here, inheritances in circuit_to_slp."""
-    ones, leaves = _one_leaves(c), set(c.layers[0])
-    sources = (_copy_source(g, ones) for g in c.gates.explicit.values())
-    return sum(source is not None and source not in leaves for source in sources)
-
-
-def explicit_twin(c):
-    """c with every implicit copy held as an explicit gate u*1."""
-    return LayeredCircuit(
-        c.name, c.ring, c.mode, c.num_variables, c.layers, dict(c.gates), c.output_id
-    )
+def output_layer(c) -> int:
+    return next(i for i, layer in enumerate(c.layers, 1) if c.output_id in layer)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -432,30 +439,50 @@ def test_aliased_copies_on_random_programs(ring, mode):
     for trial in range(150):
         slp = random_slp(rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 20))
         c = slp_to_circuit(slp)
+        # Every gate of a layer up to the output's that is not an alias
+        # costs one step; layers past the output's never run.
+        steps = 0
         for layer_index in range(1, c.layer_count):
             g = build_layer_multigraph(c, layer_index)
             assert len(g.vertices) + len(g.aliases) <= c.width
             assert len(g.edges) + len(g.constant_gates) + len(g.aliases) <= c.width
             assert max(order_edges(g).census) + len(g.aliases) <= census_bound(g) <= c.width + 1
+            if layer_index < output_layer(c):
+                steps += len(c.layers[layer_index]) - len(g.aliases)
         staggered = staggerize(c)
         assert staggered.register_count <= c.width + 1, trial
         assert expand(staggered) == expand(c), trial
-        # Each layer holds one explicit gate and aliases its implicit
-        # copies, so it costs one step; layers past the output's never run.
-        out_layer = next(i for i, layer in enumerate(c.layers, 1) if c.output_id in layer)
-        assert staggered.step_count == max(out_layer - 1, 1), trial
-        # Implicit copies cost no step, as in circuit_to_slp; explicit u*1
-        # gates are edges here and register inheritances there.
-        back = circuit_to_slp(c)
-        assert staggered.step_count <= back.step_count + explicit_copies_of_gates(c), trial
+        assert staggered.step_count == max(steps, 1), trial
+        assert staggered.step_count <= max(output_layer(c) - 1, 1), trial
 
-        twin = explicit_twin(c)
-        assert not twin.gates.copies
+        # The same circuit from a plain mapping has the same copy table,
+        # so it staggers to the same program.
+        twin = twins(c)[1]
+        assert twin.gates.copies == c.gates.copies
         program = staggerize(twin)
-        assert program.register_count <= c.width + 1, trial
-        assert expand(program) == expand(c), trial
+        assert program_parts(program) == program_parts(staggered), trial
         point = [rng.randrange(-50, 51) for _ in range(c.num_variables)]
-        assert evaluate(program, point) == evaluate(staggered, point) == evaluate(c, point)
+        assert evaluate(program, point) == evaluate(c, point)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_parsed_staggered_circuits_stagger_as_built(mode):
+    # Read back from its file, a staggered circuit keeps its copies in
+    # the copy table, so staggerize aliases them as it does for the
+    # circuit slp_to_circuit built.  Without a constant 1 in the program
+    # every layer holds one real gate, and costs one step.
+    rng = random.Random(59)
+    for trial in range(120):
+        constants = range(7) if trial % 2 else (0, 2, 3, 5)
+        slp = random_slp(
+            rng, F, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 24), constants=constants
+        )
+        c = slp_to_circuit(slp)
+        built = staggerize(c)
+        read = staggerize(parse_circuit(serialize_circuit(c)))
+        assert program_parts(read) == program_parts(built), trial
+        if 1 not in constants:
+            assert read.step_count == max(output_layer(c) - 1, 1), trial
 
 
 def test_a_second_copy_and_a_copy_of_a_leaf_are_steps():

@@ -18,6 +18,7 @@ from slpforge.circuits import (
     validate,
 )
 from slpforge.errors import (
+    BadOperandLayer,
     CircuitSemanticError,
     CircuitSyntaxError,
     DanglingOutput,
@@ -31,6 +32,7 @@ from slpforge.polynomials import (
     SparsePolynomial,
 )
 from slpforge.rings import PrimeField, RATIONALS
+from slpforge.stagger import staggerize
 from slpforge.textio import (
     parse_circuit,
     parse_polynomial,
@@ -327,6 +329,98 @@ def test_generated_circuits_round_trip():
         assert dict(again.gates) == dict(c.gates)
         assert again.layers == c.layers
         assert again.output_id == c.output_id
+
+    check()
+
+
+def _hand_written_copies(rng: random.Random, mode: str, malformed: bool):
+    """A circuit file whose copies are written by hand: (text, copies, bad copy id).
+
+    Leaves x1, x2, two 1-leaves (3 and 4) and a 2-leaf (5); layer 2 holds
+    x1+x2 and x1*x2, layer 3 their product and copies of leaves and of
+    layer-2 gates.  Each copy reads either 1-leaf, written as
+    mul <one> <u> or mul <u> <one>.  Later layers combine the gates below
+    pairwise, copying an odd one up, until one gate is left.  A malformed
+    file also holds a layer-4 copy of a layer-2 gate.  copies maps each
+    copy id to its source.
+    """
+    lines = [
+        "circuit hand", "ring prime 101", f"mode {mode}", "vars 2",
+        "gate 1 1 var 1", "gate 2 1 var 2", "gate 3 1 const 1", "gate 4 1 const 1",
+        "gate 5 1 const 2", "gate 6 2 add 1 2", "gate 7 2 mul 1 2", "gate 8 3 mul 6 7",
+    ]
+    copies: dict[int, int] = {}
+
+    def gate(layer: int, op: str, left: int, right: int) -> int:
+        gid = len(lines) - 3  # gate ids count the lines after the 4 header lines
+        lines.append(f"gate {gid} {layer} {op} {left} {right}")
+        return gid
+
+    def copy(layer: int, source: int) -> int:
+        one = rng.choice((3, 4))
+        gid = gate(layer, "mul", *((one, source) if rng.random() < 0.5 else (source, one)))
+        copies[gid] = source
+        return gid
+
+    current = [8] + [copy(3, rng.choice((1, 2, 5, 6, 7))) for _ in range(rng.randint(1, 4))]
+    bad = copy(4, rng.choice((6, 7))) if malformed else None
+    layer = 3
+    while len(current) > 1:
+        layer += 1
+        pairs = zip(current[::2], current[1::2])
+        following = [gate(layer, rng.choice(("add", "mul")), a, b) for a, b in pairs]
+        if len(current) % 2:
+            following.append(copy(layer, current[-1]))
+        current = following
+    lines.append(f"output {current[0]}")
+    return "\n".join(lines) + "\n", copies, bad
+
+
+def _text_polynomial(text: str) -> SparsePolynomial:
+    """The polynomial of a prime-101 circuit file, gate line by gate line."""
+    ring, values = PrimeField(101), {}
+    for tokens in map(str.split, text.splitlines()):
+        if tokens[0] == "mode":
+            mode = tokens[1]
+        elif tokens[0] == "output":
+            return values[int(tokens[1])]
+        elif tokens[0] == "gate":
+            gid, kind, args = int(tokens[1]), tokens[3], tokens[4:]
+            if kind == "var":
+                values[gid] = SparsePolynomial.variable(ring, mode, 2, int(args[0]))
+            elif kind == "const":
+                values[gid] = SparsePolynomial.constant(ring, mode, 2, int(args[0]))
+            else:
+                left, right = (values[int(a)] for a in args)
+                values[gid] = left.add(right) if kind == "add" else left.mul(right)
+    raise AssertionError("no output line")
+
+
+def test_hand_written_copies_read_into_the_copy_table():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.sampled_from(MODES), st.booleans())
+    def check(seed, mode, malformed):
+        text, copies, bad = _hand_written_copies(random.Random(seed), mode, malformed)
+        c = parse_circuit(text)
+        assert c.gates.copies == copies
+        assert c.gates.one == 3
+        if malformed:
+            # As the same gate reading the 2-leaf, which is no copy.
+            twin = re.sub(rf"^gate {bad} .*$", f"gate {bad} 4 mul {copies[bad]} 5", text, flags=re.M)
+            for circuit in (c, parse_circuit(twin)):
+                with pytest.raises(BadOperandLayer, match=f"^gate {bad} in layer 4 reads layer 2$"):
+                    validate(circuit)
+            return
+        once = serialize_circuit(c)
+        for gid, source in copies.items():
+            assert re.search(rf"^gate {gid} \d+ mul {source} 3$", once, flags=re.M)
+        assert serialize_circuit(parse_circuit(once)) == once
+        want = _text_polynomial(text)
+        assert expand(c) == expand(parse_circuit(once)) == want
+        assert expand(staggerize(c)) == want
 
     check()
 
