@@ -1,8 +1,8 @@
 """From a layered circuit to a register program and back.
 
 Builds a width-3 circuit for (x1 + x2)(x2 + x3)(x1*x3 + 7), squeezes it
-into a straight-line program over width+1 registers, and confirms both
-forms expand to the same polynomial.  Run it directly:
+into a straight-line program over at most width+1 registers, and
+confirms both forms expand to the same polynomial.  Run it directly:
 
     python3 demos/stagger_pipeline.py
 """
@@ -39,7 +39,8 @@ print(f"circuit: width {report.width}, size {report.size}, "
 
 # Staggering schedules each layer transition as a sequence of register
 # writes.  The register budget is width + 1 no matter how the layers
-# share their operands.
+# share their operands; a value is freed at its last read, so this
+# program needs only 3.
 program = staggerize(circuit)
 print(f"program: {program.register_count} registers, "
       f"{program.step_count} steps")

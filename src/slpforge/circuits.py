@@ -48,6 +48,7 @@ multiplicative identity and none of them mutates an operand.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ from .errors import (
     BadOperandLayer,
     CircuitSemanticError,
     DanglingOutput,
+    InvariantViolation,
     ParamError,
     RingMismatch,
 )
@@ -854,22 +856,12 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     """
     b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
 
-    # Backward: dying[i] holds the registers whose value step i reads
-    # for the last time; kept[i] says whether a later step, or the
-    # output, reads the value step i writes.
-    dying: list[set[int]] = []
-    kept: list[bool] = []
-    live = {slp.output_register}
-    for step in reversed(slp.steps):
-        kept.append(step.dest in live)
-        live.discard(step.dest)
-        reads = set()
-        if isinstance(step, ApplyStep):
-            reads = {op.register for op in (step.left, step.right) if isinstance(op, RegOperand)}
-        dying.append(reads - live)
-        live |= reads
-    dying.reverse()
-    kept.reverse()
+    accesses = []
+    for step in slp.steps:
+        operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
+        reads = {op.register for op in operands if isinstance(op, RegOperand)}
+        accesses.append((step.dest, reads))
+    dying, kept = _last_reads(accesses, slp.output_register)
 
     # held: register -> gate of its value, while that value is not a
     # leaf and is still read later; leaf: register -> its leaf gate.
@@ -919,53 +911,109 @@ def leaf_operand(circuit: LayeredCircuit, gid: int) -> Union[VarOperand, ConstOp
 def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
     """Register program for a staggered circuit.
 
-    Copy gates become register inheritances and cost nothing; each layer
-    contributes at most one apply step.  The register count equals the
-    circuit width (or 1 for a circuit that is a bare leaf).
+    A copy of a gate holds its source's value and costs nothing; each
+    layer contributes one apply step for its real gate and one for each
+    copy of a leaf, and _allocate picks the registers.  The register
+    count is at most the circuit width (or 1 for a circuit that is a
+    bare leaf).
     """
     report = validate(circuit)
     if not report.staggered:
         raise ParamError("circuit is not staggered")
-    width = max(report.width, 1)
-    sb = SlpBuilder(
-        circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
-    )
+    sb = SlpBuilder(circuit.ring, circuit.mode, circuit.num_variables, name=name or circuit.name)
 
     table = circuit.gates
     gates, copy_source = table.explicit, table.copies.get
     leaves = set(circuit.layers[0])
-    register_of: dict[int, int] = {}
+    alias: dict[int, int] = {}  # copy of a gate -> the gate whose value it holds
+
+    def operand(ref: int) -> Union[int, VarOperand, ConstOperand]:
+        return leaf_operand(circuit, ref) if ref in leaves else alias.get(ref, ref)
+
+    steps: list[tuple] = []
     for layer in circuit.layers[1:]:
-        # (gid, op, left, right) of the gates that need a register of
-        # their own: the non-copies, then the copies of leaves.
-        real: list[tuple[int, str, int, int]] = []
-        leaf_copies: list[tuple[int, str, int, int]] = []
-        taken: set[int] = set()
+        # The real gate, then the copies of leaves: each needs a register.
+        leaf_copies: list[tuple] = []
         for gid in layer:
             source = copy_source(gid)
             if source is None:
                 g = gates[gid]
-                real.append((gid, g.op, g.left, g.right))
+                steps.append((gid, g.op, operand(g.left), operand(g.right)))
             elif source in leaves:
-                # A copy of a leaf still needs a register of its own.
-                leaf_copies.append((gid, MUL, source, table.one))
+                leaf_copies.append((gid, MUL, operand(source), operand(table.one)))
             else:
-                register_of[gid] = register = register_of[source]
-                taken.add(register)
-        # Registers no copy holds, smallest first, handed out lazily.
-        free = (r for r in range(width) if r not in taken)
-        for gid, op, *refs in real + leaf_copies:
-            dest = next(free)
-            operands = []
-            for ref in refs:
-                if ref in leaves:
-                    operands.append(leaf_operand(circuit, ref))
-                else:
-                    operands.append(sb.reg(register_of[ref]))
-            sb.apply(dest, op, operands[0], operands[1])
-            register_of[gid] = dest
+                alias[gid] = alias.get(source, source)
+        steps += leaf_copies
+    return _allocate(sb, steps, operand(circuit.output_id), max(report.width, 1))
 
-    if circuit.output_id in leaves:
-        sb.load(0, leaf_operand(circuit, circuit.output_id))
-        return sb.finish(0)
-    return sb.finish(register_of[circuit.output_id])
+
+def _last_reads(
+    steps: Sequence[tuple[object, set]], output: object
+) -> tuple[list[set], list[bool]]:
+    """Backward liveness over steps (dest, reads).
+
+    A dest names what a step writes, a register or a value; a later
+    write to it ends the earlier one's life.  For each step: the names
+    it reads for the last time, and whether a later step, or the output,
+    reads what it writes.
+    """
+    dying: list[set] = []
+    kept: list[bool] = []
+    live = {output}
+    for dest, reads in reversed(steps):
+        kept.append(dest in live)
+        live.discard(dest)
+        dying.append(reads - live)
+        live |= reads
+    dying.reverse()
+    kept.reverse()
+    return dying, kept
+
+
+def _allocate(
+    sb: SlpBuilder,
+    steps: Sequence[tuple],
+    output: Union[int, VarOperand, ConstOperand],
+    budget: int,
+) -> StraightLineProgram:
+    """sb's program for steps (value, op, left, right) over the fewest registers.
+
+    A value is named by the gate id that defines it, and an operand, or
+    the output, is a value or a leaf operand.  Walking forward, each
+    value is freed at its last read and each result goes to the smallest
+    free register, so a step may overwrite a register one of its own
+    operands is read from for the last time.  For a fixed step order
+    that is the fewest registers possible (interval colouring).  A leaf
+    output is loaded into register 0, free once every step has run.
+    Raises InvariantViolation when more than budget registers are needed.
+    """
+    dying, kept = _last_reads(
+        [(value, {ref for ref in refs if isinstance(ref, int)}) for value, _, *refs in steps],
+        output,
+    )
+    register_of: dict[int, int] = {}
+    free: list[int] = []  # a heap: the smallest goes first
+    count = 0
+    for (value, op, left, right), ends, keep in zip(steps, dying, kept):
+        operands = [
+            sb.reg(register_of[ref]) if isinstance(ref, int) else ref for ref in (left, right)
+        ]
+        for ref in ends:
+            heapq.heappush(free, register_of.pop(ref))
+        if free:
+            dest = heapq.heappop(free)
+        else:
+            dest = count
+            count += 1
+        sb.apply(dest, op, *operands)
+        if keep:
+            register_of[value] = dest
+        else:
+            heapq.heappush(free, dest)
+    if count > budget:
+        raise InvariantViolation(f"{count} registers needed, {budget} allowed; scheduling bug")
+    sb.register_count = max(count, 1)
+    if isinstance(output, int):
+        return sb.finish(register_of[output])
+    sb.load(0, output)
+    return sb.finish(0)

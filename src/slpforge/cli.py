@@ -188,7 +188,7 @@ def _load_circuit(path: str) -> LayeredCircuit:
 def _load_program(path: str) -> StraightLineProgram:
     """Circuit file as a register program; staggers first when needed.
 
-    circuit_to_slp gives a staggered file width registers, staggerize width+1.
+    circuit_to_slp reads a staggered file faster than staggerize schedules it.
     """
     c = _load_circuit(path)
     if validate(c).staggered:

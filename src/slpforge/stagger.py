@@ -1,4 +1,4 @@
-"""Staggering: layered circuits to register programs of width w+1.
+"""Staggering: layered circuits to register programs of width at most w+1.
 
 Each layer transition V_i -> V_{i+1} is summarized by a multigraph on
 the layer-i gates.  A layer-(i+1) gate whose operands are both held in
@@ -9,15 +9,16 @@ each layer-(i+1) gate contributes one edge or one constant entry,
 |V(G)| <= w and |E(G)| + |V'| <= w.
 
 Copies are aliases.  The first copy u*1 of a layer-i gate u (see the
-circuits module docstring) takes over u's register and emits no step.
-From then on u is read like a leaf: it is no vertex of the multigraph,
-so the schedule never frees its register, and a gate reading u counts
-only its other operand.  A second copy of u and a copy of a leaf are
-ordinary gates, so two live gates never share a register.  With A
-aliases, the A registers they hold and the graph of the remaining gates
-together respect the bound: A + |V(G)| <= w, since the aliased sources
-are layer-i gates that are not vertices, and A + |E(G)| + |V'| <= w,
-since every layer-(i+1) gate is an alias, an edge or a constant entry.
+circuits module docstring) holds u's value, in u's register, and emits
+no step.  From then on u is read like a leaf: it is no vertex of the
+multigraph, so the census counts its register with the aliases and
+never frees it, and a gate reading u counts only its other operand.  A
+second copy of u and a copy of a leaf are ordinary gates, each a step
+of its own.  With A aliases, the A registers they hold and the graph of
+the remaining gates together respect the bound: A + |V(G)| <= w, since
+the aliased sources are layer-i gates that are not vertices, and
+A + |E(G)| + |V'| <= w, since every layer-(i+1) gate is an alias, an
+edge or a constant entry.
 Staggering keys on gate ids and the copy table and never on leaf
 values, so mapping a variable leaf to 1 changes no alias.
 
@@ -25,9 +26,8 @@ order_edges schedules the edges so that the running register demand --
 results already computed plus layer-i values still needed -- never
 exceeds max{|V(G)|, |E(G)|+1, |E(G)|+|V'|}, so with the aliases a
 transition needs at most A + that <= w+1 registers (census_bound).  The
-result register can reuse the register of an operand that dies with the
-edge; a self-loop reads its register twice and therefore always takes a
-fresh one.
+census lets a result reuse the register of an operand that dies with
+the edge, and counts a self-loop's result in a register of its own.
 
 The order is fixed, because slp_to_circuit derives copy gates from it
 and so emitted sizes depend on it.  Components go acyclic first, then
@@ -48,30 +48,35 @@ ends are already joined is a cycle edge; the same pass gives the
 components.  Cost: one sort and one union-find pass, then one scan for
 leaf edges per tree step, so still O(E^2) per layer in the worst case.
 
-staggerize replays the schedule as straight-line code, giving at most
-w+1 registers and one apply step per internal gate that is not an
-alias: leaf operands are embedded as immediates, so no loads are spent
-on them.  A circuit from slp_to_circuit, read back from a file or not,
+staggerize lists the schedule as steps, one apply step per internal
+gate that is not an alias, an alias naming its source's value; leaf
+operands are embedded as immediates, so no loads are spent on them.
+circuits._allocate then picks the registers, as it does for
+circuit_to_slp: each value is freed at its last read and each result
+takes the smallest free register.  That is the fewest registers this
+step order allows, so never more than the census bound w+1, and often
+fewer.  A circuit from slp_to_circuit, read back from a file or not,
 costs at most one step per layer up to the output, and exactly one
 when no step of its program multiplies by 1.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Union
 
 from .circuits import (
     BinGate,
+    ConstOperand,
     LayeredCircuit,
-    Operand,
-    RegOperand,
     SlpBuilder,
     StraightLineProgram,
+    VarOperand,
+    _allocate,
     leaf_operand,
     validate,
 )
-from .errors import InvariantViolation, ParamError
+from .errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -148,19 +153,9 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
 
 
 @dataclass(frozen=True)
-class EdgeStep:
-    """One scheduled edge removal with its register bookkeeping."""
-
-    edge: MultiEdge
-    fresh: bool  # result needs a register not freed by this step
-    freed: tuple[int, ...]  # vertices isolated by this removal
-
-
-@dataclass(frozen=True)
 class OrderResult:
     order: tuple[MultiEdge, ...]
     census: tuple[int, ...]  # census[0] before any step, then one peak per step
-    steps: tuple[EdgeStep, ...]
 
 
 def _edge_key(e: MultiEdge) -> tuple[int, int, int]:
@@ -204,20 +199,20 @@ def order_edges(graph: LayerMultigraph) -> OrderResult:
     )
 
     order: list[MultiEdge] = []
-    steps: list[EdgeStep] = []
     census = [len(degree)]
     nonisolated = len(degree)
 
     def remove(e: MultiEdge) -> None:
+        # The result needs a register of its own unless an endpoint dies
+        # with the edge; a self-loop's result is counted in one anyway.
         nonlocal nonisolated
         degree[e.u] -= 1
         degree[e.v] -= 1
-        freed = tuple(sorted({x for x in (e.u, e.v) if degree[x] == 0}))
+        freed = len({x for x in (e.u, e.v) if degree[x] == 0})
         fresh = e.is_loop or not freed
         census.append(len(order) + nonisolated + (1 if fresh else 0))
-        nonisolated -= len(freed)
+        nonisolated -= freed
         order.append(e)
-        steps.append(EdgeStep(e, fresh, freed))
 
     for comp in components:
         for i in comp:
@@ -228,7 +223,7 @@ def order_edges(graph: LayerMultigraph) -> OrderResult:
         while live:
             j = next(j for j, e in enumerate(live) if degree[e.u] == 1 or degree[e.v] == 1)
             remove(live.pop(j))
-    return OrderResult(tuple(order), tuple(census), tuple(steps))
+    return OrderResult(tuple(order), tuple(census))
 
 
 def census_bound(graph: LayerMultigraph) -> int:
@@ -245,73 +240,24 @@ def census_bound(graph: LayerMultigraph) -> int:
 def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
     """Equivalent straight-line program over at most width+1 registers."""
     validate(circuit)
-    width = circuit.width
-    register_count = max(width + 1, 1)
     sb = SlpBuilder(
-        circuit.ring,
-        circuit.mode,
-        circuit.num_variables,
-        register_count,
-        name or f"{circuit.name}-staggered",
+        circuit.ring, circuit.mode, circuit.num_variables, name=name or f"{circuit.name}-staggered"
     )
-
     out_layer = next(
         i for i, layer in enumerate(circuit.layers, start=1) if circuit.output_id in layer
     )
     leaves = set(circuit.layers[0])
+    alias: dict[int, int] = {}  # aliased copy -> the gate whose value it holds
 
-    if out_layer == 1:
-        sb.load(0, leaf_operand(circuit, circuit.output_id))
-        return sb.finish(0)
+    def operand(ref: int) -> Union[int, VarOperand, ConstOperand]:
+        return leaf_operand(circuit, ref) if ref in leaves else alias.get(ref, ref)
 
-    free = list(range(register_count))  # a heap: the smallest goes first
-
-    def alloc() -> int:
-        if not free:
-            raise InvariantViolation("register budget exhausted; scheduling bug")
-        return heapq.heappop(free)
-
-    def release(reg: int) -> None:
-        heapq.heappush(free, reg)
-
-    register_of: dict[int, int] = {}
+    steps: list[tuple] = []
     for i in range(1, out_layer):
         graph = build_layer_multigraph(circuit, i)
-        # An aliased copy takes over its source's register.  The source is
-        # read there until the layer is done and is never released.
         for gid, source in graph.aliases:
-            register_of[gid] = register_of[source]
-        # Layer-i gates nothing consumes die now.
-        used = {e.u for e in graph.edges} | {e.v for e in graph.edges}
-        for vid in sorted(graph.vertices - used):
-            release(register_of.pop(vid))
-
-        def operand_for(ref: int) -> Operand:
-            if ref in leaves:
-                return leaf_operand(circuit, ref)
-            return RegOperand(register_of[ref])
-
-        schedule = order_edges(graph)
-        for step in schedule.steps:
-            gate = circuit.gates[step.edge.gate]
-            left, right = operand_for(gate.left), operand_for(gate.right)
-            # A fresh step allocates before any register it frees is back on the heap.
-            popped = sorted(register_of.pop(vid) for vid in step.freed)
-            dest = alloc() if step.fresh else popped[0]
-            sb.apply(dest, gate.op, left, right)
-            for reg in popped:
-                if reg != dest:
-                    release(reg)
-            register_of[step.edge.gate] = dest
-        for gid in graph.constant_gates:
+            alias[gid] = alias.get(source, source)
+        for gid in [e.gate for e in order_edges(graph).order] + list(graph.constant_gates):
             gate = circuit.gates[gid]
-            dest = alloc()
-            sb.apply(dest, gate.op, operand_for(gate.left), operand_for(gate.right))
-            register_of[gid] = dest
-        for _, source in graph.aliases:
-            del register_of[source]
-        # Registers now hold exactly the layer-(i+1) values.
-        if set(register_of) != set(circuit.layers[i]):
-            raise InvariantViolation(f"layer {i + 1} not fully consumed; scheduling bug")
-
-    return sb.finish(register_of[circuit.output_id])
+            steps.append((gid, gate.op, operand(gate.left), operand(gate.right)))
+    return _allocate(sb, steps, operand(circuit.output_id), circuit.width + 1)

@@ -32,8 +32,11 @@ Polynomial files:
 
 Scalars are decimal integers or num/den fractions.  Blank lines and
 lines starting with '#' are ignored.  Parsing reports the 1-based line
-number of the first offending line; semantic problems (duplicate ids,
-undefined references) raise CircuitSemanticError.
+number of the first offending line, and a duplicate id raises
+CircuitSemanticError.  The parser checks a circuit's references no
+further: circuits.validate, which every semantics runs first, raises
+CircuitSemanticError for a gate reading an undefined gate and
+DanglingOutput for an output that is not a gate.
 
 Straight-line programs are stored as their staggered-circuit form, so
 one grammar covers both; parse_circuit followed by circuit_to_slp
@@ -59,7 +62,6 @@ from .circuits import (
 from .errors import (
     CircuitSemanticError,
     CircuitSyntaxError,
-    DanglingOutput,
     ParamError,
     SlpforgeError,
 )
@@ -192,15 +194,6 @@ def _parse_layered(lines) -> LayeredCircuit:
 
     if output_id is None:
         raise CircuitSyntaxError("missing output line", lines[-1][0])
-    for gid, g in gates.items():
-        if isinstance(g, BinGate):
-            for ref in (g.left, g.right):
-                if ref not in gates:
-                    raise CircuitSemanticError(
-                        f"gate {gid} references undefined gate {ref}"
-                    )
-    if output_id not in gates:
-        raise DanglingOutput(f"output {output_id} is not a gate")
     return LayeredCircuit(name, ring, mode, num_variables, layers, gates, output_id)
 
 

@@ -61,7 +61,6 @@ from slpforge.polynomials import (
 from slpforge.rings import Ring, Scalar, ScalarLike, poly_eval
 from slpforge.rootfind import RootProblem
 from slpforge.stagger import (
-    EdgeStep,
     LayerMultigraph,
     MultiEdge,
     OrderResult,
@@ -390,7 +389,6 @@ def reference_order_edges(graph: LayerMultigraph) -> OrderResult:
     components.sort(key=lambda comp: (0 if is_acyclic(comp) else 1, min(comp)))
 
     order: list[MultiEdge] = []
-    steps: list[EdgeStep] = []
     census = [nonisolated()]
     removed = 0
     for comp in components:
@@ -410,15 +408,12 @@ def reference_order_edges(graph: LayerMultigraph) -> OrderResult:
                 e = min(leafy, key=_edge_key)
             ni_before = nonisolated()
             remaining.remove(e)
-            freed = tuple(
-                sorted({x for x in (e.u, e.v) if degree(x) == 0})
-            )
+            freed = {x for x in (e.u, e.v) if degree(x) == 0}
             fresh = e.is_loop or not freed
             census.append(removed + ni_before + (1 if fresh else 0))
             removed += 1
             order.append(e)
-            steps.append(EdgeStep(e, fresh, freed))
-    return OrderResult(tuple(order), tuple(census), tuple(steps))
+    return OrderResult(tuple(order), tuple(census))
 
 
 def reference_schwartz_zippel(
@@ -701,52 +696,65 @@ def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) 
 
 
 def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
-    """circuit_to_slp as first written: a scan of range(width) per register taken.
+    """circuit_to_slp as an interval scan: O(steps^2), with no liveness pass.
 
     Kept as the oracle for circuits.circuit_to_slp, which must return the
-    same steps over the same registers.
+    same steps over the same registers.  The steps are each layer's real
+    gates, then its copies of leaves; a copy of a gate holds its source's
+    value.  Each step writes the least register that holds no value a
+    later step still reads, the output counting as read after the last
+    step.
     """
     report = validate(circuit)
     if not report.staggered:
         raise ParamError("circuit is not staggered")
-    width = max(report.width, 1)
-    sb = SlpBuilder(
-        circuit.ring, circuit.mode, circuit.num_variables, width, name or circuit.name
-    )
-
     gates, ones = circuit.gates, _one_leaves(circuit)
     leaf_ids = set(circuit.layers[0])
-    register_of: dict[int, int] = {}
+
+    # steps: (gate, op, operands), each operand a leaf id or the gate
+    # whose step computes the value read.
+    value: dict[int, int] = {}
+    steps: list[tuple[int, str, list[int]]] = []
     for layer in circuit.layers[1:]:
         sources = {gid: _copy_source(gates[gid], ones) for gid in layer}
-        copies = [gid for gid in layer if sources[gid] is not None]
         real = [gid for gid in layer if sources[gid] is None]
-        taken: set[int] = set()
-        for gid in copies:
+        for gid in layer:
             source = sources[gid]
             if source in leaf_ids:
-                # A copy of a leaf still needs a register of its own.
                 real.append(gid)
-                continue
-            register_of[gid] = register_of[source]
-            taken.add(register_of[gid])
+            elif source is not None:
+                value[gid] = value[source]
         for gid in real:
             g = gates[gid]
-            dest = next(r for r in range(width) if r not in taken)
-            taken.add(dest)
-            operands = []
-            for ref in (g.left, g.right):
-                if ref in leaf_ids:
-                    operands.append(leaf_operand(circuit, ref))
-                else:
-                    operands.append(sb.reg(register_of[ref]))
-            sb.apply(dest, g.op, operands[0], operands[1])
-            register_of[gid] = dest
+            refs = [ref if ref in leaf_ids else value[ref] for ref in (g.left, g.right)]
+            steps.append((gid, g.op, refs))
+            value[gid] = gid
+    output = None if circuit.output_id in leaf_ids else value[circuit.output_id]
 
-    if circuit.output_id in leaf_ids:
+    def last_read(i: int) -> int:
+        """Index of the last step that reads step i's value: its own if none does."""
+        gid = steps[i][0]
+        if gid == output:
+            return len(steps)
+        return max((j for j in range(i + 1, len(steps)) if gid in steps[j][2]), default=i)
+
+    sb = SlpBuilder(circuit.ring, circuit.mode, circuit.num_variables, name=name or circuit.name)
+    register_of: dict[int, int] = {}
+    held_until: dict[int, int] = {}  # register -> last read of the value it holds
+    for k, (gid, op, refs) in enumerate(steps):
+        operands = [
+            leaf_operand(circuit, ref) if ref in leaf_ids else sb.reg(register_of[ref])
+            for ref in refs
+        ]
+        dest = next(r for r in itertools.count() if held_until.get(r, k) <= k)
+        sb.apply(dest, op, operands[0], operands[1])
+        register_of[gid] = dest
+        held_until[dest] = last_read(k)
+
+    if output is None:
         sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
-    return sb.finish(register_of[circuit.output_id])
+    return sb.finish(register_of[output])
 
 
 def is_alternating(formula: Formula) -> bool:

@@ -34,6 +34,7 @@ from slpforge.errors import (
     BadOperandLayer,
     CircuitSemanticError,
     DanglingOutput,
+    InvariantViolation,
     ParamError,
     SlpforgeError,
 )
@@ -432,6 +433,20 @@ def test_circuit_to_slp_register_count_equals_width():
     slp = circuit_to_slp(staggered)
     assert slp.register_count == report.width
     assert expand(slp) == expand(c)
+
+
+def test_allocate_raises_past_its_budget():
+    # Gates 10 and 11 are both live when gate 12 reads them: two registers.
+    steps = [
+        (10, "add", VarOperand(1), VarOperand(2)),
+        (11, "mul", VarOperand(1), ConstOperand(F.scalar(3))),
+        (12, "mul", 10, 11),
+    ]
+    program = circuits._allocate(SlpBuilder(F, COMMUTATIVE, 2), steps, 12, 2)
+    assert program.register_count == 2
+    assert [step.dest for step in program.steps] == [0, 1, 0]
+    with pytest.raises(InvariantViolation):
+        circuits._allocate(SlpBuilder(F, COMMUTATIVE, 2), steps, 12, 1)
 
 
 def circuit_to_slp_via_identity(c):

@@ -36,6 +36,23 @@ def test_only_circuits_builds_a_gate_table():
     assert builders == {"circuits.py"}
 
 
+def test_only_the_allocator_picks_registers_for_staggerize():
+    # staggerize lists steps and circuits._allocate picks their registers,
+    # so stagger keeps no free-register heap and writes no register operand.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if name == "stagger.py"
+        and (
+            isinstance(node, ast.alias) and node.name in ("heapq", "RegOperand")
+            or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+            or isinstance(node, ast.Name) and node.id == "RegOperand"
+            or isinstance(node, ast.Attribute) and node.attr == "RegOperand"
+        )
+    ]
+    assert found == []
+
+
 def test_no_module_keeps_a_second_copy_rule():
     # Copies u*1 are read off the copy table, never recognised again.
     found = [

@@ -1,7 +1,9 @@
 """Layer multigraphs, edge scheduling, and the staggering transform."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from slpforge.circuits import (
     BATCH_MODULUS_LIMIT,
     ApplyStep,
     CircuitBuilder,
+    ConstOperand,
     LayeredCircuit,
+    RegOperand,
     circuit_to_slp,
     evaluate,
     evaluate_mod_p,
@@ -215,6 +219,81 @@ def test_roundtrip_through_circuit_to_slp():
         staggered = slp_to_circuit(staggerize(c))
         back = circuit_to_slp(staggered)
         assert expand(back) == expand(c)
+
+
+def staggered_draws(rng, monkeypatch):
+    """random_layered_circuit draws, then perfbench's stagger_wide shape at widths 8-64."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    gen = importlib.import_module("perfbench.gen")
+    for trial in range(160):
+        ring, mode = (F, RATIONALS)[trial % 2], MODES[trial // 2 % 2]
+        width, layers = rng.randrange(1, 13), rng.randrange(1, 6)
+        yield random_layered_circuit(rng, ring, mode, width, internal_layers=layers)
+    for trial, width in enumerate((8, 8, 16, 32, 64)):
+        yield gen.layered_circuit(rng, F, MODES[trial % 2], [width, width, width // 8])
+
+
+def register_copies(program) -> int:
+    """Steps r*1: staggerize writes one for each second copy of a gate."""
+    one = ConstOperand(program.ring.one())
+    return sum(
+        isinstance(step, ApplyStep)
+        and step.op == "mul"
+        and isinstance(step.left, RegOperand)
+        and step.right == one
+        for step in program.steps
+    )
+
+
+def test_staggered_programs_come_back_step_for_step(monkeypatch):
+    # circuit_to_slp of the staggered circuit lists the program's steps
+    # again, and the one allocator gives them the same registers.  A step
+    # r*1 is a copy in the staggered circuit, so it comes back as r.
+    exact = 0
+    for trial, c in enumerate(staggered_draws(random.Random(61), monkeypatch)):
+        program = staggerize(c)
+        back = circuit_to_slp(slp_to_circuit(program))
+        copies = register_copies(program)
+        if copies:
+            assert back.step_count == program.step_count - copies, trial
+            assert expand(back) == expand(program), trial
+        else:
+            assert program_parts(back) == program_parts(program), trial
+            exact += 1
+    assert exact >= 150
+
+
+def peak_live_values(program) -> int:
+    """The most values a program holds at once, read off its steps alone.
+
+    Step j's value is held at step t >= j when t == j, when it is the
+    output, or when a step after t reads it; a step may overwrite what
+    it reads for the last time.
+    """
+    writer: dict[int, int] = {}
+    reads: list[set[int]] = []
+    for step in program.steps:
+        operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
+        reads.append({writer[op.register] for op in operands if isinstance(op, RegOperand)})
+        writer[step.dest] = len(reads) - 1
+    out, n = writer[program.output_register], len(reads)
+
+    def held(j: int, t: int) -> bool:
+        return j == t or j == out or any(j in reads[s] for s in range(t + 1, n))
+
+    return max(sum(held(j, t) for j in range(t + 1)) for t in range(n))
+
+
+def test_register_count_is_the_peak_of_live_values(monkeypatch):
+    rng = random.Random(67)
+    for trial, c in enumerate(staggered_draws(rng, monkeypatch)):
+        program = staggerize(c)
+        assert program.register_count == peak_live_values(program), trial
+    for trial in range(300):
+        registers, steps = rng.randrange(1, 7), rng.randrange(0, 24)
+        slp = random_slp(rng, F, MODES[trial % 2], registers, step_count=steps)
+        program = circuit_to_slp(slp_to_circuit(slp))
+        assert program.register_count == peak_live_values(program), trial
 
 
 def program_parts(slp):

@@ -101,8 +101,8 @@ def test_rational_ring_and_fraction_constants():
 
 def test_undefined_reference_is_semantic_error():
     text = SAMPLE.replace("gate 7 3 add 5 6", "gate 7 3 add 5 9")
-    with pytest.raises(CircuitSemanticError):
-        parse_circuit(text)
+    with pytest.raises(CircuitSemanticError, match="gate 7 reads undefined gate 9"):
+        validate(parse_circuit(text))
 
 
 def test_duplicate_gate_id_is_semantic_error():
@@ -114,7 +114,7 @@ def test_duplicate_gate_id_is_semantic_error():
 def test_undefined_output_raises_dangling_output():
     text = SAMPLE.replace("output 7", "output 12")
     with pytest.raises(DanglingOutput):
-        parse_circuit(text)
+        validate(parse_circuit(text))
 
 
 def test_syntax_errors_carry_line_numbers():
