@@ -912,10 +912,10 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
     """Register program for a staggered circuit.
 
     A copy of a gate holds its source's value and costs nothing; each
-    layer contributes one apply step for its real gate and one for each
-    copy of a leaf, and _allocate picks the registers.  The register
-    count is at most the circuit width (or 1 for a circuit that is a
-    bare leaf).
+    layer lists one apply step for its real gate and one for each copy
+    of a leaf, and _allocate emits those the output reads and picks the
+    registers.  The register count is at most the circuit width (or 1
+    for a circuit whose output is a leaf).
     """
     report = validate(circuit)
     if not report.staggered:
@@ -976,25 +976,34 @@ def _allocate(
     output: Union[int, VarOperand, ConstOperand],
     budget: int,
 ) -> StraightLineProgram:
-    """sb's program for steps (value, op, left, right) over the fewest registers.
+    """sb's program for the steps (value, op, left, right) the output reads.
 
     A value is named by the gate id that defines it, and an operand, or
-    the output, is a value or a leaf operand.  Walking forward, each
-    value is freed at its last read and each result goes to the smallest
-    free register, so a step may overwrite a register one of its own
-    operands is read from for the last time.  For a fixed step order
-    that is the fewest registers possible (interval colouring).  A leaf
-    output is loaded into register 0, free once every step has run.
+    the output, is a value or a leaf operand.  Only the output's cone is
+    emitted, in the given order: walking backward, a step stays when its
+    value is the output or a step that stays reads it.  Walking forward,
+    each value is freed at its last read and each result goes to the
+    smallest free register, so a step may overwrite a register one of
+    its own operands is read from for the last time.  For a fixed step
+    order that is the fewest registers possible (interval colouring).  A
+    leaf output is loaded into register 0 and is then the only step.
     Raises InvariantViolation when more than budget registers are needed.
     """
-    dying, kept = _last_reads(
-        [(value, {ref for ref in refs if isinstance(ref, int)}) for value, _, *refs in steps],
+    needed = {output}
+    live: list[tuple] = []
+    for step in reversed(steps):
+        if step[0] in needed:
+            live.append(step)
+            needed.update(ref for ref in step[2:] if isinstance(ref, int))
+    live.reverse()
+    dying, _ = _last_reads(
+        [(value, {ref for ref in refs if isinstance(ref, int)}) for value, _, *refs in live],
         output,
     )
     register_of: dict[int, int] = {}
     free: list[int] = []  # a heap: the smallest goes first
     count = 0
-    for (value, op, left, right), ends, keep in zip(steps, dying, kept):
+    for (value, op, left, right), ends in zip(live, dying):
         operands = [
             sb.reg(register_of[ref]) if isinstance(ref, int) else ref for ref in (left, right)
         ]
@@ -1006,10 +1015,7 @@ def _allocate(
             dest = count
             count += 1
         sb.apply(dest, op, *operands)
-        if keep:
-            register_of[value] = dest
-        else:
-            heapq.heappush(free, dest)
+        register_of[value] = dest
     if count > budget:
         raise InvariantViolation(f"{count} registers needed, {budget} allowed; scheduling bug")
     sb.register_count = max(count, 1)

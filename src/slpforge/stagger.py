@@ -8,17 +8,17 @@ registers until it is emitted and goes to the constant list.  Because
 each layer-(i+1) gate contributes one edge or one constant entry,
 |V(G)| <= w and |E(G)| + |V'| <= w.
 
-Copies are aliases.  The first copy u*1 of a layer-i gate u (see the
+Copies are aliases.  Every copy u*1 of a layer-i gate u (see the
 circuits module docstring) holds u's value, in u's register, and emits
-no step.  From then on u is read like a leaf: it is no vertex of the
+no step.  Then u is read like a leaf: it is no vertex of the
 multigraph, so the census counts its register with the aliases and
 never frees it, and a gate reading u counts only its other operand.  A
-second copy of u and a copy of a leaf are ordinary gates, each a step
-of its own.  With A aliases, the A registers they hold and the graph of
-the remaining gates together respect the bound: A + |V(G)| <= w, since
-the aliased sources are layer-i gates that are not vertices, and
+copy of a leaf is an ordinary gate, a step of its own.  With A aliased
+sources, the A registers they hold and the graph of the remaining
+gates together respect the bound: A + |V(G)| <= w, since the aliased
+sources are layer-i gates that are not vertices, and
 A + |E(G)| + |V'| <= w, since every layer-(i+1) gate is an alias, an
-edge or a constant entry.
+edge or a constant entry, and each source has at least one alias.
 Staggering keys on gate ids and the copy table and never on leaf
 values, so mapping a variable leaf to 1 changes no alias.
 
@@ -49,15 +49,15 @@ components.  Cost: one sort and one union-find pass, then one scan for
 leaf edges per tree step, so still O(E^2) per layer in the worst case.
 
 staggerize lists the schedule as steps, one apply step per internal
-gate that is not an alias, an alias naming its source's value; leaf
-operands are embedded as immediates, so no loads are spent on them.
-circuits._allocate then picks the registers, as it does for
-circuit_to_slp: each value is freed at its last read and each result
+gate below the output's layer that is not an alias, an alias naming
+its source's value; leaf operands are embedded as immediates, so no
+loads are spent on them.  circuits._allocate, as for circuit_to_slp,
+emits only the steps the output reads, in schedule order, and picks
+the registers: each value is freed at its last read and each result
 takes the smallest free register.  That is the fewest registers this
 step order allows, so never more than the census bound w+1, and often
-fewer.  A circuit from slp_to_circuit, read back from a file or not,
-costs at most one step per layer up to the output, and exactly one
-when no step of its program multiplies by 1.
+fewer.  A circuit costs one step per gate of the output's cone that is
+not an alias, and a circuit whose output is a leaf one load.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
     """Multigraph for the transition V_layer_index -> V_{layer_index+1}.
 
     For layer_index 1 the register-resident set is empty (leaves are
-    immediates), so every layer-2 gate lands in constant_gates.  The
-    first copy of each resident gate is an alias, not an edge,
-    and its source is read like a leaf by every other gate of the layer.
+    immediates), so every layer-2 gate lands in constant_gates.  Every
+    copy of a resident gate is an alias, not an edge, and its source is
+    read like a leaf by every other gate of the layer.
     """
     if not 1 <= layer_index < circuit.layer_count:
         raise ParamError(
@@ -124,8 +124,8 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
         for gid in layer:
             source = copies.get(gid)
             if source in resident:
-                resident.remove(source)
                 aliases[gid] = source
+        resident.difference_update(aliases.values())
     edges = []
     constants = []
     for gid in layer:
@@ -229,12 +229,14 @@ def order_edges(graph: LayerMultigraph) -> OrderResult:
 def census_bound(graph: LayerMultigraph) -> int:
     """|A| + max{|V|, |E|+1, |E|+|V'|}, the register budget for one transition.
 
-    The |A| aliased copies hold their sources' registers throughout; the
-    census of order_edges counts the rest.
+    A is the set of aliased sources: the copies of one source share its
+    register, which they hold throughout; the census of order_edges
+    counts the rest.
     """
     v = len(graph.vertices)
     e = len(graph.edges)
-    return len(graph.aliases) + max(v, e + 1, e + len(graph.constant_gates))
+    aliased = len({source for _, source in graph.aliases})
+    return aliased + max(v, e + 1, e + len(graph.constant_gates))
 
 
 def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:

@@ -12,6 +12,7 @@ from typing import Sequence
 from slpforge.circuits import (
     MUL,
     AlgebraicBranchingProgram,
+    ApplyStep,
     BinGate,
     CircuitBuilder,
     ConstLeaf,
@@ -701,9 +702,9 @@ def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -
     Kept as the oracle for circuits.circuit_to_slp, which must return the
     same steps over the same registers.  The steps are each layer's real
     gates, then its copies of leaves; a copy of a gate holds its source's
-    value.  Each step writes the least register that holds no value a
-    later step still reads, the output counting as read after the last
-    step.
+    value.  Steps nothing reads are removed until none is left.  Each
+    step writes the least register that holds no value a later step
+    still reads, the output counting as read after the last step.
     """
     report = validate(circuit)
     if not report.staggered:
@@ -730,6 +731,14 @@ def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -
             steps.append((gid, g.op, refs))
             value[gid] = gid
     output = None if circuit.output_id in leaf_ids else value[circuit.output_id]
+    # Remove every step whose value neither the output nor another step
+    # reads, and again, until no such step is left.
+    while True:
+        read = {ref for _, _, refs in steps for ref in refs}
+        kept = [step for step in steps if step[0] == output or step[0] in read]
+        if len(kept) == len(steps):
+            break
+        steps = kept
 
     def last_read(i: int) -> int:
         """Index of the last step that reads step i's value: its own if none does."""
@@ -755,6 +764,45 @@ def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -
         sb.load(0, leaf_operand(circuit, circuit.output_id))
         return sb.finish(0)
     return sb.finish(register_of[output])
+
+
+def cone_steps(circuit: LayeredCircuit) -> int:
+    """The steps a program for circuit needs, counted by a DFS from the output.
+
+    Each internal gate the output depends on is one step, except a copy
+    of an internal gate, which holds its source's value.
+    """
+    leaves, copies = set(circuit.layers[0]), circuit.gates.copies
+    cone: set[int] = set()
+    stack = [circuit.output_id]
+    while stack:
+        gid = stack.pop()
+        if gid not in leaves and gid not in cone:
+            cone.add(gid)
+            g = circuit.gates[gid]
+            stack += [g.left, g.right]
+    return sum(gid not in copies or copies[gid] in leaves for gid in cone)
+
+
+def peak_live_values(program: StraightLineProgram) -> int:
+    """The most values a program holds at once, read off its steps alone.
+
+    Step j's value is held at step t >= j when t == j, when it is the
+    output, or when a step after t reads it; a step may overwrite what
+    it reads for the last time.
+    """
+    writer: dict[int, int] = {}
+    reads: list[set[int]] = []
+    for step in program.steps:
+        operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
+        reads.append({writer[op.register] for op in operands if isinstance(op, RegOperand)})
+        writer[step.dest] = len(reads) - 1
+    out, n = writer[program.output_register], len(reads)
+
+    def held(j: int, t: int) -> bool:
+        return j == t or j == out or any(j in reads[s] for s in range(t + 1, n))
+
+    return max(sum(held(j, t) for j in range(t + 1)) for t in range(n))
 
 
 def is_alternating(formula: Formula) -> bool:

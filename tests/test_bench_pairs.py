@@ -98,3 +98,29 @@ def test_seeds_are_fresh_for_every_pr_and_workload():
     assert seeds[12][2] == list(range(12201, 12211))
     drawn = [s for pr in seeds for per_workload in seeds[pr] for s in per_workload]
     assert len(drawn) == len(set(drawn)) == 2 * 3 * bench_pairs.PAIRS
+
+
+def test_a_claim_must_name_a_workload_and_metric_of_the_benchmark(monkeypatch, capsys):
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    assert bench_pairs.parse_claim("stagger_wide:instances_per_s", spec) == {
+        "workload": "stagger_wide", "metric": "instances_per_s"
+    }
+    for claim in (
+        "stagger_wide:instance_per_s",  # a typo
+        "stager_wide:instances_per_s",
+        "stagger_wide:stagger.staggerize_s",  # a per-layer metric
+        "stagger_wide",
+        "stagger_wide:instances_per_s:x",
+    ):
+        with pytest.raises(ValueError, match="not workload:metric"):
+            bench_pairs.parse_claim(claim, spec)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("_git", "_extract", "bench"):
+        monkeypatch.setattr(bench_pairs, name, no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--pr", "1", "--parent", "HEAD", "--claim", "identity_grid:tail_ms"])
+    assert exit_info.value.code == 2
+    assert "identity_grid:tail_ms" in capsys.readouterr().err

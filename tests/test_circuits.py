@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from genutil import evaluate_sparse, linear_form_value, random_layered_circuit
+from genutil import (
+    cone_steps,
+    evaluate_sparse,
+    linear_form_value,
+    peak_live_values,
+    random_layered_circuit,
+)
 from slpforge import circuits
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
@@ -494,7 +500,8 @@ def test_random_slp_roundtrip_through_staggered_circuit():
             assert report.staggered
             assert report.width <= slp.register_count
             back = circuit_to_slp(c)
-            assert back.register_count == max(report.width, 1)
+            assert back.register_count == peak_live_values(back) <= max(report.width, 1)
+            assert back.step_count == max(cone_steps(c), 1)
             assert expand(back) == expand(slp)
 
 

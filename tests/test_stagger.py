@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from genutil import (
+    cone_steps,
+    peak_live_values,
     random_layered_circuit,
     random_slp,
     reference_circuit_to_slp,
@@ -19,13 +21,14 @@ from slpforge.circuits import (
     BATCH_MODULUS_LIMIT,
     ApplyStep,
     CircuitBuilder,
-    ConstOperand,
     LayeredCircuit,
+    LoadStep,
     RegOperand,
     circuit_to_slp,
     evaluate,
     evaluate_mod_p,
     expand,
+    leaf_operand,
     slp_to_circuit,
     syntactic_degree,
     validate,
@@ -233,55 +236,47 @@ def staggered_draws(rng, monkeypatch):
         yield gen.layered_circuit(rng, F, MODES[trial % 2], [width, width, width // 8])
 
 
-def register_copies(program) -> int:
-    """Steps r*1: staggerize writes one for each second copy of a gate."""
-    one = ConstOperand(program.ring.one())
-    return sum(
-        isinstance(step, ApplyStep)
-        and step.op == "mul"
-        and isinstance(step.left, RegOperand)
-        and step.right == one
-        for step in program.steps
-    )
-
-
 def test_staggered_programs_come_back_step_for_step(monkeypatch):
     # circuit_to_slp of the staggered circuit lists the program's steps
-    # again, and the one allocator gives them the same registers.  A step
-    # r*1 is a copy in the staggered circuit, so it comes back as r.
-    exact = 0
+    # again, and the one allocator gives them the same registers.
     for trial, c in enumerate(staggered_draws(random.Random(61), monkeypatch)):
         program = staggerize(c)
         back = circuit_to_slp(slp_to_circuit(program))
-        copies = register_copies(program)
-        if copies:
-            assert back.step_count == program.step_count - copies, trial
-            assert expand(back) == expand(program), trial
-        else:
-            assert program_parts(back) == program_parts(program), trial
-            exact += 1
-    assert exact >= 150
+        assert program_parts(back) == program_parts(program), trial
 
 
-def peak_live_values(program) -> int:
-    """The most values a program holds at once, read off its steps alone.
-
-    Step j's value is held at step t >= j when t == j, when it is the
-    output, or when a step after t reads it; a step may overwrite what
-    it reads for the last time.
-    """
+def every_step_is_read(program) -> bool:
+    """Each step writes the output, or a value a later step reads before it is overwritten."""
     writer: dict[int, int] = {}
-    reads: list[set[int]] = []
-    for step in program.steps:
+    read: set[int] = set()
+    for j, step in enumerate(program.steps):
         operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
-        reads.append({writer[op.register] for op in operands if isinstance(op, RegOperand)})
-        writer[step.dest] = len(reads) - 1
-    out, n = writer[program.output_register], len(reads)
+        read |= {writer[op.register] for op in operands if isinstance(op, RegOperand)}
+        writer[step.dest] = j
+    read.add(writer[program.output_register])
+    return read == set(range(program.step_count))
 
-    def held(j: int, t: int) -> bool:
-        return j == t or j == out or any(j in reads[s] for s in range(t + 1, n))
 
-    return max(sum(held(j, t) for j in range(t + 1)) for t in range(n))
+def test_only_the_steps_the_output_reads_are_emitted(monkeypatch):
+    rng = random.Random(71)
+    draws = list(staggered_draws(rng, monkeypatch))
+    for trial in range(150):
+        registers, steps = rng.randrange(1, 7), rng.randrange(0, 20)
+        slp = random_slp(rng, F, MODES[trial % 2], registers, step_count=steps)
+        draws.append(slp_to_circuit(slp))
+    for trial, c in enumerate(draws):
+        program = staggerize(c)
+        back = circuit_to_slp(slp_to_circuit(program))
+        assert every_step_is_read(program), trial
+        assert every_step_is_read(back), trial
+        assert program.step_count == max(cone_steps(c), 1), trial
+        assert expand(program) == expand(back) == expand(c), trial
+        # Read at a leaf, the same circuit staggers to one load of it.
+        leaf = rng.choice(c.layers[0])
+        bare = LayeredCircuit(c.name, c.ring, c.mode, c.num_variables, c.layers, c.gates, leaf)
+        program = staggerize(bare)
+        assert program.steps == (LoadStep(0, leaf_operand(c, leaf)),), trial
+        assert program.register_count == 1 and expand(program) == expand(bare), trial
 
 
 def test_register_count_is_the_peak_of_live_values(monkeypatch):
@@ -355,6 +350,7 @@ def assert_conversions_match_reference(slp):
     assert serialize_circuit(staggered) == serialize_circuit(first)
     back = circuit_to_slp(staggered)
     assert program_parts(back) == program_parts(reference_circuit_to_slp(staggered))
+    assert back.step_count == max(cone_steps(staggered), 1)
     assert_construction_paths_agree(staggered, random.Random(len(slp.steps)))
     return staggered, back
 
@@ -518,20 +514,18 @@ def test_aliased_copies_on_random_programs(ring, mode):
     for trial in range(150):
         slp = random_slp(rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 20))
         c = slp_to_circuit(slp)
-        # Every gate of a layer up to the output's that is not an alias
-        # costs one step; layers past the output's never run.
-        steps = 0
         for layer_index in range(1, c.layer_count):
             g = build_layer_multigraph(c, layer_index)
-            assert len(g.vertices) + len(g.aliases) <= c.width
+            # The copies of one source share its register.
+            sources = len({source for _, source in g.aliases})
+            assert len(g.vertices) + sources <= c.width
             assert len(g.edges) + len(g.constant_gates) + len(g.aliases) <= c.width
-            assert max(order_edges(g).census) + len(g.aliases) <= census_bound(g) <= c.width + 1
-            if layer_index < output_layer(c):
-                steps += len(c.layers[layer_index]) - len(g.aliases)
+            assert max(order_edges(g).census) + sources <= census_bound(g) <= c.width + 1
+        # Every gate the output reads that is not an alias costs one step.
         staggered = staggerize(c)
         assert staggered.register_count <= c.width + 1, trial
         assert expand(staggered) == expand(c), trial
-        assert staggered.step_count == max(steps, 1), trial
+        assert staggered.step_count == max(cone_steps(c), 1), trial
         assert staggered.step_count <= max(output_layer(c) - 1, 1), trial
 
         # The same circuit from a plain mapping has the same copy table,
@@ -548,8 +542,8 @@ def test_aliased_copies_on_random_programs(ring, mode):
 def test_parsed_staggered_circuits_stagger_as_built(mode):
     # Read back from its file, a staggered circuit keeps its copies in
     # the copy table, so staggerize aliases them as it does for the
-    # circuit slp_to_circuit built.  Without a constant 1 in the program
-    # every layer holds one real gate, and costs one step.
+    # circuit slp_to_circuit built, and emits a step for each other gate
+    # the output reads.
     rng = random.Random(59)
     for trial in range(120):
         constants = range(7) if trial % 2 else (0, 2, 3, 5)
@@ -560,11 +554,10 @@ def test_parsed_staggered_circuits_stagger_as_built(mode):
         built = staggerize(c)
         read = staggerize(parse_circuit(serialize_circuit(c)))
         assert program_parts(read) == program_parts(built), trial
-        if 1 not in constants:
-            assert read.step_count == max(output_layer(c) - 1, 1), trial
+        assert read.step_count == max(cone_steps(c), 1), trial
 
 
-def test_a_second_copy_and_a_copy_of_a_leaf_are_steps():
+def test_every_copy_of_a_gate_is_an_alias_and_a_copy_of_a_leaf_a_step():
     cb = CircuitBuilder(F, COMMUTATIVE, 2)
     x1, x2 = cb.var_leaf(1), cb.var_leaf(2)
     a = cb.gate(2, "mul", x1, x2)
@@ -578,14 +571,15 @@ def test_a_second_copy_and_a_copy_of_a_leaf_are_steps():
     c = cb.build()
 
     graph = build_layer_multigraph(c, 2)
-    assert graph.aliases == ((first, a),)
-    # a is read like a leaf: the second copy is a constant gate, a + b a loop at b.
+    assert graph.aliases == ((first, a), (second, a))
+    # a is read like a leaf: the copy of x2 is a constant gate, a + b a loop at b.
     assert graph.vertices == frozenset({b})
-    assert set(graph.constant_gates) == {second, leaf_copy}
+    assert graph.constant_gates == (leaf_copy,)
     assert graph.edges == (MultiEdge(b, b, s),)
-    assert max(order_edges(graph).census) <= census_bound(graph) <= c.width + 1
+    # Both copies hold a's one register.
+    assert max(order_edges(graph).census) + 1 <= census_bound(graph) == 1 + 2 <= c.width + 1
 
     program = staggerize(c)
     assert program.register_count <= c.width + 1
     assert expand(program) == expand(c)
-    assert program.step_count == 2 + 3 + 2 + 1  # the first copy emits nothing
+    assert program.step_count == cone_steps(c) == 2 + 2 + 2 + 1  # no copy of a emits a step

@@ -4,6 +4,8 @@
         --claim identity_grid:instances_per_s --change "what the change does"
 
 Run from anywhere inside the repository, after committing the change.
+A --claim must name a workload and an end-to-end metric of
+BENCHMARK.json; anything else is rejected before any run starts.
 Each side is the committed files of its commit (--parent, and HEAD for
 the change), extracted with ``git archive`` into a fresh temporary
 directory that is removed afterwards, as the benchmark itself runs a
@@ -116,6 +118,19 @@ def summarize_workload(
     }
 
 
+def parse_claim(claim: str, spec: dict) -> dict:
+    """The workload and end-to-end metric a --claim workload:metric names in spec."""
+    workload, _, metric = claim.partition(":")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(
+            f"--claim {claim!r} is not workload:metric with a workload of {workloads} "
+            f"and an end-to-end metric of {metrics}"
+        )
+    return {"workload": workload, "metric": metric}
+
+
 def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
@@ -166,6 +181,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="", help="one line saying what the change does")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        claimed = parse_claim(args.claim, spec) if args.claim else None
+    except ValueError as exc:
+        parser.error(str(exc))
     commits = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
 
     tmpdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -189,9 +208,8 @@ def main(argv=None) -> int:
         "quartiles": QUARTILES,
         "median_ms_by_kind": "per workload: median over the runs of one side of each run's median_ms_by_kind",
     }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        summary["claimed"] = {"workload": workload, "metric": metric}
+    if claimed:
+        summary["claimed"] = claimed
     summary["workloads"] = workloads
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n")
