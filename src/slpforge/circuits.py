@@ -19,7 +19,11 @@ Three forms share one polynomial semantics:
   load (register := variable or constant) and apply (register :=
   operand op operand), where apply operands may be registers, variables,
   or constants, and the destination may coincide with a source.
-  Registers start at zero.  An SLP over w registers is the same object
+  Registers start at zero.  A step is live when its register is the
+  output or is read by a live step before being written again;
+  live_steps() lists the live steps once per program; fold() and the
+  transforms' re-runs read only those, while slp_to_circuit converts
+  every step.  An SLP over w registers is the same object
   as a staggered layered circuit of width w: each layer of such a
   circuit has at most one gate that is not a copy (u times 1), and the
   copy chains are exactly registers kept alive.  slp_to_circuit and
@@ -458,9 +462,16 @@ Step = Union[LoadStep, ApplyStep]
 
 
 class StraightLineProgram:
-    """Immutable register program; see the module docstring for semantics."""
+    """Immutable register program; see the module docstring for semantics.
 
-    __slots__ = ("name", "ring", "mode", "num_variables", "register_count", "steps", "output_register")
+    live_steps() computes the steps the output reads once per program
+    and stores them on it.
+    """
+
+    __slots__ = (
+        "name", "ring", "mode", "num_variables", "register_count", "steps", "output_register",
+        "_live",
+    )
 
     def __init__(
         self,
@@ -515,6 +526,7 @@ class StraightLineProgram:
         object.__setattr__(self, "register_count", register_count)
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "output_register", output_register)
+        object.__setattr__(self, "_live", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("StraightLineProgram is immutable")
@@ -522,6 +534,34 @@ class StraightLineProgram:
     @property
     def step_count(self) -> int:
         return len(self.steps)
+
+
+def live_steps(prog: StraightLineProgram) -> tuple[Step, ...]:
+    """The steps whose value the output reads, in program order.
+
+    Walking backward over registers, a step is kept when its register is
+    the output, or is read by a kept step before being written again.  A
+    dead step's value reaches neither the output nor a kept step, so the
+    kept steps alone compute the output in every algebra.  Computed once
+    per program and stored on it; a program with no dead step returns
+    its own steps.
+    """
+    live = prog._live
+    if live is None:
+        needed = {prog.output_register}
+        kept: list[Step] = []
+        for step in reversed(prog.steps):
+            if step.dest in needed:
+                needed.discard(step.dest)
+                kept.append(step)
+                if isinstance(step, ApplyStep):
+                    for op in (step.left, step.right):
+                        if isinstance(op, RegOperand):
+                            needed.add(op.register)
+        kept.reverse()
+        live = prog.steps if len(kept) == len(prog.steps) else tuple(kept)
+        object.__setattr__(prog, "_live", live)
+    return live
 
 
 class SlpBuilder:
@@ -703,6 +743,8 @@ def fold(
     not read.  A copy takes its source's value itself, with no
     call to mul: exact in every algebra of this library, whose const(1)
     is the multiplicative identity and none of which mutates an operand.
+    An SLP runs its live_steps() alone: a step the output does not read
+    is never computed, so it can neither fail (a cap) nor cost anything.
     Unwritten SLP registers read as const(0).  An ABP vertex is the sum
     over its incoming edges of mul(parent, label), in edge order, and the
     source is const(1); a vertex no path reaches has no value, so an
@@ -738,7 +780,7 @@ def fold(
                 return var(op.index)
             return const(op.value)
 
-        for step in obj.steps:
+        for step in live_steps(obj):
             if isinstance(step, LoadStep):
                 regs[step.dest] = operand(step.source)
             else:

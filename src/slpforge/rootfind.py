@@ -8,10 +8,10 @@ finite degree.
 
 newton_series_root computes f symbolically by Newton iteration on
 truncated series.  root_circuit assembles a straight-line program with
-the same expansion out of r+1 substituted copies of P per evaluation
-point, using the Newton result only to solve for the scalar mixing
-coefficients.  The two routes share no arithmetic, which is what makes
-comparing them a meaningful test.  The series, the power products and
+the same expansion out of at most r+1 substituted runs of P's live
+steps per evaluation point, using the Newton result only to solve for
+the scalar mixing coefficients.  The two routes share no arithmetic,
+which is what makes comparing them a meaningful test.  The series, the power products and
 the mixing solve run on the raw terms of polynomials.term_algebra;
 SparsePolynomial and Scalar objects are built only for the results.
 """
@@ -341,15 +341,20 @@ def root_circuit(
     sum_alpha Q_alpha * prod_i (C_i - C_i(0))^alpha_i = f (mod degree m+1),
     then emit a program computing that combination with every C_i
     recovered from runs of P at constant y-values, wrapped in the
-    degree-(<= m) slice extraction.  The program runs P r+1 times per
-    interpolation point z, once per y-point, and feeds every coefficient
-    accumulator from each run.  The slice extraction is fused into the
-    emission loop rather than wrapping the finished program, which is
-    what keeps the register overhead at r + 3: the program uses the
-    original registers plus one staging register, r+1 coefficient
-    accumulators, and one global accumulator, with the per-point product
-    and sum living in the recycled body registers.  For r <= 3 that is
-    within the documented budget of 6.
+    degree-(<= m) slice extraction.  Accumulator i holds C_i - C_i(0)
+    and is loaded and fed only when a mixing term with alpha_i > 0 reads
+    it; one no term reads (every accumulator of a constant C_i) costs no
+    step.  Per interpolation point z the program runs P's live steps
+    once per y-point that feeds a read accumulator, at most r+1 times,
+    and feeds each read accumulator from each such run.  The slice
+    extraction is fused into the emission loop rather than wrapping the
+    finished program, which is what keeps the register overhead at
+    r + 3: the program uses the original registers plus one staging
+    register, r+1 coefficient accumulator registers (read or not, so
+    the register count does not depend on the mixing solve), and one
+    global accumulator, with the per-point product and sum living in the
+    recycled body registers.  For r <= 3 that is within the documented
+    budget of 6.  Every step of the result is read by the output.
 
     The step count is compared against a budget derived from the
     emission shape (or ``size_budget`` when given); exceeding it raises
@@ -383,17 +388,17 @@ def root_circuit(
     global_acc = delta_base + r + 1
     prod_reg, sum_reg = 0, 1
     y = rp.program.num_variables
-    # y-point t feeds accumulator i with weight y_matrix[i][t].
-    feeds = [
-        [
-            (delta_base + i, ConstOperand(y_matrix[i][t]))
-            for i in range(r + 1)
-            if y_matrix[i][t] != zero
-        ]
-        for t in range(r + 1)
-    ]
     terms = [
         (ConstOperand(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
+    ]
+    # Accumulator i holds C_i - C_i(0) and is read only by the terms with
+    # alpha_i > 0; one that no term reads (as when C_i is constant) is
+    # neither loaded nor fed.  y-point t feeds accumulator i with weight
+    # y_matrix[i][t].
+    read = [i for i in range(r + 1) if any(alpha[i] for _, alpha in terms)]
+    feeds = [
+        [(delta_base + i, ConstOperand(y_matrix[i][t])) for i in read if y_matrix[i][t] != zero]
+        for t in range(r + 1)
     ]
 
     sb = SlpBuilder(
@@ -407,7 +412,7 @@ def root_circuit(
     for j, z in enumerate(z_points):
         if slice_weights[j] == zero:
             continue
-        for i in range(r + 1):
+        for i in read:
             sb.load(delta_base + i, ConstOperand(-rp.base_point[i]))
         for t in range(r + 1):
             if not feeds[t]:

@@ -11,16 +11,17 @@ small fixed overhead, documented per function:
   sparse_to_width2        exactly 2 registers
 
 The interpolation-based transforms share one emission pattern: re-run
-the input program once per evaluation point with its variable reads
+the input program's live steps (circuits.live_steps, the steps its
+output reads) once per evaluation point with its variable reads
 rewritten (scaled by a constant, or substituted), then combine the
 per-point outputs with interpolation weights in an accumulator.
-Registers the input reads before writing are cleared between runs,
+Registers those steps read before writing are cleared between runs,
 since the re-emitted copies share one register file.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .circuits import (
     ApplyStep,
@@ -30,8 +31,10 @@ from .circuits import (
     RegOperand,
     SlpBuilder,
     StraightLineProgram,
+    Step,
     VarOperand,
     expand,
+    live_steps,
     slp_to_circuit,
 )
 from .errors import (
@@ -100,11 +103,11 @@ def depth_to_width(f: Formula, name: str | None = None) -> LayeredCircuit:
 # Shared emission machinery for the interpolation transforms
 
 
-def _stale_read_registers(program: StraightLineProgram) -> tuple[int, ...]:
-    """Registers the program reads before writing (they rely on the zero init)."""
+def _stale_read_registers(steps: Sequence[Step]) -> tuple[int, ...]:
+    """Registers the steps read before writing (they rely on the zero init)."""
     written: set[int] = set()
     stale: set[int] = set()
-    for step in program.steps:
+    for step in steps:
         if isinstance(step, ApplyStep):
             for op in (step.left, step.right):
                 if isinstance(op, RegOperand) and op.register not in written:
@@ -114,10 +117,11 @@ def _stale_read_registers(program: StraightLineProgram) -> tuple[int, ...]:
 
 
 class _BodyEmitter:
-    """Re-emits one program's steps into a wider builder, once per point.
+    """Re-emits one program's live steps into a wider builder, once per point.
 
-    Registers the program reads before writing are cleared before every
-    run but the first.
+    Only the steps the program's output reads (circuits.live_steps) are
+    re-emitted, so a dead step costs no run anything.  Registers those
+    steps read before writing are cleared before every run but the first.
 
     Each run may rewrite variable reads through ``leaves``, a map from
     variable index to the operand read in its place: a constant (for
@@ -136,8 +140,9 @@ class _BodyEmitter:
     ):
         self.sb = sb
         self.program = program
+        self.steps = live_steps(program)
         self.stage = stage_register  # only runs that scale use it
-        self.stale = _stale_read_registers(program)
+        self.stale = _stale_read_registers(self.steps)
         self.ran_before = False
 
     def run(
@@ -169,7 +174,7 @@ class _BodyEmitter:
             sb.load(register, var_op)
             sb.apply(register, "mul", sb.reg(register), ConstOperand(scale))
 
-        for step in self.program.steps:
+        for step in self.steps:
             if isinstance(step, LoadStep):
                 src, needs_scale = rewrite(step.source)
                 sb.load(step.dest, src)
@@ -289,8 +294,9 @@ def partial_derivative_y(
     c.register_count + 2 registers.
 
     The y-degree precondition is checked by expanding c under ``caps``;
-    when expansion overflows the caps the check is skipped and the
-    caller's r is trusted.
+    the expansion folds c's live steps alone, so only a step the output
+    reads can overflow the caps.  When it overflows, the check is
+    skipped and the caller's r is trusted.
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("partial derivatives need a commutative program")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import operator
@@ -505,6 +506,91 @@ def reference_expand(obj, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomia
         lambda a, b: a.add(b, caps),
         lambda a, b: a.mul(b, caps),
     )
+
+
+def reference_slp_fold(slp: StraightLineProgram, var, const, add, mul):
+    """fold over a program as first written: every step runs, read or not.
+
+    Kept as the oracle for circuits.fold, which runs the live steps
+    alone and must give the same output in every algebra.
+    """
+    regs = [const(slp.ring.zero())] * slp.register_count
+
+    def operand(op: Operand):
+        if isinstance(op, RegOperand):
+            return regs[op.register]
+        if isinstance(op, VarOperand):
+            return var(op.index)
+        return const(op.value)
+
+    for step in slp.steps:
+        if isinstance(step, LoadStep):
+            regs[step.dest] = operand(step.source)
+        else:
+            op = add if step.op == "add" else mul
+            regs[step.dest] = op(operand(step.left), operand(step.right))
+    return regs[slp.output_register]
+
+
+def reference_live_steps(program: StraightLineProgram) -> list[int]:
+    """Indices of the steps the output reads, by a DFS over def-use edges.
+
+    A step uses the step that last wrote each register it reads, and the
+    output uses the last writer of the output register.
+    """
+    writer: dict[int, int] = {}
+    uses: list[list[int]] = []
+    for j, step in enumerate(program.steps):
+        operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
+        uses.append([
+            writer[op.register]
+            for op in operands
+            if isinstance(op, RegOperand) and op.register in writer
+        ])
+        writer[step.dest] = j
+    live: set[int] = set()
+    stack = [writer[program.output_register]] if program.output_register in writer else []
+    while stack:
+        j = stack.pop()
+        if j not in live:
+            live.add(j)
+            stack += uses[j]
+    return sorted(live)
+
+
+def without_dead_steps(program: StraightLineProgram) -> StraightLineProgram:
+    """The program with only the steps reference_live_steps keeps."""
+    return StraightLineProgram(
+        program.name,
+        program.ring,
+        program.mode,
+        program.num_variables,
+        program.register_count,
+        [program.steps[j] for j in reference_live_steps(program)],
+        program.output_register,
+    )
+
+
+def program_digest(program: StraightLineProgram) -> str:
+    """sha256 of a program's text: name, ring, mode, registers, steps, output."""
+
+    def text(op: Operand) -> str:
+        if isinstance(op, RegOperand):
+            return f"r{op.register}"
+        if isinstance(op, VarOperand):
+            return f"x{op.index}"
+        return op.value.text()
+
+    lines = [
+        f"{program.name} {program.ring.characteristic} {program.mode}"
+        f" {program.num_variables} {program.register_count} {program.output_register}"
+    ]
+    for step in program.steps:
+        if isinstance(step, LoadStep):
+            lines.append(f"load r{step.dest} {text(step.source)}")
+        else:
+            lines.append(f"{step.op} r{step.dest} {text(step.left)} {text(step.right)}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 _HOMOGENEITY_SET_CAP = 4096
@@ -1014,7 +1100,7 @@ def _emit_verbatim(sb: SlpBuilder, program: StraightLineProgram, dirty: bool) ->
     """Append program's steps to sb, first clearing its stale reads when dirty."""
     if dirty:
         zero = ConstOperand(program.ring.zero())
-        for r in _stale_read_registers(program):
+        for r in _stale_read_registers(program.steps):
             sb.load(r, zero)
     for step in program.steps:
         if isinstance(step, LoadStep):
