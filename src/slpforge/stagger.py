@@ -48,22 +48,34 @@ ends are already joined is a cycle edge; the same pass gives the
 components.  Cost: one sort and one union-find pass, then one scan for
 leaf edges per tree step, so still O(E^2) per layer in the worst case.
 
-staggerize lists the schedule as steps, one apply step per internal
-gate below the output's layer that is not an alias, an alias naming
-its source's value; leaf operands are embedded as immediates, so no
-loads are spent on them.  circuits._allocate, as for circuit_to_slp,
-emits only the steps the output reads, in schedule order, and picks
-the registers: each value is freed at its last read and each result
-takes the smallest free register.  That is the fewest registers this
-step order allows, so never more than the census bound w+1, and often
-fewer.  A circuit costs one step per gate of the output's cone that is
-not an alias, and a circuit whose output is a leaf one load.
+staggerize schedules only the output's cone: the output and every gate
+it depends on, found by one walk back from the output over operands
+and copy sources that stops at leaves.  Each transition's multigraph is
+built on the cone alone, both the layer and the resident set restricted
+to it.  The cone is itself a layered circuit: a cone gate reads cone
+gates of the layer below, or leaves.  Its layers are subsets of the
+circuit's, so its width w_c is at most w, and the census argument
+above, applied to the cone, gives every transition
+A + max{|V|, |E|+1, |E|+|V'|} <= w_c+1 <= w+1 registers.  A circuit
+whose every internal gate lies in the cone schedules as on whole
+layers.
+
+The schedule is a list of steps, one apply step per cone gate below
+the output's layer that is not an alias, an alias naming its source's
+value; leaf operands are embedded as immediates, so no loads are spent
+on them.  circuits._allocate, as for circuit_to_slp, emits the steps
+in schedule order and picks the registers: each value is freed at its
+last read and each result takes the smallest free register.  That is
+the fewest registers this step order allows, so never more than the
+census bound w_c+1, and often fewer.  A circuit costs one step per gate
+of the output's cone that is not an alias, and a circuit whose output
+is a leaf one load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Container, Union
 
 from .circuits import (
     BinGate,
@@ -102,13 +114,18 @@ class LayerMultigraph:
     aliases: tuple[tuple[int, int], ...] = ()
 
 
-def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMultigraph:
-    """Multigraph for the transition V_layer_index -> V_{layer_index+1}.
+def build_layer_multigraph(
+    circuit: LayeredCircuit, layer_index: int, cone: Container[int]
+) -> LayerMultigraph:
+    """Multigraph for the transition V_layer_index -> V_{layer_index+1} within cone.
 
-    For layer_index 1 the register-resident set is empty (leaves are
-    immediates), so every layer-2 gate lands in constant_gates.  Every
-    copy of a resident gate is an alias, not an edge, and its source is
-    read like a leaf by every other gate of the layer.
+    Both layers are restricted to the gates in cone, in layer order:
+    staggerize passes the output's cone, and circuit.gates gives the
+    whole layers.  For layer_index 1 the register-resident set is empty
+    (leaves are immediates), so every layer-2 gate lands in
+    constant_gates.  Every copy of a resident gate is an alias, not an
+    edge, and its source is read like a leaf by every other gate of the
+    layer.
     """
     if not 1 <= layer_index < circuit.layer_count:
         raise ParamError(
@@ -117,8 +134,9 @@ def build_layer_multigraph(circuit: LayeredCircuit, layer_index: int) -> LayerMu
         )
     table = circuit.gates
     gates, copies = table.explicit, table.copies
-    layer = circuit.layers[layer_index]
-    resident = set(circuit.layers[layer_index - 1]) if layer_index >= 2 else set()
+    layer = [gid for gid in circuit.layers[layer_index] if gid in cone]
+    below = circuit.layers[layer_index - 1] if layer_index >= 2 else ()
+    resident = {gid for gid in below if gid in cone}
     aliases: dict[int, int] = {}
     if copies and resident:
         for gid in layer:
@@ -239,8 +257,36 @@ def census_bound(graph: LayerMultigraph) -> int:
     return aliased + max(v, e + 1, e + len(graph.constant_gates))
 
 
+def _cone(circuit: LayeredCircuit) -> set[int]:
+    """The output and every gate it depends on: one walk back that stops at leaves."""
+    table = circuit.gates
+    gates, copies = table.explicit, table.copies
+    cone = {circuit.output_id}
+    stack = [circuit.output_id]
+    while stack:
+        gid = stack.pop()
+        source = copies.get(gid)
+        if source is not None:
+            reads: tuple[int, ...] = (source,)
+        else:
+            g = gates[gid]
+            if not isinstance(g, BinGate):
+                continue
+            reads = (g.left, g.right)
+        for ref in reads:
+            if ref not in cone:
+                cone.add(ref)
+                stack.append(ref)
+    return cone
+
+
 def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
-    """Equivalent straight-line program over at most width+1 registers."""
+    """Equivalent straight-line program over at most width+1 registers.
+
+    Only the output's cone is scheduled, each transition on the cone's
+    part of its two layers; the cone's width is at most the circuit's,
+    so the budget width+1 holds (see the module docstring).
+    """
     validate(circuit)
     sb = SlpBuilder(
         circuit.ring, circuit.mode, circuit.num_variables, name=name or f"{circuit.name}-staggered"
@@ -249,6 +295,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
         i for i, layer in enumerate(circuit.layers, start=1) if circuit.output_id in layer
     )
     leaves = set(circuit.layers[0])
+    cone = _cone(circuit)
     alias: dict[int, int] = {}  # aliased copy -> the gate whose value it holds
 
     def operand(ref: int) -> Union[int, VarOperand, ConstOperand]:
@@ -256,7 +303,7 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
 
     steps: list[tuple] = []
     for i in range(1, out_layer):
-        graph = build_layer_multigraph(circuit, i)
+        graph = build_layer_multigraph(circuit, i, cone)
         for gid, source in graph.aliases:
             alias[gid] = alias.get(source, source)
         for gid in [e.gate for e in order_edges(graph).order] + list(graph.constant_gates):

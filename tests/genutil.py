@@ -859,15 +859,51 @@ def cone_steps(circuit: LayeredCircuit) -> int:
     of an internal gate, which holds its source's value.
     """
     leaves, copies = set(circuit.layers[0]), circuit.gates.copies
+    return sum(gid not in copies or copies[gid] in leaves for gid in _cone(circuit) - leaves)
+
+
+def _cone(circuit: LayeredCircuit) -> set[int]:
+    """The output and every gate it reads, by a DFS that stops at the leaves."""
+    leaves = set(circuit.layers[0])
     cone: set[int] = set()
     stack = [circuit.output_id]
     while stack:
         gid = stack.pop()
-        if gid not in leaves and gid not in cone:
+        if gid not in cone:
             cone.add(gid)
+            if gid not in leaves:
+                g = circuit.gates[gid]
+                stack += [g.left, g.right]
+    return cone
+
+
+def cone_circuit(circuit: LayeredCircuit) -> LayeredCircuit:
+    """The output's cone of circuit, rebuilt with CircuitBuilder.
+
+    The cone is the output and every gate it reads, through operands and
+    copy sources, down to the leaves.  Each cone gate keeps its layer and
+    its place in the layer; layers above the output's go.  The builder
+    numbers the gates afresh, layer by layer in layer order, so where ids
+    increase along each layer, as in every CircuitBuilder circuit, any
+    two gates of one layer compare as before.  Name, ring, mode and
+    variable count are the circuit's.
+    """
+    copies, cone = circuit.gates.copies, _cone(circuit)
+    cb = CircuitBuilder(circuit.ring, circuit.mode, circuit.num_variables, name=circuit.name)
+    new: dict[int, int] = {}
+    for layer_index, layer in enumerate(circuit.layers, start=1):
+        for gid in filter(cone.__contains__, layer):
             g = circuit.gates[gid]
-            stack += [g.left, g.right]
-    return sum(gid not in copies or copies[gid] in leaves for gid in cone)
+            if gid in copies:
+                new[gid] = cb.copy(layer_index, new[copies[gid]])
+            elif isinstance(g, VarLeaf):
+                new[gid] = cb.var_leaf(g.index)
+            elif isinstance(g, ConstLeaf):
+                new[gid] = cb.const_leaf(g.value)
+            else:
+                new[gid] = cb.gate(layer_index, g.op, new[g.left], new[g.right])
+    cb.set_output(new[circuit.output_id])
+    return cb.build()
 
 
 def peak_live_values(program: StraightLineProgram) -> int:

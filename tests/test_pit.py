@@ -469,7 +469,11 @@ def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
         for backend in ("schwartz_zippel", "nw_pit")
     ]
     monkeypatch.setattr(pit, "schwartz_zippel", reference_schwartz_zippel)
-    monkeypatch.setattr(pit, "nw_pit", reference_nw_pit)
+
+    def scalar_grid(program, design, points, table):
+        return reference_nw_pit(program, pit.HARD_FAMILIES["desk-rule"], design.m, len(points))
+
+    monkeypatch.setattr(pit, "_grid_test", scalar_grid)
     scalar = [
         verify_permanent_circuit(c, backend, seed=5, sample_size=3)
         for c in candidates
@@ -477,6 +481,41 @@ def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
     ]
     assert batched == scalar
     assert batched[0].accepted and not all(v.accepted for v in batched)
+
+
+def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
+    # The identities share ring and m, so the S^m table of desk-rule is
+    # built once per distinct sample size; the verdicts, witnesses and
+    # failing indices are those of one nw_pit per identity.
+    ring = PrimeField((1 << 31) - 1)
+    desk = pit.HARD_FAMILIES["desk-rule"]
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
+    rng = random.Random(19)
+    candidates = [good] + [corrupt_circuit(rng, good) for _ in range(4)]
+    evaluations = []
+    family_evaluate = pit.HardFamily.evaluate
+
+    def counting(self, m, ring, values):
+        evaluations.append(m)
+        return family_evaluate(self, m, ring, values)
+
+    monkeypatch.setattr(pit.HardFamily, "evaluate", counting)
+    for c in candidates:
+        programs = pit.perm_check_instance(c).programs
+        for sample_size in (None, 3):
+            expected = pit.PermVerdict("accept")
+            for k, program in enumerate(programs, start=1):
+                verdict = nw_pit(program, desk, 2, sample_size)
+                if not verdict.is_zero:
+                    expected = pit.PermVerdict("reject", k, verdict.witness)
+                    break
+            evaluations.clear()
+            got = verify_permanent_circuit(c, "nw_pit", m=2, sample_size=sample_size)
+            assert got == expected
+            tested = programs[: got.failing_index or len(programs)]
+            sizes = {pit._grid_shape(b, 2, sample_size, 10**6)[1] for b in tested}
+            assert len(evaluations) == sum(size**2 for size in sizes)
+    assert not all(verify_permanent_circuit(c, "nw_pit").accepted for c in candidates)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Layer multigraphs, edge scheduling, and the staggering transform."""
 
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -9,14 +10,17 @@ import numpy as np
 import pytest
 
 from genutil import (
+    cone_circuit,
     cone_steps,
     peak_live_values,
+    program_digest,
     random_layered_circuit,
     random_slp,
     reference_circuit_to_slp,
     reference_order_edges,
     reference_slp_to_circuit,
 )
+from slpforge import stagger
 from slpforge.circuits import (
     BATCH_MODULUS_LIMIT,
     ApplyStep,
@@ -33,6 +37,7 @@ from slpforge.circuits import (
     syntactic_degree,
     validate,
 )
+from slpforge.families import build_permanent_sparse
 from slpforge.polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField, RationalField
 from slpforge.textio import parse_circuit, serialize_circuit
@@ -44,6 +49,7 @@ from slpforge.stagger import (
     order_edges,
     staggerize,
 )
+from slpforge.transforms import sparse_to_width2
 
 F = PrimeField(101)
 
@@ -103,7 +109,7 @@ def test_multigraph_construction_classifies_operands():
     cb.set_output(both)
     c = cb.build()
 
-    g = build_layer_multigraph(c, 2)
+    g = build_layer_multigraph(c, 2, c.gates)
     assert g.vertices == frozenset({a, b})
     kinds = sorted((e.u, e.v) for e in g.edges)
     assert kinds == [(min(a, b), max(a, b)), (a, a)] or kinds == [
@@ -112,7 +118,7 @@ def test_multigraph_construction_classifies_operands():
     ]
     assert g.constant_gates == (const_pair,)
     # Layer-1 transitions see no resident registers: everything is constant-like.
-    g1 = build_layer_multigraph(c, 1)
+    g1 = build_layer_multigraph(c, 1, c.gates)
     assert g1.vertices == frozenset()
     assert len(g1.constant_gates) == 2
 
@@ -127,7 +133,7 @@ def test_multigraph_invariants_on_random_circuits():
         c = random_layered_circuit(rng, F, mode, width, internal_layers=rng.randrange(1, 5))
         w = c.width
         for layer_index in range(1, c.layer_count):
-            g = build_layer_multigraph(c, layer_index)
+            g = build_layer_multigraph(c, layer_index, c.gates)
             assert len(g.vertices) <= w
             assert len(g.edges) + len(g.constant_gates) <= w
             assert census_ok(g)
@@ -450,7 +456,7 @@ def test_order_edges_matches_reference_on_every_layer_of_wide_circuits():
             sizes = [width, width, width // 8]
             c = random_layered_circuit(rng, F, mode, width, layer_sizes=sizes)
             for layer_index in range(1, c.layer_count):
-                assert_matches_reference(build_layer_multigraph(c, layer_index))
+                assert_matches_reference(build_layer_multigraph(c, layer_index, c.gates))
 
 
 def test_order_edges_matches_reference_on_generated_multigraphs():
@@ -515,7 +521,7 @@ def test_aliased_copies_on_random_programs(ring, mode):
         slp = random_slp(rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 20))
         c = slp_to_circuit(slp)
         for layer_index in range(1, c.layer_count):
-            g = build_layer_multigraph(c, layer_index)
+            g = build_layer_multigraph(c, layer_index, c.gates)
             # The copies of one source share its register.
             sources = len({source for _, source in g.aliases})
             assert len(g.vertices) + sources <= c.width
@@ -570,7 +576,7 @@ def test_every_copy_of_a_gate_is_an_alias_and_a_copy_of_a_leaf_a_step():
     cb.set_output(cb.gate(5, "mul", t, u))
     c = cb.build()
 
-    graph = build_layer_multigraph(c, 2)
+    graph = build_layer_multigraph(c, 2, c.gates)
     assert graph.aliases == ((first, a), (second, a))
     # a is read like a leaf: the copy of x2 is a constant gate, a + b a loop at b.
     assert graph.vertices == frozenset({b})
@@ -583,3 +589,110 @@ def test_every_copy_of_a_gate_is_an_alias_and_a_copy_of_a_leaf_a_step():
     assert program.register_count <= c.width + 1
     assert expand(program) == expand(c)
     assert program.step_count == cone_steps(c) == 2 + 2 + 2 + 1  # no copy of a emits a step
+
+
+def recorded_graphs(monkeypatch) -> list[LayerMultigraph]:
+    """The graphs staggerize passes to order_edges from now on."""
+    graphs: list[LayerMultigraph] = []
+    order = stagger.order_edges
+
+    def recording(graph):
+        graphs.append(graph)
+        return order(graph)
+
+    monkeypatch.setattr(stagger, "order_edges", recording)
+    return graphs
+
+
+def test_staggering_a_circuit_is_staggering_its_cone(monkeypatch):
+    # staggered_draws, then perfbench's stagger_wide shape at width 128.
+    rng = random.Random(89)
+    draws = list(staggered_draws(rng, monkeypatch))
+    gen = importlib.import_module("perfbench.gen")
+    draws += [gen.layered_circuit(rng, F, mode, [128, 128, 16]) for mode in MODES]
+    graphs = recorded_graphs(monkeypatch)
+    smaller = 0
+    for trial, c in enumerate(draws):
+        cone = cone_circuit(c)
+        smaller += cone.size < c.size
+        expected = program_digest(staggerize(cone))
+        graphs.clear()
+        assert program_digest(staggerize(c)) == expected, trial
+        # Each internal cone gate is one edge, constant entry or alias of
+        # its transition, and no other gate is scheduled.
+        scheduled = sum(len(g.edges) + len(g.constant_gates) + len(g.aliases) for g in graphs)
+        assert scheduled == cone.size - len(cone.layers[0]), trial
+        for g in graphs:
+            sources = len({source for _, source in g.aliases})
+            peak = max(order_edges(g).census)
+            assert peak + sources <= census_bound(g) <= cone.width + 1 <= c.width + 1, trial
+    assert smaller > len(draws) // 2
+
+
+def test_a_wide_layer_outside_the_cone_is_not_scheduled(monkeypatch):
+    cb = CircuitBuilder(F, COMMUTATIVE, 2)
+    x1, x2 = cb.var_leaf(1), cb.var_leaf(2)
+    a = cb.gate(2, "mul", x1, x2)
+    b = cb.gate(2, "add", x1, x2)
+    wide = [cb.gate(2, "add", x1, cb.const_leaf(k)) for k in range(2, 14)]
+    ring_of_wide = [cb.gate(3, "mul", u, v) for u, v in zip(wide, wide[1:] + wide[:1])]
+    out = cb.gate(3, "mul", b, a)
+    cb.gate(4, "add", ring_of_wide[0], ring_of_wide[1])  # a layer above the output's
+    cb.set_output(out)
+    c = cb.build()
+    assert c.width == 14
+
+    graphs = recorded_graphs(monkeypatch)
+    program = staggerize(c)
+    assert [g.constant_gates for g in graphs] == [(a, b), ()]
+    assert [g.vertices for g in graphs] == [frozenset(), frozenset({a, b})]
+    assert [g.edges for g in graphs] == [(), (MultiEdge(a, b, out),)]
+    assert program.step_count == 3 and program.register_count == 2
+    assert program_digest(program) == program_digest(staggerize(cone_circuit(c)))
+    assert expand(program) == expand(c)
+
+
+def pinned_circuits() -> dict[str, list[LayeredCircuit]]:
+    """Circuits whose schedule is the same on the cone as on whole layers.
+
+    A staggered circuit has at most one real gate per layer, so each
+    transition has at most one edge; the compiled permanents' cone is
+    every gate.
+    """
+    rng = random.Random(83)
+    staggered = [
+        slp_to_circuit(
+            random_slp(
+                rng,
+                (F, RATIONALS)[trial % 2],
+                MODES[trial // 2 % 2],
+                rng.randrange(1, 7),
+                step_count=rng.randrange(0, 24),
+            )
+        )
+        for trial in range(160)
+    ]
+    permanents = [
+        slp_to_circuit(sparse_to_width2(build_permanent_sparse(n, ring)))
+        for ring in (PrimeField(2**31 - 1), RATIONALS)
+        for n in (2, 3, 4)
+    ]
+    return {"slp_to_circuit": staggered, "permanent": permanents}
+
+
+# sha256 over the program_digest of staggerize on each circuit, as
+# staggerize emitted them when it scheduled every gate below the output's
+# layer.
+STAGGERED_BEFORE = {
+    "slp_to_circuit": "83006c12f9eec749ad86dba3c60f0ba35cd6c47e6013e9f49599334d57e87d6a",
+    "permanent": "43948426d8d158a6c2c822e0d740c2c7aa25a7d0610dba34ffbb0c0eaec0a726",
+}
+
+
+def test_staggering_is_unchanged_where_the_cone_schedules_alike():
+    circuits = pinned_circuits()
+    for c in circuits["permanent"]:
+        assert cone_circuit(c).size == c.size
+    for kind, group in circuits.items():
+        joined = " ".join(program_digest(staggerize(c)) for c in group)
+        assert hashlib.sha256(joined.encode()).hexdigest() == STAGGERED_BEFORE[kind], kind
