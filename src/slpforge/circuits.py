@@ -8,7 +8,9 @@ Three forms share one polynomial semantics:
   internal layer; a circuit with no internal layer has width 0.  Size
   counts every gate, leaves included.  The gate table is a read-only
   mapping, so validate() computes its report once per circuit object
-  and stores it on the circuit.  It holds two tables: explicit gates
+  and stores it on the circuit; a circuit slp_to_circuit builds carries
+  the report derived from its program instead, and is never walked for
+  it.  The gate table holds two tables: explicit gates
   (leaves and BinGates) and copies, copy id -> source id.  A copy is
   any mul gate with a constant-1 leaf of layer 1 as either operand,
   stored so however the circuit is made (CircuitBuilder, parser, plain
@@ -228,13 +230,31 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     Raises BadOperandLayer, DanglingOutput, CircuitSemanticError,
     RingMismatch, or ParamError on ill-formed circuits.  The report is
     computed once per circuit object and stored on it; a circuit that
-    fails stores nothing and raises again on the next call.
+    fails stores nothing and raises again on the next call.  A circuit
+    made by slp_to_circuit carries the report derived from its program,
+    which is returned as it is; every other circuit, parsed or built,
+    gets the full walk.
     """
     report = circuit._report
     if report is None:
         report = _validate(circuit)
         object.__setattr__(circuit, "_report", report)
     return report
+
+
+def _renamed(circuit: LayeredCircuit, name: str) -> LayeredCircuit:
+    """The circuit under another name, sharing its gate table and any report it holds.
+
+    A report reads nothing but the gates, layers and output, so a copy
+    of a validated circuit is not walked again, and validating a copy
+    of an unvalidated one leaves the original as it was.
+    """
+    copy = LayeredCircuit(
+        name, circuit.ring, circuit.mode, circuit.num_variables, circuit.layers,
+        circuit.gates, circuit.output_id,
+    )
+    object.__setattr__(copy, "_report", circuit._report)
+    return copy
 
 
 def _validate(circuit: LayeredCircuit) -> ValidationReport:
@@ -406,10 +426,20 @@ class CircuitBuilder:
         self._output = gid
 
     def build(self) -> LayeredCircuit:
-        """The circuit, validated."""
+        """The circuit, validated by the full walk of validate().
+
+        slp_to_circuit alone skips that walk: the circuit it builds
+        carries the report derived from its program.
+        """
+        circuit = self._circuit()
+        validate(circuit)
+        return circuit
+
+    def _circuit(self) -> LayeredCircuit:
+        """The circuit built so far, with no report yet."""
         if self._output is None:
             raise DanglingOutput("no output designated")
-        circuit = LayeredCircuit(
+        return LayeredCircuit(
             self.name,
             self.ring,
             self.mode,
@@ -418,8 +448,6 @@ class CircuitBuilder:
             _GateTable(dict(self._gates), dict(self._copies), self._one),
             self._output,
         )
-        validate(circuit)
-        return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -895,6 +923,15 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     later, in ascending register order.  An unwritten register reads the
     0-leaf, made at the first such read.  The resulting width is at most
     the register count.
+
+    The circuit carries the ValidationReport its program implies, derived
+    in the same loop, so validate() returns it without walking the
+    circuit.  The program's constructor has checked every operand, and
+    each apply step makes one gate, real or a copy, in a layer of its
+    own: the circuit is staggered.  It is monotone over the rationals
+    when no constant leaf is negative, and homogeneous unless some apply
+    step, live or dead, adds operands of two degrees: every step makes a
+    gate, and validate's degree fold reads every gate.
     """
     b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
 
@@ -906,9 +943,13 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     dying, kept = _last_reads(accesses, slp.output_register)
 
     # held: register -> gate of its value, while that value is not a
-    # leaf and is still read later; leaf: register -> its leaf gate.
+    # leaf and is still read later; leaf: register -> its leaf gate;
+    # degree: register -> syntactic degree of its value (the 0-leaf's 0
+    # while unwritten).
     held: dict[int, int] = {}
     leaf: dict[int, int] = {}
+    degree = [0] * slp.register_count
+    mixed = False
     layer = 1
 
     def read(op: Operand) -> int:
@@ -922,11 +963,23 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
             return leaf[op.register]
         return b.const_leaf(0)
 
+    def degree_of(op: Operand) -> int:
+        if isinstance(op, RegOperand):
+            return degree[op.register]
+        return 1 if isinstance(op, VarOperand) else 0
+
     for step, ends, keep in zip(slp.steps, dying, kept):
         if isinstance(step, LoadStep):
             leaf[step.dest] = read(step.source)
+            degree[step.dest] = degree_of(step.source)
             continue
         left, right = read(step.left), read(step.right)
+        d_left, d_right = degree_of(step.left), degree_of(step.right)
+        if step.op == ADD:
+            mixed = mixed or d_left != d_right
+            degree[step.dest] = max(d_left, d_right)
+        else:
+            degree[step.dest] = d_left + d_right
         layer += 1
         gid = b.gate(layer, step.op, left, right)
         for reg in ends:
@@ -937,7 +990,17 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
             held[step.dest] = gid
 
     b.set_output(read(RegOperand(slp.output_register)))
-    return b.build()
+    circuit = b._circuit()
+    report = ValidationReport(
+        width=circuit.width,
+        size=circuit.size,
+        layer_count=circuit.layer_count,
+        staggered=True,
+        monotone=slp.ring.characteristic == 0 and all(c.value >= 0 for c in b._const_ids),
+        homogeneous=not mixed,
+    )
+    object.__setattr__(circuit, "_report", report)
+    return circuit
 
 
 def leaf_operand(circuit: LayeredCircuit, gid: int) -> Union[VarOperand, ConstOperand]:

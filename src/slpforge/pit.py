@@ -50,6 +50,7 @@ from .circuits import (
     SlpBuilder,
     StraightLineProgram,
     VarOperand,
+    _renamed,
     evaluate,
     evaluate_mod_p,
     slp_to_circuit,
@@ -438,12 +439,10 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
             f"candidate must read an n x n grid, got {c.num_variables} variables"
         )
     ring = c.ring
-    # Staggered on a copy sharing the read-only gate table: validate
-    # stores its report on the circuit it checks, and the caller's
-    # candidate should not change.
-    program = staggerize(
-        LayeredCircuit(f"C_{n}", ring, c.mode, c.num_variables, c.layers, c.gates, c.output_id)
-    )
+    # Staggered on a copy sharing the read-only gate table and the report
+    # the candidate holds, if any: validate stores its report on the
+    # circuit it checks, and the caller's candidate should not change.
+    program = staggerize(_renamed(c, f"C_{n}"))
     acc = program.register_count
     programs = []
     for k in range(1, n + 1):

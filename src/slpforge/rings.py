@@ -27,9 +27,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 DEFAULT_PRIME = (1 << 61) - 1
 
+# Every n for which the Miller-Rabin rounds below returned True.  Only
+# primes are kept, so a composite is tested again on every call.
+_PROVEN_PRIMES: set[int] = set()
+
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the supported modulus range."""
+    """Deterministic Miller-Rabin for the supported modulus range.
+
+    A prime is proven once per process and remembered, so a field over a
+    modulus already proven (one more parse of a file over F_(2^61-1),
+    say) runs no Miller-Rabin round.
+    """
+    if n in _PROVEN_PRIMES:
+        return True
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -49,6 +60,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    _PROVEN_PRIMES.add(n)
     return True
 
 

@@ -265,22 +265,27 @@ def _header_lines(kind: str, name: str, obj) -> list[str]:
     ]
 
 
+def _leaf_line(gid: int, g: Gate) -> str:
+    if isinstance(g, VarLeaf):
+        return f"gate {gid} 1 var {g.index}"
+    return f"gate {gid} 1 const {g.value.text()}"
+
+
 def serialize_circuit(obj: Parsed) -> str:
     """Inverse of parse_circuit; output parses back structurally identical."""
     if isinstance(obj, LayeredCircuit):
         lines = _header_lines("circuit", obj.name, obj)
         gates, copies, one = obj.gates.explicit, obj.gates.copies, obj.gates.one
         for layer_index, layer in enumerate(obj.layers, start=1):
-            for gid in layer:
-                g = gates.get(gid)
-                if g is None:
-                    lines.append(f"gate {gid} {layer_index} mul {copies[gid]} {one}")
-                elif isinstance(g, VarLeaf):
-                    lines.append(f"gate {gid} 1 var {g.index}")
-                elif isinstance(g, ConstLeaf):
-                    lines.append(f"gate {gid} 1 const {g.value.text()}")
-                else:
-                    lines.append(f"gate {gid} {layer_index} {g.op} {g.left} {g.right}")
+            # One comprehension per layer: a copy, from the copy table, or
+            # an explicit gate.  A leaf is written in layer 1 wherever it
+            # is held.
+            lines += [
+                f"gate {gid} {layer_index} mul {copies[gid]} {one}" if g is None
+                else f"gate {gid} {layer_index} {g.op} {g.left} {g.right}"
+                if isinstance(g, BinGate) else _leaf_line(gid, g)
+                for gid, g in zip(layer, map(gates.get, layer))
+            ]
         lines.append(f"output {obj.output_id}")
         return "\n".join(lines) + "\n"
 

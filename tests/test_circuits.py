@@ -1,15 +1,22 @@
 """Circuit IR semantics: validation, evaluation, expansion, conversions."""
 
+import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
+import genutil
 from genutil import (
     cone_steps,
     evaluate_sparse,
     linear_form_value,
     peak_live_values,
+    planted_root_program,
     random_layered_circuit,
+    reference_circuit_to_slp,
+    without_dead_steps,
 )
 from slpforge import circuits
 from slpforge.circuits import (
@@ -45,7 +52,7 @@ from slpforge.errors import (
     SlpforgeError,
 )
 from slpforge.polynomials import COMMUTATIVE, Monomial, NONCOMMUTATIVE, SparsePolynomial
-from slpforge.rings import PrimeField, RATIONALS
+from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 from slpforge.stagger import staggerize
 from slpforge.textio import parse_circuit, serialize_circuit
 
@@ -149,8 +156,105 @@ def test_round_trip_folds_each_circuit_once(monkeypatch):
         assert validate(staggered).staggered
         circuit_to_slp(staggered)
         validate(c)
-        assert len(folded) == 2
-        assert folded[0] is c and folded[1] is staggered
+        # The parsed file is walked once; the converted circuit carries
+        # its program's report and is never walked.
+        assert folded == [c]
+
+
+def report_programs(monkeypatch):
+    """Programs of every generator, over Q, F_101 and F_(2^61-1), both modes.
+
+    genutil's random_slp with negative constants, and the same programs
+    without their dead steps; this module's random_slp; staggerize of
+    random_layered_circuit;
+    circuit_to_slp's reference of a converted program; planted roots;
+    and perfbench.gen.random_slp, which is commutative.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    gen = importlib.import_module("perfbench.gen")
+    rng = random.Random(47)
+    rings = (RATIONALS, F, PrimeField(DEFAULT_PRIME))
+    for trial in range(240):
+        ring, mode = rings[trial % 3], (COMMUTATIVE, NONCOMMUTATIVE)[trial // 3 % 2]
+        program = genutil.random_slp(
+            rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 30),
+            constants=range(-3, 7),
+        )
+        yield program
+        yield without_dead_steps(program)
+        yield random_slp(rng, ring, mode, 3, rng.randrange(1, 5), rng.randrange(0, 16))
+        yield reference_circuit_to_slp(slp_to_circuit(program))
+        yield staggerize(
+            random_layered_circuit(
+                rng, ring, mode, rng.randrange(1, 9), internal_layers=rng.randrange(1, 5),
+                constants=range(-3, 7),
+            )
+        )
+        yield gen.random_slp(rng, ring, rng.randrange(1, 7), rng.randrange(1, 40))
+    for ring in rings:
+        for n, r in ((1, 1), (2, 2), (3, 3)):
+            yield planted_root_program(rng, ring, n, r)[0]
+
+
+def edge_case_programs():
+    """(program, homogeneous, monotone): the cases a derived report could miss."""
+    q = RATIONALS
+    x1, x2 = VarOperand(1), VarOperand(2)
+
+    def program(steps, output=0, registers=2, ring=q):
+        return StraightLineProgram("edge", ring, COMMUTATIVE, 2, registers, steps, output)
+
+    def const(v, ring=q):
+        return ConstOperand(ring.scalar(v))
+
+    return [
+        # A dead step that adds two degrees still makes a gate.
+        (program([ApplyStep(1, "add", x1, const(1)), ApplyStep(0, "mul", x1, x2)]), False, True),
+        (program([ApplyStep(0, "mul", x1, const(-2))]), True, False),
+        (program([LoadStep(1, const(-1)), ApplyStep(0, "mul", x1, x2)]), True, False),
+        (program([ApplyStep(0, "mul", x1, const(-2, F))], ring=F), True, False),
+        # An unwritten register reads the 0-leaf, of degree 0.
+        (program([ApplyStep(0, "add", RegOperand(1), x1)]), False, True),
+        (program([ApplyStep(0, "mul", RegOperand(1), x1)]), True, True),
+        # Leaf outputs: no internal layer.
+        (program([LoadStep(0, x2)]), True, True),
+        (program([]), True, True),
+        (program([LoadStep(1, const(-3)), LoadStep(0, x1)]), True, False),
+        # A mul by the 1-leaf, read directly or from a register, is a copy.
+        (program([ApplyStep(0, "mul", x1, const(1))]), True, True),
+        (
+            program([
+                LoadStep(1, const(1)), ApplyStep(0, "mul", x1, x2),
+                ApplyStep(0, "mul", RegOperand(1), RegOperand(0)),
+                ApplyStep(0, "add", RegOperand(0), RegOperand(1)),
+            ]),
+            False,
+            True,
+        ),
+    ]
+
+
+def assert_report_is_derived(c):
+    """c carries a report, validate returns it, and the full walk agrees field for field."""
+    report = c._report
+    assert report is not None and validate(c) is report
+    assert dataclasses.asdict(report) == dataclasses.asdict(circuits._validate(c))
+    assert report.staggered
+
+
+def test_converted_circuits_carry_the_report_of_the_full_walk(monkeypatch):
+    count = 0
+    for program in report_programs(monkeypatch):
+        assert_report_is_derived(slp_to_circuit(program))
+        count += 1
+    assert count == 240 * 6 + 9
+    for program, homogeneous, monotone in edge_case_programs():
+        c = slp_to_circuit(program)
+        assert_report_is_derived(c)
+        assert (c._report.homogeneous, c._report.monotone) == (homogeneous, monotone)
+    copy = slp_to_circuit(edge_case_programs()[-2][0])
+    assert copy.width == 1 and len(copy.gates.copies) == 1
+    assert slp_to_circuit(edge_case_programs()[6][0]).width == 0
 
 
 def test_copies_take_consecutive_ids_in_one_layer():

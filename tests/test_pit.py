@@ -17,7 +17,7 @@ from genutil import (
     reference_schwartz_zippel,
     replace_leaves,
 )
-from slpforge import pit
+from slpforge import circuits, pit
 from slpforge.circuits import (
     CircuitBuilder,
     ConstOperand,
@@ -48,7 +48,7 @@ from slpforge.pit import (
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import DEFAULT_PRIME, RATIONALS, PrimeField
 from slpforge.stagger import staggerize
-from slpforge.textio import serialize_circuit
+from slpforge.textio import parse_circuit, serialize_circuit
 from slpforge.transforms import _BodyEmitter, depth_to_width, sparse_to_width2
 
 BIG = PrimeField((1 << 61) - 1)
@@ -536,6 +536,26 @@ def test_perm_check_leaves_the_candidate_unvalidated():
     c = replace_leaves(c, {})  # a fresh circuit, not yet validated
     perm_check_instance(c)
     assert c._report is None
+
+
+def test_perm_check_walks_a_validated_candidate_no_more(monkeypatch):
+    # The CLI's verify-perm validates the candidate when it loads the
+    # file; the staggered copy shares that report.
+    walked = []
+    real_validate = circuits._validate
+
+    def counting_validate(c):
+        walked.append(c)
+        return real_validate(c)
+
+    monkeypatch.setattr(circuits, "_validate", counting_validate)
+    built = [slp_to_circuit(sparse_to_width2(build_permanent_sparse(n))) for n in (2, 3)]
+    for candidate in (built[1], parse_circuit(serialize_circuit(built[0]))):
+        report = validate(candidate)
+        walked.clear()
+        assert verify_permanent_circuit(candidate).accepted
+        assert walked == []
+        assert candidate._report is report
 
 
 def test_staggering_commutes_with_leaf_maps():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genutil import DuplicatePoint, reference_lagrange_matrix, vandermonde_solve
+from slpforge import rings
 from slpforge.errors import FieldTooSmall, ParamError, RingMismatch
 from slpforge.rings import (
     DEFAULT_PRIME,
@@ -27,6 +28,46 @@ def test_primality_known_values():
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(3215031751)  # strong pseudoprime to small bases
     assert not is_probable_prime(DEFAULT_PRIME - 1)
+
+
+KNOWN_PRIMALITY = {
+    2: True, 97: True, DEFAULT_PRIME: True, 1: False, 561: False, 3215031751: False,
+    DEFAULT_PRIME - 1: False,
+}
+
+
+def test_primality_answers_do_not_depend_on_what_was_proven(monkeypatch):
+    monkeypatch.setattr(rings, "_PROVEN_PRIMES", set())
+    cold = {n: is_probable_prime(n) for n in KNOWN_PRIMALITY}
+    warm = {n: is_probable_prime(n) for n in reversed(KNOWN_PRIMALITY)}
+    assert cold == warm == KNOWN_PRIMALITY
+
+
+def test_a_modulus_is_proven_prime_once(monkeypatch):
+    monkeypatch.setattr(rings, "_PROVEN_PRIMES", set())
+    rounds = []
+
+    def counting_pow(*args):
+        rounds.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(rings, "pow", counting_pow, raising=False)
+    PrimeField(DEFAULT_PRIME)
+    assert rounds
+    rounds.clear()
+    assert PrimeField(DEFAULT_PRIME).p == DEFAULT_PRIME
+    assert rounds == []
+    # A composite is tested, and refused, on every construction, also
+    # after other primes were proven.  561 fails trial division by 3;
+    # 3215031751 passes it and fails the Miller-Rabin rounds.
+    for composite, tested in ((561, False), (3215031751, True)):
+        for prime in (101, 2**31 - 1, 1_000_003):
+            PrimeField(prime)
+            rounds.clear()
+            with pytest.raises(ParamError):
+                PrimeField(composite)
+            assert bool(rounds) is tested
+            assert not is_probable_prime(composite)
 
 
 def test_prime_field_rejects_composites():

@@ -63,6 +63,42 @@ def test_no_module_keeps_a_second_copy_rule():
     assert found == []
 
 
+def test_only_validate_calls_the_full_walk():
+    # _validate is the one structural check of parsed and hand-built
+    # circuits, reached through validate, which stores its report.
+    inside, anywhere = set(), set()
+    for name, node in _source_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name == "validate":
+            inside |= {f"{name}:{n.lineno}" for n in ast.walk(node) if _names(n, "_validate")}
+        if _names(node, "_validate"):
+            anywhere.add(f"{name}:{node.lineno}")
+    assert inside and anywhere == inside
+
+
+def test_only_circuits_assigns_a_report():
+    # A report is stored by validate, or derived by slp_to_circuit and
+    # carried by a copy, all in circuits: no second report path.
+    assigners = {
+        name
+        for name, node in _source_nodes()
+        if isinstance(node, ast.Call)
+        and _callee(node) in ("__setattr__", "setattr")
+        and any(isinstance(a, ast.Constant) and a.value == "_report" for a in node.args)
+        or isinstance(node, ast.Attribute)
+        and node.attr == "_report"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    }
+    assert assigners == {"circuits.py"}
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether node refers to name, as a bare name or an attribute."""
+    return (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
 def _callee(node: ast.AST) -> str | None:
     """Name of the function a call (or a bare decorator) refers to."""
     func = node.func if isinstance(node, ast.Call) else node

@@ -1,5 +1,7 @@
 """Text format parsing and serialization."""
 
+import hashlib
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -10,10 +12,13 @@ import pytest
 from genutil import random_layered_circuit, random_slp, with_mode
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
+    BinGate,
+    ConstLeaf,
     LayeredCircuit,
     LinearForm,
     evaluate,
     expand,
+    VarLeaf,
     slp_to_circuit,
     validate,
 )
@@ -31,7 +36,7 @@ from slpforge.polynomials import (
     Monomial,
     SparsePolynomial,
 )
-from slpforge.rings import PrimeField, RATIONALS
+from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 from slpforge.stagger import staggerize
 from slpforge.textio import (
     parse_circuit,
@@ -495,3 +500,55 @@ def test_generated_polynomials_round_trip():
         assert parse_polynomial(text) == (name, poly)
 
     check()
+
+
+def serialized_draws(monkeypatch):
+    """Circuits whose serialized bytes are pinned.
+
+    random_layered_circuit and random_slp draws over three rings, with
+    negative constants, each layered draw also staggered; perfbench's
+    stagger_wide shapes at widths 8-128, also staggered; and a circuit
+    with leaves and gates outside their layers, which is written as it
+    is held.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    gen = importlib.import_module("perfbench.gen")
+    rng = random.Random(97)
+    rings = (PrimeField(101), RATIONALS, PrimeField(DEFAULT_PRIME))
+    for trial in range(120):
+        ring, mode = rings[trial % 3], MODES[trial // 3 % 2]
+        c = random_layered_circuit(
+            rng, ring, mode, rng.randrange(1, 13), internal_layers=rng.randrange(1, 6),
+            constants=range(-3, 7),
+        )
+        yield c
+        yield slp_to_circuit(staggerize(c))
+        yield slp_to_circuit(
+            random_slp(
+                rng, ring, mode, rng.randrange(1, 7), step_count=rng.randrange(0, 24),
+                constants=range(-3, 7),
+            )
+        )
+    for trial, width in enumerate((8, 16, 32, 64, 128)):
+        ring, mode = rings[1 + trial % 2], MODES[trial % 2]
+        c = gen.layered_circuit(rng, ring, mode, [width, width, width // 8], name=f"w{width}")
+        yield c
+        yield slp_to_circuit(staggerize(c))
+    one = RATIONALS.one()
+    gates = {
+        1: VarLeaf(1), 2: ConstLeaf(one), 3: BinGate("add", 1, 1), 4: VarLeaf(2),
+        5: BinGate("mul", 3, 2), 6: ConstLeaf(-one), 7: BinGate("mul", 2, 4),
+    }
+    layers = [[1, 2, 3], [4, 5], [6, 7]]
+    yield LayeredCircuit("misplaced", RATIONALS, COMMUTATIVE, 2, layers, gates, 7)
+
+
+# sha256 over the serialized texts of serialized_draws, as serialize_circuit
+# wrote them one gate at a time.
+SERIALIZED_BEFORE = "ad92d3840f0969f482fa9398c35b60c7952a6ceb49122100b73f6bd1d8f673bd"
+
+
+def test_serialized_bytes_are_pinned(monkeypatch):
+    texts = [serialize_circuit(c) for c in serialized_draws(monkeypatch)]
+    assert len(texts) == 371
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == SERIALIZED_BEFORE
