@@ -232,8 +232,9 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     computed once per circuit object and stored on it; a circuit that
     fails stores nothing and raises again on the next call.  A circuit
     made by slp_to_circuit carries the report derived from its program,
-    which is returned as it is; every other circuit, parsed or built,
-    gets the full walk.
+    and a _renamed copy the report its original holds; validate returns
+    such a report as it is.  Every other circuit, parsed or built, gets
+    the full walk.
     """
     report = circuit._report
     if report is None:
