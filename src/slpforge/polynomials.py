@@ -11,8 +11,8 @@ ExpansionCaps and fail loudly, never truncating, when an intermediate
 result would exceed them.
 
 term_algebra() is the kernel of circuits.expand and of the root path
-(rootfind): the same arithmetic on raw terms, a dict key -> coefficient
-per value, with Monomial and Scalar objects built only when the result is
+(rootfind): the same arithmetic on raw values, sparse terms by packed
+key, with Monomial and Scalar objects built only when the result is
 wrapped into a SparsePolynomial.
 
 * A commutative key is one int: field i-1 (W bits wide) holds the
@@ -22,8 +22,11 @@ wrapped into a SparsePolynomial.
   at most max(max_degree, 1), so adding two keys never carries.
 * A noncommutative key is the word tuple: the product concatenates and
   the degree is its length.
-* Coefficients are ints mod p over F_p, and over Q ints when the
-  denominator is 1 and Fractions otherwise; zeros are deleted.
+* Over F_p a value is a dict key -> int mod p.  Over Q it is a pair
+  (terms, den): int numerators over one positive common denominator,
+  with gcd(den, *numerators) = 1 after every operation.  A sum with
+  equal denominators merges ints; otherwise both sides are scaled to the
+  lcm.  A Fraction is built only by wrap.  Zeros are deleted.
 
 Caps are checked where SparsePolynomial.add/mul check them: the degree
 of every monomial product (DegreeCapExceeded, tested once per row of a
@@ -34,8 +37,10 @@ a key of higher degree could carry when added.
 Terms are merged in the same order, so the result, its term order and
 the error raised on any input are those of the SparsePolynomial fold.
 One product loop serves both rings, with the coefficient add and
-multiply passed in.  Over Q it runs on integer numerators over the
-operands' common denominators and divides once per result term.
+multiply passed in.  Over Q it multiplies numerators, takes da * db as
+the denominator and reduces by one gcd over the result.  Scaling by a
+positive common factor changes no zero test, so zero deletion, term
+order and every cap check are those of the rational coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -390,62 +395,47 @@ class SparsePolynomial:
 # Raw-term algebra: the expansion kernel
 
 
-def _rational(c):
-    """A rational coefficient as an int when its denominator is 1."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
-def _denominator(terms: dict) -> int:
-    """The least common denominator of rational coefficients."""
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    return d
-
-
-def _numerators(terms: dict, d: int) -> dict:
-    """Coefficients times d, as ints; d is a common denominator."""
-    if d == 1:
-        return terms
-    return {
-        k: c * d if type(c) is int else c.numerator * (d // c.denominator)
-        for k, c in terms.items()
-    }
-
-
 @dataclass(frozen=True)
 class TermAlgebra:
-    """Sparse polynomial arithmetic on raw terms; see term_algebra.
+    """Sparse polynomial arithmetic on raw values; see term_algebra.
 
     var, const, add and mul are a fold() algebra; wrap turns a value into
     a SparsePolynomial and lift turns one back.  scale multiplies by a raw
-    coefficient, truncate drops the terms above a degree, and unit is the
-    key of the constant monomial.
+    coefficient (an int, or over Q a Fraction), truncate drops the terms
+    above a degree, zero and one are the constant values, numerators(v)
+    is (terms, den): a dict key -> int and a positive int with
+    v = terms / den (den is 1 over F_p), and unit is the key of the
+    constant monomial.  Values compare equal exactly when their
+    polynomials do.
     """
 
-    var: Callable[[int], dict]
-    const: Callable[[Scalar], dict]
-    add: Callable[[dict, dict], dict]
-    mul: Callable[[dict, dict], dict]
-    wrap: Callable[[dict], "SparsePolynomial"]
-    lift: Callable[["SparsePolynomial"], dict]
-    scale: Callable[[dict, object], dict]
-    truncate: Callable[[dict, int], dict]
+    var: Callable[[int], object]
+    const: Callable[[Scalar], object]
+    add: Callable[[object, object], object]
+    mul: Callable[[object, object], object]
+    wrap: Callable[[object], "SparsePolynomial"]
+    lift: Callable[["SparsePolynomial"], object]
+    scale: Callable[[object, object], object]
+    truncate: Callable[[object, int], object]
+    numerators: Callable[[object], tuple]
+    zero: object
+    one: object
     unit: object
 
 
 def term_algebra(
     ring: Ring, mode: str, num_variables: int, caps: ExpansionCaps
 ) -> TermAlgebra:
-    """Sparse polynomial arithmetic on raw terms, under hard caps.
+    """Sparse polynomial arithmetic on raw values, under hard caps.
 
-    A value is a dict key -> coefficient that the operations never mutate,
-    so one value may feed many gates.  Commutative keys are packed ints
-    (see the module docstring), words are tuples; products add keys.
-    Coefficients are ints mod p over F_p and ints or Fractions over Q,
-    and zeros are deleted.  Results, their term order and the errors
-    raised match SparsePolynomial.add/mul with the same caps.
+    Over F_p a value is a dict key -> nonzero int mod p.  Over Q it is a
+    pair (terms, den): a dict key -> nonzero int numerator and one
+    positive common denominator with gcd(den, *numerators) = 1, so every
+    value has one form and a Fraction is built only by wrap.  The
+    operations never mutate a value, so one value may feed many gates.
+    Commutative keys are packed ints (see the module docstring), words
+    are tuples; products add keys.  Results, their term order and the
+    errors raised match SparsePolynomial.add/mul with the same caps.
     """
     _check_mode(mode)
     n = num_variables
@@ -486,7 +476,7 @@ def term_algebra(
                 key += exp << width * (var - 1)
             return key
 
-        def truncate(terms: dict, limit: int) -> dict:
+        def clip(terms: dict, limit: int) -> dict:
             # The degree is the top field: degree <= limit is a key bound.
             bound = (limit + 1) << shift
             return {k: c for k, c in terms.items() if k < bound}
@@ -507,55 +497,8 @@ def term_algebra(
         def encode(mono: Monomial) -> tuple:
             return mono.key
 
-        def truncate(terms: dict, limit: int) -> dict:
+        def clip(terms: dict, limit: int) -> dict:
             return {k: c for k, c in terms.items() if len(k) <= limit}
-
-    if isinstance(ring, PrimeField):
-        p = ring.p
-
-        def coefficient(c: Scalar) -> int:
-            return ring.scalar(c).value
-
-        def raw(c: int) -> int:
-            return c % p
-
-        def cadd(x: int, y: int) -> int:
-            return (x + y) % p
-
-        def cmul(x: int, y: int) -> int:
-            return x * y % p
-
-        def mul(a: dict, b: dict) -> dict:
-            return product(a, b, cadd, cmul)
-
-    elif isinstance(ring, RationalField):
-
-        def coefficient(c: Scalar):
-            return _rational(ring.scalar(c).value)
-
-        raw = _rational
-
-        def cadd(x, y):
-            return _rational(x + y)
-
-        def cmul(x, y):
-            return _rational(x * y)
-
-        def mul(a: dict, b: dict) -> dict:
-            # Integer numerators over the operands' common denominators:
-            # every product and partial sum is the rational one times
-            # da * db, so zeros, term order and row counts are the same.
-            da, db = _denominator(a), _denominator(b)
-            acc = product(
-                _numerators(a, da), _numerators(b, db), operator.add, operator.mul
-            )
-            d = da * db
-            if d == 1:
-                return acc
-            return {k: _rational(Fraction(c, d)) for k, c in acc.items()}
-
-    else:
-        raise ParamError(f"cannot expand over {ring!r}")
 
     def degree_cap(d: int) -> DegreeCapExceeded:
         return DegreeCapExceeded(f"monomial degree {d} exceeds cap {max_degree}")
@@ -563,18 +506,8 @@ def term_algebra(
     def term_cap(count: int) -> TermCapExceeded:
         return TermCapExceeded(f"{count} terms exceeds cap {max_terms}")
 
-    leaves = {index: {var_key(index): 1} for index in range(1, n + 1)}
-
-    def var(index: int) -> dict:
-        if index not in leaves:
-            raise ParamError(f"variable x{index} outside 1..{n}")
-        return leaves[index]
-
-    def const(c: Scalar) -> dict:
-        value = coefficient(c)
-        return {unit: value} if value else {}
-
-    def add(a: dict, b: dict) -> dict:
+    def merge(a: dict, b: dict, cadd) -> dict:
+        # SparsePolynomial.add: b's terms merged into a copy of a.
         if a and b:
             merged = a.copy()
             get = merged.get
@@ -622,24 +555,130 @@ def term_algebra(
                 raise term_cap(len(acc))
         return acc
 
-    def wrap(terms: dict) -> SparsePolynomial:
+    def polynomial(terms: dict) -> SparsePolynomial:
         return SparsePolynomial(
             ring, mode, n, {Monomial(mode, decode(k)): c for k, c in terms.items()}
         )
 
-    def lift(poly: SparsePolynomial) -> dict:
+    def encoded(poly: SparsePolynomial) -> dict:
+        # A polynomial of this algebra's terms: key -> Scalar value.
         if poly.ring != ring or poly.mode != mode or poly.num_variables != n:
             raise ParamError(f"cannot lift {poly!r} into this algebra")
         top = poly.degree()
         if top > max_degree:
             raise degree_cap(top)
-        return {encode(mono): coefficient(c) for mono, c in poly.terms.items()}
+        return {encode(mono): c.value for mono, c in poly.terms.items()}
 
-    def scale(terms: dict, factor) -> dict:
-        # factor is a raw coefficient; over F_p any int.
-        factor = raw(factor)
-        if not factor:
-            return {}
-        return {k: cmul(c, factor) for k, c in terms.items()}
+    if isinstance(ring, PrimeField):
+        p = ring.p
 
-    return TermAlgebra(var, const, add, mul, wrap, lift, scale, truncate, unit)
+        def cadd(x: int, y: int) -> int:
+            return (x + y) % p
+
+        def cmul(x: int, y: int) -> int:
+            return x * y % p
+
+        zero = {}
+        one = {unit: 1}
+        leaves = {index: {var_key(index): 1} for index in range(1, n + 1)}
+
+        def const(c: Scalar) -> dict:
+            value = ring.scalar(c).value
+            return {unit: value} if value else zero
+
+        def add(a: dict, b: dict) -> dict:
+            return merge(a, b, cadd)
+
+        def mul(a: dict, b: dict) -> dict:
+            return product(a, b, cadd, cmul)
+
+        wrap = polynomial
+        lift = encoded
+        truncate = clip
+
+        def scale(terms: dict, factor: int) -> dict:
+            factor %= p
+            if not factor:
+                return zero
+            return {k: c * factor % p for k, c in terms.items()}
+
+        def numerators(terms: dict) -> tuple:
+            return terms, 1
+
+    elif isinstance(ring, RationalField):
+        # Every numerator is the rational coefficient times the value's
+        # denominator, a positive common factor: zero tests, merge order
+        # and row counts are those of the coefficients themselves.
+        zero = ({}, 1)
+        one = ({unit: 1}, 1)
+        leaves = {index: ({var_key(index): 1}, 1) for index in range(1, n + 1)}
+
+        def reduced(terms: dict, den: int) -> tuple:
+            if not terms:
+                return zero
+            if den != 1:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {k: c // g for k, c in terms.items()}
+                    den //= g
+            return terms, den
+
+        def const(c: Scalar) -> tuple:
+            value = ring.scalar(c).value
+            return ({unit: value.numerator}, value.denominator) if value else zero
+
+        def add(a: tuple, b: tuple) -> tuple:
+            ta, da = a
+            tb, db = b
+            if da == db or not (ta and tb):
+                den = da if ta else db
+            else:
+                den = lcm(da, db)
+                if den != da:
+                    ta = {k: c * (den // da) for k, c in ta.items()}
+                if den != db:
+                    tb = {k: c * (den // db) for k, c in tb.items()}
+            return reduced(merge(ta, tb, operator.add), den)
+
+        def mul(a: tuple, b: tuple) -> tuple:
+            (ta, da), (tb, db) = a, b
+            return reduced(product(ta, tb, operator.add, operator.mul), da * db)
+
+        def wrap(value: tuple) -> SparsePolynomial:
+            terms, den = value
+            if den != 1:
+                terms = {k: Fraction(c, den) for k, c in terms.items()}
+            return polynomial(terms)
+
+        def lift(poly: SparsePolynomial) -> tuple:
+            terms = encoded(poly)
+            den = lcm(*(c.denominator for c in terms.values()))
+            return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+        def scale(value: tuple, factor) -> tuple:
+            # factor is an int or a Fraction.
+            if not factor:
+                return zero
+            terms, den = value
+            num = factor.numerator
+            return reduced({k: c * num for k, c in terms.items()}, den * factor.denominator)
+
+        def truncate(value: tuple, limit: int) -> tuple:
+            terms, den = value
+            kept = clip(terms, limit)
+            return value if len(kept) == len(terms) else reduced(kept, den)
+
+        def numerators(value: tuple) -> tuple:
+            return value
+
+    else:
+        raise ParamError(f"cannot expand over {ring!r}")
+
+    def var(index: int):
+        if index not in leaves:
+            raise ParamError(f"variable x{index} outside 1..{n}")
+        return leaves[index]
+
+    return TermAlgebra(
+        var, const, add, mul, wrap, lift, scale, truncate, numerators, zero, one, unit
+    )

@@ -12,8 +12,9 @@ the same expansion out of at most r+1 substituted runs of P's live
 steps per evaluation point, using the Newton result only to solve for
 the scalar mixing coefficients.  The two routes share no arithmetic,
 which is what makes comparing them a meaningful test.  The series, the power products and
-the mixing solve run on the raw terms of polynomials.term_algebra;
-SparsePolynomial and Scalar objects are built only for the results.
+the mixing solve run on the raw values of polynomials.term_algebra,
+read and built through its accessors; SparsePolynomial and Scalar
+objects are built only for the results.
 """
 
 from __future__ import annotations
@@ -165,41 +166,42 @@ def _series_algebra(rp: RootProblem) -> TermAlgebra:
     )
 
 
-def _inverse(ring, c):
-    """The inverse of a nonzero raw coefficient (an int mod p, or a rational)."""
+def _ratio(ring, a, b):
+    """a / b as a raw coefficient (an int mod p, or a rational); b is nonzero."""
     p = ring.characteristic
-    return pow(c, -1, p) if p else 1 / Fraction(c)
+    return a * pow(b, -1, p) % p if p else Fraction(a, b)
 
 
-def _poly_at_series(alg: TermAlgebra, coeffs, g: dict, m: int) -> dict:
+def _poly_at_series(alg: TermAlgebra, coeffs, g, m: int):
     """sum_i coeffs[i] * g^i truncated to degree m, by Horner."""
-    acc: dict = {}
+    acc = alg.zero
     for c in reversed(coeffs):
         acc = alg.add(alg.truncate(alg.mul(acc, g), m), c)
     # The added coefficients are not truncated, so clip once at the end.
     return alg.truncate(acc, m)
 
 
-def _series_inverse(alg: TermAlgebra, ring, u: dict, m: int) -> dict:
+def _series_inverse(alg: TermAlgebra, ring, u, m: int):
     """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
-    u0 = u.get(alg.unit)
+    terms, den = alg.numerators(u)
+    u0 = terms.get(alg.unit)
     if not u0:
         raise InvariantViolation("series inverse at a non-unit")
-    u0_inv = _inverse(ring, u0)
-    one = {alg.unit: 1}
+    u0_inv = _ratio(ring, den, u0)
+    one = alg.one
     tail = alg.truncate(alg.add(one, alg.scale(u, -u0_inv)), m)
     acc = one
     term = one
     for _ in range(m):
         term = alg.truncate(alg.mul(term, tail), m)
-        if not term:
+        if term == alg.zero:
             break
         acc = alg.add(acc, term)
     return alg.scale(acc, u0_inv)
 
 
-def _newton_terms(rp: RootProblem, alg: TermAlgebra) -> dict:
-    """newton_series_root(rp) as raw terms of alg."""
+def _newton_terms(rp: RootProblem, alg: TermAlgebra):
+    """newton_series_root(rp) as a raw value of alg."""
     ring = rp.program.ring
     char = ring.characteristic
     if 0 < char <= rp.m:
@@ -216,7 +218,7 @@ def _newton_terms(rp: RootProblem, alg: TermAlgebra) -> dict:
         slope = _poly_at_series(alg, deriv_coeffs, g, m)
         step = alg.mul(value, _series_inverse(alg, ring, slope, m))
         g = alg.truncate(alg.add(g, alg.scale(alg.truncate(step, m), -1)), m)
-    if _poly_at_series(alg, coeffs, g, m):
+    if _poly_at_series(alg, coeffs, g, m) != alg.zero:
         raise InvariantViolation("Newton iteration did not converge")
     return g
 
@@ -261,7 +263,7 @@ def _solve_exact(ring, matrix, rhs) -> list:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = _inverse(ring, rows[rank][col])
+        inv = _ratio(ring, 1, rows[rank][col])
         pivot = [reduce(v * inv) if v else 0 for v in rows[rank]]
         rows[rank] = pivot
         for rr, row in enumerate(rows):
@@ -282,7 +284,7 @@ def _solve_exact(ring, matrix, rhs) -> list:
 
 def _power_products(
     alg: TermAlgebra, factors, alphas: list[tuple[int, ...]], m: int
-) -> list[dict]:
+) -> list:
     """prod_i factors[i]^alpha_i truncated to degree m, for alphas in lex order.
 
     For alpha with last nonzero entry j, the product is that of its
@@ -290,35 +292,41 @@ def _power_products(
     is the last multiplication of a factor-by-factor build, so the results
     equal it at one multiplication per nonzero alpha.
     """
-    built: dict[tuple[int, ...], dict] = {}
+    built: dict[tuple[int, ...], object] = {}
     for alpha in alphas:
         j = max((i for i, e in enumerate(alpha) if e), default=None)
         if j is None:
-            built[alpha] = {alg.unit: 1}
+            built[alpha] = alg.one
             continue
         prefix = built[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
         built[alpha] = alg.truncate(alg.mul(prefix, factors[j]), m)
     return list(built.values())
 
 
-def _mixing_values(rp: RootProblem, alg: TermAlgebra, f: dict) -> list:
+def _mixing_values(rp: RootProblem, alg: TermAlgebra, f) -> list:
     """The raw mixing scalars Q_alpha, one per alpha in rp.index_set().
 
     They solve sum_alpha Q_alpha * prod_i (C_i - C_i(0))^alpha_i = f
     (mod degree m+1) for the raw series f.  Raises TermCapExceeded when
     the dense system, one row per monomial and one column per alpha, has
     more entries than the term cap.
+
+    The system is solved on numerators: column alpha holds those of
+    g_alpha, den_alpha times its coefficients, and the right side those
+    of f, den_f times its.  Scaling columns by nonzero factors keeps the
+    pivots and the zero free variables, so the scaled solution is
+    Q_alpha * den_f / den_alpha.
     """
-    unit = alg.unit
     deltas = [
-        {k: c for k, c in alg.lift(poly).items() if k != unit}
-        for poly in rp.coefficients
+        alg.add(alg.lift(poly), alg.const(-c0))
+        for poly, c0 in zip(rp.coefficients, rp.base_point)
     ]
     alphas = rp.index_set()
-    g_alpha = _power_products(alg, deltas, alphas, rp.m)
+    columns = [alg.numerators(g) for g in _power_products(alg, deltas, alphas, rp.m)]
+    f_terms, f_den = alg.numerators(f)
 
-    keys = set(f)
-    for g in g_alpha:
+    keys = set(f_terms)
+    for g, _ in columns:
         keys.update(g)
     entries = len(keys) * len(alphas)
     if entries > rp.caps.max_terms:
@@ -327,9 +335,11 @@ def _mixing_values(rp: RootProblem, alg: TermAlgebra, f: dict) -> list:
             f" exceeds cap {rp.caps.max_terms}"
         )
     rows = sorted(keys)
-    matrix = [[g.get(k, 0) for g in g_alpha] for k in rows]
-    rhs = [f.get(k, 0) for k in rows]
-    return _solve_exact(rp.program.ring, matrix, rhs)
+    matrix = [[g.get(k, 0) for g, _ in columns] for k in rows]
+    rhs = [f_terms.get(k, 0) for k in rows]
+    ring = rp.program.ring
+    solution = _solve_exact(ring, matrix, rhs)
+    return [_ratio(ring, q * den, f_den) for q, (_, den) in zip(solution, columns)]
 
 
 def root_circuit(
@@ -341,7 +351,11 @@ def root_circuit(
     sum_alpha Q_alpha * prod_i (C_i - C_i(0))^alpha_i = f (mod degree m+1),
     then emit a program computing that combination with every C_i
     recovered from runs of P at constant y-values, wrapped in the
-    degree-(<= m) slice extraction.  Accumulator i holds C_i - C_i(0)
+    degree-(<= m) slice extraction.  That extraction interpolates in z
+    on min(m * deg(P), max_alpha sum_i alpha_i deg(C_i)) + 1 points, the
+    max over the nonzero mixing terms: one more than the z-degree of the
+    assembled sum at z * x_bar.  On a grid of at most m + 1 points one
+    point alone has a nonzero weight.  Accumulator i holds C_i - C_i(0)
     and is loaded and fed only when a mixing term with alpha_i > 0 reads
     it; one no term reads (every accumulator of a constant C_i) costs no
     step.  Per interpolation point z the program runs P's live steps
@@ -374,10 +388,19 @@ def root_circuit(
     mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
     alphas = rp.index_set()
 
+    terms = [
+        (ConstOperand(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
+    ]
+
     # Interpolation data: y-points recover the C_i from runs of P, and
-    # z-points extract the degree <= m slice of the assembled product.
+    # z-points extract the degree <= m slice of the assembled sum, one
+    # point more than its z-degree.
+    degrees = [c.degree() for c in rp.coefficients]
+    z_degree = max(
+        (sum(e * d for e, d in zip(alpha, degrees)) for _, alpha in terms), default=0
+    )
     y_points, y_matrix = lagrange_grid(ring, r + 1)
-    z_count = m * syntactic_degree(rp.program) + 1
+    z_count = min(m * syntactic_degree(rp.program), z_degree) + 1
     z_points, z_matrix = lagrange_grid(ring, z_count)
     slice_weights = _prefix_weights(ring, z_matrix, m)
     zero = ring.zero()
@@ -388,9 +411,6 @@ def root_circuit(
     global_acc = delta_base + r + 1
     prod_reg, sum_reg = 0, 1
     y = rp.program.num_variables
-    terms = [
-        (ConstOperand(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
-    ]
     # Accumulator i holds C_i - C_i(0) and is read only by the terms with
     # alpha_i > 0; one that no term reads (as when C_i is constant) is
     # neither loaded nor fed.  y-point t feeds accumulator i with weight

@@ -144,42 +144,77 @@ def random_slp(
     degree_budget: int = 6,
     name: str = "rslp",
     constants: Sequence[ScalarLike] = range(7),
+    bite: bool = False,
 ) -> StraightLineProgram:
     """A random program whose syntactic degree respects the budget.
 
-    Constant operands are drawn from constants.
+    Constant operands are drawn from constants.  The output is the last
+    written register, which a load often sets to a leaf, so most draws
+    expand to a term or two.  bite=True draws programs whose polynomials
+    bite instead, with the same arguments:
+    - a tenth of the steps are loads, not a quarter;
+    - an apply into a written register reads it on the left, and three
+      in five other operands read a written register (an unwritten one
+      reads 0);
+    - constants are fractions +-a/b with 1 <= a <= 9 and 1 <= b <= 12,
+      and constants is ignored;
+    - the output is the register holding the deepest real gate: the
+      value an apply step wrote at the greatest operation depth.
     """
     sb = SlpBuilder(ring, mode, num_variables, register_count=register_count, name=name)
     degree = [0] * register_count
+    depth = [0] * register_count  # operations below each register's value
+    load_share = 0.1 if bite else 0.25
+
+    def constant():
+        if bite:
+            return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 13))
+        return rng.choice(constants)
 
     def operand():
-        kind = rng.randrange(3)
-        if kind == 0:
-            r = rng.randrange(register_count)
-            return sb.reg(r), degree[r]
+        if bite:
+            # Three in five read a register already written (an unwritten
+            # one reads 0), so values build on each other.
+            kind = rng.randrange(5) if written else rng.randrange(1, 3)
+            if kind in (0, 3, 4):
+                r = rng.choice(written)
+                return sb.reg(r), degree[r], depth[r]
+        else:
+            kind = rng.randrange(3)
+            if kind == 0:
+                r = rng.randrange(register_count)
+                return sb.reg(r), degree[r], depth[r]
         if kind == 1:
-            return sb.var(rng.randrange(1, num_variables + 1)), 1
-        return sb.const(rng.choice(constants)), 0
+            return sb.var(rng.randrange(1, num_variables + 1)), 1, 0
+        return sb.const(constant()), 0, 0
 
     written = []
     for _ in range(step_count):
         dest = rng.randrange(register_count)
-        if rng.random() < 0.25:
+        if rng.random() < load_share:
             if rng.random() < 0.5:
                 sb.load(dest, sb.var(rng.randrange(1, num_variables + 1)))
                 degree[dest] = 1
             else:
-                sb.load(dest, sb.const(rng.choice(constants)))
+                sb.load(dest, sb.const(constant()))
                 degree[dest] = 0
+            depth[dest] = 0
         else:
-            left, dl = operand()
-            right, dr = operand()
+            if bite and dest in written:
+                # Build on the register's own value, as an accumulator.
+                left, dl, hl = sb.reg(dest), degree[dest], depth[dest]
+            else:
+                left, dl, hl = operand()
+            right, dr, hr = operand()
             op = rng.choice(("add", "mul"))
             if op == "mul" and dl + dr > degree_budget:
                 op = "add"
             sb.apply(dest, op, left, right)
             degree[dest] = max(dl, dr) if op == "add" else dl + dr
+            depth[dest] = 1 + max(hl, hr)
         written.append(dest)
+    if bite and any(depth):
+        return sb.finish(max(range(register_count), key=depth.__getitem__))
     return sb.finish(written[-1] if written else 0)
 
 

@@ -222,12 +222,13 @@ def _no_dead_step_emissions():
 
 # sha256 over the program_digest of every output, as emitted before the
 # transforms re-emitted live steps only.  On inputs with no dead step
-# the emission must not move by a byte.
+# the emission must not move by a byte.  root_circuit's digest is that of
+# its slice grid sized from the mixing terms, a declared output change.
 EMITTED_BEFORE = {
     "homogeneous_components": "1576c852817f49f30edb60a145ce03265766c3eccd32d3ee97f8411b168ea5f7",
     "homogeneous_prefix": "ec134dc2a6f0f62a823eac141e2e0c67033a7c2a2136d3303aa2bee69cf6e345",
     "partial_derivative_y": "db7104086456baa8feadf1661a9151d3ab67c9fe92b6a2e9b52c24b18b933d8b",
-    "root_circuit": "c6466023ec663a367ec9d2774e388d5ad734d3012d28ec8ccfc5275590b66195",
+    "root_circuit": "b7c0f92fee066db7841e8b7e08c82cec78ff15f63f5e8e193c35ed1b0543460f",
     "perm_check_instance": "ab67c119003e6462ddfd3e43d5bb6966d80b63b2df675cae8d0643260325cf39",
 }
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,8 @@ from genutil import (
     formal_derivative,
     homogeneous_part,
     is_homogeneous,
+    random_slp,
+    reference_slp_fold,
     substitute_scalar,
 )
 from slpforge.errors import (
@@ -21,6 +24,7 @@ from slpforge.errors import (
 )
 from slpforge.polynomials import (
     COMMUTATIVE,
+    DEFAULT_CAPS,
     ExpansionCaps,
     Monomial,
     NONCOMMUTATIVE,
@@ -204,9 +208,10 @@ def test_term_algebra_lift_scale_truncate_match_the_polynomial_methods(ring, mod
         assert alg.wrap(raw) == p
         assert alg.wrap(alg.truncate(raw, 2)) == p.truncate(2)
         assert alg.wrap(alg.scale(raw, factor)) == p.scale(factor)
-        assert alg.scale(raw, 0) == {}
+        assert alg.scale(raw, 0) == alg.zero
     # Over F_101 a factor of 101 is zero, so the terms vanish.
-    assert alg.scale({alg.unit: 3}, 101) == ({} if ring is F else {alg.unit: 303})
+    three, big = alg.const(ring.scalar(3)), alg.const(ring.scalar(303))
+    assert alg.scale(three, 101) == (alg.zero if ring is F else big)
     high = x(1, mode, ring=ring)
     for _ in range(8):
         high = high.mul(x(1, mode, ring=ring))
@@ -214,3 +219,28 @@ def test_term_algebra_lift_scale_truncate_match_the_polynomial_methods(ring, mod
         alg.lift(high)  # degree 9 > 8: its key could carry into the next field
     with pytest.raises(ParamError):
         alg.lift(x(1, mode, n=3, ring=ring))
+
+
+@pytest.mark.parametrize("mode", [COMMUTATIVE, NONCOMMUTATIVE])
+def test_rational_values_are_reduced_numerators_over_one_denominator(mode):
+    # Over Q every value is (terms, den) with nonzero int numerators,
+    # den > 0 and gcd(den, *numerators) = 1, after every sum and product
+    # as after lift, truncate and scale: a polynomial has one value.
+    rng = random.Random(41)
+    alg = term_algebra(RATIONALS, mode, 3, DEFAULT_CAPS)
+
+    def reduced(value):
+        terms, den = alg.numerators(value)
+        assert den > 0 and all(terms.values()) and gcd(den, *terms.values()) == 1
+        return value
+
+    def checked(op):
+        return lambda a, b: reduced(op(a, b))
+
+    for _ in range(20):
+        slp = random_slp(rng, RATIONALS, mode, 3, step_count=24, bite=True)
+        value = reference_slp_fold(slp, alg.var, alg.const, checked(alg.add), checked(alg.mul))
+        assert alg.lift(alg.wrap(value)) == value
+        reduced(alg.truncate(value, 2))
+        reduced(alg.scale(value, Fraction(6, 5)))
+        assert alg.scale(value, Fraction(1, 3)) == alg.lift(alg.wrap(value).scale(Fraction(1, 3)))

@@ -18,7 +18,7 @@ from genutil import (
     sympy_program,
     sympy_rational,
 )
-from slpforge.circuits import SlpBuilder, expand
+from slpforge.circuits import SlpBuilder, expand, syntactic_degree
 from slpforge.errors import (
     CapExceeded,
     CharacteristicTooSmall,
@@ -186,7 +186,7 @@ def test_newton_where_the_characteristic_divides_a_y_exponent():
     x1 = SparsePolynomial.variable(f3, COMMUTATIVE, 1, 1)
     assert newton_series_root(rp) == reference_newton_series_root(rp) == x1
     alg = _series_algebra(rp)
-    assert alg.scale({alg.unit: 1}, 3) == {}
+    assert alg.scale(alg.one, 3) == alg.zero
     with pytest.raises(CharacteristicTooSmall):
         root_circuit(rp)
 
@@ -231,6 +231,35 @@ def test_root_circuit_planted_products():
         slp = root_circuit(rp)
         assert slp.register_count == program.register_count + r + 3
         assert expand(slp) == f
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(101)], ids=["Q", "F101"])
+def test_root_circuit_slices_on_the_grid_its_mixing_terms_need(ring):
+    # The z-grid has one point more than the z-degree of the assembled
+    # sum, max sum_i alpha_i deg(C_i) over the nonzero mixing terms; on
+    # these draws that is often below m * deg(P), and the slice is exact.
+    rng = random.Random(71)
+    below = 0
+    for _ in range(30):
+        n, r, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(0, 5)
+        program, planted, y0 = planted_root_program(rng, ring, n, r)
+        rp = RootProblem(program, r=r, m=m, y0=y0)
+        alg = _series_algebra(rp)
+        mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
+        degrees = [c.degree() for c in rp.coefficients]
+        z_degree = max(
+            (
+                sum(e * d for e, d in zip(alpha, degrees))
+                for alpha, q in zip(rp.index_set(), mixing)
+                if q
+            ),
+            default=0,
+        )
+        below += z_degree < m * syntactic_degree(program)
+        f = newton_series_root(rp)
+        assert f == planted[0].truncate(m)
+        assert expand(root_circuit(rp)) == f
+    assert below >= 10
 
 
 def test_root_circuit_budget_trips():
@@ -485,6 +514,46 @@ def test_raw_root_path_equals_the_sparse_polynomial_path(ring):
     assert outcomes["equal"] >= 10 and outcomes["both raise"] >= 3
 
 
+def _fraction_planted(rng, n, r):
+    """P = prod_j (y - f_j) over Q, each f_j linear with fraction coefficients.
+
+    Returns the program (y last), f_1 and f_1(0), its starting scalar.
+    """
+    sb = SlpBuilder(RATIONALS, COMMUTATIVE, n + 1, register_count=3, name="fplanted")
+    sb.load(0, sb.const(1))
+    planted = []
+    for c in rng.sample(range(1, 40), r):
+        f = SparsePolynomial.constant(RATIONALS, COMMUTATIVE, n, c)
+        sb.load(1, sb.var(n + 1))
+        sb.apply(1, "add", sb.reg(1), sb.const(-c))
+        for v in range(1, n + 1):
+            a = Fraction(rng.randrange(-4, 5), rng.randrange(1, 7))
+            f = f.add(SparsePolynomial.variable(RATIONALS, COMMUTATIVE, n, v).scale(a))
+            sb.load(2, sb.var(v))
+            sb.apply(2, "mul", sb.reg(2), sb.const(-a))
+            sb.apply(1, "add", sb.reg(1), sb.reg(2))
+        sb.apply(0, "mul", sb.reg(0), sb.reg(1))
+        planted.append(f)
+    return sb.finish(0), planted[0], planted[0].coefficient(Monomial.unit(COMMUTATIVE))
+
+
+def test_mixing_values_over_fraction_coefficients_equal_the_scalar_system():
+    # Coefficients C_i with denominators give every column of the mixing
+    # system a denominator of its own; solved on numerators, the values
+    # are still those of the Scalar system.
+    rng = random.Random(67)
+    for _ in range(16):
+        n, r, m = rng.randrange(1, 3), rng.randrange(1, 4), rng.randrange(0, 4)
+        program, f1, y0 = _fraction_planted(rng, n, r)
+        rp = RootProblem(program, r=r, m=m, y0=y0)
+        f = newton_series_root(rp)
+        assert f == reference_newton_series_root(rp) == f1.truncate(m)
+        alg = _series_algebra(rp)
+        mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
+        assert [RATIONALS.scalar(q) for q in mixing] == _reference_mixing(rp, f)
+        assert expand(root_circuit(rp)) == f
+
+
 def test_mixing_system_past_the_term_cap_raises():
     # n = 1, r = 3, m = 2: every series and product has at most 5 terms,
     # but the system has 3 monomial rows and C(6, 4) = 15 columns.
@@ -493,7 +562,8 @@ def test_mixing_system_past_the_term_cap_raises():
     assert newton_series_root(rp) == planted[0].truncate(2)
     alg = _series_algebra(rp)
     deltas = [alg.lift(c) for c in rp.coefficients]
-    assert all(len(g) <= 5 for g in _power_products(alg, deltas, rp.index_set(), 2))
+    products = _power_products(alg, deltas, rp.index_set(), 2)
+    assert all(len(alg.numerators(g)[0]) <= 5 for g in products)
     with pytest.raises(TermCapExceeded, match="mixing system of 3 x 15 = 45 entries"):
         root_circuit(rp)
     roomy = RootProblem(program, r=3, m=2, y0=y0, caps=ExpansionCaps(max_terms=45))

@@ -2,6 +2,7 @@
 
 import os
 import random
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -39,6 +40,7 @@ from slpforge.errors import (
     ParamError,
     RingMismatch,
     SlpforgeError,
+    TermCapExceeded,
 )
 import slpforge
 from slpforge.families import build_E_abp
@@ -257,6 +259,43 @@ def test_expand_matches_reference_at_the_caps(seed):
     for obj in expand_objects(100 + seed):
         for caps in cap_grid(obj):
             assert_expand_matches_reference(obj, caps)
+
+
+def biting_programs(seed, count):
+    """random_slp's biting draws, cycling through the rings and both modes."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        ring = EXPAND_RINGS[trial % len(EXPAND_RINGS)]
+        mode = MODES[trial // len(EXPAND_RINGS) % 2]
+        yield random_slp(rng, ring, mode, register_count=3, step_count=24, bite=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_expand_matches_reference_on_programs_that_bite(seed):
+    # Deep outputs with fraction constants: several terms per draw, over
+    # denominators the kernel carries and reduces at every sum and product.
+    terms = []
+    for slp in biting_programs(300 + seed, 36):
+        assert_expand_matches_reference(slp, ExpansionCaps())
+        terms.append(reference_expand(slp).term_count)
+    assert statistics.median(terms) >= 5
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_expand_fails_as_the_reference_does_on_programs_that_bite(seed):
+    # Small caps on the same draws: the kernel raises the oracle's
+    # exception, message included, or returns its polynomial.
+    raised = set()
+    for slp in biting_programs(400 + seed, 24):
+        full = reference_expand(slp)
+        d, t = full.degree(), full.term_count
+        for max_degree in sorted({1, d // 2, max(d - 1, 1), d}):
+            for max_terms in sorted({1, t // 2 or 1, max(t - 1, 1), t or 1}):
+                caps = ExpansionCaps(max_degree=max_degree, max_terms=max_terms)
+                want = outcome(reference_expand, slp, caps)
+                assert outcome(expand, slp, caps) == want
+                raised.add(want[0] if isinstance(want[0], type) else None)
+    assert raised == {DegreeCapExceeded, TermCapExceeded, None}
 
 
 @pytest.mark.parametrize("ring", [RATIONALS, F], ids=["Q", "F101"])

@@ -53,6 +53,30 @@ def test_only_the_allocator_picks_registers_for_staggerize():
     assert found == []
 
 
+def test_the_expansion_kernel_meets_fractions_only_at_its_boundaries():
+    # Over Q a term_algebra value is integer numerators over one
+    # denominator: a Fraction is built (wrap) or read (const, lift, scale)
+    # only where a value meets a Scalar or a raw factor, never per term
+    # of a sum or product.
+    tree = ast.parse((SOURCE / "polynomials.py").read_text())
+    found = set()
+
+    def visit(node, stack):
+        if isinstance(node, ast.FunctionDef):
+            stack = stack + (node.name,)
+        if (
+            isinstance(node, ast.Call) and _callee(node) == "Fraction"
+            or isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+        ):
+            found.add(stack)
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack)
+
+    visit(tree, ())
+    assert ("term_algebra", "wrap") in found
+    assert found <= {("term_algebra", name) for name in ("wrap", "const", "lift", "scale")}
+
+
 def test_no_module_keeps_a_second_copy_rule():
     # Copies u*1 are read off the copy table, never recognised again.
     found = [
