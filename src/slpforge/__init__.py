@@ -15,7 +15,7 @@ from .circuits import (
     StraightLineProgram,
     circuit_to_slp,
     evaluate,
-    evaluate_mod_p,
+    evaluate_batch,
     expand,
     slp_to_circuit,
     syntactic_degree,
@@ -92,7 +92,7 @@ __all__ = [
     "coverage",
     "depth_to_width",
     "evaluate",
-    "evaluate_mod_p",
+    "evaluate_batch",
     "expand",
     "fadd",
     "fconst",

@@ -40,8 +40,9 @@ Three forms share one polynomial semantics:
 fold() is the one walk over all three forms: it interprets an object in
 an algebra given as four functions (var, const, add, mul).  Each
 semantics is such an algebra: evaluate() over ring scalars,
-evaluate_mod_p() over int64 columns of residues (one column entry per
-point, for F_p with p < 2^31), expand() over raw sparse terms under hard
+evaluate_batch() over columns of raw values, one entry per point (int64
+residues over F_p with p < 2^31, exact Python numbers in numpy object
+arrays over every other ring), expand() over raw sparse terms under hard
 caps (polynomials.term_algebra), and syntactic_degree() and the
 homogeneity check in validate() over integer degrees.  The four public
 semantics validate a circuit before folding it, so a parsed circuit
@@ -867,34 +868,35 @@ def evaluate(obj: IRForm, assignment: Sequence[ScalarLike]) -> Scalar:
 BATCH_MODULUS_LIMIT = 1 << 31
 
 
-def evaluate_mod_p(obj: IRForm, columns: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate any IR form over F_p at many points at once.
+def batch_dtype(ring: Ring) -> np.dtype:
+    """evaluate_batch's dtype: int64 over F_p, p < 2^31, else object."""
+    small = isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT
+    return np.dtype(np.int64 if small else object)
 
-    columns has shape (num_variables, points): row i-1 holds x_i at every
-    point.  Returns the int64 residues of the output, one per point, even
-    when the output is constant.  Raises ParamError unless p < 2^31 and
-    RingMismatch unless the object is over F_p.
+
+def evaluate_batch(obj: IRForm, columns: np.ndarray) -> np.ndarray:
+    """Evaluate any IR form at many points at once, exactly.
+
+    columns has shape (num_variables, points): row i-1 holds x_i's raw
+    value (an int, or over Q a Fraction) at every point.  Returns the
+    raw output values in batch_dtype(obj.ring), one per point even when
+    the output is constant: residues over F_p, exact numbers over Q.
     """
     _checked(obj)
-    if not p < BATCH_MODULUS_LIMIT:
-        raise ParamError(f"batched evaluation needs p < 2^31, got {p}")
-    if not (isinstance(obj.ring, PrimeField) and obj.ring.p == p):
-        raise RingMismatch(f"{obj.ring!r} is not F_{p}")
-    cols = np.asarray(columns, dtype=np.int64)
+    cols = np.asarray(columns, dtype=batch_dtype(obj.ring))
     if cols.ndim != 2 or cols.shape[0] != obj.num_variables:
         raise ArityMismatch(
             f"expected {obj.num_variables} columns, got shape {cols.shape}"
         )
+    add, mul = operator.add, operator.mul
+    if isinstance(obj.ring, PrimeField):
+        p = obj.ring.p
+        cols = cols % p
+        add, mul = (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
     # Index 0 is padding, so xi reads rows[i] through a C-level getter.
-    rows = [None, *(cols % p)]
-    out = fold(
-        obj,
-        rows.__getitem__,
-        lambda c: c.value,
-        lambda a, b: (a + b) % p,
-        lambda a, b: (a * b) % p,
-    )
-    return np.broadcast_to(np.asarray(out, dtype=np.int64), cols.shape[1:]).copy()
+    rows = [None, *cols]
+    out = fold(obj, rows.__getitem__, lambda c: c.value, add, mul)
+    return np.broadcast_to(np.asarray(out, dtype=cols.dtype), cols.shape[1:]).copy()
 
 
 def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:

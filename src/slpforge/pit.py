@@ -20,9 +20,10 @@ Three testers with different trust models:
 
 Both testers share one loop for every ring.  A point is a column of
 indices into a value table (the sample points, or the S^m values of the
-hard family), and _first_nonzero evaluates a batch of columns: at once
-in int64 over F_p with p < 2^31, one column at a time over every other
-ring.  The first batch holds one point, so an early hit stays cheap.
+hard family), and _first_nonzero evaluates a batch of columns at once
+with circuits.evaluate_batch: in int64 over F_p with p < 2^31, in exact
+object columns over every other ring.  The first batch holds one point,
+so an early hit stays cheap, and object batches grow from there.
 
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
@@ -42,7 +43,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import (
-    BATCH_MODULUS_LIMIT,
     AlgebraicBranchingProgram,
     ConstOperand,
     LayeredCircuit,
@@ -51,15 +51,15 @@ from .circuits import (
     StraightLineProgram,
     VarOperand,
     _renamed,
-    evaluate,
-    evaluate_mod_p,
+    batch_dtype,
+    evaluate_batch,
     slp_to_circuit,
     syntactic_degree,
 )
 from .errors import GridTooLarge, ModeMismatch, ParamError
 from .families import permanent_var_index
 from .polynomials import COMMUTATIVE, Monomial, SparsePolynomial
-from .rings import PrimeField, Ring, Scalar, is_probable_prime
+from .rings import Ring, Scalar, is_probable_prime
 from .stagger import staggerize
 from .transforms import _BodyEmitter
 
@@ -94,53 +94,54 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-# A batch of points holds at most this many int64 values: fold keeps a
+# A batch of int64 points holds at most this many values: fold keeps a
 # value for every explicit gate of a circuit, and a copy shares
 # its source's, so a circuit with 278 explicit gates gets 3771 points.
+# An object batch holds 16 times fewer: a pointer and a Python number each.
 _BATCH_CELLS = 1 << 20
 _BATCH_POINTS = 4096
 
 
-def _batch_points(c) -> int:
-    """Points per batch, so one batch stays within _BATCH_CELLS values."""
+def _batch_points(c, cells_cap: int = _BATCH_CELLS) -> int:
+    """Points per batch, so one batch stays within cells_cap values."""
     if isinstance(c, StraightLineProgram):
         cells = c.register_count
     elif isinstance(c, AlgebraicBranchingProgram):
         cells = c.size + len(c.edges)
     else:
         cells = len(c.gates.explicit)
-    return max(1, min(_BATCH_POINTS, _BATCH_CELLS // max(1, cells)))
+    return max(1, min(_BATCH_POINTS, cells_cap // max(1, cells)))
 
 
 def _batches(c, total: int):
-    """(start, stop) point ranges: one point first, then _batch_points(c) each.
+    """(start, stop) point ranges: one point first, then larger batches.
 
     The lone first point keeps an input that is nonzero there as cheap
-    as a one-point evaluation.
+    as a one-point evaluation.  Then int64 batches hold _batch_points(c)
+    points, and object batches, whose every point costs exact arithmetic,
+    grow 4 times up to their cap: a hit at point t costs < 4t + 1 points.
     """
-    yield 0, 1
-    step = _batch_points(c)
-    for start in range(1, total, step):
-        yield start, min(start + step, total)
+    grows = batch_dtype(c.ring) == object
+    cap = _batch_points(c, _BATCH_CELLS // 16 if grows else _BATCH_CELLS)
+    start, size = 0, 1
+    while start < total:
+        yield start, min(start + size, total)
+        start += size
+        size = min(cap, 4 * size) if grows else cap
 
 
-def _first_nonzero(c, values: Sequence[Scalar], columns: np.ndarray) -> int | None:
+def _value_table(ring: Ring, values: Sequence[Scalar]) -> np.ndarray:
+    """The raw values, as evaluate_batch reads them over ring."""
+    return np.array([v.value for v in values], dtype=batch_dtype(ring))
+
+
+def _first_nonzero(c, table: np.ndarray, columns: np.ndarray) -> int | None:
     """Index of the first point (column) where c is nonzero.
 
-    Row i-1 of columns holds, for every point, the index into values of
-    x_i.  Over F_p with p < 2^31 the batch runs through evaluate_mod_p
-    at once; over every other ring each column runs through evaluate,
-    in order.
+    Row i-1 of columns holds, for every point, x_i's index into table.
     """
-    ring = c.ring
-    if isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT:
-        residues = np.array([v.value for v in values], dtype=np.int64)
-        hits = np.flatnonzero(evaluate_mod_p(c, residues[columns], ring.p))
-        return int(hits[0]) if hits.size else None
-    for t, column in enumerate(columns.T.tolist()):
-        if not evaluate(c, [values[i] for i in column]).is_zero:
-            return t
-    return None
+    hits = np.flatnonzero(evaluate_batch(c, table[columns]))
+    return int(hits[0]) if hits.size else None
 
 
 def schwartz_zippel(
@@ -168,11 +169,12 @@ def schwartz_zippel(
     if sample_size is None:
         sample_size = max(1, 2 * degree_bound)
     points = c.ring.sample_points(sample_size)
+    table = _value_table(c.ring, points)
     rng = _rng(seed)
     n = c.num_variables
     for start, stop in _batches(c, trials):
         indices = rng.integers(0, sample_size, size=(stop - start, n)).T
-        hit = _first_nonzero(c, points, indices)
+        hit = _first_nonzero(c, table, indices)
         if hit is not None:
             return Verdict("nonzero", tuple(points[i] for i in indices[:, hit]))
     return Verdict("zero")
@@ -313,7 +315,7 @@ def nw_pit(
     def inner(key: tuple[int, ...]) -> Scalar:
         return hf.evaluate(m, ring, [points[t] for t in key])
 
-    return _grid_test(c, design, points, _family_table(m, size, inner))
+    return _grid_test(c, design, points, _family_table(ring, m, size, inner))
 
 
 def _grid_shape(
@@ -333,17 +335,17 @@ def _grid_shape(
     return design, sample_size
 
 
-def _family_table(m: int, side: int, value: Callable[[tuple[int, ...]], Scalar]) -> list[Scalar]:
-    """P_m's value at every key, given value(key).
+def _family_table(ring: Ring, m: int, side: int, value: Callable[..., Scalar]) -> np.ndarray:
+    """P_m's raw value at every key, given value(key).
 
     P_m restricted to a design set depends only on the grid coordinates
     of the set (its key), the same way for every set: one table of S^m
     values, where key (k_1..k_m) sits at row k_1*S^(m-1) + ... + k_m.
     """
-    return [value(key) for key in itertools.product(range(side), repeat=m)]
+    return _value_table(ring, [value(key) for key in itertools.product(range(side), repeat=m)])
 
 
-def _grid_test(c, design: NWDesign, points: Sequence[Scalar], table: list[Scalar]) -> Verdict:
+def _grid_test(c, design: NWDesign, points: Sequence[Scalar], table: np.ndarray) -> Verdict:
     """nw_pit's run over the grid of points, given the table of P_(design.m)."""
     m, universe = design.m, design.universe_size
     side = len(points)
@@ -484,7 +486,7 @@ def verify_permanent_circuit(
         raise ParamError(f"unknown backend {backend!r}")
     instance = perm_check_instance(c)
     desk, ring = HARD_FAMILIES["desk-rule"], c.ring
-    tables: dict[int, tuple[list[Scalar], list[Scalar]]] = {}
+    tables: dict[int, tuple[list[Scalar], np.ndarray]] = {}
     for k, program in enumerate(instance.programs, start=1):
         if backend == "schwartz_zippel":
             verdict = schwartz_zippel(program, trials=trials, seed=seed + k)
@@ -493,7 +495,7 @@ def verify_permanent_circuit(
             if size not in tables:
                 points = ring.sample_points(size)
                 tables[size] = points, _family_table(
-                    m, size, lambda key: desk.evaluate(m, ring, [points[t] for t in key])
+                    ring, m, size, lambda key: desk.evaluate(m, ring, [points[t] for t in key])
                 )
             verdict = _grid_test(program, design, *tables[size])
         if not verdict.is_zero:

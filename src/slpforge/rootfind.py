@@ -26,7 +26,6 @@ from .circuits import (
     SlpBuilder,
     StraightLineProgram,
     expand,
-    syntactic_degree,
 )
 from .errors import (
     CharacteristicTooSmall,
@@ -352,9 +351,9 @@ def root_circuit(
     then emit a program computing that combination with every C_i
     recovered from runs of P at constant y-values, wrapped in the
     degree-(<= m) slice extraction.  That extraction interpolates in z
-    on min(m * deg(P), max_alpha sum_i alpha_i deg(C_i)) + 1 points, the
-    max over the nonzero mixing terms: one more than the z-degree of the
-    assembled sum at z * x_bar.  On a grid of at most m + 1 points one
+    on max_alpha sum_i alpha_i deg(C_i) + 1 points, the max over the
+    nonzero mixing terms: one more than the z-degree of the assembled
+    sum at z * x_bar (at most m * deg(P), as sum_i alpha_i <= m).  On a grid of at most m + 1 points one
     point alone has a nonzero weight.  Accumulator i holds C_i - C_i(0)
     and is loaded and fed only when a mixing term with alpha_i > 0 reads
     it; one no term reads (every accumulator of a constant C_i) costs no
@@ -400,7 +399,7 @@ def root_circuit(
         (sum(e * d for e, d in zip(alpha, degrees)) for _, alpha in terms), default=0
     )
     y_points, y_matrix = lagrange_grid(ring, r + 1)
-    z_count = min(m * syntactic_degree(rp.program), z_degree) + 1
+    z_count = z_degree + 1
     z_points, z_matrix = lagrange_grid(ring, z_count)
     slice_weights = _prefix_weights(ring, z_matrix, m)
     zero = ring.zero()

@@ -170,9 +170,10 @@ class _BodyEmitter:
                 return op, scaled and isinstance(op, VarOperand)
             return op, False
 
-        def stage_into(register: int, var_op: VarOperand) -> None:
+        def stage_into(register: int, var_op: VarOperand) -> RegOperand:
             sb.load(register, var_op)
             sb.apply(register, "mul", sb.reg(register), ConstOperand(scale))
+            return sb.reg(register)
 
         for step in self.steps:
             if isinstance(step, LoadStep):
@@ -183,20 +184,14 @@ class _BodyEmitter:
                 continue
             left, scale_left = rewrite(step.left)
             right, scale_right = rewrite(step.right)
-            if scale_left and scale_right:
-                # Both operands are variables, so the old dest value is unused
-                # and can serve as the second stage slot.
-                stage_into(self.stage, left)
-                stage_into(step.dest, right)
-                sb.apply(step.dest, step.op, sb.reg(self.stage), sb.reg(step.dest))
-            elif scale_left:
-                stage_into(self.stage, left)
-                sb.apply(step.dest, step.op, sb.reg(self.stage), right)
-            elif scale_right:
-                stage_into(self.stage, right)
-                sb.apply(step.dest, step.op, left, sb.reg(self.stage))
-            else:
-                sb.apply(step.dest, step.op, left, right)
+            # A scaled variable operand is staged in the stage register, or
+            # in dest when the left one took it: a step whose operands are
+            # both variables does not read dest's old value.
+            if scale_left:
+                left = stage_into(self.stage, left)
+            if scale_right:
+                right = stage_into(step.dest if scale_left else self.stage, right)
+            sb.apply(step.dest, step.op, left, right)
         return self.program.output_register
 
 

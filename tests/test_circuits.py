@@ -36,7 +36,7 @@ from slpforge.circuits import (
     VarOperand,
     circuit_to_slp,
     evaluate,
-    evaluate_mod_p,
+    evaluate_batch,
     expand,
     slp_to_circuit,
     syntactic_degree,
@@ -392,7 +392,7 @@ output 4
 
 SEMANTICS = {
     "evaluate": lambda c: evaluate(c, [1]),
-    "evaluate_mod_p": lambda c: evaluate_mod_p(c, [[1]], 101),
+    "evaluate_batch": lambda c: evaluate_batch(c, [[1]]),
     "expand": expand,
     "syntactic_degree": syntactic_degree,
 }

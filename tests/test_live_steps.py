@@ -19,7 +19,7 @@ from genutil import (
 from slpforge.circuits import (
     SlpBuilder,
     evaluate,
-    evaluate_mod_p,
+    evaluate_batch,
     expand,
     live_steps,
     slp_to_circuit,
@@ -101,7 +101,7 @@ def test_slp_semantics_equal_the_full_walk(seed):
                 lambda a, b: (a + b) % 101,
                 lambda a, b: (a * b) % 101,
             )
-            assert evaluate_mod_p(slp, columns, 101).tolist() == np.broadcast_to(want, 3).tolist()
+            assert evaluate_batch(slp, columns).tolist() == np.broadcast_to(want, 3).tolist()
     assert dead > 20
 
 

@@ -24,7 +24,7 @@ from slpforge.circuits import (
     SlpBuilder,
     VarOperand,
     evaluate,
-    evaluate_mod_p,
+    evaluate_batch,
     expand,
     slp_to_circuit,
     validate,
@@ -295,7 +295,7 @@ def test_perm_rejects_wrong_polynomial_with_witness():
 # The one tester loop against the scalar loops it replaces, on every ring
 
 SMALL_PRIMES = (PrimeField(101), PrimeField((1 << 31) - 1))
-# Batched through evaluate_mod_p (p < 2^31), then one column at a time.
+# int64 batches below 2^31, object batches of exact numbers above and over Q.
 RINGS = SMALL_PRIMES + (RATIONALS, PrimeField(DEFAULT_PRIME))
 DESK = HARD_FAMILIES["desk-rule"]
 
@@ -377,26 +377,70 @@ def _one_plus_x1(ring):
     return cb.build()
 
 
-def test_a_hit_at_the_first_point_evaluates_one_column(monkeypatch):
-    # 1 + x1 is nonzero at every sample point, so the first point hits.
+def _counting_batches(monkeypatch):
+    """The column count of every batch the testers evaluate, in order."""
     columns = []
 
-    def batched(obj, cols, p):
+    def batched(obj, cols):
         columns.append(cols.shape[1])
-        return evaluate_mod_p(obj, cols, p)
+        return evaluate_batch(obj, cols)
 
-    def one_point(obj, assignment):
-        columns.append(1)
-        return evaluate(obj, assignment)
+    monkeypatch.setattr(pit, "evaluate_batch", batched)
+    return columns
 
-    monkeypatch.setattr(pit, "evaluate_mod_p", batched)
-    monkeypatch.setattr(pit, "evaluate", one_point)
+
+def test_a_hit_at_the_first_point_evaluates_one_column(monkeypatch):
+    # 1 + x1 is nonzero at every sample point, so the first point hits.
+    columns = _counting_batches(monkeypatch)
     for ring in (PrimeField((1 << 31) - 1), RATIONALS):
         c = _one_plus_x1(ring)
         assert not schwartz_zippel(c, trials=100, seed=3).is_zero
         assert not nw_pit(c, DESK, 2).is_zero
         assert columns == [1, 1]
         columns.clear()
+
+
+def test_object_batches_grow_so_a_hit_at_point_t_costs_under_4t_plus_1(monkeypatch):
+    # x1*...*x6 on {0, 1} over Q is nonzero at all ones only, one draw in 64.
+    columns = _counting_batches(monkeypatch)
+    c = _product_of_variables(RATIONALS, 6)
+    hits = set()
+    for seed in range(40):
+        rng = np.random.Generator(np.random.Philox(seed))
+        t = next(t for t in range(1, 4097) if rng.integers(0, 2, size=6).all())
+        columns.clear()
+        verdict = schwartz_zippel(c, 4096, None, seed, 2)
+        assert verdict.witness == (RATIONALS.one(),) * 6
+        assert columns == [4**k for k in range(len(columns))]
+        assert sum(columns) < 4 * t + 1
+        hits.add(t)
+    assert max(hits) > 21  # some hit lies past the third batch
+
+
+def test_object_batches_stop_growing_at_a_sixteenth_of_the_cells(monkeypatch):
+    # (128*x1 - 128) * x2, built with one add per step: a few hundred
+    # explicit gates, so both caps are below _BATCH_POINTS.
+    columns = _counting_batches(monkeypatch)
+    for ring, trials in ((PrimeField((1 << 31) - 1), 5000), (RATIONALS, 700)):
+        sb = SlpBuilder(ring, COMMUTATIVE, 2, register_count=2)
+        sb.load(1, sb.var(1))
+        for _ in range(128):
+            sb.apply(0, "add", sb.reg(0), sb.reg(1))
+            sb.apply(0, "add", sb.reg(0), sb.const(-1))
+        sb.apply(0, "mul", sb.reg(0), sb.var(2))
+        c = slp_to_circuit(sb.finish(0))
+        explicit = len(c.gates.explicit)
+        assert explicit > 256
+        columns.clear()
+        assert schwartz_zippel(c, trials, None, 0, 1).is_zero  # the zero point alone
+        assert sum(columns) == trials
+        if ring == RATIONALS:
+            cap = pit._BATCH_CELLS // 16 // explicit
+            assert columns[:6] == [1, 4, 16, 64, cap, cap]
+        else:
+            cap = pit._BATCH_CELLS // explicit
+            assert columns[:2] == [1, cap]
+        assert max(columns) == cap < pit._BATCH_POINTS
 
 
 def test_one_draw_per_batch_is_the_per_trial_stream():

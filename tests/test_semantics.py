@@ -27,8 +27,9 @@ from slpforge.circuits import (
     CircuitBuilder,
     LinearForm,
     SlpBuilder,
+    batch_dtype,
     evaluate,
-    evaluate_mod_p,
+    evaluate_batch,
     expand,
     slp_to_circuit,
     syntactic_degree,
@@ -37,8 +38,6 @@ from slpforge.circuits import (
 from slpforge.errors import (
     ArityMismatch,
     DegreeCapExceeded,
-    ParamError,
-    RingMismatch,
     SlpforgeError,
     TermCapExceeded,
 )
@@ -432,36 +431,58 @@ def test_copies_add_no_degree_cap_error_to_their_program(mode):
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation over F_p, p < 2^31
+# Batched evaluation on every ring
 
-BATCH_PRIMES = (101, (1 << 31) - 1)
+BATCH_PRIMES = (101, (1 << 31) - 1, DEFAULT_PRIME)
+BATCH_RINGS = (F, PrimeField((1 << 31) - 1), PrimeField(DEFAULT_PRIME), RATIONALS)
+FRACTION_CONSTANTS = (Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3))
+
+
+def ring_id(ring):
+    return str(ring.p) if isinstance(ring, PrimeField) else "Q"
 
 
 def batch_objects(seed, ring):
     rng = random.Random(seed)
     for mode in MODES:
-        yield random_layered_circuit(rng, ring, mode, width=3, num_variables=3)
-        yield random_slp(rng, ring, mode, register_count=3)
+        yield random_layered_circuit(
+            rng, ring, mode, width=3, num_variables=3, constants=FRACTION_CONSTANTS
+        )
+        yield random_slp(rng, ring, mode, register_count=3, constants=FRACTION_CONSTANTS)
     yield random_abp(rng, ring, COMMUTATIVE)
     yield with_mode(build_E_abp(2, ring), COMMUTATIVE)
 
 
+def raw_columns(rng, ring, shape):
+    """Raw values: residues over F_p, fractions a/b over Q."""
+    if isinstance(ring, PrimeField):
+        return rng.integers(0, ring.p, size=shape)
+    pairs = zip(rng.integers(-20, 21, size=shape).flat, rng.integers(1, 8, size=shape).flat)
+    return np.array([Fraction(int(a), int(b)) for a, b in pairs], dtype=object).reshape(shape)
+
+
 def scalar_values(obj, columns):
-    return [evaluate(obj, [int(v) for v in point]).value for point in columns.T]
+    return [evaluate(obj, point.tolist()).value for point in columns.T]
 
 
-@pytest.mark.parametrize("p", BATCH_PRIMES)
+@pytest.mark.parametrize("ring", BATCH_RINGS, ids=ring_id)
 @pytest.mark.parametrize("seed", range(4))
-def test_evaluate_mod_p_matches_scalar_evaluation(seed, p):
-    ring = PrimeField(p)
+def test_evaluate_mod_p_matches_scalar_evaluation(seed, ring):
+    # Kept under its first name; it checks evaluate_batch on every ring.
     rng = np.random.default_rng(seed)
     for obj in batch_objects(seed, ring):
-        columns = rng.integers(0, p, size=(obj.num_variables, 9))
-        columns[:, 0] = p - 1  # every product of residues at its largest
+        columns = raw_columns(rng, ring, (obj.num_variables, 9))
+        # Over F_p every product of residues at its largest.
+        columns[:, 0] = ring.p - 1 if isinstance(ring, PrimeField) else Fraction(-7, 3)
         columns[:, 1] = 0
-        got = evaluate_mod_p(obj, columns, p)
-        assert got.dtype == np.int64
+        got = evaluate_batch(obj, columns)
+        assert got.dtype == batch_dtype(ring)
         assert got.tolist() == scalar_values(obj, columns)
+
+
+def test_batch_dtype_is_int64_below_2_to_the_31_only():
+    assert batch_dtype(F) == batch_dtype(PrimeField((1 << 31) - 1)) == np.int64
+    assert batch_dtype(PrimeField((1 << 31) + 11)) == batch_dtype(RATIONALS) == object
 
 
 @pytest.mark.parametrize("p", BATCH_PRIMES)
@@ -474,36 +495,41 @@ def test_evaluate_mod_p_repeated_squaring_at_minus_one(p):
     cb.set_output(cb.gate(9, "add", gate, cb.const_leaf(p - 1)))
     c = cb.build()
     columns = np.array([[p - 1, p - 2, 3], [p - 1, p - 1, 5]])
-    assert evaluate_mod_p(c, columns, p).tolist() == scalar_values(c, columns)
+    assert evaluate_batch(c, columns).tolist() == scalar_values(c, columns)
 
 
 def test_evaluate_mod_p_constant_output_gives_a_value_per_point():
-    cb = CircuitBuilder(F, COMMUTATIVE, 2)
-    cb.var_leaf(1)
-    cb.set_output(cb.gate(2, "mul", cb.const_leaf(7), cb.const_leaf(20)))
-    c = cb.build()
-    columns = np.zeros((2, 5), dtype=np.int64)
-    assert evaluate_mod_p(c, columns, 101).tolist() == [39] * 5
+    for ring, want in ((F, 39), (RATIONALS, 140)):
+        cb = CircuitBuilder(ring, COMMUTATIVE, 2)
+        cb.var_leaf(1)
+        cb.set_output(cb.gate(2, "mul", cb.const_leaf(7), cb.const_leaf(20)))
+        c = cb.build()
+        columns = np.zeros((2, 5), dtype=np.int64)
+        assert evaluate_batch(c, columns).tolist() == [want] * 5
 
 
 def test_evaluate_mod_p_zero_variables():
     cb = CircuitBuilder(F, COMMUTATIVE, 0)
     cb.set_output(cb.gate(2, "add", cb.const_leaf(100), cb.const_leaf(3)))
     c = cb.build()
-    got = evaluate_mod_p(c, np.empty((0, 4), dtype=np.int64), 101)
+    got = evaluate_batch(c, np.empty((0, 4), dtype=np.int64))
     assert got.tolist() == [evaluate(c, []).value] * 4 == [2] * 4
 
 
-def test_evaluate_mod_p_refuses_wide_moduli_and_foreign_rings():
+@pytest.mark.parametrize("p", BATCH_PRIMES)
+def test_evaluate_batch_reduces_its_inputs(p):
+    # As evaluate does: x1 read straight to the output is a residue.
+    sb = SlpBuilder(PrimeField(p), COMMUTATIVE, 1, register_count=1)
+    sb.load(0, sb.var(1))
+    columns = np.array([[-1, p, 2 * p + 3]])
+    assert evaluate_batch(sb.finish(0), columns).tolist() == [p - 1, 0, 3]
+
+
+def test_evaluate_batch_takes_every_modulus_and_checks_the_arity():
     big = PrimeField(DEFAULT_PRIME)
     c = random_layered_circuit(random.Random(3), big, COMMUTATIVE, width=2, num_variables=2)
-    with pytest.raises(ParamError):
-        evaluate_mod_p(c, np.ones((2, 3), dtype=np.int64), DEFAULT_PRIME)
-    with pytest.raises(RingMismatch):
-        evaluate_mod_p(c, np.ones((2, 3), dtype=np.int64), 101)
-    q = random_layered_circuit(random.Random(3), RATIONALS, COMMUTATIVE, width=2, num_variables=2)
-    with pytest.raises(RingMismatch):
-        evaluate_mod_p(q, np.ones((2, 3), dtype=np.int64), 101)
+    columns = np.array([[DEFAULT_PRIME - 1, 2, 0], [DEFAULT_PRIME - 2, 1, 5]])
+    assert evaluate_batch(c, columns).tolist() == scalar_values(c, columns)
     f = random_layered_circuit(random.Random(3), F, COMMUTATIVE, width=2, num_variables=2)
     with pytest.raises(ArityMismatch):
-        evaluate_mod_p(f, np.ones((3, 3), dtype=np.int64), 101)
+        evaluate_batch(f, np.ones((3, 3), dtype=np.int64))

@@ -53,6 +53,32 @@ def test_only_the_allocator_picks_registers_for_staggerize():
     assert found == []
 
 
+def test_the_testers_evaluate_in_batches_only():
+    # pit evaluates every batch through circuits.evaluate_batch on every
+    # ring, and circuits alone decides int64 or object columns.
+    # (HardFamily.evaluate, a method, is not the scalar semantics.)
+    scalar = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if name == "pit.py"
+        and (
+            isinstance(node, ast.alias) and node.name == "evaluate"
+            or isinstance(node, ast.Name) and node.id == "evaluate"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "evaluate"
+            and _names(node.value, "circuits")
+        )
+    ]
+    assert scalar == []
+    limit = {
+        name
+        for name, node in _source_nodes()
+        if _names(node, "BATCH_MODULUS_LIMIT")
+        or isinstance(node, ast.alias) and node.name == "BATCH_MODULUS_LIMIT"
+    }
+    assert limit == {"circuits.py"}
+
+
 def test_the_expansion_kernel_meets_fractions_only_at_its_boundaries():
     # Over Q a term_algebra value is integer numerators over one
     # denominator: a Fraction is built (wrap) or read (const, lift, scale)
