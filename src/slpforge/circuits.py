@@ -82,7 +82,7 @@ from .polynomials import (
     _check_mode,
     term_algebra,
 )
-from .rings import PrimeField, Ring, Scalar, ScalarLike
+from .rings import Ring, Scalar, ScalarLike
 
 ADD = "add"
 MUL = "mul"
@@ -870,7 +870,7 @@ BATCH_MODULUS_LIMIT = 1 << 31
 
 def batch_dtype(ring: Ring) -> np.dtype:
     """evaluate_batch's dtype: int64 over F_p, p < 2^31, else object."""
-    small = isinstance(ring, PrimeField) and ring.p < BATCH_MODULUS_LIMIT
+    small = 0 < ring.characteristic < BATCH_MODULUS_LIMIT
     return np.dtype(np.int64 if small else object)
 
 
@@ -888,13 +888,10 @@ def evaluate_batch(obj: IRForm, columns: np.ndarray) -> np.ndarray:
         raise ArityMismatch(
             f"expected {obj.num_variables} columns, got shape {cols.shape}"
         )
-    add, mul = operator.add, operator.mul
-    if isinstance(obj.ring, PrimeField):
-        p = obj.ring.p
-        cols = cols % p
-        add, mul = (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
-    # Index 0 is padding, so xi reads rows[i] through a C-level getter.
-    rows = [None, *cols]
+    add, mul = obj.ring.add, obj.ring.mul
+    # add(cols, 0) puts every input in canonical form.  Index 0 is
+    # padding, so xi reads rows[i] through a C-level getter.
+    rows = [None, *add(cols, 0)]
     out = fold(obj, rows.__getitem__, lambda c: c.value, add, mul)
     return np.broadcast_to(np.asarray(out, dtype=cols.dtype), cols.shape[1:]).copy()
 

@@ -49,7 +49,13 @@ from .families import (
 )
 from .formulas import FConst, FOp, Formula, FormulaNode, FVar, substitute_leaves
 from .monotone import coverage, mon_set, mon_var_graph
-from .pit import HARD_FAMILIES, nw_pit, schwartz_zippel, verify_permanent_circuit
+from .pit import (
+    _GRID_BUDGET,
+    HARD_FAMILIES,
+    nw_pit,
+    schwartz_zippel,
+    verify_permanent_circuit,
+)
 from .polynomials import COMMUTATIVE, DEFAULT_CAPS, ExpansionCaps, MODES, SparsePolynomial
 from .rings import DEFAULT_PRIME, PrimeField, RATIONALS, Ring
 from .rootfind import RootProblem, root_circuit
@@ -88,7 +94,7 @@ def _caps_from_env(env: str | None) -> _Caps:
     values = {
         "max_degree": DEFAULT_CAPS.max_degree,
         "max_terms": DEFAULT_CAPS.max_terms,
-        "grid_budget": 1_000_000,
+        "grid_budget": _GRID_BUDGET,
     }
     if env:
         for item in env.split(","):
@@ -312,11 +318,10 @@ def _cmd_family(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     if args.name == "P":
         _need(args, ["l", "k"])
         params = FamilyParams(args.l, args.k)
+        c = build_P(params, "circuit", ring)
         if args.form == "circuit":
-            c = build_P(params, "circuit", ring)
             _write(args.output, c)
             return {"width": validate(c).width, "terms": params.monomial_count}
-        c = build_P(params, "circuit", ring)
         poly = expand(c, caps.expansion)
         _write(args.output, poly, c.name)
         return {"terms": len(poly.terms), "degree": params.degree}
@@ -399,8 +404,7 @@ def _cmd_expand(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     obj = _load(args.input)
     poly = expand(obj, caps.expansion)
     _write(args.output, poly, obj.name)
-    degree = max((m.degree for m in poly.terms), default=0)
-    return {"terms": len(poly.terms), "degree": degree}
+    return {"terms": len(poly.terms), "degree": poly.degree()}
 
 
 def _cmd_eval(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
@@ -486,6 +490,7 @@ def _cmd_verify_perm(args: argparse.Namespace, caps: _Caps) -> dict[str, object]
         trials=args.trials,
         m=args.m,
         sample_size=args.sample_size,
+        grid_budget=caps.grid_budget,
     )
     keys: dict[str, object] = {"verdict": verdict.status}
     if verdict.failing_index is not None:

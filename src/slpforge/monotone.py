@@ -65,9 +65,8 @@ def mon_set(c: LayeredCircuit, caps: ExpansionCaps = DEFAULT_CAPS) -> MonomialSe
     """
     if not validate(c).monotone:
         raise NotMonotone("set semantics require a monotone circuit")
-    members = frozenset(expand(c, caps).terms)
-    bound = max((m.degree for m in members), default=0)
-    return MonomialSet(c.mode, c.num_variables, members, bound)
+    poly = expand(c, caps)
+    return MonomialSet(c.mode, c.num_variables, frozenset(poly.terms), poly.degree())
 
 
 def mon_var_graph(s: MonomialSet) -> MonVarGraph:

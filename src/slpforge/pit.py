@@ -473,13 +473,15 @@ def verify_permanent_circuit(
     trials: int = 20,
     m: int = 2,
     sample_size: int | None = None,
+    grid_budget: int = _GRID_BUDGET,
 ) -> PermVerdict:
     """Accept iff every Laplace identity of the candidate tests zero.
 
     The randomized backend derives an independent seed per identity; the
     grid backend is deterministic and ignores the seed.  It runs
-    nw_pit's test with desk-rule at m, and builds the hard-family table
-    once per sample size: the identities share ring and m, and a given
+    nw_pit's test with desk-rule at m, under nw_pit's grid_budget
+    (GridTooLarge past it), and builds the hard-family table once per
+    sample size: the identities share ring and m, and a given
     sample_size all of them.
     """
     if backend not in ("schwartz_zippel", "nw_pit"):
@@ -491,7 +493,7 @@ def verify_permanent_circuit(
         if backend == "schwartz_zippel":
             verdict = schwartz_zippel(program, trials=trials, seed=seed + k)
         else:
-            design, size = _grid_shape(program, m, sample_size, _GRID_BUDGET)
+            design, size = _grid_shape(program, m, sample_size, grid_budget)
             if size not in tables:
                 points = ring.sample_points(size)
                 tables[size] = points, _family_table(

@@ -22,9 +22,10 @@ wrapped into a SparsePolynomial.
   at most max(max_degree, 1), so adding two keys never carries.
 * A noncommutative key is the word tuple: the product concatenates and
   the degree is its length.
-* Over F_p a value is a dict key -> int mod p.  Over Q it is a pair
-  (terms, den): int numerators over one positive common denominator,
-  with gcd(den, *numerators) = 1 after every operation.  A sum with
+* A value has one shape on both rings, a pair (terms, den): int
+  numerators over one positive common denominator, with
+  gcd(den, *numerators) = 1 after every operation.  Over F_p den is
+  always 1 and the numerators are residues in [0, p).  A sum with
   equal denominators merges ints; otherwise both sides are scaled to the
   lcm.  A Fraction is built only by wrap.  Zeros are deleted.
 
@@ -36,16 +37,15 @@ A lifted polynomial's degree is checked against max_degree too, since
 a key of higher degree could carry when added.
 Terms are merged in the same order, so the result, its term order and
 the error raised on any input are those of the SparsePolynomial fold.
-One product loop serves both rings, with the coefficient add and
-multiply passed in.  Over Q it multiplies numerators, takes da * db as
-the denominator and reduces by one gcd over the result.  Scaling by a
-positive common factor changes no zero test, so zero deletion, term
-order and every cap check are those of the rational coefficients.
+One set of operations serves both rings, combining numerators with the
+ring's raw add and mul.  A product multiplies numerators, takes
+da * db as the denominator and reduces by one gcd over the result.
+Scaling by a positive common factor changes no zero test, so zero
+deletion, term order and every cap check are those of the coefficients.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -58,7 +58,7 @@ from .errors import (
     RingMismatch,
     TermCapExceeded,
 )
-from .rings import PrimeField, RationalField, Ring, Scalar, ScalarLike
+from .rings import Ring, Scalar, ScalarLike
 
 COMMUTATIVE = "commutative"
 NONCOMMUTATIVE = "noncommutative"
@@ -400,13 +400,13 @@ class TermAlgebra:
     """Sparse polynomial arithmetic on raw values; see term_algebra.
 
     var, const, add and mul are a fold() algebra; wrap turns a value into
-    a SparsePolynomial and lift turns one back.  scale multiplies by a raw
-    coefficient (an int, or over Q a Fraction), truncate drops the terms
-    above a degree, zero and one are the constant values, numerators(v)
-    is (terms, den): a dict key -> int and a positive int with
-    v = terms / den (den is 1 over F_p), and unit is the key of the
-    constant monomial.  Values compare equal exactly when their
-    polynomials do.
+    a SparsePolynomial and lift turns one back.  A value is (terms, den):
+    a dict key -> nonzero int and a positive int, the polynomial
+    terms / den, with den 1 over F_p.  scale multiplies by a raw
+    coefficient (an int, or over Q also a Fraction), truncate drops the
+    terms above a degree, zero and one are the constant values, and unit
+    is the key of the constant monomial.  Values compare equal exactly
+    when their polynomials do.
     """
 
     var: Callable[[int], object]
@@ -417,7 +417,6 @@ class TermAlgebra:
     lift: Callable[["SparsePolynomial"], object]
     scale: Callable[[object, object], object]
     truncate: Callable[[object, int], object]
-    numerators: Callable[[object], tuple]
     zero: object
     one: object
     unit: object
@@ -428,11 +427,11 @@ def term_algebra(
 ) -> TermAlgebra:
     """Sparse polynomial arithmetic on raw values, under hard caps.
 
-    Over F_p a value is a dict key -> nonzero int mod p.  Over Q it is a
-    pair (terms, den): a dict key -> nonzero int numerator and one
-    positive common denominator with gcd(den, *numerators) = 1, so every
-    value has one form and a Fraction is built only by wrap.  The
-    operations never mutate a value, so one value may feed many gates.
+    A value is a pair (terms, den) on every ring: a dict key -> nonzero
+    int numerator and one positive common denominator with
+    gcd(den, *numerators) = 1 (den is 1 over F_p), so every value has
+    one form and a Fraction is built only by wrap.  The operations never
+    mutate a value, so one value may feed many gates.
     Commutative keys are packed ints (see the module docstring), words
     are tuples; products add keys.  Results, their term order and the
     errors raised match SparsePolynomial.add/mul with the same caps.
@@ -506,7 +505,9 @@ def term_algebra(
     def term_cap(count: int) -> TermCapExceeded:
         return TermCapExceeded(f"{count} terms exceeds cap {max_terms}")
 
-    def merge(a: dict, b: dict, cadd) -> dict:
+    cadd, cmul = ring.add, ring.mul
+
+    def merge(a: dict, b: dict) -> dict:
         # SparsePolynomial.add: b's terms merged into a copy of a.
         if a and b:
             merged = a.copy()
@@ -525,7 +526,7 @@ def term_algebra(
             raise term_cap(len(merged))
         return merged
 
-    def product(a: dict, b: dict, cadd, cmul) -> dict:
+    def product(a: dict, b: dict) -> dict:
         # SparsePolynomial.mul row by row.  The degree of k1 + k2 is
         # degree(k1) + degree(k2), so a row holds a product past the cap
         # exactly when degree(k1) + top_degree(b) does; mul would raise
@@ -555,130 +556,78 @@ def term_algebra(
                 raise term_cap(len(acc))
         return acc
 
-    def polynomial(terms: dict) -> SparsePolynomial:
+    zero = ({}, 1)
+    one = ({unit: 1}, 1)
+    leaves = {index: ({var_key(index): 1}, 1) for index in range(1, n + 1)}
+
+    def reduced(terms: dict, den: int) -> tuple:
+        if not terms:
+            return zero
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
+        return terms, den
+
+    def const(c: Scalar) -> tuple:
+        value = ring.scalar(c).value
+        return ({unit: value.numerator}, value.denominator) if value else zero
+
+    def add(a: tuple, b: tuple) -> tuple:
+        ta, da = a
+        tb, db = b
+        if da == db or not (ta and tb):
+            den = da if ta else db
+        else:
+            den = lcm(da, db)
+            if den != da:
+                ta = {k: c * (den // da) for k, c in ta.items()}
+            if den != db:
+                tb = {k: c * (den // db) for k, c in tb.items()}
+        return reduced(merge(ta, tb), den)
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        (ta, da), (tb, db) = a, b
+        return reduced(product(ta, tb), da * db)
+
+    def wrap(value: tuple) -> SparsePolynomial:
+        terms, den = value
+        if den != 1:
+            terms = {k: Fraction(c, den) for k, c in terms.items()}
         return SparsePolynomial(
             ring, mode, n, {Monomial(mode, decode(k)): c for k, c in terms.items()}
         )
 
-    def encoded(poly: SparsePolynomial) -> dict:
-        # A polynomial of this algebra's terms: key -> Scalar value.
+    def lift(poly: SparsePolynomial) -> tuple:
         if poly.ring != ring or poly.mode != mode or poly.num_variables != n:
             raise ParamError(f"cannot lift {poly!r} into this algebra")
         top = poly.degree()
         if top > max_degree:
             raise degree_cap(top)
-        return {encode(mono): c.value for mono, c in poly.terms.items()}
+        den = lcm(*(c.value.denominator for c in poly.terms.values()))
+        return {
+            encode(mono): c.value.numerator * (den // c.value.denominator)
+            for mono, c in poly.terms.items()
+        }, den
 
-    if isinstance(ring, PrimeField):
-        p = ring.p
+    def scale(value: tuple, factor) -> tuple:
+        # factor is an int, or over Q also a Fraction.  cmul(num, 1) is
+        # num in canonical form, zero exactly when every product is.
+        num = factor.numerator
+        if not cmul(num, 1):
+            return zero
+        terms, den = value
+        return reduced({k: cmul(c, num) for k, c in terms.items()}, den * factor.denominator)
 
-        def cadd(x: int, y: int) -> int:
-            return (x + y) % p
-
-        def cmul(x: int, y: int) -> int:
-            return x * y % p
-
-        zero = {}
-        one = {unit: 1}
-        leaves = {index: {var_key(index): 1} for index in range(1, n + 1)}
-
-        def const(c: Scalar) -> dict:
-            value = ring.scalar(c).value
-            return {unit: value} if value else zero
-
-        def add(a: dict, b: dict) -> dict:
-            return merge(a, b, cadd)
-
-        def mul(a: dict, b: dict) -> dict:
-            return product(a, b, cadd, cmul)
-
-        wrap = polynomial
-        lift = encoded
-        truncate = clip
-
-        def scale(terms: dict, factor: int) -> dict:
-            factor %= p
-            if not factor:
-                return zero
-            return {k: c * factor % p for k, c in terms.items()}
-
-        def numerators(terms: dict) -> tuple:
-            return terms, 1
-
-    elif isinstance(ring, RationalField):
-        # Every numerator is the rational coefficient times the value's
-        # denominator, a positive common factor: zero tests, merge order
-        # and row counts are those of the coefficients themselves.
-        zero = ({}, 1)
-        one = ({unit: 1}, 1)
-        leaves = {index: ({var_key(index): 1}, 1) for index in range(1, n + 1)}
-
-        def reduced(terms: dict, den: int) -> tuple:
-            if not terms:
-                return zero
-            if den != 1:
-                g = gcd(den, *terms.values())
-                if g != 1:
-                    terms = {k: c // g for k, c in terms.items()}
-                    den //= g
-            return terms, den
-
-        def const(c: Scalar) -> tuple:
-            value = ring.scalar(c).value
-            return ({unit: value.numerator}, value.denominator) if value else zero
-
-        def add(a: tuple, b: tuple) -> tuple:
-            ta, da = a
-            tb, db = b
-            if da == db or not (ta and tb):
-                den = da if ta else db
-            else:
-                den = lcm(da, db)
-                if den != da:
-                    ta = {k: c * (den // da) for k, c in ta.items()}
-                if den != db:
-                    tb = {k: c * (den // db) for k, c in tb.items()}
-            return reduced(merge(ta, tb, operator.add), den)
-
-        def mul(a: tuple, b: tuple) -> tuple:
-            (ta, da), (tb, db) = a, b
-            return reduced(product(ta, tb, operator.add, operator.mul), da * db)
-
-        def wrap(value: tuple) -> SparsePolynomial:
-            terms, den = value
-            if den != 1:
-                terms = {k: Fraction(c, den) for k, c in terms.items()}
-            return polynomial(terms)
-
-        def lift(poly: SparsePolynomial) -> tuple:
-            terms = encoded(poly)
-            den = lcm(*(c.denominator for c in terms.values()))
-            return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-        def scale(value: tuple, factor) -> tuple:
-            # factor is an int or a Fraction.
-            if not factor:
-                return zero
-            terms, den = value
-            num = factor.numerator
-            return reduced({k: c * num for k, c in terms.items()}, den * factor.denominator)
-
-        def truncate(value: tuple, limit: int) -> tuple:
-            terms, den = value
-            kept = clip(terms, limit)
-            return value if len(kept) == len(terms) else reduced(kept, den)
-
-        def numerators(value: tuple) -> tuple:
-            return value
-
-    else:
-        raise ParamError(f"cannot expand over {ring!r}")
+    def truncate(value: tuple, limit: int) -> tuple:
+        terms, den = value
+        kept = clip(terms, limit)
+        return value if len(kept) == len(terms) else reduced(kept, den)
 
     def var(index: int):
         if index not in leaves:
             raise ParamError(f"variable x{index} outside 1..{n}")
         return leaves[index]
 
-    return TermAlgebra(
-        var, const, add, mul, wrap, lift, scale, truncate, numerators, zero, one, unit
-    )
+    return TermAlgebra(var, const, add, mul, wrap, lift, scale, truncate, zero, one, unit)

@@ -5,6 +5,11 @@ values are canonical integers in [0, p); rational values are
 fractions.Fraction.  Every operation is exact and nothing in this module
 (or anywhere downstream of it) touches floating point.
 
+Raw values combine here alone: Ring.add, mul, div and pow, reduced
+into [0, p) over F_p and exact over Q, serve Scalar arithmetic, the
+expansion kernel, batched evaluation and the root path's exact solve,
+so no other module asks which ring it is in or reduces by a modulus.
+
 The module also provides exact univariate interpolation on the canonical
 grid 0..k-1: the Lagrange basis polynomials come from a master polynomial
 and synthetic division in integers, O(k^2) operations and no Gaussian
@@ -13,6 +18,7 @@ elimination.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 from typing import Sequence, Union
@@ -81,6 +87,26 @@ class Ring:
     def scalar(self, value: ScalarLike) -> "Scalar":
         raise NotImplementedError
 
+    # Raw arithmetic.  Operands are raw values of any size and sign: ints,
+    # or over Q also Fractions (add and mul also take numpy arrays of
+    # them).  Results are the ring's canonical raw values.
+
+    def add(self, a, b):
+        """a + b."""
+        raise NotImplementedError
+
+    def mul(self, a, b):
+        """a * b."""
+        raise NotImplementedError
+
+    def div(self, a, b):
+        """a / b; ZeroDivisionError when b is zero in the ring."""
+        raise NotImplementedError
+
+    def pow(self, a, e: int):
+        """a ** e for an int e >= 0."""
+        raise NotImplementedError
+
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
@@ -136,11 +162,23 @@ class PrimeField(Ring):
         if isinstance(value, int):
             return Scalar(self, value % self.p)
         if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return Scalar(self, value.numerator * pow(den, self.p - 2, self.p) % self.p)
+            return Scalar(self, self.div(value.numerator, value.denominator))
         raise ParamError(f"cannot make a {self!r} scalar from {value!r}")
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def div(self, a, b):
+        try:
+            return a * pow(b, -1, self.p) % self.p
+        except ValueError:
+            raise ZeroDivisionError(f"{b} is divisible by {self.p}") from None
+
+    def pow(self, a, e: int):
+        return pow(a, e, self.p)
 
     def descriptor(self) -> str:
         return f"prime {self.p}"
@@ -177,6 +215,11 @@ class RationalField(Ring):
         if isinstance(value, (int, Fraction)):
             return Scalar(self, Fraction(value))
         raise ParamError(f"cannot make a rational scalar from {value!r}")
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(Fraction)
+    pow = staticmethod(operator.pow)
 
     def descriptor(self) -> str:
         return "rational"
@@ -235,17 +278,12 @@ class Scalar:
         return bool(self.value)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if isinstance(self.ring, PrimeField):
-            return Scalar(self.ring, (self.value + other.value) % self.ring.p)
-        return Scalar(self.ring, self.value + other.value)
+        return Scalar(self.ring, self.ring.add(self.value, self._coerce(other).value))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        if isinstance(self.ring, PrimeField):
-            return Scalar(self.ring, -self.value % self.ring.p)
-        return Scalar(self.ring, -self.value)
+        return Scalar(self.ring, self.ring.mul(self.value, -1))
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-self._coerce(other))
@@ -254,19 +292,14 @@ class Scalar:
         return self._coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if isinstance(self.ring, PrimeField):
-            return Scalar(self.ring, self.value * other.value % self.ring.p)
-        return Scalar(self.ring, self.value * other.value)
+        return Scalar(self.ring, self.ring.mul(self.value, self._coerce(other).value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        if isinstance(self.ring, PrimeField):
-            return Scalar(self.ring, pow(self.value, self.ring.p - 2, self.ring.p))
-        return Scalar(self.ring, 1 / self.value)
+        return Scalar(self.ring, self.ring.div(1, self.value))
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * self._coerce(other).inverse()
@@ -279,9 +312,7 @@ class Scalar:
             raise ParamError("scalar exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if isinstance(self.ring, PrimeField):
-            return Scalar(self.ring, pow(self.value, exponent, self.ring.p))
-        return Scalar(self.ring, self.value**exponent)
+        return Scalar(self.ring, self.ring.pow(self.value, exponent))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):

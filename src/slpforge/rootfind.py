@@ -11,15 +11,14 @@ truncated series.  root_circuit assembles a straight-line program with
 the same expansion out of at most r+1 substituted runs of P's live
 steps per evaluation point, using the Newton result only to solve for
 the scalar mixing coefficients.  The two routes share no arithmetic,
-which is what makes comparing them a meaningful test.  The series, the power products and
-the mixing solve run on the raw values of polynomials.term_algebra,
-read and built through its accessors; SparsePolynomial and Scalar
+which is what makes comparing them a meaningful test.  The series, the
+power products and the mixing solve run on the raw (terms, den) values
+of polynomials.term_algebra, and their coefficients combine by the
+ring's raw add, mul and div (rings.Ring); SparsePolynomial and Scalar
 objects are built only for the results.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .circuits import (
     ConstOperand,
@@ -165,12 +164,6 @@ def _series_algebra(rp: RootProblem) -> TermAlgebra:
     )
 
 
-def _ratio(ring, a, b):
-    """a / b as a raw coefficient (an int mod p, or a rational); b is nonzero."""
-    p = ring.characteristic
-    return a * pow(b, -1, p) % p if p else Fraction(a, b)
-
-
 def _poly_at_series(alg: TermAlgebra, coeffs, g, m: int):
     """sum_i coeffs[i] * g^i truncated to degree m, by Horner."""
     acc = alg.zero
@@ -182,11 +175,11 @@ def _poly_at_series(alg: TermAlgebra, coeffs, g, m: int):
 
 def _series_inverse(alg: TermAlgebra, ring, u, m: int):
     """Multiplicative inverse of u modulo degree m+1; u(0) must be a unit."""
-    terms, den = alg.numerators(u)
+    terms, den = u
     u0 = terms.get(alg.unit)
     if not u0:
         raise InvariantViolation("series inverse at a non-unit")
-    u0_inv = _ratio(ring, den, u0)
+    u0_inv = ring.div(den, u0)
     one = alg.one
     tail = alg.truncate(alg.add(one, alg.scale(u, -u0_inv)), m)
     acc = one
@@ -244,11 +237,11 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
 def _solve_exact(ring, matrix, rhs) -> list:
     """Exact Gauss-Jordan solve on raw coefficients; free variables are zero.
 
-    Entries are ints mod p over F_p, reduced after every operation, and
-    ints or Fractions over Q.  Raises UnsolvableSystem when inconsistent.
+    Entries are raw values combined by the ring's add, mul and div:
+    residues over F_p, ints or Fractions over Q.  Raises
+    UnsolvableSystem when inconsistent.
     """
-    p = ring.characteristic
-    reduce = (lambda v: v % p) if p else (lambda v: v)
+    add, mul = ring.add, ring.mul
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     pivots: list[tuple[int, int]] = []
@@ -262,14 +255,14 @@ def _solve_exact(ring, matrix, rhs) -> list:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = _ratio(ring, 1, rows[rank][col])
-        pivot = [reduce(v * inv) if v else 0 for v in rows[rank]]
+        inv = ring.div(1, rows[rank][col])
+        pivot = [mul(v, inv) if v else 0 for v in rows[rank]]
         rows[rank] = pivot
         for rr, row in enumerate(rows):
-            factor = row[col]
+            factor = -row[col]
             if rr == rank or not factor:
                 continue
-            rows[rr] = [reduce(a - factor * b) if b else a for a, b in zip(row, pivot)]
+            rows[rr] = [add(a, mul(factor, b)) if b else a for a, b in zip(row, pivot)]
         pivots.append((rank, col))
         rank += 1
     for rr in range(rank, len(rows)):
@@ -321,8 +314,8 @@ def _mixing_values(rp: RootProblem, alg: TermAlgebra, f) -> list:
         for poly, c0 in zip(rp.coefficients, rp.base_point)
     ]
     alphas = rp.index_set()
-    columns = [alg.numerators(g) for g in _power_products(alg, deltas, alphas, rp.m)]
-    f_terms, f_den = alg.numerators(f)
+    columns = _power_products(alg, deltas, alphas, rp.m)
+    f_terms, f_den = f
 
     keys = set(f_terms)
     for g, _ in columns:
@@ -338,7 +331,7 @@ def _mixing_values(rp: RootProblem, alg: TermAlgebra, f) -> list:
     rhs = [f_terms.get(k, 0) for k in rows]
     ring = rp.program.ring
     solution = _solve_exact(ring, matrix, rhs)
-    return [_ratio(ring, q * den, f_den) for q, (_, den) in zip(solution, columns)]
+    return [ring.div(q * den, f_den) for q, (_, den) in zip(solution, columns)]
 
 
 def root_circuit(

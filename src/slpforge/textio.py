@@ -58,6 +58,7 @@ from .circuits import (
     LayeredCircuit,
     LinearForm,
     VarLeaf,
+    validate,
 )
 from .errors import (
     CircuitSemanticError,
@@ -272,14 +273,19 @@ def _leaf_line(gid: int, g: Gate) -> str:
 
 
 def serialize_circuit(obj: Parsed) -> str:
-    """Inverse of parse_circuit; output parses back structurally identical."""
+    """Inverse of parse_circuit; output parses back structurally identical.
+
+    A circuit is validated first (free for one that carries its report),
+    so one that validate refuses raises its typed error instead of being
+    written as a file that would parse into a different circuit.
+    """
     if isinstance(obj, LayeredCircuit):
+        validate(obj)
         lines = _header_lines("circuit", obj.name, obj)
         gates, copies, one = obj.gates.explicit, obj.gates.copies, obj.gates.one
         for layer_index, layer in enumerate(obj.layers, start=1):
             # One comprehension per layer: a copy, from the copy table, or
-            # an explicit gate.  A leaf is written in layer 1 wherever it
-            # is held.
+            # an explicit gate.  Every leaf is in layer 1.
             lines += [
                 f"gate {gid} {layer_index} mul {copies[gid]} {one}" if g is None
                 else f"gate {gid} {layer_index} {g.op} {g.left} {g.right}"

@@ -10,7 +10,7 @@ from genutil import (
     reference_nw_pit,
     reference_schwartz_zippel,
 )
-from slpforge import cli
+from slpforge import cli, pit
 from slpforge.circuits import circuit_to_slp, evaluate, expand, slp_to_circuit
 from slpforge.cli import _build_parser, _formula_from_expression, main
 from slpforge.pit import HARD_FAMILIES
@@ -366,6 +366,29 @@ def test_verify_perm_accept_and_n_check(tmp_path, capsys):
     )
     assert code == 1
     assert "file has 4" in err
+
+
+def test_verify_perm_nw_honours_the_grid_budget(tmp_path, capsys, monkeypatch):
+    # pit and verify-perm read the same SLPFORGE_CAPS grid_budget, whose
+    # default is the library's.
+    poly_file = tmp_path / "perm3.poly"
+    circuit = tmp_path / "perm3.ckt"
+    run(capsys, "family", "--name", "perm", "--k", "3", "-o", str(poly_file))
+    run(capsys, "compile-sparse", "-i", str(poly_file), "-o", str(circuit))
+    pit_nw = ["pit", "--circuit", str(circuit), "--mode", "nw"]
+    verify_nw = ["verify-perm", "--circuit", str(circuit), "--n", "3", "--mode", "nw"]
+
+    def error_line(argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "RESULT" not in out
+        return err.strip().splitlines()[-1]
+
+    assert cli._caps_from_env(None).grid_budget == pit._GRID_BUDGET
+    monkeypatch.setenv("SLPFORGE_CAPS", "grid_budget=1")
+    assert error_line(pit_nw) == "error: grid 7^4 exceeds budget 1"
+    assert error_line(verify_nw) == "error: grid 3^4 exceeds budget 1"
+    monkeypatch.setenv("SLPFORGE_CAPS", "grid_budget=10")
+    assert error_line(verify_nw + ["--m", "3"]) == "error: grid 4^9 exceeds budget 10"
 
 
 def test_verify_perm_rejects_wrong_candidate(tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_rational_values_are_reduced_numerators_over_one_denominator(mode):
     alg = term_algebra(RATIONALS, mode, 3, DEFAULT_CAPS)
 
     def reduced(value):
-        terms, den = alg.numerators(value)
+        terms, den = value
         assert den > 0 and all(terms.values()) and gcd(den, *terms.values()) == 1
         return value
 

@@ -78,20 +78,64 @@ def test_prime_field_rejects_composites():
     assert PrimeField(7).characteristic == 7
 
 
+def _raw_operands(rng, ring):
+    """Raw values of any sign and size: over F_p also >= p, over Q also Fractions."""
+    p = ring.characteristic
+    if p:
+        return [rng.randrange(-3 * p, 3 * p) for _ in range(3)] + [0, p, -p, p - 1, 2 * p + 1]
+    return [rng.randrange(-10**20, 10**20) for _ in range(2)] + [
+        Fraction(rng.randrange(-999, 1000), rng.randrange(1, 1000)) for _ in range(3)
+    ] + [0, -1, Fraction(-7, 3)]
+
+
 def test_field_axioms_randomized():
-    f = PrimeField(DEFAULT_PRIME)
     rng = random.Random(20240801)
-    for _ in range(200):
-        a = f.scalar(rng.randrange(DEFAULT_PRIME))
-        b = f.scalar(rng.randrange(DEFAULT_PRIME))
-        c = f.scalar(rng.randrange(DEFAULT_PRIME))
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a * f.one() == a
-        assert a + f.zero() == a
-        if not a.is_zero:
-            assert a * a.inverse() == f.one()
+    for f in (PrimeField(101), PrimeField(2**31 - 1), PrimeField(DEFAULT_PRIME), RATIONALS):
+        p = f.characteristic
+        size = p or 10**6
+        for _ in range(200):
+            a = f.scalar(rng.randrange(-size, size))
+            b = f.scalar(rng.randrange(-size, size))
+            c = f.scalar(Fraction(rng.randrange(-size, size), rng.randrange(1, 50)))
+            assert a + b == b + a
+            assert (a + b) + c == a + (b + c)
+            assert a * (b + c) == a * b + a * c
+            assert a * f.one() == a
+            assert a + f.zero() == a
+            assert a - a == f.zero() and -(-a) == a
+            if not a.is_zero:
+                assert a * a.inverse() == f.one()
+                assert b / a * a == b
+        # The raw ops against int and Fraction arithmetic, on operands of
+        # any sign and size; results are canonical (in [0, p) over F_p).
+        for _ in range(50):
+            operands = _raw_operands(rng, f)
+            for x in operands:
+                for y in operands:
+                    total, product = f.add(x, y), f.mul(x, y)
+                    if p:
+                        assert type(total) is int and 0 <= total < p and total == (x + y) % p
+                        assert type(product) is int and 0 <= product < p
+                        assert product == (x * y) % p
+                    else:
+                        assert type(total) in (int, Fraction) and total == Fraction(x) + y
+                        assert type(product) in (int, Fraction) and product == Fraction(x) * y
+                    if (y % p if p else y) == 0:
+                        with pytest.raises(ZeroDivisionError):
+                            f.div(x, y)
+                        continue
+                    ratio = f.div(x, y)
+                    if p:
+                        assert type(ratio) is int and 0 <= ratio < p
+                        assert (ratio * y - x) % p == 0
+                    else:
+                        assert type(ratio) is Fraction and ratio == Fraction(x) / Fraction(y)
+                for e in (0, 1, 2, 7):
+                    power = f.pow(x, e)
+                    if p:
+                        assert type(power) is int and 0 <= power < p and power == x**e % p
+                    else:
+                        assert type(power) in (int, Fraction) and power == Fraction(x) ** e
 
 
 def test_rational_scalars_are_exact():

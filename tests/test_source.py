@@ -103,6 +103,57 @@ def test_the_expansion_kernel_meets_fractions_only_at_its_boundaries():
     assert found <= {("term_algebra", name) for name in ("wrap", "const", "lift", "scale")}
 
 
+def _nodes_in_functions():
+    """(file name, innermost enclosing function name or None, node) for the library."""
+    def visit(node, function):
+        yield node, function
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node, function in visit(ast.parse(path.read_text(), str(path)), None):
+            yield path.name, function, node
+
+
+def _reduces_by_a_modulus(node: ast.AST) -> bool:
+    """x % p, x % ring.characteristic, x %= p, any .p, or pow(x, e, p)."""
+    if isinstance(node, ast.Attribute) and node.attr == "p":
+        return True
+    if isinstance(node, ast.Call):
+        return _callee(node) == "pow" and len(node.args) == 3
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        modulus = node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+        modulus = node.value
+    else:
+        return False
+    return _names(modulus, "p") or _names(modulus, "characteristic")
+
+
+def test_only_the_rings_combine_raw_values():
+    # The rings' add, mul, div and pow are the one code that knows how
+    # raw values combine.  No other module reduces by a modulus, and no
+    # code tests which ring it is in: a ring's __eq__ tests what it
+    # equals, and circuits.batch_dtype reads the characteristic.
+    ring_classes = ("PrimeField", "RationalField")
+    reductions, ring_tests = [], []
+    for name, function, node in _nodes_in_functions():
+        where = f"{name}:{getattr(node, 'lineno', 0)}"
+        if name != "rings.py" and _reduces_by_a_modulus(node):
+            reductions.append(where)
+        if (
+            isinstance(node, ast.Call)
+            and _callee(node) == "isinstance"
+            and any(_names(n, c) for n in ast.walk(node.args[-1]) for c in ring_classes)
+            and not (name == "rings.py" and function == "__eq__")
+        ):
+            ring_tests.append(where)
+    assert reductions == []
+    assert ring_tests == []
+
+
 def test_no_module_keeps_a_second_copy_rule():
     # Copies u*1 are read off the copy table, never recognised again.
     found = [

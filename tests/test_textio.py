@@ -506,10 +506,8 @@ def serialized_draws(monkeypatch):
     """Circuits whose serialized bytes are pinned.
 
     random_layered_circuit and random_slp draws over three rings, with
-    negative constants, each layered draw also staggered; perfbench's
-    stagger_wide shapes at widths 8-128, also staggered; and a circuit
-    with leaves and gates outside their layers, which is written as it
-    is held.
+    negative constants, each layered draw also staggered; and perfbench's
+    stagger_wide shapes at widths 8-128, also staggered.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     gen = importlib.import_module("perfbench.gen")
@@ -534,21 +532,39 @@ def serialized_draws(monkeypatch):
         c = gen.layered_circuit(rng, ring, mode, [width, width, width // 8], name=f"w{width}")
         yield c
         yield slp_to_circuit(staggerize(c))
-    one = RATIONALS.one()
-    gates = {
-        1: VarLeaf(1), 2: ConstLeaf(one), 3: BinGate("add", 1, 1), 4: VarLeaf(2),
-        5: BinGate("mul", 3, 2), 6: ConstLeaf(-one), 7: BinGate("mul", 2, 4),
-    }
-    layers = [[1, 2, 3], [4, 5], [6, 7]]
-    yield LayeredCircuit("misplaced", RATIONALS, COMMUTATIVE, 2, layers, gates, 7)
 
 
 # sha256 over the serialized texts of serialized_draws, as serialize_circuit
 # wrote them one gate at a time.
-SERIALIZED_BEFORE = "ad92d3840f0969f482fa9398c35b60c7952a6ceb49122100b73f6bd1d8f673bd"
+SERIALIZED_BEFORE = "073d740ea404bf816ade7d6f854e3ba2be35c197e476160f18e2d3bb0801fba1"
 
 
 def test_serialized_bytes_are_pinned(monkeypatch):
     texts = [serialize_circuit(c) for c in serialized_draws(monkeypatch)]
-    assert len(texts) == 371
+    assert len(texts) == 370
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == SERIALIZED_BEFORE
+
+
+def test_serialize_refuses_a_circuit_validate_refuses():
+    # Leaves outside layer 1 would be written into layer 1, and the text
+    # would parse into a circuit that validates: refused before writing.
+    one = RATIONALS.one()
+    misplaced = [
+        (
+            {1: VarLeaf(1), 2: VarLeaf(2), 3: ConstLeaf(one), 4: BinGate("mul", 2, 3)},
+            [[1], [2, 3], [4]],
+            4,
+        ),
+        (
+            {
+                1: VarLeaf(1), 2: ConstLeaf(one), 3: BinGate("add", 1, 1), 4: VarLeaf(2),
+                5: BinGate("mul", 3, 2), 6: ConstLeaf(-one), 7: BinGate("mul", 2, 4),
+            },
+            [[1, 2, 3], [4, 5], [6, 7]],
+            7,
+        ),
+    ]
+    for gates, layers, output in misplaced:
+        c = LayeredCircuit("misplaced", RATIONALS, COMMUTATIVE, 2, layers, gates, output)
+        with pytest.raises(BadOperandLayer):
+            serialize_circuit(c)
