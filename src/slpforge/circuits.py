@@ -595,7 +595,13 @@ def live_steps(prog: StraightLineProgram) -> tuple[Step, ...]:
 
 
 class SlpBuilder:
-    """Incremental SLP construction with operand helpers."""
+    """Incremental SLP construction with operand helpers.
+
+    Steps and operands are immutable, so extend() appends existing step
+    objects as they are (a re-run body's unchanged steps), and reg()
+    hands out one RegOperand per register.  finish() checks every step,
+    appended or built, as StraightLineProgram does.
+    """
 
     def __init__(
         self,
@@ -611,9 +617,13 @@ class SlpBuilder:
         self.register_count = register_count
         self.name = name
         self._steps: list[Step] = []
+        self._regs: dict[int, RegOperand] = {}
 
     def reg(self, index: int) -> RegOperand:
-        return RegOperand(index)
+        op = self._regs.get(index)
+        if op is None:
+            op = self._regs[index] = RegOperand(index)
+        return op
 
     def var(self, index: int) -> VarOperand:
         return VarOperand(index)
@@ -626,6 +636,9 @@ class SlpBuilder:
 
     def apply(self, dest: int, op: str, left: Operand, right: Operand) -> None:
         self._steps.append(ApplyStep(dest, op, left, right))
+
+    def extend(self, steps: Sequence[Step]) -> None:
+        self._steps.extend(steps)
 
     def finish(self, output_register: int) -> StraightLineProgram:
         """The program; without a register count, one past the highest register named.
@@ -775,11 +788,13 @@ def fold(
     is the multiplicative identity and none of which mutates an operand.
     An SLP runs its live_steps() alone: a step the output does not read
     is never computed, so it can neither fail (a cap) nor cost anything.
-    Unwritten SLP registers read as const(0).  An ABP vertex is the sum
-    over its incoming edges of mul(parent, label), in edge order, and the
-    source is const(1); a vertex no path reaches has no value, so an
-    unreachable sink yields const(0).  Each distinct edge label
-    c0 + c1*x_i1 + ... is built once per call, left to right.
+    Unwritten SLP registers read as const(0).  const is called once per
+    ConstOperand object per call, and its value shared by every read:
+    exact in every algebra here, whose const is pure.  An ABP vertex is
+    the sum over its incoming edges of mul(parent, label), in edge
+    order, and the source is const(1); a vertex no path reaches has no
+    value, so an unreachable sink yields const(0).  Each distinct edge
+    label c0 + c1*x_i1 + ... is built once per call, left to right.
     """
     if isinstance(obj, LayeredCircuit):
         gates, copy_source = obj.gates.explicit, obj.gates.copies.get
@@ -802,13 +817,19 @@ def fold(
 
     if isinstance(obj, StraightLineProgram):
         regs = [const(obj.ring.zero())] * obj.register_count
+        # Operand objects outlive the walk (the steps hold them), so id()
+        # keys each ConstOperand, whose value is built once.
+        consts: dict[int, T] = {}
 
         def operand(op: Operand) -> T:
             if isinstance(op, RegOperand):
                 return regs[op.register]
             if isinstance(op, VarOperand):
                 return var(op.index)
-            return const(op.value)
+            key = id(op)
+            if key not in consts:
+                consts[key] = const(op.value)
+            return consts[key]
 
         for step in live_steps(obj):
             if isinstance(step, LoadStep):

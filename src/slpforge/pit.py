@@ -479,21 +479,25 @@ def verify_permanent_circuit(
 
     The randomized backend derives an independent seed per identity; the
     grid backend is deterministic and ignores the seed.  It runs
-    nw_pit's test with desk-rule at m, under nw_pit's grid_budget
-    (GridTooLarge past it), and builds the hard-family table once per
-    sample size: the identities share ring and m, and a given
-    sample_size all of them.
+    nw_pit's test with desk-rule at m, under nw_pit's grid_budget, and
+    builds the hard-family table once per sample size: the identities
+    share ring and m, and a given sample_size all of them.  Every
+    identity's grid is sized before any runs, so a grid past the budget
+    raises GridTooLarge at once, even where an earlier identity would
+    have rejected.
     """
     if backend not in ("schwartz_zippel", "nw_pit"):
         raise ParamError(f"unknown backend {backend!r}")
     instance = perm_check_instance(c)
+    if backend == "nw_pit":
+        shapes = [_grid_shape(p, m, sample_size, grid_budget) for p in instance.programs]
     desk, ring = HARD_FAMILIES["desk-rule"], c.ring
     tables: dict[int, tuple[list[Scalar], np.ndarray]] = {}
     for k, program in enumerate(instance.programs, start=1):
         if backend == "schwartz_zippel":
             verdict = schwartz_zippel(program, trials=trials, seed=seed + k)
         else:
-            design, size = _grid_shape(program, m, sample_size, grid_budget)
+            design, size = shapes[k - 1]
             if size not in tables:
                 points = ring.sample_points(size)
                 tables[size] = points, _family_table(

@@ -37,6 +37,9 @@ A lifted polynomial's degree is checked against max_degree too, since
 a key of higher degree could carry when added.
 Terms are merged in the same order, so the result, its term order and
 the error raised on any input are those of the SparsePolynomial fold.
+A product by a constant scales the other side's terms in order where
+the caps cannot trip (max_degree >= 1, at most max_terms terms), which
+is the same result.
 One set of operations serves both rings, combining numerators with the
 ring's raw add and mul.  A product multiplies numerators, takes
 da * db as the denominator and reduces by one gcd over the result.
@@ -587,8 +590,22 @@ def term_algebra(
                 tb = {k: c * (den // db) for k, c in tb.items()}
         return reduced(merge(ta, tb), den)
 
+    # A product by a constant (one term, at unit) is the other side's
+    # terms scaled in order, nonzero in a field: product's result when
+    # product raises nothing.  With max_degree >= 1 every stored key is
+    # within the degree cap, so only a side of more than max_terms terms
+    # raises; that and max_degree 0 (a leaf times a constant) go to product.
+    scales = max_degree >= 1
+
     def mul(a: tuple, b: tuple) -> tuple:
         (ta, da), (tb, db) = a, b
+        if scales:
+            if len(tb) == 1 and unit in tb and len(ta) <= max_terms:
+                c = tb[unit]
+                return reduced({k: cmul(c1, c) for k, c1 in ta.items()}, da * db)
+            if len(ta) == 1 and unit in ta and len(tb) <= max_terms:
+                c = ta[unit]
+                return reduced({k: cmul(c, c2) for k, c2 in tb.items()}, da * db)
         return reduced(product(ta, tb), da * db)
 
     def wrap(value: tuple) -> SparsePolynomial:

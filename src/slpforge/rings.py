@@ -13,13 +13,14 @@ so no other module asks which ring it is in or reduces by a modulus.
 The module also provides exact univariate interpolation on the canonical
 grid 0..k-1: the Lagrange basis polynomials come from a master polynomial
 and synthetic division in integers, O(k^2) operations and no Gaussian
-elimination.
+elimination, once per (ring, k) and process.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Sequence, Union
 
@@ -340,22 +341,39 @@ def poly_eval(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     return acc
 
 
-def lagrange_grid(ring: Ring, count: int) -> tuple[list[Scalar], list[list[Scalar]]]:
+def lagrange_grid(
+    ring: Ring, count: int
+) -> tuple[tuple[Scalar, ...], tuple[tuple[Scalar, ...], ...]]:
     """The grid ring.sample_points(count) and its Lagrange matrix A, with
     A[i][j] the coefficient of z**i in the j-th Lagrange basis polynomial.
 
-    The master polynomial z(z-1)...(z-count+1) and its synthetic division
-    by each z - j run on exact ints; column j is the quotient times one
-    inverse of D_j = prod_{i != j} (j - i) = (-1)^(count-1-j) j! (count-1-j)!.
-    Every factor of D_j is below count in absolute value, so it is a unit
-    whenever the grid fits in the ring (FieldTooSmall otherwise).
+    The points and the rows are tuples of Scalars, built on each call
+    from the raw matrix, which is built once per (ring, count) and
+    process (_lagrange_raw).  So the Scalar work of a call does not
+    depend on what ran before it in the process.
     """
     if count < 1:
         raise ParamError("need at least one interpolation point")
-    points = ring.sample_points(count)
+    points = tuple(ring.sample_points(count))
+    rows = tuple(tuple(Scalar(ring, v) for v in row) for row in _lagrange_raw(ring, count))
+    return points, rows
+
+
+@lru_cache(maxsize=64)
+def _lagrange_raw(ring: Ring, count: int) -> tuple[tuple, ...]:
+    """lagrange_grid's matrix as raw values, memoized per (ring, count).
+
+    The master polynomial z(z-1)...(z-count+1) and its synthetic division
+    by each z - j run on exact ints; column j is the quotient times one
+    inverse of D_j = prod_{i != j} (j - i) = (-1)^(count-1-j) j! (count-1-j)!,
+    taken by the ring's raw div and mul.  Every factor of D_j is below
+    count in absolute value, so it is a unit whenever the grid fits in
+    the ring, as lagrange_grid checks first (FieldTooSmall otherwise).
+    """
     master = [1]  # low-order first; times (z - x) per grid point x
     for x in range(count):
         master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    mul = ring.mul
     columns = []
     for j in range(count):
         quotient = [0] * count
@@ -364,6 +382,6 @@ def lagrange_grid(ring: Ring, count: int) -> tuple[list[Scalar], list[list[Scala
             quotient[i] = carry
             carry = master[i] + carry * j
         sign = -1 if (count - 1 - j) % 2 else 1
-        inv = ring.scalar(Fraction(sign, factorial(j) * factorial(count - 1 - j)))
-        columns.append([ring.scalar(q) * inv for q in quotient])
-    return points, [list(row) for row in zip(*columns)]
+        inv = ring.div(sign, factorial(j) * factorial(count - 1 - j))
+        columns.append([mul(q, inv) for q in quotient])
+    return tuple(zip(*columns))

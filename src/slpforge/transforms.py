@@ -16,7 +16,10 @@ output reads) once per evaluation point with its variable reads
 rewritten (scaled by a constant, or substituted), then combine the
 per-point outputs with interpolation weights in an accumulator.
 Registers those steps read before writing are cleared between runs,
-since the re-emitted copies share one register file.
+since the re-emitted copies share one register file.  A run appends
+the input's own step objects wherever it leaves the variable reads
+alone, and stages a scaled variable in one step, r = x_i * z, so a
+body step costs a run at most three steps.
 """
 
 from __future__ import annotations
@@ -116,6 +119,12 @@ def _stale_read_registers(steps: Sequence[Step]) -> tuple[int, ...]:
     return tuple(sorted(stale))
 
 
+def _reads_variable(step: Step) -> bool:
+    if isinstance(step, LoadStep):
+        return isinstance(step.source, VarOperand)
+    return isinstance(step.left, VarOperand) or isinstance(step.right, VarOperand)
+
+
 class _BodyEmitter:
     """Re-emits one program's live steps into a wider builder, once per point.
 
@@ -128,8 +137,14 @@ class _BodyEmitter:
     derivative and root assembly, and the permanent's restrictions) or
     another variable (the permanent's minors).  Variable reads that stay
     variables can also be scaled by a constant (for the homogeneous
-    transforms and root assembly); scaling a variable inside an apply
-    step stages the scaled value through ``stage_register``.
+    transforms and root assembly).  A scaled load is one step,
+    dest = x_i * z; a scaled operand of an apply step is staged in one
+    step, r = x_i * z, in ``stage_register``.
+
+    Steps are immutable, so a run appends the body's own step object for
+    every step whose variable reads it leaves as they are (every step
+    that reads no variable), and the clears of the stale registers are
+    built once; only a step with a rewritten read is built anew.
     """
 
     def __init__(
@@ -140,9 +155,12 @@ class _BodyEmitter:
     ):
         self.sb = sb
         self.program = program
-        self.steps = live_steps(program)
+        steps = live_steps(program)
+        self.body = tuple((step, _reads_variable(step)) for step in steps)
         self.stage = stage_register  # only runs that scale use it
-        self.stale = _stale_read_registers(self.steps)
+        zero = ConstOperand(program.ring.zero())
+        self.clears = tuple(LoadStep(r, zero) for r in _stale_read_registers(steps))
+        self.one = program.ring.one()
         self.ran_before = False
 
     def run(
@@ -152,46 +170,54 @@ class _BodyEmitter:
     ) -> int:
         """Emit one run; returns the register holding the program's output."""
         sb = self.sb
-        ring = self.program.ring
-        one = ring.one()
         if self.ran_before:
-            zero = ConstOperand(ring.zero())
-            for r in self.stale:
-                sb.load(r, zero)
+            sb.extend(self.clears)
         self.ran_before = True
 
         leaves = leaves or {}
-        scaled = scale is not None and scale != one
+        factor = None
+        if scale is not None and scale != self.one:
+            factor = ConstOperand(scale)
 
-        def rewrite(op):
-            # The operand read in op's place, and whether it needs a scale stage.
+        def read(op):
+            # The operand read in op's place.
             if isinstance(op, VarOperand):
-                op = leaves.get(op.index, op)
-                return op, scaled and isinstance(op, VarOperand)
-            return op, False
+                return leaves.get(op.index, op)
+            return op
 
-        def stage_into(register: int, var_op: VarOperand) -> RegOperand:
-            sb.load(register, var_op)
-            sb.apply(register, "mul", sb.reg(register), ConstOperand(scale))
+        def staged(register: int, var_op: VarOperand) -> RegOperand:
+            emitted.append(ApplyStep(register, "mul", var_op, factor))
             return sb.reg(register)
 
-        for step in self.steps:
-            if isinstance(step, LoadStep):
-                src, needs_scale = rewrite(step.source)
-                sb.load(step.dest, src)
-                if needs_scale:
-                    sb.apply(step.dest, "mul", sb.reg(step.dest), ConstOperand(scale))
-                continue
-            left, scale_left = rewrite(step.left)
-            right, scale_right = rewrite(step.right)
-            # A scaled variable operand is staged in the stage register, or
-            # in dest when the left one took it: a step whose operands are
-            # both variables does not read dest's old value.
-            if scale_left:
-                left = stage_into(self.stage, left)
-            if scale_right:
-                right = stage_into(step.dest if scale_left else self.stage, right)
-            sb.apply(step.dest, step.op, left, right)
+        emitted: list[Step] = []
+        for step, reads_variable in self.body:
+            if not reads_variable:
+                emitted.append(step)
+            elif isinstance(step, LoadStep):
+                source = read(step.source)
+                if factor is not None and isinstance(source, VarOperand):
+                    emitted.append(ApplyStep(step.dest, "mul", source, factor))
+                elif source is step.source:
+                    emitted.append(step)
+                else:
+                    emitted.append(LoadStep(step.dest, source))
+            else:
+                left, right = read(step.left), read(step.right)
+                if factor is not None:
+                    # A scaled operand is staged in the stage register, or
+                    # in dest when the left one took it: a step whose
+                    # operands are both variables does not read dest's
+                    # old value.
+                    scale_left = isinstance(left, VarOperand)
+                    if scale_left:
+                        left = staged(self.stage, left)
+                    if isinstance(right, VarOperand):
+                        right = staged(step.dest if scale_left else self.stage, right)
+                if left is step.left and right is step.right:
+                    emitted.append(step)
+                else:
+                    emitted.append(ApplyStep(step.dest, step.op, left, right))
+        sb.extend(emitted)
         return self.program.output_register
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from genutil import (
+    formal_derivative,
+    homogeneous_part,
     planted_root_program,
     program_digest,
     random_layered_circuit,
@@ -17,7 +19,12 @@ from genutil import (
     without_dead_steps,
 )
 from slpforge.circuits import (
+    ApplyStep,
+    ConstOperand,
+    LoadStep,
+    RegOperand,
     SlpBuilder,
+    VarOperand,
     evaluate,
     evaluate_batch,
     expand,
@@ -39,6 +46,7 @@ from slpforge.polynomials import (
 from slpforge.rings import RATIONALS, PrimeField
 from slpforge.rootfind import RootProblem, newton_series_root, root_circuit
 from slpforge.transforms import (
+    _BodyEmitter,
     homogeneous_components,
     homogeneous_prefix,
     partial_derivative_y,
@@ -224,9 +232,12 @@ def _no_dead_step_emissions():
 # transforms re-emitted live steps only.  On inputs with no dead step
 # the emission must not move by a byte.  root_circuit's digest is that of
 # its slice grid sized from the mixing terms, a declared output change.
+# The homogeneous transforms' digests are those of one-step staging
+# (r = x_i * z for load r <- x_i; r = r * z), a declared output change:
+# 676 -> 545 and 248 -> 203 steps.
 EMITTED_BEFORE = {
-    "homogeneous_components": "1576c852817f49f30edb60a145ce03265766c3eccd32d3ee97f8411b168ea5f7",
-    "homogeneous_prefix": "ec134dc2a6f0f62a823eac141e2e0c67033a7c2a2136d3303aa2bee69cf6e345",
+    "homogeneous_components": "b321e3056a9922408a0606853e2544838b11095c0929cccf117deecbf712bbef",
+    "homogeneous_prefix": "5e301a6c1aacc5e94f59f60dd9a162344c23b0d4e7c8a0a5710a72d6b1b6748c",
     "partial_derivative_y": "db7104086456baa8feadf1661a9151d3ab67c9fe92b6a2e9b52c24b18b933d8b",
     "root_circuit": "b7c0f92fee066db7841e8b7e08c82cec78ff15f63f5e8e193c35ed1b0543460f",
     "perm_check_instance": "ab67c119003e6462ddfd3e43d5bb6966d80b63b2df675cae8d0643260325cf39",
@@ -241,3 +252,114 @@ def test_emission_without_dead_steps_is_unchanged():
     for programs in emitted.values():
         for program in programs:
             assert live_steps(program) == program.steps
+
+
+def _reads(step):
+    """The variable indices a step reads."""
+    ops = (step.source,) if isinstance(step, LoadStep) else (step.left, step.right)
+    return {op.index for op in ops if isinstance(op, VarOperand)}
+
+
+def _emitted_runs(emitter, runs):
+    """The steps of each run, emitted one after another."""
+    steps = emitter.sb._steps
+    out = []
+    for kwargs in runs:
+        start = len(steps)
+        emitter.run(**kwargs)
+        out.append(steps[start:])
+    return out
+
+
+def test_re_runs_append_the_body_steps_they_leave_alone():
+    # Steps are immutable: a run appends the body's own object for every
+    # step whose variable reads it leaves as they are, and the same clear
+    # steps on every run after the first; only a step with a rewritten
+    # read is new, and a body step costs at most 3 (two stages, itself).
+    runs = 0
+    for c in draws(227, 80):  # over x1..x3
+        n, body = c.num_variables, live_steps(c)
+        if not body:
+            continue
+        w = c.register_count
+        sb = SlpBuilder(c.ring, c.mode, n, register_count=w + 1)
+        emitter = _BodyEmitter(sb, c, w)
+        three = c.ring.scalar(3)
+        kinds = [
+            ({}, set(), False),
+            ({"scale": c.ring.one()}, set(), False),
+            ({"scale": three}, set(range(1, n + 1)), True),
+            ({"leaves": {1: ConstOperand(three)}}, {1}, False),
+            ({"leaves": {1: VarOperand(2)}}, {1}, False),
+            ({"scale": three, "leaves": {n: ConstOperand(three)}}, set(range(1, n + 1)), True),
+        ]
+        emitted = _emitted_runs(emitter, [kwargs for kwargs, _, _ in kinds])
+        for index, (run, (_, rewritten, scaled)) in enumerate(zip(emitted, kinds)):
+            if index:
+                clears = run[: len(emitter.clears)]
+                assert all(a is b for a, b in zip(clears, emitter.clears))
+                run = run[len(emitter.clears) :]
+            kept = [step for step in body if not _reads(step) & rewritten]
+            reused = [step for step in run if any(step is b for b in body)]
+            assert len(reused) == len(kept) and all(a is b for a, b in zip(reused, kept))
+            assert len(run) <= 3 * len(body)
+            if not scaled:
+                assert len(run) == len(body)
+            runs += 1
+    assert runs > 300
+
+
+def test_a_scaled_variable_read_is_one_step():
+    # load r <- x_i scaled by z is r = x_i * z, and a scaled operand of
+    # an apply step is staged by one step reading the variable and z.
+    sb = SlpBuilder(RATIONALS, COMMUTATIVE, 2, register_count=2, name="body")
+    sb.load(0, sb.var(1))
+    sb.apply(0, "mul", sb.reg(0), sb.var(2))
+    sb.apply(1, "add", sb.var(1), sb.var(2))
+    sb.apply(0, "add", sb.reg(0), sb.reg(1))
+    body = sb.finish(0)
+    out = SlpBuilder(RATIONALS, COMMUTATIVE, 2, register_count=3)
+    z = ConstOperand(RATIONALS.scalar(5))
+    assert _BodyEmitter(out, body, 2).run(scale=z.value) == 0
+    x1, x2 = VarOperand(1), VarOperand(2)
+    r0, r1, stage = RegOperand(0), RegOperand(1), RegOperand(2)
+    assert out._steps == [
+        ApplyStep(0, "mul", x1, z),
+        ApplyStep(2, "mul", x2, z),
+        ApplyStep(0, "mul", r0, stage),
+        ApplyStep(2, "mul", x1, z),
+        ApplyStep(1, "mul", x2, z),
+        ApplyStep(1, "add", stage, r1),
+        ApplyStep(0, "add", r0, r1),
+    ]
+    assert out._steps[-1] is body.steps[-1]
+    x = [SparsePolynomial.variable(RATIONALS, COMMUTATIVE, 2, i) for i in (1, 2)]
+    scaled = [v.scale(5) for v in x]
+    assert expand(out.finish(0)) == scaled[0].mul(scaled[1]).add(scaled[0].add(scaled[1]))
+
+
+def test_transform_outputs_expand_to_the_reference():
+    # Every homogeneous slice, prefix, derivative and root program
+    # expands to the reference polynomial on the genutil draws.
+    checked = 0
+    for c in draws(229, 80):
+        if c.mode != COMMUTATIVE or not c.num_variables:
+            continue
+        whole, d, y = expand(c), syntactic_degree(c), c.num_variables
+        parts = [homogeneous_part(whole, i) for i in range(d + 1)]
+        assert [expand(h) for h in homogeneous_components(c, d)] == parts
+        prefix = SparsePolynomial.zero(c.ring, COMMUTATIVE, y)
+        for part in parts[: d // 2 + 1]:
+            prefix = prefix.add(part)
+        assert expand(homogeneous_prefix(c, d, d // 2)) == prefix
+        for j in range(min(d, 2) + 1):
+            assert expand(partial_derivative_y(c, j, d)) == formal_derivative(whole, y, j)
+        checked += 1
+    assert checked > 20
+    rng = random.Random(233)
+    for ring in (F, RATIONALS):
+        for n, r, m in ((1, 1, 2), (2, 2, 2), (3, 3, 1)):
+            program, planted, y0 = planted_root_program(rng, ring, n, r)
+            assert expand(root_circuit(RootProblem(program, r=r, m=m, y0=y0))) == (
+                planted[0].truncate(m)
+            )

@@ -562,6 +562,35 @@ def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
     assert not all(verify_permanent_circuit(c, "nw_pit").accepted for c in candidates)
 
 
+def test_grid_perm_check_sizes_every_grid_before_running_one(monkeypatch):
+    # Every identity's grid is checked against the budget first: with a
+    # budget between the smallest and the largest grid, the check raises
+    # GridTooLarge and runs no grid, even for a candidate that an
+    # identity whose grid fits would reject (declared: it used to reject).
+    ring = PrimeField((1 << 31) - 1)
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
+    rng = random.Random(19)
+    candidates = [good] + [corrupt_circuit(rng, good) for _ in range(4)]
+    rejected = [c for c in candidates if not verify_permanent_circuit(c, "nw_pit").accepted]
+    assert rejected
+    ran = []
+
+    def grid_test(*args):
+        ran.append(args)
+        return pit.Verdict("zero")
+
+    monkeypatch.setattr(pit, "_grid_test", grid_test)
+    for c in rejected:
+        grids = []
+        for program in pit.perm_check_instance(c).programs:
+            design, size = pit._grid_shape(program, 2, None, 10**12)
+            grids.append(size**design.universe_size)
+        assert min(grids) < max(grids)
+        with pytest.raises(GridTooLarge):
+            verify_permanent_circuit(c, "nw_pit", grid_budget=min(grids))
+        assert ran == []
+
+
 @pytest.mark.parametrize(
     "ring", [PrimeField((1 << 31) - 1), PrimeField(DEFAULT_PRIME), RATIONALS], ids=str
 )

@@ -244,3 +244,58 @@ def test_rational_values_are_reduced_numerators_over_one_denominator(mode):
         reduced(alg.truncate(value, 2))
         reduced(alg.scale(value, Fraction(6, 5)))
         assert alg.scale(value, Fraction(1, 3)) == alg.lift(alg.wrap(value).scale(Fraction(1, 3)))
+
+
+def _outcome(product):
+    """A product's polynomial and term order, or the cap error it raised."""
+    try:
+        poly = product()
+    except (DegreeCapExceeded, TermCapExceeded) as exc:
+        return type(exc), str(exc)
+    return poly, list(poly.terms)
+
+
+@pytest.mark.parametrize("mode", [COMMUTATIVE, NONCOMMUTATIVE])
+@pytest.mark.parametrize(
+    "ring", [RATIONALS, F, PrimeField((1 << 61) - 1)], ids=["Q", "F101", "F2^61-1"]
+)
+def test_term_algebra_products_by_a_constant_are_the_polynomial_products(ring, mode):
+    # The kernel scales the other side's terms when one side is a
+    # constant.  Values, term order and errors are SparsePolynomial.mul's
+    # on either side, also at max_degree 0 and max_terms 0, where a leaf
+    # times a constant raises, and past the term cap.
+    rng = random.Random(47)
+    n = 3
+    polys = []
+    for _ in range(12):
+        p = SparsePolynomial.zero(ring, mode, n)
+        for _ in range(rng.randrange(1, 7)):
+            term = SparsePolynomial.constant(ring, mode, n, Fraction(rng.randrange(-9, 10), 4))
+            for _ in range(rng.randrange(0, 4)):
+                term = term.mul(x(rng.randrange(1, n + 1), mode, n=n, ring=ring))
+            p = p.add(term)
+        polys.append(p)
+    polys += [x(i, mode, n=n, ring=ring) for i in range(1, n + 1)]
+    values = [ring.scalar(v) for v in (1, -1, 3, Fraction(-5, 6), 0)]
+    constants = [SparsePolynomial.constant(ring, mode, n, v) for v in values]
+    for caps in (
+        DEFAULT_CAPS,
+        ExpansionCaps(max_degree=3, max_terms=3),
+        ExpansionCaps(max_degree=1, max_terms=1),
+        ExpansionCaps(max_degree=0),
+        ExpansionCaps(max_terms=0),
+        ExpansionCaps(max_degree=0, max_terms=0),
+    ):
+        alg = term_algebra(ring, mode, n, caps)
+        operands = [p for p in polys if p.degree() <= caps.max_degree]
+        leaves = [(p, alg.var(i)) for i, p in enumerate(polys[-n:], start=1)]
+        pairs = [(p, alg.lift(p)) for p in operands] + leaves
+        for c in constants:
+            raw_c = alg.lift(c)
+            for p, raw in pairs:
+                assert _outcome(lambda: alg.wrap(alg.mul(raw, raw_c))) == _outcome(
+                    lambda: p.mul(c, caps)
+                )
+                assert _outcome(lambda: alg.wrap(alg.mul(raw_c, raw))) == _outcome(
+                    lambda: c.mul(p, caps)
+                )

@@ -14,6 +14,7 @@ from slpforge.rings import (
     RATIONALS,
     Scalar,
     is_probable_prime,
+    _lagrange_raw,
     lagrange_grid,
     poly_eval,
     ring_from_descriptor,
@@ -259,6 +260,21 @@ def test_lagrange_grid_over_a_field_just_large_enough():
         assert [_exact(row) for row in matrix] == [
             _exact(row) for row in reference_lagrange_matrix(f, points)
         ]
+
+
+def test_lagrange_grid_builds_each_raw_table_once():
+    # The raw matrix is memoized per (ring, count), equal rings sharing
+    # it; every call returns tuples of fresh Scalars over it.
+    _lagrange_raw.cache_clear()
+    first = lagrange_grid(PrimeField(103), 9)
+    again = lagrange_grid(PrimeField(103), 9)
+    assert _lagrange_raw.cache_info().misses == 1 and _lagrange_raw.cache_info().hits == 1
+    assert again == first and again[1][0][0] is not first[1][0][0]
+    points, matrix = again
+    assert type(points) is tuple and all(type(row) is tuple for row in matrix)
+    assert type(matrix) is tuple and len(matrix) == 9
+    lagrange_grid(RATIONALS, 9)
+    assert _lagrange_raw.cache_info().misses == 2
 
 
 def test_lagrange_grid_rejects_bad_counts():

@@ -18,6 +18,7 @@ from genutil import (
     sympy_program,
     sympy_rational,
 )
+from slpforge import rootfind
 from slpforge.circuits import SlpBuilder, expand, syntactic_degree
 from slpforge.errors import (
     CapExceeded,
@@ -266,6 +267,43 @@ def test_root_circuit_budget_trips():
     rp = RootProblem(_program_y2_minus_1_plus_x1(BIG), r=2, m=2, y0=1)
     with pytest.raises(SizeBudgetExceeded):
         root_circuit(rp, size_budget=3)
+
+
+def test_a_problem_computes_its_newton_series_once(monkeypatch):
+    # root_circuit and newton_series_root read the series stored on the
+    # problem; a new problem computes its own.
+    calls = []
+    newton_terms = rootfind._newton_terms
+
+    def counting(rp, alg):
+        calls.append(rp)
+        return newton_terms(rp, alg)
+
+    monkeypatch.setattr(rootfind, "_newton_terms", counting)
+    program, planted, y0 = planted_root_program(random.Random(37), RATIONALS, 2, 2)
+    rp = RootProblem(program, r=2, m=3, y0=y0)
+    want = planted[0].truncate(3)
+    assert expand(root_circuit(rp)) == want
+    assert newton_series_root(rp) == newton_series_root(rp) == want
+    assert expand(root_circuit(rp)) == want
+    assert calls == [rp]
+    other = RootProblem(program, r=2, m=3, y0=y0)
+    assert newton_series_root(other) == want and calls == [rp, other]
+
+
+def test_every_small_planted_root_fits_the_default_budget():
+    # The default budget counts at most 3 steps per body step and run
+    # (stage left, stage right, the step): every planted root with
+    # n, r, m <= 3 fits it, over Q and F_101, and a budget of 1 trips.
+    rng = random.Random(31)
+    for ring in (RATIONALS, PrimeField(101)):
+        for n, r in itertools.product((1, 2, 3), repeat=2):
+            program, planted, y0 = planted_root_program(rng, ring, n, r)
+            for m in range(4):
+                rp = RootProblem(program, r=r, m=m, y0=y0)
+                assert expand(root_circuit(rp)) == planted[0].truncate(m), (ring, n, r, m)
+                with pytest.raises(SizeBudgetExceeded):
+                    root_circuit(rp, size_budget=1)
 
 
 def test_root_circuit_budget_is_exact_at_the_step_count():

@@ -34,3 +34,17 @@ def test_one_identity_grid_round_splits_into_its_calls(capsys):
     assert round_shares.main(["--workload", "identity_grid", "--rounds", "1"]) == 0
     printed = capsys.readouterr().out
     assert all(name in printed for name in IDENTITY_GRID_CALLS)
+
+
+def test_kind_times_only_the_instances_it_names(capsys):
+    result = round_shares.round_shares("identity_grid", seed=7, rounds=1, kind="nw ")
+    assert result["kinds_s"] and all(kind.startswith("nw ") for kind in result["kinds_s"])
+    assert set(result["calls_s"]) == {"transforms.depth_to_width", "pit.nw_pit"}
+    with pytest.raises(ValueError):
+        round_shares.round_shares("identity_grid", seed=7, rounds=1, kind="no such kind")
+
+    assert round_shares.main(["--workload", "identity_grid", "--rounds", "1", "--kind", "sz"]) == 0
+    printed = capsys.readouterr().out
+    assert "pit.schwartz_zippel" in printed and "pit.nw_pit" not in printed
+    with pytest.raises(SystemExit):
+        round_shares.main(["--workload", "identity_grid", "--kind", "no such kind"])

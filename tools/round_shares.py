@@ -1,9 +1,11 @@
 """Where one round of a benchmark workload spends its time, call by call.
 
     python3 tools/round_shares.py --workload stagger_wide --seed 7 --rounds 5
+    python3 tools/round_shares.py --workload transform_series --kind "root n=3 r=3"
 
 Builds the workload's instances from ``perfbench.workloads`` with the
-seed, runs one warm-up round, then ``--rounds`` timed rounds.  Every
+seed, keeps those whose kind starts with ``--kind`` (all by default),
+runs one warm-up round, then ``--rounds`` timed rounds.  Every
 library call an instance makes through ``call(name, fn, *args)`` is
 timed with ``time.perf_counter``, untraced (no profiler), and so is each
 instance's whole ``work``.  It prints the mean round time, each call
@@ -25,13 +27,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def round_shares(workload: str, seed: int, rounds: int) -> dict:
-    """Mean seconds per round, by call name and by instance kind, over the timed rounds."""
+def round_shares(workload: str, seed: int, rounds: int, kind: str = "") -> dict:
+    """Mean seconds per round, by call name and by instance kind, over the timed rounds.
+
+    Only the instances whose kind starts with ``kind`` run; ValueError
+    when there is none.
+    """
     for path in (str(ROOT), str(ROOT / "src")):
         if path not in sys.path:
             sys.path.insert(0, path)
     workloads = importlib.import_module("perfbench.workloads")
     instances = workloads.WORKLOADS[workload](random.Random(seed), ROOT)
+    instances = [inst for inst in instances if inst.kind.startswith(kind)]
+    if not instances:
+        raise ValueError(f"no {workload} instance kind starts with {kind!r}")
     by_call: dict[str, float] = {}
     by_kind: dict[str, float] = {}
 
@@ -54,6 +63,7 @@ def round_shares(workload: str, seed: int, rounds: int) -> dict:
         "workload": workload,
         "seed": seed,
         "rounds": rounds,
+        "kind": kind,
         "round_s": sum(by_kind.values()) / rounds,
         "calls_s": {name: t / rounds for name, t in by_call.items()},
         "kinds_s": {kind: t / rounds for kind, t in by_kind.items()},
@@ -72,12 +82,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument(
+        "--kind", default="", metavar="PREFIX",
+        help="time only the instances whose kind starts with PREFIX",
+    )
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    result = round_shares(args.workload, args.seed, args.rounds)
+    try:
+        result = round_shares(args.workload, args.seed, args.rounds, args.kind)
+    except ValueError as exc:
+        parser.error(str(exc))
+    only = f" (kinds starting {args.kind!r})" if args.kind else ""
     print(
-        f"{result['workload']} seed {result['seed']}: {result['round_s'] * 1000:.1f} ms"
+        f"{result['workload']}{only} seed {result['seed']}: {result['round_s'] * 1000:.1f} ms"
         f" per round, mean of {result['rounds']} after a warm-up round"
     )
     print("calls (share of the time in calls):")
