@@ -788,13 +788,11 @@ def fold(
     is the multiplicative identity and none of which mutates an operand.
     An SLP runs its live_steps() alone: a step the output does not read
     is never computed, so it can neither fail (a cap) nor cost anything.
-    Unwritten SLP registers read as const(0).  const is called once per
-    ConstOperand object per call, and its value shared by every read:
-    exact in every algebra here, whose const is pure.  An ABP vertex is
-    the sum over its incoming edges of mul(parent, label), in edge
-    order, and the source is const(1); a vertex no path reaches has no
-    value, so an unreachable sink yields const(0).  Each distinct edge
-    label c0 + c1*x_i1 + ... is built once per call, left to right.
+    Unwritten SLP registers read as const(0).  An ABP vertex is the sum
+    over its incoming edges of mul(parent, label), in edge order, and the
+    source is const(1); a vertex no path reaches has no value, so an
+    unreachable sink yields const(0).  Each distinct edge label
+    c0 + c1*x_i1 + ... is built once per call, left to right.
     """
     if isinstance(obj, LayeredCircuit):
         gates, copy_source = obj.gates.explicit, obj.gates.copies.get
@@ -817,19 +815,13 @@ def fold(
 
     if isinstance(obj, StraightLineProgram):
         regs = [const(obj.ring.zero())] * obj.register_count
-        # Operand objects outlive the walk (the steps hold them), so id()
-        # keys each ConstOperand, whose value is built once.
-        consts: dict[int, T] = {}
 
         def operand(op: Operand) -> T:
             if isinstance(op, RegOperand):
                 return regs[op.register]
             if isinstance(op, VarOperand):
                 return var(op.index)
-            key = id(op)
-            if key not in consts:
-                consts[key] = const(op.value)
-            return consts[key]
+            return const(op.value)
 
         for step in live_steps(obj):
             if isinstance(step, LoadStep):

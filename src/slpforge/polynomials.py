@@ -27,7 +27,9 @@ wrapped into a SparsePolynomial.
   gcd(den, *numerators) = 1 after every operation.  Over F_p den is
   always 1 and the numerators are residues in [0, p).  A sum with
   equal denominators merges ints; otherwise both sides are scaled to the
-  lcm.  A Fraction is built only by wrap.  Zeros are deleted.
+  lcm.  A Fraction is built only by wrap.  Zeros are deleted.  No
+  operation mutates a value, so const builds each constant object's
+  value once per algebra and every read of the object shares it.
 
 Caps are checked where SparsePolynomial.add/mul check them: the degree
 of every monomial product (DegreeCapExceeded, tested once per row of a
@@ -573,9 +575,18 @@ def term_algebra(
                 den //= g
         return terms, den
 
+    # const is pure and values are never mutated, so each constant
+    # object's value is built once per algebra and shared by every read
+    # of it.  The memo holds the object, so its id is not reused; an id
+    # is a C-level hash, where a Fraction's is a modular inverse.
+    consts: dict = {}
+
     def const(c: Scalar) -> tuple:
-        value = ring.scalar(c).value
-        return ({unit: value.numerator}, value.denominator) if value else zero
+        hit = consts.get(id(c))
+        if hit is None:
+            v = ring.scalar(c).value
+            hit = consts[id(c)] = c, (({unit: v.numerator}, v.denominator) if v else zero)
+        return hit[1]
 
     def add(a: tuple, b: tuple) -> tuple:
         ta, da = a

@@ -10,15 +10,12 @@ newton_series_root computes f symbolically by Newton iteration on
 truncated series.  root_circuit assembles a straight-line program with
 the same expansion out of at most r+1 substituted runs of P's live
 steps per evaluation point, using the Newton result only to solve for
-the scalar mixing coefficients.  The series is computed once per
-problem and stored on it, so newton_series_root and the mixing solve
-read one series; the assembled program shares no arithmetic with
-Newton, which is what makes comparing its expansion with the series a
-meaningful test.  The series, the power products and the mixing solve
-run on the raw (terms, den) values of polynomials.term_algebra, and
-their coefficients combine by the ring's raw add, mul and div
-(rings.Ring); SparsePolynomial and Scalar objects are built only for
-the results.
+the scalar mixing coefficients.  The two routes share no arithmetic,
+which is what makes comparing them a meaningful test.  The series, the
+power products and the mixing solve run on the raw (terms, den) values
+of polynomials.term_algebra, and their coefficients combine by the
+ring's raw add, mul and div (rings.Ring); SparsePolynomial and Scalar
+objects are built only for the results.
 """
 
 from __future__ import annotations
@@ -60,17 +57,13 @@ class RootProblem:
     expands the program once (under ``caps``) to extract the coefficient
     polynomials C_0..C_r with P = sum_i C_i(x_bar) y^i, and checks the
     two root conditions.  Every later product on the root path
-    (newton_series_root, root_circuit) is taken under series_caps.  The
-    Newton series is computed on first use and stored on the problem,
-    as programs store their live steps.
+    (newton_series_root, root_circuit) is taken under series_caps.
     Raises DegreeBoundViolated when the actual y-degree exceeds r,
     ParamError when y0 is not a root of P(0, y), and DegenerateRoot when
     the derivative at the root vanishes.
     """
 
-    __slots__ = (
-        "program", "r", "m", "y0", "coefficients", "xi", "base_point", "caps", "_series",
-    )
+    __slots__ = ("program", "r", "m", "y0", "coefficients", "xi", "base_point", "caps")
 
     def __init__(
         self,
@@ -122,7 +115,6 @@ class RootProblem:
         object.__setattr__(self, "coefficients", tuple(coefficients))
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "base_point", base_point)
-        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("RootProblem is immutable")
@@ -200,22 +192,6 @@ def _series_inverse(alg: TermAlgebra, ring, u, m: int):
     return alg.scale(acc, u0_inv)
 
 
-def _newton_series(rp: RootProblem) -> tuple[TermAlgebra, object]:
-    """The series algebra and newton_series_root(rp) as a raw value of it.
-
-    Computed once per problem and stored on it, as programs store their
-    live steps: root_circuit and newton_series_root read one series.
-    The raw value is never mutated (term_algebra's operations build new
-    values), so sharing it is exact.
-    """
-    series = rp._series
-    if series is None:
-        alg = _series_algebra(rp)
-        series = alg, _newton_terms(rp, alg)
-        object.__setattr__(rp, "_series", series)
-    return series
-
-
 def _newton_terms(rp: RootProblem, alg: TermAlgebra):
     """newton_series_root(rp) as a raw value of alg."""
     ring = rp.program.ring
@@ -250,8 +226,8 @@ def newton_series_root(rp: RootProblem) -> SparsePolynomial:
     end: a product or sum that outgrows the term cap raises
     TermCapExceeded.
     """
-    alg, series = _newton_series(rp)
-    return alg.wrap(series)
+    alg = _series_algebra(rp)
+    return alg.wrap(_newton_terms(rp, alg))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +376,8 @@ def root_circuit(
             f"characteristic {char} must exceed r = {rp.r} and m = {rp.m}"
         )
     m, r = rp.m, rp.r
-    alg, series = _newton_series(rp)
-    mixing = _mixing_values(rp, alg, series)
+    alg = _series_algebra(rp)
+    mixing = _mixing_values(rp, alg, _newton_terms(rp, alg))
     alphas = rp.index_set()
 
     terms = [
@@ -436,11 +412,6 @@ def root_circuit(
         [(delta_base + i, ConstOperand(y_matrix[i][t])) for i in read if y_matrix[i][t] != zero]
         for t in range(r + 1)
     ]
-    # Operands every z-point reads are built once, so an expansion of
-    # the program builds each constant's value once.
-    base_loads = [(delta_base + i, ConstOperand(-rp.base_point[i])) for i in read]
-    y_leaves = [{y: ConstOperand(point)} for point in y_points]
-    zero_operand = ConstOperand(zero)
 
     sb = SlpBuilder(
         ring,
@@ -453,18 +424,18 @@ def root_circuit(
     for j, z in enumerate(z_points):
         if slice_weights[j] == zero:
             continue
-        for acc, base in base_loads:
-            sb.load(acc, base)
+        for i in read:
+            sb.load(delta_base + i, ConstOperand(-rp.base_point[i]))
         for t in range(r + 1):
             if not feeds[t]:
                 continue
-            out = emitter.run(scale=z, leaves=y_leaves[t])
+            out = emitter.run(scale=z, leaves={y: ConstOperand(y_points[t])})
             # Every run writes the staging register before reading it, so
             # it is free between runs.
             for acc, weight in feeds[t]:
                 sb.apply(stage, "mul", sb.reg(out), weight)
                 sb.apply(acc, "add", sb.reg(acc), sb.reg(stage))
-        sb.load(sum_reg, zero_operand)
+        sb.load(sum_reg, ConstOperand(zero))
         for q, alpha in terms:
             sb.load(prod_reg, q)
             for i, e in enumerate(alpha):

@@ -20,6 +20,7 @@ from slpforge.errors import (
     DegreeCapExceeded,
     ModeMismatch,
     ParamError,
+    RingMismatch,
     TermCapExceeded,
 )
 from slpforge.polynomials import (
@@ -299,3 +300,23 @@ def test_term_algebra_products_by_a_constant_are_the_polynomial_products(ring, m
                 assert _outcome(lambda: alg.wrap(alg.mul(raw_c, raw))) == _outcome(
                     lambda: c.mul(p, caps)
                 )
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, F], ids=["Q", "F101"])
+def test_term_algebra_builds_each_constant_once(ring):
+    # Every read of one constant object shares one value per algebra;
+    # an equal object gets an equal value, the lifted constant
+    # polynomial's, and a scalar of another ring raises on every read.
+    alg = term_algebra(ring, COMMUTATIVE, 2, DEFAULT_CAPS)
+    for v in (3, -1, Fraction(-5, 6), 0):
+        c = ring.scalar(v)
+        first = alg.const(c)
+        assert alg.const(c) is first
+        assert alg.const(ring.scalar(v)) == first
+        assert first == alg.lift(SparsePolynomial.constant(ring, COMMUTATIVE, 2, v))
+        assert term_algebra(ring, COMMUTATIVE, 2, DEFAULT_CAPS).const(c) == first
+    assert alg.const(ring.zero()) == alg.zero
+    other = PrimeField(7).scalar(3)
+    for _ in range(2):
+        with pytest.raises(RingMismatch):
+            alg.const(other)

@@ -269,28 +269,6 @@ def test_root_circuit_budget_trips():
         root_circuit(rp, size_budget=3)
 
 
-def test_a_problem_computes_its_newton_series_once(monkeypatch):
-    # root_circuit and newton_series_root read the series stored on the
-    # problem; a new problem computes its own.
-    calls = []
-    newton_terms = rootfind._newton_terms
-
-    def counting(rp, alg):
-        calls.append(rp)
-        return newton_terms(rp, alg)
-
-    monkeypatch.setattr(rootfind, "_newton_terms", counting)
-    program, planted, y0 = planted_root_program(random.Random(37), RATIONALS, 2, 2)
-    rp = RootProblem(program, r=2, m=3, y0=y0)
-    want = planted[0].truncate(3)
-    assert expand(root_circuit(rp)) == want
-    assert newton_series_root(rp) == newton_series_root(rp) == want
-    assert expand(root_circuit(rp)) == want
-    assert calls == [rp]
-    other = RootProblem(program, r=2, m=3, y0=y0)
-    assert newton_series_root(other) == want and calls == [rp, other]
-
-
 def test_every_small_planted_root_fits_the_default_budget():
     # The default budget counts at most 3 steps per body step and run
     # (stage left, stage right, the step): every planted root with
