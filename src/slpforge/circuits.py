@@ -9,8 +9,9 @@ Three forms share one polynomial semantics:
   counts every gate, leaves included.  The gate table is a read-only
   mapping, so validate() computes its report once per circuit object
   and stores it on the circuit; a circuit slp_to_circuit builds carries
-  the report derived from its program instead, and is never walked for
-  it.  The gate table holds two tables: explicit gates
+  the report derived from its program instead, and a parsed file the
+  report its parse derived, so neither is walked for it.  The gate
+  table holds two tables: explicit gates
   (leaves and BinGates) and copies, copy id -> source id.  A copy is
   any mul gate with a constant-1 leaf of layer 1 as either operand,
   stored so however the circuit is made (CircuitBuilder, parser, plain
@@ -233,9 +234,9 @@ def validate(circuit: LayeredCircuit) -> ValidationReport:
     computed once per circuit object and stored on it; a circuit that
     fails stores nothing and raises again on the next call.  A circuit
     made by slp_to_circuit carries the report derived from its program,
-    and a _renamed copy the report its original holds; validate returns
-    such a report as it is.  Every other circuit, parsed or built, gets
-    the full walk.
+    a parsed file the one its parse derived (see _read_gate_lines), and
+    a _renamed copy the report its original holds; validate returns such
+    a report as it is.  Every other circuit gets the full walk.
     """
     report = circuit._report
     if report is None:
@@ -1014,6 +1015,115 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     )
     object.__setattr__(circuit, "_report", report)
     return circuit
+
+
+def _read_gate_lines(
+    name: str,
+    ring: Ring,
+    mode: str,
+    num_variables: int,
+    lines: Sequence[tuple],
+    output_id: int,
+) -> LayeredCircuit:
+    """The circuit of a file's gate lines, carrying the report validate() computes.
+
+    lines holds one (gid, layer, kind, a, b) per gate line, in file
+    order, with distinct ids: kind "var" with a the variable index,
+    "const" with a a Scalar of ring, or "add"/"mul" with a and b the
+    operand ids.  The gate table and layers are those LayeredCircuit
+    makes of the same gates.
+
+    One pass in file order builds the explicit and copy tables and the
+    report: the layer and syntactic degree of each gate (a copy takes
+    its source's degree and is no real gate), the explicit BinGates of
+    each internal layer, and the constants.  It stores no report when a
+    gate reads one not defined on an earlier line, or one outside layer
+    1 and its own layer - 1, when a line goes back to a lower layer
+    than an earlier one, when a variable index is out of range, or when
+    the output is not a gate; validate() then walks the circuit as for
+    any other, and raises its typed error.
+    """
+    one = ring.one()
+    explicit: dict[int, Gate] = {}
+    copies: dict[int, int] = {}
+    ones: set[int] = set()
+    layer_of: dict[int, int] = {}
+    degree: dict[int, int] = {}
+    layers: list[list[int]] = [[]]
+    ids = layers[0]
+    top = below = 1  # the layer of the last line, and the one under it
+    real = 0  # explicit BinGates in layer top
+    staggered = True
+    monotone = ring.characteristic == 0
+    mixed = False
+    for gid, layer, kind, a, b in lines:
+        if layer != top:
+            if layer < top:
+                break
+            if real > 1:
+                staggered = False
+            real = 0
+            layers.extend([] for _ in range(layer - top))
+            ids, top, below = layers[-1], layer, layer - 1
+        if layer == 1:
+            if kind == "var":
+                if not 1 <= a <= num_variables:
+                    break
+                explicit[gid] = VarLeaf(a)
+                degree[gid] = 1
+            else:
+                explicit[gid] = ConstLeaf(a)
+                degree[gid] = 0
+                if a == one:
+                    ones.add(gid)
+                elif a.value < 0:
+                    monotone = False
+        else:
+            a_layer, b_layer = layer_of.get(a), layer_of.get(b)
+            if a_layer != 1 and a_layer != below or b_layer != 1 and b_layer != below:
+                break
+            if kind == MUL and (a in ones or b in ones):
+                source = b if a in ones else a
+                copies[gid] = source
+                degree[gid] = degree[source]
+            else:
+                explicit[gid] = BinGate(kind, a, b)
+                real += 1
+                d_a, d_b = degree[a], degree[b]
+                if kind == MUL:
+                    degree[gid] = d_a + d_b
+                elif d_a == d_b:
+                    degree[gid] = d_a
+                else:
+                    mixed = True
+                    degree[gid] = d_a if d_a > d_b else d_b
+        layer_of[gid] = layer
+        ids.append(gid)
+    else:
+        if output_id in layer_of:
+            table = _GateTable(explicit, copies, min(ones) if ones else None)
+            circuit = LayeredCircuit(name, ring, mode, num_variables, layers, table, output_id)
+            report = ValidationReport(
+                width=circuit.width,
+                size=circuit.size,
+                layer_count=circuit.layer_count,
+                staggered=staggered and real <= 1,
+                monotone=monotone,
+                homogeneous=not mixed,
+            )
+            object.__setattr__(circuit, "_report", report)
+            return circuit
+
+    gates: dict[int, Gate] = {}
+    layers = [[]]
+    for gid, layer, kind, a, b in lines:
+        gates[gid] = (
+            BinGate(kind, a, b) if layer > 1 else VarLeaf(a) if kind == "var" else ConstLeaf(a)
+        )
+        if layer > len(layers):
+            layers.extend([] for _ in range(layer - len(layers)))
+        layers[layer - 1].append(gid)
+    return LayeredCircuit(name, ring, mode, num_variables, layers, gates, output_id)
 
 
 def leaf_operand(circuit: LayeredCircuit, gid: int) -> Union[VarOperand, ConstOperand]:

@@ -5,10 +5,11 @@ values are canonical integers in [0, p); rational values are
 fractions.Fraction.  Every operation is exact and nothing in this module
 (or anywhere downstream of it) touches floating point.
 
-Raw values combine here alone: Ring.add, mul, div and pow, reduced
-into [0, p) over F_p and exact over Q, serve Scalar arithmetic, the
-expansion kernel, batched evaluation and the root path's exact solve,
-so no other module asks which ring it is in or reduces by a modulus.
+Raw values combine here alone: Ring.add, mul, neg, div and pow,
+reduced into [0, p) over F_p and exact over Q, serve Scalar
+arithmetic, the expansion kernel, batched evaluation and the root
+path's exact solve, so no other module asks which ring it is in or
+reduces by a modulus.
 
 The module also provides exact univariate interpolation on the canonical
 grid 0..k-1: the Lagrange basis polynomials come from a master polynomial
@@ -100,6 +101,10 @@ class Ring:
         """a * b."""
         raise NotImplementedError
 
+    def neg(self, a):
+        """-a."""
+        raise NotImplementedError
+
     def div(self, a, b):
         """a / b; ZeroDivisionError when b is zero in the ring."""
         raise NotImplementedError
@@ -172,6 +177,9 @@ class PrimeField(Ring):
     def mul(self, a, b):
         return a * b % self.p
 
+    def neg(self, a):
+        return -a % self.p
+
     def div(self, a, b):
         try:
             return a * pow(b, -1, self.p) % self.p
@@ -219,6 +227,7 @@ class RationalField(Ring):
 
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
     div = staticmethod(Fraction)
     pow = staticmethod(operator.pow)
 
@@ -284,7 +293,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.mul(self.value, -1))
+        return Scalar(self.ring, self.ring.neg(self.value))
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-self._coerce(other))

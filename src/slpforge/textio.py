@@ -33,10 +33,13 @@ Polynomial files:
 Scalars are decimal integers or num/den fractions.  Blank lines and
 lines starting with '#' are ignored.  Parsing reports the 1-based line
 number of the first offending line, and a duplicate id raises
-CircuitSemanticError.  The parser checks a circuit's references no
-further: circuits.validate, which every semantics runs first, raises
-CircuitSemanticError for a gate reading an undefined gate and
-DanglingOutput for an output that is not a gate.
+CircuitSemanticError.  This module reads tokens and syntax only: it
+hands a circuit's gate lines, in file order, to circuits, which builds
+the gate table and, in the same pass, the report validate() would
+compute.  A file whose references that pass cannot vouch for carries
+no report, and circuits.validate, which every semantics runs first,
+raises its typed error: CircuitSemanticError for a gate reading an
+undefined gate, DanglingOutput for an output that is not a gate.
 
 Straight-line programs are stored as their staggered-circuit form, so
 one grammar covers both; parse_circuit followed by circuit_to_slp
@@ -48,16 +51,16 @@ id (see the circuits module docstring).
 
 from __future__ import annotations
 
-from typing import Union
+from typing import NoReturn, Union
 
 from .circuits import (
     AlgebraicBranchingProgram,
     BinGate,
-    ConstLeaf,
     Gate,
     LayeredCircuit,
     LinearForm,
     VarLeaf,
+    _read_gate_lines,
     validate,
 )
 from .errors import (
@@ -73,13 +76,12 @@ Parsed = Union[LayeredCircuit, AlgebraicBranchingProgram]
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((lineno, stripped.split()))
-    return out
+    """(line number, tokens) of each line that is neither blank nor a comment."""
+    return [
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and tokens[0][0] != "#"
+    ]
 
 
 def _int(token: str, lineno: int, what: str) -> int:
@@ -143,47 +145,41 @@ def parse_circuit(text: str) -> Parsed:
 def _parse_layered(lines) -> LayeredCircuit:
     name, ring, mode, num_variables, rest = _header(lines, "circuit")
 
-    gates: dict[int, Gate] = {}
-    layers: list[list[int]] = [[]]
+    # One (gid, layer, kind, a, b) per gate line, in file order; circuits
+    # builds the gates and the report from them.
+    gate_lines: list[tuple] = []
+    seen: set[int] = set()
     output_id: int | None = None
     for lineno, tokens in rest:
         if tokens[0] == "gate":
             if output_id is not None:
                 raise CircuitSyntaxError("gate line after output line", lineno)
-            if len(tokens) < 4:
+            count = len(tokens)
+            if count < 4:
                 raise CircuitSyntaxError("truncated gate line", lineno)
-            gid = _int(tokens[1], lineno, "gate id")
-            layer = _int(tokens[2], lineno, "layer")
-            if gid in gates:
+            kind = tokens[3]
+            try:
+                gid, layer = int(tokens[1]), int(tokens[2])
+                if count == 6:
+                    a, b = int(tokens[4]), int(tokens[5])
+                elif count == 5 and kind == "var":
+                    a = int(tokens[4])
+            except ValueError:
+                _raise_gate_line_error(tokens, lineno, seen)
+            if gid in seen:
                 raise CircuitSemanticError(f"duplicate gate id {gid}")
-            if layer == 1:
-                if tokens[3] == "var" and len(tokens) == 5:
-                    gate: Gate = VarLeaf(_int(tokens[4], lineno, "variable index"))
-                elif tokens[3] == "const" and len(tokens) == 5:
-                    try:
-                        gate = ConstLeaf(ring.parse(tokens[4]))
-                    except ParamError as exc:
-                        raise CircuitSyntaxError(str(exc), lineno)
-                else:
-                    raise CircuitSyntaxError(
-                        "leaf must be 'var <i>' or 'const <scalar>'", lineno
-                    )
-            elif layer >= 2:
-                if tokens[3] not in ("add", "mul") or len(tokens) != 6:
-                    raise CircuitSyntaxError(
-                        "internal gate must be '<add|mul> <left> <right>'", lineno
-                    )
-                gate = BinGate(
-                    tokens[3],
-                    _int(tokens[4], lineno, "operand"),
-                    _int(tokens[5], lineno, "operand"),
-                )
+            seen.add(gid)
+            if layer >= 2 and count == 6 and kind in ("add", "mul"):
+                gate_lines.append((gid, layer, kind, a, b))
+            elif layer == 1 and count == 5 and kind == "var":
+                gate_lines.append((gid, 1, kind, a, None))
+            elif layer == 1 and count == 5 and kind == "const":
+                try:
+                    gate_lines.append((gid, 1, kind, ring.parse(tokens[4]), None))
+                except ParamError as exc:
+                    raise CircuitSyntaxError(str(exc), lineno)
             else:
-                raise CircuitSyntaxError(f"bad layer {layer}", lineno)
-            gates[gid] = gate
-            if layer > len(layers):
-                layers.extend([] for _ in range(layer - len(layers)))
-            layers[layer - 1].append(gid)
+                _raise_gate_grammar_error(layer, lineno)
         elif tokens[0] == "output":
             if len(tokens) != 2:
                 raise CircuitSyntaxError("expected 'output <id>'", lineno)
@@ -195,7 +191,34 @@ def _parse_layered(lines) -> LayeredCircuit:
 
     if output_id is None:
         raise CircuitSyntaxError("missing output line", lines[-1][0])
-    return LayeredCircuit(name, ring, mode, num_variables, layers, gates, output_id)
+    return _read_gate_lines(name, ring, mode, num_variables, gate_lines, output_id)
+
+
+def _raise_gate_grammar_error(layer: int, lineno: int) -> NoReturn:
+    """The syntax error of a gate line whose integers read but whose shape is wrong."""
+    if layer == 1:
+        raise CircuitSyntaxError("leaf must be 'var <i>' or 'const <scalar>'", lineno)
+    if layer >= 2:
+        raise CircuitSyntaxError("internal gate must be '<add|mul> <left> <right>'", lineno)
+    raise CircuitSyntaxError(f"bad layer {layer}", lineno)
+
+
+def _raise_gate_line_error(tokens: list[str], lineno: int, seen: set[int]) -> NoReturn:
+    """The first error of a gate line with a malformed integer, found token by token.
+
+    In line order: the id, the layer, a duplicate id, the line's shape,
+    then the variable index or the operands.
+    """
+    gid = _int(tokens[1], lineno, "gate id")
+    layer = _int(tokens[2], lineno, "layer")
+    if gid in seen:
+        raise CircuitSemanticError(f"duplicate gate id {gid}")
+    if layer == 1 and len(tokens) == 5 and tokens[3] == "var":
+        _int(tokens[4], lineno, "variable index")
+    elif layer >= 2 and len(tokens) == 6 and tokens[3] in ("add", "mul"):
+        _int(tokens[4], lineno, "operand")
+        _int(tokens[5], lineno, "operand")
+    _raise_gate_grammar_error(layer, lineno)
 
 
 def _parse_abp(lines) -> AlgebraicBranchingProgram:

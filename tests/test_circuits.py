@@ -156,9 +156,9 @@ def test_round_trip_folds_each_circuit_once(monkeypatch):
         assert validate(staggered).staggered
         circuit_to_slp(staggered)
         validate(c)
-        # The parsed file is walked once; the converted circuit carries
-        # its program's report and is never walked.
-        assert folded == [c]
+        # Neither is walked: the parsed file carries the report its parse
+        # derived, the converted circuit the one its program implies.
+        assert folded == []
 
 
 def report_programs(monkeypatch):

@@ -48,7 +48,7 @@ from slpforge.pit import (
 from slpforge.polynomials import COMMUTATIVE, NONCOMMUTATIVE
 from slpforge.rings import DEFAULT_PRIME, RATIONALS, PrimeField
 from slpforge.stagger import staggerize
-from slpforge.textio import parse_circuit, serialize_circuit
+from slpforge.textio import parse_circuit, parse_polynomial, serialize_circuit
 from slpforge.transforms import _BodyEmitter, depth_to_width, sparse_to_width2
 
 BIG = PrimeField((1 << 61) - 1)
@@ -251,6 +251,28 @@ def test_perm_accepts_correct_candidates():
 def test_perm_accepts_with_grid_backend():
     verdict = verify_permanent_circuit(_perm_candidate(2), backend="nw_pit")
     assert verdict.accepted
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(101)], ids=str)
+def test_grid_backend_accepts_a_wrong_permanent(ring):
+    # A known blind spot, pinned so that any change to it shows: the 2x2
+    # candidate x11*x22 + x12*x21 - x11*x12 + x21*x22 is not the
+    # permanent.  Its first identity is identically zero, and its second,
+    # x21*x22 - x11*x12, is one the grid test (desk-rule at m = 2) cannot
+    # tell from zero, so the grid backend accepts it.  Schwartz-Zippel
+    # rejects it at the second identity.  (x11, x12, x21, x22 are x1..x4.)
+    _, poly = parse_polynomial(
+        f"polynomial bad\nring {ring.descriptor()}\nmode commutative\nvars 4\n"
+        "term 1 x1*x4\nterm 1 x2*x3\nterm -1 x1*x2\nterm 1 x3*x4\n"
+    )
+    assert poly != build_permanent_sparse(2, ring)
+    candidate = slp_to_circuit(sparse_to_width2(poly))
+    first, second = (expand(p) for p in perm_check_instance(candidate).programs)
+    assert first.is_zero and not second.is_zero
+    assert verify_permanent_circuit(candidate, "nw_pit") == pit.PermVerdict("accept")
+    verdict = verify_permanent_circuit(candidate)
+    assert (verdict.status, verdict.failing_index) == ("reject", 2)
+    assert verdict.witness == tuple(map(ring.scalar, (3, 2, 3, 3)))
 
 
 def test_perm_identities_expand_to_zero_and_stay_narrow():

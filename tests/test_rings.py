@@ -173,6 +173,29 @@ def test_scalar_pow_and_negatives():
     assert -x == f.scalar(96)
 
 
+@pytest.mark.parametrize("ring", [RATIONALS, PrimeField(101), PrimeField(DEFAULT_PRIME)], ids=str)
+def test_negation_is_the_rings_raw_neg(ring):
+    # -x is ring.neg of x's value, a canonical raw value: in [0, p) over
+    # F_p, and over Q the Fraction itself, negated.
+    values = [0, 1, -1, 5, -7, Fraction(3, 4), Fraction(-5, 2), 10**30 + 3]
+    for value in map(ring.scalar, values):
+        negated = -value
+        assert negated.ring == ring
+        assert negated.value == ring.neg(value.value) == ring.mul(value.value, -1)
+        assert type(negated.value) is type(value.value)
+        assert negated + value == ring.zero()
+        assert -negated == value
+        assert value - value == ring.zero()
+    if ring.characteristic:
+        assert [ring.neg(a) for a in (0, 1, -1, 101, -205, 2 * ring.characteristic + 3)] == [
+            0, ring.characteristic - 1, 1, (-101) % ring.characteristic,
+            205 % ring.characteristic, ring.characteristic - 3,
+        ]
+    else:
+        assert ring.neg(Fraction(3, 4)) == Fraction(-3, 4)
+        assert ring.neg(-2) == 2
+
+
 def test_descriptor_roundtrip():
     assert ring_from_descriptor(["prime", "7"]) == PrimeField(7)
     assert ring_from_descriptor(["rational"]) == RATIONALS

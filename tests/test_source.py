@@ -133,7 +133,7 @@ def _reduces_by_a_modulus(node: ast.AST) -> bool:
 
 
 def test_only_the_rings_combine_raw_values():
-    # The rings' add, mul, div and pow are the one code that knows how
+    # The rings' add, mul, neg, div and pow are the one code that knows how
     # raw values combine.  No other module reduces by a modulus, and no
     # code tests which ring it is in: a ring's __eq__ tests what it
     # equals, and circuits.batch_dtype reads the characteristic.
@@ -152,6 +152,23 @@ def test_only_the_rings_combine_raw_values():
             ring_tests.append(where)
     assert reductions == []
     assert ring_tests == []
+    # Every ring has each raw op, and Scalar's arithmetic reaches each
+    # through its own op alone: -x is the ring's neg, not mul by -1.
+    raw_ops = {"add", "mul", "neg", "div", "pow"}
+    tree = ast.parse((SOURCE / "rings.py").read_text())
+    classes = {node.name: node.body for node in tree.body if isinstance(node, ast.ClassDef)}
+    for ring_class in ("Ring",) + ring_classes:
+        body = classes[ring_class]
+        defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        defined |= {
+            getattr(t, "id", None) for n in body if isinstance(n, ast.Assign) for t in n.targets
+        }
+        assert raw_ops <= defined, ring_class
+    methods = {node.name: node for node in classes["Scalar"] if isinstance(node, ast.FunctionDef)}
+    scalar_ops = (("__add__", "add"), ("__neg__", "neg"), ("__mul__", "mul"), ("__pow__", "pow"))
+    for method, op in scalar_ops:
+        calls = {_callee(node) for node in ast.walk(methods[method]) if isinstance(node, ast.Call)}
+        assert calls & raw_ops == {op}, method
 
 
 def test_no_module_keeps_a_second_copy_rule():
@@ -190,6 +207,21 @@ def test_only_circuits_assigns_a_report():
         and isinstance(node.ctx, (ast.Store, ast.Del))
     }
     assert assigners == {"circuits.py"}
+
+
+def test_textio_reads_syntax_only():
+    # The parser hands gate lines to circuits, which alone splits copies
+    # and derives a report: textio names neither.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if name == "textio.py"
+        and any(
+            _names(node, word) or isinstance(node, ast.alias) and node.name == word
+            for word in ("ValidationReport", "_report", "_split_copies")
+        )
+    ]
+    assert found == []
 
 
 def _names(node: ast.AST, name: str) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from genutil import random_layered_circuit, random_slp, with_mode
+from slpforge import circuits
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     BinGate,
@@ -27,6 +28,7 @@ from slpforge.errors import (
     CircuitSemanticError,
     CircuitSyntaxError,
     DanglingOutput,
+    SlpforgeError,
 )
 from slpforge.families import build_E_abp
 from slpforge.polynomials import (
@@ -132,6 +134,49 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(CircuitSyntaxError) as err:
         parse_circuit(bad_gate)
     assert err.value.line == 9
+
+
+LEAF = "leaf must be 'var <i>' or 'const <scalar>'"
+INTERNAL = "internal gate must be '<add|mul> <left> <right>'"
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("gate x 2 mul 1 2", CircuitSyntaxError, "gate id must be an integer, got 'x'"),
+        ("gate x y z", CircuitSyntaxError, "gate id must be an integer, got 'x'"),
+        ("gate 5 y mul 1 2", CircuitSyntaxError, "layer must be an integer, got 'y'"),
+        ("gate 4 x mul 1 2", CircuitSyntaxError, "layer must be an integer, got 'x'"),
+        ("gate 4 2 mul 1 2", CircuitSemanticError, "duplicate gate id 4"),
+        ("gate 4 2 mul 1 z", CircuitSemanticError, "duplicate gate id 4"),
+        ("gate 4 1 var x", CircuitSemanticError, "duplicate gate id 4"),
+        ("gate 5 2 mul 1 z", CircuitSyntaxError, "operand must be an integer, got 'z'"),
+        ("gate 5 2 mul z 2", CircuitSyntaxError, "operand must be an integer, got 'z'"),
+        ("gate 5 2 sub 1 z", CircuitSyntaxError, INTERNAL),
+        ("gate 5 2 var z", CircuitSyntaxError, INTERNAL),
+        ("gate 5 2 mul 1 2 3", CircuitSyntaxError, INTERNAL),
+        ("gate 5 2 mul 1", CircuitSyntaxError, INTERNAL),
+        ("gate 5 0 mul 1 2", CircuitSyntaxError, "bad layer 0"),
+        ("gate 5 -1 add x y", CircuitSyntaxError, "bad layer -1"),
+        ("gate 5 1 var q", CircuitSyntaxError, "variable index must be an integer, got 'q'"),
+        ("gate 5 1 var 1.5", CircuitSyntaxError, "variable index must be an integer, got '1.5'"),
+        ("gate 5 1 var 1 2", CircuitSyntaxError, LEAF),
+        ("gate 5 1 var 1 z", CircuitSyntaxError, LEAF),
+        ("gate 5 1 const x y", CircuitSyntaxError, LEAF),
+        ("gate 5 1 const 1/0", CircuitSyntaxError, "bad scalar literal '1/0'"),
+        ("gate 5 2", CircuitSyntaxError, "truncated gate line"),
+    ],
+)
+def test_gate_line_errors_name_the_first_fault(line, error, message):
+    # A gate line is read in order: the id, the layer, a duplicate id, the
+    # line's shape, then its variable index, constant or operands; the
+    # first fault found is the one raised, whichever tokens read at once.
+    text = SAMPLE.replace("gate 5 2 mul 1 2", line)
+    with pytest.raises(error) as err:
+        parse_circuit(text)
+    if error is CircuitSyntaxError:
+        message = f"line 9: {message}"
+    assert str(err.value) == message
 
 
 def test_leaf_grammar_enforced():
@@ -568,3 +613,153 @@ def test_serialize_refuses_a_circuit_validate_refuses():
         c = LayeredCircuit("misplaced", RATIONALS, COMMUTATIVE, 2, layers, gates, output)
         with pytest.raises(BadOperandLayer):
             serialize_circuit(c)
+
+
+def _circuit_from_a_dict(text: str, like: LayeredCircuit) -> LayeredCircuit:
+    """The circuit of a file's gate lines, built from a plain gate dict.
+
+    like gives the header: name, ring, mode and variable count.
+    """
+    gates, layers, output = {}, [[]], None
+    for tokens in map(str.split, text.splitlines()):
+        if tokens[0] == "output":
+            output = int(tokens[1])
+        elif tokens[0] == "gate":
+            gid, layer, kind, args = int(tokens[1]), int(tokens[2]), tokens[3], tokens[4:]
+            if kind == "var":
+                gates[gid] = VarLeaf(int(args[0]))
+            elif kind == "const":
+                gates[gid] = ConstLeaf(like.ring.parse(args[0]))
+            else:
+                gates[gid] = BinGate(kind, int(args[0]), int(args[1]))
+            layers.extend([] for _ in range(layer - len(layers)))
+            layers[layer - 1].append(gid)
+    return LayeredCircuit(like.name, like.ring, like.mode, like.num_variables, layers, gates, output)
+
+
+def _outcome(check, circuit):
+    """check(circuit), or the type and message of the error it raises."""
+    try:
+        return check(circuit)
+    except SlpforgeError as exc:
+        return type(exc), str(exc)
+
+
+def _parsed_like_a_dict(text: str, walk) -> LayeredCircuit:
+    """Parse text, and check it against the same gates built from a dict.
+
+    The two tables and layers agree, and validate of the parsed circuit
+    returns or raises what walk (the full check) does on the built one.
+    Returns the parsed circuit.
+    """
+    parsed = parse_circuit(text)
+    built = _circuit_from_a_dict(text, parsed)
+    assert parsed.gates.explicit == built.gates.explicit
+    assert parsed.gates.copies == built.gates.copies
+    assert parsed.gates.one == built.gates.one
+    assert parsed.layers == built.layers
+    assert parsed.output_id == built.output_id
+    assert _outcome(validate, parsed) == _outcome(walk, built)
+    return parsed
+
+
+def _report_draws(monkeypatch):
+    """Well-formed circuit files: the pinned serialized draws, more random
+    circuits and converted programs over Q, F_101 and F_(2^61-1) in both
+    modes, and the hand-written copy files."""
+    for c in serialized_draws(monkeypatch):
+        yield serialize_circuit(c)
+    rng = random.Random(26)
+    for trial in range(60):
+        ring, mode = ROUND_TRIP_RINGS[trial % 3], MODES[trial // 3 % 2]
+        c = random_layered_circuit(
+            rng, ring, mode, rng.randrange(1, 9), internal_layers=rng.randrange(0, 5),
+            constants=(-2, 1, 1, Fraction(3, 4), 5),
+        )
+        program = random_slp(
+            rng, ring, mode, rng.randrange(1, 6), step_count=rng.randrange(0, 30),
+            bite=trial % 2 == 1,
+        )
+        for circuit in (c, slp_to_circuit(staggerize(c)), slp_to_circuit(program)):
+            yield serialize_circuit(circuit)
+    for seed in range(40):
+        yield _hand_written_copies(random.Random(seed), MODES[seed % 2], False)[0]
+
+
+def test_parse_derives_the_report_the_walk_computes(monkeypatch):
+    # A well-formed file's report comes from its parse: validate never
+    # walks it, and the report equals the walk's, field for field.
+    walk = circuits._validate
+
+    def refuse(circuit):
+        raise AssertionError("validate walked a parsed file")
+
+    texts = list(_report_draws(monkeypatch))
+    monkeypatch.setattr(circuits, "_validate", refuse)
+    reports = set()
+    for text in texts:
+        parsed = _parsed_like_a_dict(text, walk)
+        assert validate(parsed) == walk(parsed)
+        reports.add(validate(parsed))
+    assert len(texts) == 370 + 180 + 40
+    # Every field takes both values, or several.
+    for field in ("staggered", "monotone", "homogeneous"):
+        assert {getattr(r, field) for r in reports} == {False, True}
+
+
+def test_a_misordered_or_misread_file_validates_as_its_gates_do():
+    # Gate lines shuffled (or shuffled within their layers), an operand
+    # read from a later line, an undefined gate or a wrong layer, a
+    # variable beyond vars, or an output that is no gate: validate of the
+    # parse returns or raises just what the full walk does on the same
+    # gates built from a dict.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mutations = ("shuffle", "shuffle layers", "later", "undefined", "layer", "variable", "output")
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32),
+        st.sampled_from(ROUND_TRIP_RINGS),
+        st.sampled_from(MODES),
+        st.booleans(),
+        st.sampled_from(mutations),
+    )
+    def check(seed, ring, mode, from_program, mutation):
+        rng = random.Random(seed)
+        if from_program:
+            program = random_slp(rng, ring, mode, rng.randint(1, 5), step_count=rng.randint(1, 20))
+            c = slp_to_circuit(program)
+        else:
+            c = random_layered_circuit(rng, ring, mode, rng.randint(1, 5), constants=(-1, 1, 2))
+        lines = serialize_circuit(c).splitlines()
+        head, gate_lines, output = lines[:4], lines[4:-1], lines[-1]
+        fields = [line.split() for line in gate_lines]
+        internal = [i for i, f in enumerate(fields) if f[3] in ("add", "mul")]
+        if mutation.startswith("shuffle"):
+            rng.shuffle(gate_lines)
+            if mutation == "shuffle layers":
+                gate_lines.sort(key=lambda line: int(line.split()[2]))
+        elif mutation in ("later", "undefined", "layer") and internal:
+            i = rng.choice(internal)
+            _, gid, layer, op, *operands = fields[i]
+            if mutation == "later":
+                pool = [f[1] for f in fields[i:]]
+            elif mutation == "undefined":
+                pool = [str(max(c.gates) + 1)]
+            else:
+                pool = [f[1] for f in fields if int(f[2]) not in (1, int(layer) - 1)]
+            if pool:
+                operands[rng.randrange(2)] = rng.choice(pool)
+                gate_lines[i] = f"gate {gid} {layer} {op} {' '.join(operands)}"
+        elif mutation == "variable":
+            leaves = [i for i, f in enumerate(fields) if f[3] == "var"]
+            if leaves:
+                i = rng.choice(leaves)
+                index = rng.choice((0, c.num_variables + 1))
+                gate_lines[i] = re.sub(r"var \d+$", f"var {index}", gate_lines[i])
+        elif mutation == "output":
+            output = f"output {max(c.gates) + rng.randint(1, 3)}"
+        _parsed_like_a_dict("\n".join(head + gate_lines + [output]) + "\n", circuits._validate)
+
+    check()
