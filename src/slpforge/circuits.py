@@ -45,8 +45,9 @@ evaluate_batch() over columns of raw values, one entry per point (int64
 residues over F_p with p < 2^31, exact Python numbers in numpy object
 arrays over every other ring), expand() over raw sparse terms under hard
 caps (polynomials.term_algebra), and syntactic_degree() and the
-homogeneity check in validate() over integer degrees.  The four public
-semantics validate a circuit before folding it, so a parsed circuit
+degree and homogeneity check in validate() over integer degrees (a
+circuit's syntactic_degree() is the degree its report carries).  The
+four public semantics validate a circuit before using it, so a parsed circuit
 that breaks an invariant raises validate's typed error; fold() itself
 does not, since validate() runs it.  fold() gives a
 copy its source's value itself, without calling mul; that is
@@ -224,6 +225,7 @@ class ValidationReport:
     staggered: bool
     monotone: bool
     homogeneous: bool  # exact: every gate has a single syntactic degree
+    degree: int  # the output's syntactic degree: leaves 1/0, add max, mul sum
 
 
 def validate(circuit: LayeredCircuit) -> ValidationReport:
@@ -340,7 +342,7 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
             mixed = True
         return max(a, b)
 
-    fold(circuit, lambda i: 1, lambda c: 0, add, operator.add)
+    degree = fold(circuit, lambda i: 1, lambda c: 0, add, operator.add)
 
     return ValidationReport(
         width=circuit.width,
@@ -349,6 +351,7 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
         staggered=staggered,
         monotone=monotone,
         homogeneous=not mixed,
+        degree=degree,
     )
 
 
@@ -920,8 +923,14 @@ def expand(obj: IRForm, caps: ExpansionCaps = DEFAULT_CAPS) -> SparsePolynomial:
 
 
 def syntactic_degree(obj: IRForm) -> int:
-    """Upper bound on the output degree: leaves 1/0, add max, mul sum."""
-    return fold(_checked(obj), lambda i: 1, lambda c: 0, max, operator.add)
+    """Upper bound on the output degree: leaves 1/0, add max, mul sum.
+
+    A circuit's is the degree its ValidationReport carries; a program or
+    an ABP is folded.
+    """
+    if isinstance(obj, LayeredCircuit):
+        return validate(obj).degree
+    return fold(obj, lambda i: 1, lambda c: 0, max, operator.add)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +1021,7 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
         staggered=True,
         monotone=slp.ring.characteristic == 0 and all(c.value >= 0 for c in b._const_ids),
         homogeneous=not mixed,
+        degree=degree[slp.output_register],
     )
     object.__setattr__(circuit, "_report", report)
     return circuit
@@ -1110,6 +1120,7 @@ def _read_gate_lines(
                 staggered=staggered and real <= 1,
                 monotone=monotone,
                 homogeneous=not mixed,
+                degree=degree[output_id],
             )
             object.__setattr__(circuit, "_report", report)
             return circuit

@@ -23,7 +23,10 @@ indices into a value table (the sample points, or the S^m values of the
 hard family), and _first_nonzero evaluates a batch of columns at once
 with circuits.evaluate_batch: in int64 over F_p with p < 2^31, in exact
 object columns over every other ring.  The first batch holds one point,
-so an early hit stays cheap, and object batches grow from there.
+so an early hit stays cheap, and object batches grow from there.  The
+hard family's table is itself one batched pass of raw arithmetic:
+HardFamily.evaluate_raw over one column per key coordinate, in the same
+dtype.
 
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
@@ -35,7 +38,6 @@ over F_101 for both families, and schwartz_zippel(c, 20) "nonzero".
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -251,22 +253,34 @@ class HardFamily:
 
     Member m is the polynomial sum_T rule(m, T) * prod_{t in T} y_t over
     subsets T of {0..m-1}.  Both shipped rules take values in {1, 2}, so
-    every member has full support.
+    every member has full support.  The rule is evaluated in one place,
+    evaluate_raw, in two shapes: at one point of raw values, or at many
+    points at once, one numpy column per variable; evaluate wraps the
+    first shape in Scalars.
     """
 
     name: str
     coefficient_rule: Callable[[int, frozenset[int]], int]
 
     def evaluate(self, m: int, ring: Ring, values: Sequence[Scalar]) -> Scalar:
+        return ring.scalar(self.evaluate_raw(m, ring, [ring.scalar(v).value for v in values]))
+
+    def evaluate_raw(self, m: int, ring: Ring, values: Sequence):
+        """Member m at raw values over ring, by ring.add and ring.mul alone.
+
+        values holds m raw values, or m numpy columns of equal length (as
+        evaluate_batch reads them), and the result has the same shape.
+        """
         if len(values) != m:
             raise ParamError(f"expected {m} values, got {len(values)}")
-        total = ring.zero()
+        add, mul = ring.add, ring.mul
+        total = 0
         for mask in range(1 << m):
             subset = frozenset(t for t in range(m) if mask >> t & 1)
-            term = ring.scalar(self.coefficient_rule(m, subset))
+            term = self.coefficient_rule(m, subset)
             for t in subset:
-                term = term * values[t]
-            total = total + term
+                term = mul(term, values[t])
+            total = add(total, term)
         return total
 
     def polynomial(self, m: int, ring: Ring) -> SparsePolynomial:
@@ -304,18 +318,19 @@ def nw_pit(
     input would contradict the family's assumed hardness, which is not
     checked here: a zero verdict shows only that F vanishes on the grid,
     where a set nw_design repeats feeds its variables equal inputs.  The
-    S^m values of P_m are computed once; the grid points then run in the
-    batches schwartz_zippel uses.
+    S^m values of P_m come from one batched pass of raw arithmetic over
+    all keys; the grid points then run in the batches schwartz_zippel
+    uses.
     """
     design, size = _grid_shape(c, m, sample_size, grid_budget)
     ring = c.ring
     points = ring.sample_points(size)
 
-    # perfbench's traced run counts the calls of this nested function by name.
-    def inner(key: tuple[int, ...]) -> Scalar:
-        return hf.evaluate(m, ring, [points[t] for t in key])
+    # perfbench's traced run resolves this nested function by name.
+    def inner(keys: np.ndarray) -> np.ndarray:
+        return hf.evaluate_raw(m, ring, keys)
 
-    return _grid_test(c, design, points, _family_table(ring, m, size, inner))
+    return _grid_test(c, design, points, _family_table(ring, m, points, inner))
 
 
 def _grid_shape(
@@ -335,14 +350,20 @@ def _grid_shape(
     return design, sample_size
 
 
-def _family_table(ring: Ring, m: int, side: int, value: Callable[..., Scalar]) -> np.ndarray:
-    """P_m's raw value at every key, given value(key).
+def _family_table(
+    ring: Ring, m: int, points: Sequence[Scalar], values: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """P_m's raw value at every key, given values(key columns) for all keys at once.
 
     P_m restricted to a design set depends only on the grid coordinates
     of the set (its key), the same way for every set: one table of S^m
-    values, where key (k_1..k_m) sits at row k_1*S^(m-1) + ... + k_m.
+    values, where key (k_1..k_m) sits at row k_1*S^(m-1) + ... + k_m,
+    the itertools.product order.  Row i of the key columns holds the raw
+    point k_(i+1) of every key, in batch_dtype(ring), so the table is one
+    evaluation over columns.
     """
-    return _value_table(ring, [value(key) for key in itertools.product(range(side), repeat=m)])
+    raw = _value_table(ring, points)
+    return values(raw[np.indices((len(points),) * m).reshape(m, -1)])
 
 
 def _grid_test(c, design: NWDesign, points: Sequence[Scalar], table: np.ndarray) -> Verdict:
@@ -501,7 +522,7 @@ def verify_permanent_circuit(
             if size not in tables:
                 points = ring.sample_points(size)
                 tables[size] = points, _family_table(
-                    ring, m, size, lambda key: desk.evaluate(m, ring, [points[t] for t in key])
+                    ring, m, points, lambda keys: desk.evaluate_raw(m, ring, keys)
                 )
             verdict = _grid_test(program, design, *tables[size])
         if not verdict.is_zero:

@@ -706,3 +706,29 @@ def test_syntactic_degree_bounds_actual_degree():
         slp = random_slp(rng, F, COMMUTATIVE, 3, 3, 8)
         assert expand(slp).degree() <= syntactic_degree(slp)
     assert syntactic_degree(product_sum_circuit()) == 2
+
+
+def test_syntactic_degree_of_a_circuit_reads_its_report(monkeypatch):
+    # A converted circuit, its parse and a circuit validated once carry
+    # a report, so their degree comes without another fold.
+    rng = random.Random(78)
+    programs = [random_slp(rng, F, COMMUTATIVE, 3, 3, 8) for _ in range(10)]
+    degrees = [syntactic_degree(slp) for slp in programs]
+    converted = [slp_to_circuit(slp) for slp in programs]
+    parsed = [parse_circuit(serialize_circuit(c)) for c in converted]
+    built = product_sum_circuit()
+    validate(built)
+    folded = []
+    real_fold = circuits.fold
+
+    def counting_fold(obj, *algebra):
+        folded.append(obj)
+        return real_fold(obj, *algebra)
+
+    monkeypatch.setattr(circuits, "fold", counting_fold)
+    assert [syntactic_degree(c) for c in converted] == degrees
+    assert [syntactic_degree(c) for c in parsed] == degrees
+    assert syntactic_degree(built) == 2
+    assert folded == []
+    assert syntactic_degree(programs[0]) == degrees[0]
+    assert folded == [programs[0]]

@@ -1,5 +1,6 @@
 """Identity testers, design construction, and the permanent verifier."""
 
+import itertools
 import math
 import random
 
@@ -34,6 +35,7 @@ from slpforge.errors import (
     GridTooLarge,
     ModeMismatch,
     ParamError,
+    RingMismatch,
 )
 from slpforge.families import build_permanent_sparse, permanent_var_index
 from slpforge.formulas import Formula, fadd, fconst, fmul, fvar
@@ -175,6 +177,75 @@ def test_hard_family_evaluate_matches_expansion():
             for _ in range(4):
                 point = [ring.scalar(rng.randrange(1009)) for _ in range(m)]
                 assert fam.evaluate(m, ring, point) == evaluate_sparse(poly, point)
+
+
+def test_hard_family_evaluate_keeps_its_errors():
+    fam, ring = HARD_FAMILIES["desk-rule"], PrimeField(101)
+    with pytest.raises(ParamError):
+        fam.evaluate(2, ring, [ring.one()])
+    with pytest.raises(ParamError):
+        fam.evaluate_raw(2, ring, np.zeros((3, 4), dtype=np.int64))
+    with pytest.raises(RingMismatch):
+        fam.evaluate(2, ring, [ring.one(), PrimeField(103).one()])
+    with pytest.raises(RingMismatch):
+        fam.evaluate(1, RATIONALS, [ring.one()])
+
+
+# Q, and F_p from p = 2 to int64 and object columns above 2^31.
+TABLE_RINGS = (
+    RATIONALS, PrimeField(2), PrimeField(3), PrimeField(101),
+    PrimeField((1 << 31) - 1), PrimeField(DEFAULT_PRIME),
+)
+
+
+def _check_family_table(fam, ring, m, side):
+    """The batched S^m table of P_m equals the expansion at each key, in product order."""
+    points = ring.sample_points(side)
+    keys = list(itertools.product(range(side), repeat=m))
+    columns = []
+
+    def values(key_columns):
+        columns.append(key_columns)
+        return fam.evaluate_raw(m, ring, key_columns)
+
+    table = pit._family_table(ring, m, points, values)
+    assert len(columns) == 1
+    assert columns[0].tolist() == [[points[k[i]].value for k in keys] for i in range(m)]
+    assert table.dtype == circuits.batch_dtype(ring)
+    assert table.shape == (side**m,)
+    poly = fam.polynomial(m, ring)
+    expected = [evaluate_sparse(poly, [points[t] for t in key]).value for key in keys]
+    assert table.tolist() == expected
+    assert [type(v) for v in table.tolist()] == [type(v) for v in expected]
+
+
+@pytest.mark.parametrize("ring", TABLE_RINGS, ids=str)
+@pytest.mark.parametrize("fam", HARD_FAMILIES.values(), ids=lambda f: f.name)
+def test_family_table_equals_the_expansion_at_every_key(fam, ring):
+    for m in range(1, 5):
+        for side in range(1, min(7, ring.size or 7) + 1):
+            _check_family_table(fam, ring, m, side)
+
+
+def test_family_table_on_random_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(sorted(HARD_FAMILIES)),
+        st.one_of(
+            st.just(RATIONALS),
+            st.sampled_from([2, 3, 5, 7, 101, 65537, (1 << 31) - 1, DEFAULT_PRIME]).map(PrimeField),
+        ),
+        st.integers(1, 5),
+        st.integers(1, 9),
+    )
+    def check(name, ring, m, side):
+        hypothesis.assume(side**m <= 2000 and side <= (ring.size or side))
+        _check_family_table(HARD_FAMILIES[name], ring, m, side)
+
+    check()
 
 
 def test_nw_pit_completeness_both_families():
@@ -551,21 +622,22 @@ def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
 
 def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
     # The identities share ring and m, so the S^m table of desk-rule is
-    # built once per distinct sample size; the verdicts, witnesses and
-    # failing indices are those of one nw_pit per identity.
+    # built once per distinct sample size, in one raw evaluation over
+    # its S^m keys; the verdicts, witnesses and failing indices are
+    # those of one nw_pit per identity.
     ring = PrimeField((1 << 31) - 1)
     desk = pit.HARD_FAMILIES["desk-rule"]
     good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
     rng = random.Random(19)
     candidates = [good] + [corrupt_circuit(rng, good) for _ in range(4)]
     evaluations = []
-    family_evaluate = pit.HardFamily.evaluate
+    family_evaluate_raw = pit.HardFamily.evaluate_raw
 
     def counting(self, m, ring, values):
-        evaluations.append(m)
-        return family_evaluate(self, m, ring, values)
+        evaluations.append(len(values[0]))
+        return family_evaluate_raw(self, m, ring, values)
 
-    monkeypatch.setattr(pit.HardFamily, "evaluate", counting)
+    monkeypatch.setattr(pit.HardFamily, "evaluate_raw", counting)
     for c in candidates:
         programs = pit.perm_check_instance(c).programs
         for sample_size in (None, 3):
@@ -580,7 +652,7 @@ def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
             assert got == expected
             tested = programs[: got.failing_index or len(programs)]
             sizes = {pit._grid_shape(b, 2, sample_size, 10**6)[1] for b in tested}
-            assert len(evaluations) == sum(size**2 for size in sizes)
+            assert sorted(evaluations) == sorted(size**2 for size in sizes)
     assert not all(verify_permanent_circuit(c, "nw_pit").accepted for c in candidates)
 
 
