@@ -62,7 +62,6 @@ import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
@@ -263,6 +262,13 @@ def _renamed(circuit: LayeredCircuit, name: str) -> LayeredCircuit:
 
 
 def _validate(circuit: LayeredCircuit) -> ValidationReport:
+    """The full walk behind validate(): one loop over the gates, then the degree fold.
+
+    It checks the ids, then every gate in layer order, copies included,
+    and raises the first error it meets.  The degree and homogeneity
+    come from fold(), not from the gate loop, so this walk stays
+    independent of the reports slp_to_circuit and the parser derive.
+    """
     table = circuit.gates
     gates, copies = table.explicit, table.copies
     layer_of: dict[int, int] = {}
@@ -276,29 +282,24 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
         stray = set(table_ids) ^ set(layer_of)
         raise CircuitSemanticError(f"gate table and layers disagree on ids {sorted(stray)}")
 
-    # Copies in bulk: each reads its source from layer 1 or the layer
-    # below, through a 1-leaf.  Should one not, the loop below checks the
-    # copies one by one, as gates u*1, and raises what such a gate does.
-    one = circuit.ring.one()
-    check_copies = False
+    # Every copy reads table.one, which must be a 1-leaf of layer 1.
     if copies:
         leaf = gates.get(table.one)
+        one = circuit.ring.one()
         if layer_of.get(table.one) != 1 or not (isinstance(leaf, ConstLeaf) and leaf.value == one):
             raise CircuitSemanticError(f"implicit copies read gate {table.one}, not a 1-leaf")
-        count = len(copies)
-        dest = np.fromiter(map(layer_of.__getitem__, copies), np.int64, count)
-        source = np.fromiter(map(layer_of.get, copies.values(), repeat(0)), np.int64, count)
-        check_copies = bool(((dest == 1) | ((source != 1) & (source != dest - 1))).any())
 
-    # One pass over the layers checks every explicit gate and counts, per
-    # internal layer, its real gates: the explicit BinGates.
-    gate_of = table.__getitem__ if check_copies else gates.__getitem__
+    # One pass over the layers checks every gate and counts, per internal
+    # layer, its real gates: the explicit BinGates.  A copy is checked as
+    # the gate source*1, read off the copy table, with no gate object.
+    copy_source = copies.get
     monotone = circuit.ring.characteristic == 0
     staggered = True
     for layer, ids in enumerate(circuit.layers, start=1):
         real = 0
-        for gid in ids if check_copies else filter(gates.__contains__, ids):
-            g = gate_of(gid)
+        for gid in ids:
+            source = copy_source(gid)
+            g = gates[gid] if source is None else None
             if isinstance(g, VarLeaf):
                 if layer != 1:
                     raise BadOperandLayer(f"variable leaf {gid} in layer {layer}")
@@ -314,9 +315,14 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
             else:
                 if layer == 1:
                     raise BadOperandLayer(f"internal gate {gid} in the leaf layer")
-                if g.op not in OPS:
-                    raise ParamError(f"gate {gid} has unknown op {g.op!r}")
-                for ref in (g.left, g.right):
+                if g is None:
+                    refs = (source, table.one)
+                else:
+                    if g.op not in OPS:
+                        raise ParamError(f"gate {gid} has unknown op {g.op!r}")
+                    refs = (g.left, g.right)
+                    real += 1
+                for ref in refs:
                     ref_layer = layer_of.get(ref)
                     if ref_layer is None:
                         raise CircuitSemanticError(f"gate {gid} reads undefined gate {ref}")
@@ -324,7 +330,6 @@ def _validate(circuit: LayeredCircuit) -> ValidationReport:
                         raise BadOperandLayer(
                             f"gate {gid} in layer {layer} reads layer {ref_layer}"
                         )
-                real += 1
         if real > 1:
             staggered = False
     if circuit.output_id not in layer_of:
@@ -945,7 +950,10 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     for every other register whose value is not a leaf and is still read
     later, in ascending register order.  An unwritten register reads the
     0-leaf, made at the first such read.  The resulting width is at most
-    the register count.
+    the register count.  One walk backward over the steps finds, for
+    each, the registers it reads for the last time and whether its value
+    is read later; a write ends a register's life, and a dead step still
+    makes its gate.
 
     The circuit carries the ValidationReport its program implies, derived
     in the same loop, so validate() returns it without walking the
@@ -958,12 +966,18 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     """
     b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
 
-    accesses = []
-    for step in slp.steps:
+    # plan: per step, the registers it reads for the last time, and
+    # whether a later step, or the output, reads what it writes.
+    live = {slp.output_register}
+    plan: list[tuple[set[int], bool]] = []
+    for step in reversed(slp.steps):
         operands = (step.left, step.right) if isinstance(step, ApplyStep) else ()
         reads = {op.register for op in operands if isinstance(op, RegOperand)}
-        accesses.append((step.dest, reads))
-    dying, kept = _last_reads(accesses, slp.output_register)
+        keep = step.dest in live
+        live.discard(step.dest)
+        plan.append((reads - live, keep))
+        live |= reads
+    plan.reverse()
 
     # held: register -> gate of its value, while that value is not a
     # leaf and is still read later; leaf: register -> its leaf gate;
@@ -975,29 +989,24 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     mixed = False
     layer = 1
 
-    def read(op: Operand) -> int:
+    def read(op: Operand) -> tuple[int, int]:
+        """The gate an operand reads, and its syntactic degree."""
         if isinstance(op, VarOperand):
-            return b.var_leaf(op.index)
+            return b.var_leaf(op.index), 1
         if isinstance(op, ConstOperand):
-            return b.const_leaf(op.value)
-        if op.register in held:
-            return held[op.register]
-        if op.register in leaf:
-            return leaf[op.register]
-        return b.const_leaf(0)
+            return b.const_leaf(op.value), 0
+        reg = op.register
+        if reg in held:
+            return held[reg], degree[reg]
+        if reg in leaf:
+            return leaf[reg], degree[reg]
+        return b.const_leaf(0), degree[reg]
 
-    def degree_of(op: Operand) -> int:
-        if isinstance(op, RegOperand):
-            return degree[op.register]
-        return 1 if isinstance(op, VarOperand) else 0
-
-    for step, ends, keep in zip(slp.steps, dying, kept):
+    for step, (ends, keep) in zip(slp.steps, plan):
         if isinstance(step, LoadStep):
-            leaf[step.dest] = read(step.source)
-            degree[step.dest] = degree_of(step.source)
+            leaf[step.dest], degree[step.dest] = read(step.source)
             continue
-        left, right = read(step.left), read(step.right)
-        d_left, d_right = degree_of(step.left), degree_of(step.right)
+        (left, d_left), (right, d_right) = read(step.left), read(step.right)
         if step.op == ADD:
             mixed = mixed or d_left != d_right
             degree[step.dest] = max(d_left, d_right)
@@ -1012,7 +1021,7 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
         if keep:
             held[step.dest] = gid
 
-    b.set_output(read(RegOperand(slp.output_register)))
+    b.set_output(read(RegOperand(slp.output_register))[0])
     circuit = b._circuit()
     report = ValidationReport(
         width=circuit.width,
@@ -1186,29 +1195,6 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
     return _allocate(sb, steps, operand(circuit.output_id), max(report.width, 1))
 
 
-def _last_reads(
-    steps: Sequence[tuple[object, set]], output: object
-) -> tuple[list[set], list[bool]]:
-    """Backward liveness over steps (dest, reads).
-
-    A dest names what a step writes, a register or a value; a later
-    write to it ends the earlier one's life.  For each step: the names
-    it reads for the last time, and whether a later step, or the output,
-    reads what it writes.
-    """
-    dying: list[set] = []
-    kept: list[bool] = []
-    live = {output}
-    for dest, reads in reversed(steps):
-        kept.append(dest in live)
-        live.discard(dest)
-        dying.append(reads - live)
-        live |= reads
-    dying.reverse()
-    kept.reverse()
-    return dying, kept
-
-
 def _allocate(
     sb: SlpBuilder,
     steps: Sequence[tuple],
@@ -1219,8 +1205,9 @@ def _allocate(
 
     A value is named by the gate id that defines it, and an operand, or
     the output, is a value or a leaf operand.  Only the output's cone is
-    emitted, in the given order: walking backward, a step stays when its
-    value is the output or a step that stays reads it.  Walking forward,
+    emitted, in the given order.  One walk backward keeps a step when its
+    value is the output or a step that stays reads it, and notes the
+    reads no later kept step makes: its last reads.  Walking forward,
     each value is freed at its last read and each result goes to the
     smallest free register, so a step may overwrite a register one of
     its own operands is read from for the last time.  For a fixed step
@@ -1228,21 +1215,20 @@ def _allocate(
     leaf output is loaded into register 0 and is then the only step.
     Raises InvariantViolation when more than budget registers are needed.
     """
+    # Each value is defined by one step, so the reads of a kept step that
+    # are not needed yet are its last reads.
     needed = {output}
-    live: list[tuple] = []
+    live: list[tuple[tuple, set]] = []
     for step in reversed(steps):
         if step[0] in needed:
-            live.append(step)
-            needed.update(ref for ref in step[2:] if isinstance(ref, int))
+            reads = {ref for ref in step[2:] if isinstance(ref, int)}
+            live.append((step, reads - needed))
+            needed |= reads
     live.reverse()
-    dying, _ = _last_reads(
-        [(value, {ref for ref in refs if isinstance(ref, int)}) for value, _, *refs in live],
-        output,
-    )
     register_of: dict[int, int] = {}
     free: list[int] = []  # a heap: the smallest goes first
     count = 0
-    for (value, op, left, right), ends in zip(live, dying):
+    for (value, op, left, right), ends in live:
         operands = [
             sb.reg(register_of[ref]) if isinstance(ref, int) else ref for ref in (left, right)
         ]

@@ -194,9 +194,9 @@ def _load_circuit(path: str) -> LayeredCircuit:
 def _load_program(path: str) -> StraightLineProgram:
     """Circuit file as a register program; staggers first when needed.
 
-    circuit_to_slp reads a staggered file about three times faster than
-    staggerize schedules it, unless the output lies far below the last
-    layer: staggerize stops at the output's layer.
+    circuit_to_slp reads a staggered file three to four times faster
+    than staggerize schedules it, unless the output lies far below the
+    last layer: staggerize stops at the output's layer.
     """
     c = _load_circuit(path)
     if validate(c).staggered:

@@ -348,13 +348,75 @@ def test_passes_read_implicit_copies_without_gate_objects(monkeypatch):
     parsed = parse_circuit(serialize_circuit(c))
     assert c.gates.copies and parsed.gates.copies == c.gates.copies
     assert parsed.gates.explicit == c.gates.explicit
+    # Both carry derived reports, so validate() does not walk them; the
+    # oracle walk is called directly, also on a circuit of many copies.
+    many = slp_to_circuit(
+        genutil.random_slp(rng, F, COMMUTATIVE, 6, num_variables=3, step_count=40, bite=True)
+    )
+    assert len(many.gates.copies) >= 20
     point = [rng.randrange(101) for _ in range(c.num_variables)]
     for circuit in (c, parsed):
-        validate(circuit)
+        assert circuits._validate(circuit) == validate(circuit)
         circuit_to_slp(circuit)
         serialize_circuit(circuit)
         expand(circuit)
         evaluate(circuit, point)
+    assert circuits._validate(many) == validate(many)
+
+
+def test_a_mutated_copy_of_a_converted_circuit_fails_as_its_explicit_twin():
+    # The walk checks a copy as the gate source*1: mutating one copy of a
+    # converted circuit raises what the same gate, stored explicitly, does.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 2**32),
+        st.sampled_from([F, RATIONALS]),
+        st.sampled_from(["undefined", "two layers down", "own layer", "into layer 1"]),
+        st.integers(0, 2**16),
+    )
+    def check(seed, ring, mutation, pick):
+        rng = random.Random(seed)
+        slp = genutil.random_slp(
+            rng, ring, COMMUTATIVE, rng.randrange(2, 7), step_count=rng.randrange(4, 40), bite=True
+        )
+        c = slp_to_circuit(slp)
+        table = c.gates
+        hypothesis.assume(table.copies)
+        gid = sorted(table.copies)[pick % len(table.copies)]
+        source = table.copies[gid]
+        layers = [list(ids) for ids in c.layers]
+        layer = next(i for i, ids in enumerate(layers, start=1) if gid in ids)
+        if mutation == "into layer 1":
+            layers[layer - 1].remove(gid)
+            layers[0].append(gid)
+        else:
+            sources = {
+                "undefined": [max(table) + 1],
+                "two layers down": layers[layer - 3] if layer >= 4 else [],
+                "own layer": layers[layer - 1],
+            }[mutation]
+            hypothesis.assume(sources)
+            source = sources[pick % len(sources)]
+        implicit = circuits._GateTable(table.explicit, {**table.copies, gid: source}, table.one)
+        twin = circuits._GateTable(
+            {**table.explicit, gid: BinGate("mul", source, table.one)},
+            {copy: s for copy, s in table.copies.items() if copy != gid},
+            table.one,
+        )
+        raised = []
+        for gates in (implicit, twin):
+            mutated = LayeredCircuit(
+                c.name, ring, c.mode, c.num_variables, layers, gates, c.output_id
+            )
+            with pytest.raises(SlpforgeError) as info:
+                circuits._validate(mutated)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
+    check()
 
 
 def test_missing_output_rejected():

@@ -198,6 +198,25 @@ def test_only_validate_calls_the_full_walk():
     assert inside and anywhere == inside
 
 
+def test_the_circuit_core_walks_each_job_once():
+    # _allocate and slp_to_circuit find what they keep and each step's
+    # last reads in one backward loop, with no separate liveness helper,
+    # and _validate checks copies in its own gate loop, without numpy.
+    tree = ast.parse((SOURCE / "circuits.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_last_reads" not in functions
+    for name in ("_allocate", "slp_to_circuit"):
+        backward = [
+            node.lineno
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and _callee(node.iter) == "reversed"
+        ]
+        assert len(backward) == 1, name
+    assert not any(_names(node, "np") for node in ast.walk(functions["_validate"]))
+
+
 def test_only_circuits_assigns_a_report():
     # A report is stored by validate, or derived by slp_to_circuit and
     # carried by a copy, all in circuits: no second report path.
