@@ -437,20 +437,10 @@ class CircuitBuilder:
         self._output = gid
 
     def build(self) -> LayeredCircuit:
-        """The circuit, validated by the full walk of validate().
-
-        slp_to_circuit alone skips that walk: the circuit it builds
-        carries the report derived from its program.
-        """
-        circuit = self._circuit()
-        validate(circuit)
-        return circuit
-
-    def _circuit(self) -> LayeredCircuit:
-        """The circuit built so far, with no report yet."""
+        """The circuit built so far, validated by the full walk of validate()."""
         if self._output is None:
             raise DanglingOutput("no output designated")
-        return LayeredCircuit(
+        circuit = LayeredCircuit(
             self.name,
             self.ring,
             self.mode,
@@ -459,6 +449,8 @@ class CircuitBuilder:
             _GateTable(dict(self._gates), dict(self._copies), self._one),
             self._output,
         )
+        validate(circuit)
+        return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +947,13 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     is read later; a write ends a register's life, and a dead step still
     makes its gate.
 
+    One walk forward fills the gate table and the layers itself, with
+    the ids, layer order and copies CircuitBuilder would give the same
+    calls: a leaf is made at its first read, a mul step reading the
+    1-leaf is a copy of its other operand, and the 1-leaf is made at the
+    first copy if no step read it before.  No builder method is called
+    per step.
+
     The circuit carries the ValidationReport its program implies, derived
     in the same loop, so validate() returns it without walking the
     circuit.  The program's constructor has checked every operand, and
@@ -964,7 +963,7 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     step, live or dead, adds operands of two degrees: every step makes a
     gate, and validate's degree fold reads every gate.
     """
-    b = CircuitBuilder(slp.ring, slp.mode, slp.num_variables, name or slp.name)
+    ring = slp.ring
 
     # plan: per step, the registers it reads for the last time, and
     # whether a later step, or the output, reads what it writes.
@@ -979,6 +978,31 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
         live |= reads
     plan.reverse()
 
+    # The gate table and layers, ids counted from 1.  var_ids and
+    # const_ids map a variable index and a raw constant to its leaf, and
+    # one is the 1-leaf once made.
+    explicit: dict[int, Gate] = {}
+    copies: dict[int, int] = {}
+    leaves: list[int] = []
+    layers = [leaves]
+    var_ids: dict[int, int] = {}
+    const_ids: dict = {}
+    one: int | None = None
+    one_value = ring.one().value
+    next_id = 1
+
+    def const_leaf(value: Scalar) -> int:
+        nonlocal next_id, one
+        gid = const_ids.get(value.value)
+        if gid is None:
+            gid = const_ids[value.value] = next_id
+            next_id += 1
+            explicit[gid] = ConstLeaf(value)
+            leaves.append(gid)
+            if value.value == one_value:
+                one = gid
+        return gid
+
     # held: register -> gate of its value, while that value is not a
     # leaf and is still read later; leaf: register -> its leaf gate;
     # degree: register -> syntactic degree of its value (the 0-leaf's 0
@@ -987,48 +1011,71 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     leaf: dict[int, int] = {}
     degree = [0] * slp.register_count
     mixed = False
-    layer = 1
 
     def read(op: Operand) -> tuple[int, int]:
         """The gate an operand reads, and its syntactic degree."""
+        nonlocal next_id
+        if isinstance(op, RegOperand):
+            reg = op.register
+            gid = held.get(reg)
+            if gid is None:
+                gid = leaf.get(reg)
+                if gid is None:
+                    gid = const_leaf(ring.zero())
+            return gid, degree[reg]
         if isinstance(op, VarOperand):
-            return b.var_leaf(op.index), 1
-        if isinstance(op, ConstOperand):
-            return b.const_leaf(op.value), 0
-        reg = op.register
-        if reg in held:
-            return held[reg], degree[reg]
-        if reg in leaf:
-            return leaf[reg], degree[reg]
-        return b.const_leaf(0), degree[reg]
+            gid = var_ids.get(op.index)
+            if gid is None:
+                gid = var_ids[op.index] = next_id
+                next_id += 1
+                explicit[gid] = VarLeaf(op.index)
+                leaves.append(gid)
+            return gid, 1
+        return const_leaf(op.value), 0
 
     for step, (ends, keep) in zip(slp.steps, plan):
         if isinstance(step, LoadStep):
             leaf[step.dest], degree[step.dest] = read(step.source)
             continue
         (left, d_left), (right, d_right) = read(step.left), read(step.right)
-        if step.op == ADD:
+        op = step.op
+        if op == ADD:
             mixed = mixed or d_left != d_right
             degree[step.dest] = max(d_left, d_right)
         else:
             degree[step.dest] = d_left + d_right
-        layer += 1
-        gid = b.gate(layer, step.op, left, right)
+        gid = next_id
+        next_id += 1
+        if op == MUL and one is not None and (left == one or right == one):
+            copies[gid] = right if left == one else left
+        else:
+            explicit[gid] = BinGate(op, left, right)
+        ids = [gid]
+        layers.append(ids)
         for reg in ends:
             held.pop(reg, None)
-        carried = sorted(held)
-        held.update(zip(carried, b.copies(layer, [held[reg] for reg in carried])))
+        if held:
+            if one is None:
+                const_leaf(ring.one())
+            for reg in sorted(held):
+                copies[next_id] = held[reg]
+                held[reg] = next_id
+                ids.append(next_id)
+                next_id += 1
         if keep:
             held[step.dest] = gid
 
-    b.set_output(read(RegOperand(slp.output_register))[0])
-    circuit = b._circuit()
+    output = read(RegOperand(slp.output_register))[0]
+    table = _GateTable(explicit, copies, one)
+    circuit = LayeredCircuit(
+        name or slp.name, ring, slp.mode, slp.num_variables, layers, table, output
+    )
     report = ValidationReport(
         width=circuit.width,
         size=circuit.size,
         layer_count=circuit.layer_count,
         staggered=True,
-        monotone=slp.ring.characteristic == 0 and all(c.value >= 0 for c in b._const_ids),
+        monotone=ring.characteristic == 0 and all(v >= 0 for v in const_ids),
         homogeneous=not mixed,
         degree=degree[slp.output_register],
     )

@@ -22,11 +22,12 @@ Both testers share one loop for every ring.  A point is a column of
 indices into a value table (the sample points, or the S^m values of the
 hard family), and _first_nonzero evaluates a batch of columns at once
 with circuits.evaluate_batch: in int64 over F_p with p < 2^31, in exact
-object columns over every other ring.  The first batch holds one point,
-so an early hit stays cheap, and object batches grow from there.  The
-hard family's table is itself one batched pass of raw arithmetic:
-HardFamily.evaluate_raw over one column per key coordinate, in the same
-dtype.
+object columns over every other ring.  An int64 batch is full from the
+first point, since numpy's cost per gate, not per point, dominates a
+small batch; an object batch starts at one point, so an early hit stays
+cheap, and grows from there (see _batches).  The hard family's table
+is itself one batched pass of raw arithmetic: HardFamily.evaluate_raw
+over one column per key coordinate, in the same dtype.
 
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
@@ -116,20 +117,25 @@ def _batch_points(c, cells_cap: int = _BATCH_CELLS) -> int:
 
 
 def _batches(c, total: int):
-    """(start, stop) point ranges: one point first, then larger batches.
+    """(start, stop) point ranges: full int64 batches, growing object ones.
 
-    The lone first point keeps an input that is nonzero there as cheap
-    as a one-point evaluation.  Then int64 batches hold _batch_points(c)
-    points, and object batches, whose every point costs exact arithmetic,
-    grow 4 times up to their cap: a hit at point t costs < 4t + 1 points.
+    int64 batches hold _batch_points(c) points from the first one on.
+    Their cost is numpy's call per gate far more than the points: on a
+    depth_to_width circuit of 62 explicit gates, one evaluate_batch took
+    146 us at 1 point, 212 us at 256 and 728 us at 2401 (best of 7 x 50,
+    a 2-core Xeon, Python 3.11), so a lone first point would save an
+    early hit little and cost every later one a whole extra fold.
+    Object batches, whose every point costs exact arithmetic, start at
+    one point and grow 4 times up to their cap: a hit at point t costs
+    < 4t + 1 points.
     """
     grows = batch_dtype(c.ring) == object
     cap = _batch_points(c, _BATCH_CELLS // 16 if grows else _BATCH_CELLS)
-    start, size = 0, 1
+    start, size = 0, 1 if grows else cap
     while start < total:
         yield start, min(start + size, total)
         start += size
-        size = min(cap, 4 * size) if grows else cap
+        size = min(cap, 4 * size)
 
 
 def _value_table(ring: Ring, values: Sequence[Scalar]) -> np.ndarray:
@@ -170,6 +176,8 @@ def schwartz_zippel(
         degree_bound = syntactic_degree(c)
     if sample_size is None:
         sample_size = max(1, 2 * degree_bound)
+    elif sample_size < 1:
+        raise ParamError(f"sample_size must be >= 1, got {sample_size}")
     points = c.ring.sample_points(sample_size)
     table = _value_table(c.ring, points)
     rng = _rng(seed)
@@ -342,6 +350,8 @@ def _grid_shape(
     design = nw_design(c.num_variables, m)
     if sample_size is None:
         sample_size = syntactic_degree(c) * m + 1
+    elif sample_size < 1:
+        raise ParamError(f"sample_size must be >= 1, got {sample_size}")
     universe = design.universe_size
     if sample_size**universe > grid_budget:
         raise GridTooLarge(

@@ -391,6 +391,23 @@ def test_verify_perm_nw_honours_the_grid_budget(tmp_path, capsys, monkeypatch):
     assert error_line(verify_nw + ["--m", "3"]) == "error: grid 4^9 exceeds budget 10"
 
 
+def test_a_sample_size_below_one_is_an_operation_error(tmp_path, capsys):
+    # Without sample points nw would print verdict=zero and sz crash in numpy.
+    circuit = tmp_path / "c.ckt"
+    run(capsys, "depth2width", "--expr", "1+x1", "--vars", "1", "-o", str(circuit))
+    wrong = tmp_path / "wrong.ckt"
+    run(capsys, "depth2width", "--expr", "x1*x4", "--vars", "4", "-o", str(wrong))
+    for argv in (
+        ["pit", "--circuit", str(circuit), "--mode", "nw"],
+        ["pit", "--circuit", str(circuit), "--mode", "sz"],
+        ["verify-perm", "--circuit", str(wrong), "--mode", "nw"],
+    ):
+        for size in ("0", "-1"):
+            code, out, err = run(capsys, *argv, "--sample-size", size)
+            assert code == 1 and "RESULT" not in out
+            assert err == f"error: sample_size must be >= 1, got {size}\n"
+
+
 def test_verify_perm_rejects_wrong_candidate(tmp_path, capsys):
     wrong = tmp_path / "wrong.ckt"
     run(

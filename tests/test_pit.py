@@ -293,6 +293,25 @@ def test_nw_pit_grid_budget():
         nw_pit(_zero_circuit(), HARD_FAMILIES["desk-rule"], 2, grid_budget=10)
 
 
+def test_a_sample_size_below_one_is_a_param_error():
+    # An empty sample set would leave nothing to test: the grid tester
+    # would say "zero" on 1 + x1, and the permanent check accept x11*x22.
+    ring = PrimeField(101)
+    c = _one_plus_x1(ring)
+    x11, x22 = (fvar(permanent_var_index(2, i, i)) for i in (1, 2))
+    wrong = _formula_circuit(ring, 4, fmul(x11, x22))
+    assert verify_permanent_circuit(wrong, "nw_pit").failing_index == 2
+    for size in (0, -1):
+        with pytest.raises(ParamError):
+            nw_pit(c, HARD_FAMILIES["desk-rule"], 2, sample_size=size)
+        with pytest.raises(ParamError):
+            schwartz_zippel(c, 5, sample_size=size)
+        with pytest.raises(ParamError):
+            verify_permanent_circuit(wrong, "nw_pit", sample_size=size)
+    assert not nw_pit(c, HARD_FAMILIES["desk-rule"], 2, sample_size=1).is_zero
+    assert not schwartz_zippel(c, 5, sample_size=1).is_zero
+
+
 def test_nw_pit_mode_mismatch():
     cb = CircuitBuilder(RATIONALS, NONCOMMUTATIVE, 1)
     cb.set_output(cb.gate(2, "mul", cb.var_leaf(1), cb.var_leaf(1)))
@@ -484,13 +503,39 @@ def _counting_batches(monkeypatch):
 
 def test_a_hit_at_the_first_point_evaluates_one_column(monkeypatch):
     # 1 + x1 is nonzero at every sample point, so the first point hits.
+    # An object batch starts at one column; an int64 batch is full from
+    # the first point, so each tester evaluates one batch of min(points,
+    # cap) columns: the 100 trials, and the 3^4 grid of side 1*2 + 1.
     columns = _counting_batches(monkeypatch)
     for ring in (PrimeField((1 << 31) - 1), RATIONALS):
         c = _one_plus_x1(ring)
         assert not schwartz_zippel(c, trials=100, seed=3).is_zero
         assert not nw_pit(c, DESK, 2).is_zero
-        assert columns == [1, 1]
+        if ring == RATIONALS:
+            assert columns == [1, 1]
+        else:
+            cap = pit._batch_points(c)
+            grid = 3 ** nw_design(1, 2).universe_size
+            assert columns == [min(100, cap), min(grid, cap)]
         columns.clear()
+
+
+def test_a_zero_input_that_fits_one_int64_batch_costs_one_fold(monkeypatch):
+    # Every trial or grid point fits in the first batch, so a zero input
+    # is settled by one evaluate_batch call per test.
+    columns = _counting_batches(monkeypatch)
+    ring = PrimeField((1 << 31) - 1)
+    c = _zero_circuit(ring)
+    assert schwartz_zippel(c, trials=100).is_zero
+    assert columns == [100]
+    columns.clear()
+    grid = 3 ** nw_design(2, 2).universe_size  # side 1*2 + 1
+    assert nw_pit(c, DESK, 2).is_zero
+    assert columns == [grid] and grid <= pit._batch_points(c)
+    columns.clear()
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
+    assert verify_permanent_circuit(good, trials=20).accepted
+    assert columns == [20, 20, 20]
 
 
 def test_object_batches_grow_so_a_hit_at_point_t_costs_under_4t_plus_1(monkeypatch):
@@ -532,7 +577,7 @@ def test_object_batches_stop_growing_at_a_sixteenth_of_the_cells(monkeypatch):
             assert columns[:6] == [1, 4, 16, 64, cap, cap]
         else:
             cap = pit._BATCH_CELLS // explicit
-            assert columns[:2] == [1, cap]
+            assert columns == [cap, trials - cap]
         assert max(columns) == cap < pit._BATCH_POINTS
 
 

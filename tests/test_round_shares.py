@@ -48,3 +48,42 @@ def test_kind_times_only_the_instances_it_names(capsys):
     assert "pit.schwartz_zippel" in printed and "pit.nw_pit" not in printed
     with pytest.raises(SystemExit):
         round_shares.main(["--workload", "identity_grid", "--kind", "no such kind"])
+
+
+def test_count_prints_calls_per_round_and_restores_the_attribute(capsys):
+    from slpforge import circuits, pit
+
+    batch, gate = pit.evaluate_batch, vars(circuits.CircuitBuilder)["gate"]
+    names = ("slpforge.pit.evaluate_batch", "slpforge.circuits.CircuitBuilder.gate")
+    result = round_shares.round_shares("identity_grid", 7, 2, kind="sz zero", count=names)
+    # Ten zero inputs of 100 trials, each one int64 batch; depth_to_width
+    # builds its circuit without CircuitBuilder.
+    assert result["counts"] == {names[0]: 10.0, names[1]: 0.0}
+    assert pit.evaluate_batch is batch and vars(circuits.CircuitBuilder)["gate"] is gate
+
+    argv = ["--workload", "identity_grid", "--rounds", "1", "--kind", "sz zero"]
+    assert round_shares.main([*argv, "--count", names[0]]) == 0
+    printed = capsys.readouterr().out
+    assert "counted (calls per round):" in printed and names[0] in printed
+    assert pit.evaluate_batch is batch
+    for bad in ("slpforge.pit.no_such_name", "no_such_module.f", "slpforge.pit.Verdict.is_zero.x"):
+        with pytest.raises(SystemExit):
+            round_shares.main([*argv, "--count", bad])
+
+
+def test_a_counted_static_or_class_method_keeps_its_kind():
+    class Box:
+        @staticmethod
+        def twice(x):
+            return 2 * x
+
+        @classmethod
+        def name(cls):
+            return cls.__name__
+
+    tally = {"twice": 0, "name": 0}
+    for attr in tally:
+        setattr(Box, attr, round_shares._counting(vars(Box)[attr], tally, attr))
+    assert Box().twice(3) == Box.twice(3) == 6
+    assert Box().name() == Box.name() == "Box"
+    assert tally == {"twice": 2, "name": 2}

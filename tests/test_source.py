@@ -200,8 +200,10 @@ def test_only_validate_calls_the_full_walk():
 
 def test_the_circuit_core_walks_each_job_once():
     # _allocate and slp_to_circuit find what they keep and each step's
-    # last reads in one backward loop, with no separate liveness helper,
-    # and _validate checks copies in its own gate loop, without numpy.
+    # last reads in one backward loop, with no separate liveness helper;
+    # slp_to_circuit fills its tables in its forward loop, with no
+    # CircuitBuilder; and _validate checks copies in its own gate loop,
+    # without numpy.
     tree = ast.parse((SOURCE / "circuits.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_last_reads" not in functions
@@ -214,6 +216,7 @@ def test_the_circuit_core_walks_each_job_once():
             and _callee(node.iter) == "reversed"
         ]
         assert len(backward) == 1, name
+    assert not any(_names(node, "CircuitBuilder") for node in ast.walk(functions["slp_to_circuit"]))
     assert not any(_names(node, "np") for node in ast.walk(functions["_validate"]))
 
 

@@ -1,5 +1,6 @@
 """Layer multigraphs, edge scheduling, and the staggering transform."""
 
+import dataclasses
 import hashlib
 import importlib
 import random
@@ -11,19 +12,22 @@ import pytest
 
 from genutil import (
     cone_circuit,
+    corrupt_circuit,
     cone_steps,
     peak_live_values,
     program_digest,
+    random_formula,
     random_layered_circuit,
     random_slp,
     reference_circuit_to_slp,
     reference_order_edges,
     reference_slp_to_circuit,
 )
-from slpforge import stagger
+from slpforge import circuits, stagger, transforms
 from slpforge.circuits import (
     ApplyStep,
     CircuitBuilder,
+    ConstOperand,
     LayeredCircuit,
     LoadStep,
     RegOperand,
@@ -37,6 +41,7 @@ from slpforge.circuits import (
     validate,
 )
 from slpforge.families import build_permanent_sparse
+from slpforge.pit import perm_check_instance
 from slpforge.polynomials import COMMUTATIVE, MODES, NONCOMMUTATIVE
 from slpforge.rings import RATIONALS, PrimeField, RationalField
 from slpforge.textio import parse_circuit, serialize_circuit
@@ -48,7 +53,7 @@ from slpforge.stagger import (
     order_edges,
     staggerize,
 )
-from slpforge.transforms import sparse_to_width2
+from slpforge.transforms import depth_to_width, sparse_to_width2
 
 F = PrimeField(101)
 
@@ -392,6 +397,51 @@ def test_conversions_match_reference_on_random_programs():
             )
             staggered, back = assert_conversions_match_reference(slp)
             assert expand(back) == expand(slp)
+
+
+def test_conversions_match_reference_on_the_identity_testing_programs(monkeypatch):
+    # depth_to_width's programs of random formulas (leaf loads, immediate
+    # operands), and the permanent check's identity programs (constant
+    # loads, stale-register clears, reads of never-written registers).
+    programs = []
+
+    def converting(slp, name=None):
+        programs.append(slp)
+        return slp_to_circuit(slp, name)
+
+    monkeypatch.setattr(transforms, "slp_to_circuit", converting)
+    rng = random.Random(30)
+    for ring in (F, RATIONALS, PrimeField((1 << 61) - 1)):
+        for mode in MODES:
+            for _ in range(20):
+                f = random_formula(rng, ring, mode, rng.randrange(0, 5), rng.randrange(1, 6))
+                depth_to_width(f)
+        for n in (2, 3):
+            good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(n, ring)))
+            for c in (good, corrupt_circuit(rng, good), corrupt_circuit(rng, good)):
+                programs += perm_check_instance(c).programs
+    assert any(
+        isinstance(step, LoadStep) and isinstance(step.source, ConstOperand)
+        for slp in programs
+        for step in slp.steps
+    )
+    unwritten_reads = 0
+    for slp in programs:
+        staggered, back = assert_conversions_match_reference(slp)
+        first = reference_slp_to_circuit(slp)
+        assert (staggered.name, staggered.layers) == (first.name, first.layers)
+        assert staggered.gates.one == first.gates.one
+        report = validate(staggered)
+        assert dataclasses.asdict(report) == dataclasses.asdict(circuits._validate(staggered))
+        written = set()
+        for step in slp.steps:
+            if isinstance(step, ApplyStep):
+                unwritten_reads += any(
+                    isinstance(op, RegOperand) and op.register not in written
+                    for op in (step.left, step.right)
+                )
+            written.add(step.dest)
+    assert unwritten_reads
 
 
 def multigraph(pairs, isolated=(), constants=0) -> LayerMultigraph:
