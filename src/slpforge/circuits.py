@@ -1,5 +1,9 @@
 """Circuit intermediate representations and their semantics.
 
+A leaf is one object in every notation: VarLeaf(i) and ConstLeaf(c)
+are a formula's leaves, a circuit's leaf gates and a program's
+operands, which every conversion passes on as they are.
+
 Three forms share one polynomial semantics:
 
 * LayeredCircuit: gates arranged in layers V_1..V_t.  V_1 holds the
@@ -81,6 +85,7 @@ from .polynomials import (
     NONCOMMUTATIVE,
     SparsePolynomial,
     _check_mode,
+    _check_num_variables,
     term_algebra,
 )
 from .rings import Ring, Scalar, ScalarLike
@@ -106,6 +111,9 @@ class ConstLeaf:
     value: Scalar
 
 
+Leaf = Union[VarLeaf, ConstLeaf]
+
+
 @dataclass(frozen=True)
 class BinGate:
     op: str
@@ -113,7 +121,7 @@ class BinGate:
     right: int
 
 
-Gate = Union[VarLeaf, ConstLeaf, BinGate]
+Gate = Union[Leaf, BinGate]
 
 
 class _GateTable(Mapping):
@@ -188,6 +196,7 @@ class LayeredCircuit:
         output_id: int,
     ):
         _check_mode(mode)
+        _check_num_variables(num_variables)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mode", mode)
@@ -415,23 +424,16 @@ class CircuitBuilder:
             return self.copy(layer, right if left == self._one else left)
         return self._fresh(layer, BinGate(op, left, right))
 
-    def copies(self, layer: int, sources: Sequence[int]) -> range:
-        """Ferry each gate s*1 into the given layer, in order, with consecutive ids.
-
-        The circuit stores the copies' sources only.
-        """
-        target = self._layer(layer)
-        if sources and self._one is None:
-            self.const_leaf(1)
-        ids = range(self._next_id, self._next_id + len(sources))
-        self._next_id = ids.stop
-        self._copies.update(zip(ids, sources))
-        target.extend(ids)
-        return ids
-
     def copy(self, layer: int, source: int) -> int:
-        """Ferry gate source*1 into the given layer."""
-        return self.copies(layer, [source])[0]
+        """Ferry gate source*1 into the given layer, storing its source only."""
+        target = self._layer(layer)
+        if self._one is None:
+            self.const_leaf(1)
+        gid = self._next_id
+        self._next_id += 1
+        self._copies[gid] = source
+        target.append(gid)
+        return gid
 
     def set_output(self, gid: int) -> None:
         self._output = gid
@@ -462,23 +464,16 @@ class RegOperand:
     register: int
 
 
-@dataclass(frozen=True)
-class VarOperand:
-    index: int
+VarOperand = VarLeaf  # the leaf classes under their program operand names
+ConstOperand = ConstLeaf
 
-
-@dataclass(frozen=True)
-class ConstOperand:
-    value: Scalar
-
-
-Operand = Union[RegOperand, VarOperand, ConstOperand]
+Operand = Union[RegOperand, VarLeaf, ConstLeaf]
 
 
 @dataclass(frozen=True)
 class LoadStep:
     dest: int
-    source: Union[VarOperand, ConstOperand]
+    source: Leaf
 
 
 @dataclass(frozen=True)
@@ -515,6 +510,7 @@ class StraightLineProgram:
         output_register: int,
     ):
         _check_mode(mode)
+        _check_num_variables(num_variables)
         if register_count < 1:
             raise ParamError(f"register_count must be >= 1, got {register_count}")
         if not 0 <= output_register < register_count:
@@ -524,10 +520,10 @@ class StraightLineProgram:
             if isinstance(op, RegOperand):
                 if not 0 <= op.register < register_count:
                     raise ParamError(f"register {op.register} out of range")
-            elif isinstance(op, VarOperand):
+            elif isinstance(op, VarLeaf):
                 if not 1 <= op.index <= num_variables:
                     raise ParamError(f"variable x{op.index} beyond vars {num_variables}")
-            elif isinstance(op, ConstOperand):
+            elif isinstance(op, ConstLeaf):
                 if op.value.ring != ring:
                     raise RingMismatch("constant operand from a different ring")
             else:
@@ -626,13 +622,13 @@ class SlpBuilder:
             op = self._regs[index] = RegOperand(index)
         return op
 
-    def var(self, index: int) -> VarOperand:
-        return VarOperand(index)
+    def var(self, index: int) -> VarLeaf:
+        return VarLeaf(index)
 
-    def const(self, value: ScalarLike) -> ConstOperand:
-        return ConstOperand(self.ring.scalar(value))
+    def const(self, value: ScalarLike) -> ConstLeaf:
+        return ConstLeaf(self.ring.scalar(value))
 
-    def load(self, dest: int, source: Union[VarOperand, ConstOperand]) -> None:
+    def load(self, dest: int, source: Leaf) -> None:
         self._steps.append(LoadStep(dest, source))
 
     def apply(self, dest: int, op: str, left: Operand, right: Operand) -> None:
@@ -723,6 +719,7 @@ class AlgebraicBranchingProgram:
         mode: str = NONCOMMUTATIVE,
     ):
         _check_mode(mode)
+        _check_num_variables(num_variables)
         layer_tuple = tuple(tuple(layer) for layer in layers)
         layer_of: dict[int, int] = {}
         for i, layer in enumerate(layer_tuple):
@@ -820,7 +817,7 @@ def fold(
         def operand(op: Operand) -> T:
             if isinstance(op, RegOperand):
                 return regs[op.register]
-            if isinstance(op, VarOperand):
+            if isinstance(op, VarLeaf):
                 return var(op.index)
             return const(op.value)
 
@@ -949,10 +946,10 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
 
     One walk forward fills the gate table and the layers itself, with
     the ids, layer order and copies CircuitBuilder would give the same
-    calls: a leaf is made at its first read, a mul step reading the
-    1-leaf is a copy of its other operand, and the 1-leaf is made at the
-    first copy if no step read it before.  No builder method is called
-    per step.
+    calls: a leaf gate is the operand of its first read, a mul step
+    reading the 1-leaf is a copy of its other operand, and the 1-leaf is
+    made at the first copy if no step read it before.  No builder method
+    is called per step.
 
     The circuit carries the ValidationReport its program implies, derived
     in the same loop, so validate() returns it without walking the
@@ -979,8 +976,8 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     plan.reverse()
 
     # The gate table and layers, ids counted from 1.  var_ids and
-    # const_ids map a variable index and a raw constant to its leaf, and
-    # one is the 1-leaf once made.
+    # const_ids map a variable index and a raw constant to its leaf gate,
+    # the first operand read with it, and one is the 1-leaf once made.
     explicit: dict[int, Gate] = {}
     copies: dict[int, int] = {}
     leaves: list[int] = []
@@ -991,15 +988,16 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
     one_value = ring.one().value
     next_id = 1
 
-    def const_leaf(value: Scalar) -> int:
+    def const_leaf(leaf: ConstLeaf) -> int:
         nonlocal next_id, one
-        gid = const_ids.get(value.value)
+        value = leaf.value.value
+        gid = const_ids.get(value)
         if gid is None:
-            gid = const_ids[value.value] = next_id
+            gid = const_ids[value] = next_id
             next_id += 1
-            explicit[gid] = ConstLeaf(value)
+            explicit[gid] = leaf
             leaves.append(gid)
-            if value.value == one_value:
+            if value == one_value:
                 one = gid
         return gid
 
@@ -1021,17 +1019,17 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
             if gid is None:
                 gid = leaf.get(reg)
                 if gid is None:
-                    gid = const_leaf(ring.zero())
+                    gid = const_leaf(ConstLeaf(ring.zero()))
             return gid, degree[reg]
-        if isinstance(op, VarOperand):
+        if isinstance(op, VarLeaf):
             gid = var_ids.get(op.index)
             if gid is None:
                 gid = var_ids[op.index] = next_id
                 next_id += 1
-                explicit[gid] = VarLeaf(op.index)
+                explicit[gid] = op
                 leaves.append(gid)
             return gid, 1
-        return const_leaf(op.value), 0
+        return const_leaf(op), 0
 
     for step, (ends, keep) in zip(slp.steps, plan):
         if isinstance(step, LoadStep):
@@ -1056,7 +1054,7 @@ def slp_to_circuit(slp: StraightLineProgram, name: str | None = None) -> Layered
             held.pop(reg, None)
         if held:
             if one is None:
-                const_leaf(ring.one())
+                const_leaf(ConstLeaf(ring.one()))
             for reg in sorted(held):
                 copies[next_id] = held[reg]
                 held[reg] = next_id
@@ -1193,24 +1191,15 @@ def _read_gate_lines(
     return LayeredCircuit(name, ring, mode, num_variables, layers, gates, output_id)
 
 
-def leaf_operand(circuit: LayeredCircuit, gid: int) -> Union[VarOperand, ConstOperand]:
-    """The immediate operand for leaf gate gid."""
-    g = circuit.gates[gid]
-    if isinstance(g, VarLeaf):
-        return VarOperand(g.index)
-    if isinstance(g, ConstLeaf):
-        return ConstOperand(g.value)
-    raise ParamError(f"gate {gid} is not a leaf")
-
-
 def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> StraightLineProgram:
     """Register program for a staggered circuit.
 
     A copy of a gate holds its source's value and costs nothing; each
     layer lists one apply step for its real gate and one for each copy
     of a leaf, and _allocate emits those the output reads and picks the
-    registers.  The register count is at most the circuit width (or 1
-    for a circuit whose output is a leaf).
+    registers.  A leaf gate is itself the operand a step reads.  The
+    register count is at most the circuit width (or 1 for a circuit
+    whose output is a leaf).
     """
     report = validate(circuit)
     if not report.staggered:
@@ -1222,8 +1211,8 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
     leaves = set(circuit.layers[0])
     alias: dict[int, int] = {}  # copy of a gate -> the gate whose value it holds
 
-    def operand(ref: int) -> Union[int, VarOperand, ConstOperand]:
-        return leaf_operand(circuit, ref) if ref in leaves else alias.get(ref, ref)
+    def operand(ref: int) -> int | Leaf:
+        return gates[ref] if ref in leaves else alias.get(ref, ref)
 
     steps: list[tuple] = []
     for layer in circuit.layers[1:]:
@@ -1245,13 +1234,13 @@ def circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -> Straight
 def _allocate(
     sb: SlpBuilder,
     steps: Sequence[tuple],
-    output: Union[int, VarOperand, ConstOperand],
+    output: int | Leaf,
     budget: int,
 ) -> StraightLineProgram:
     """sb's program for the steps (value, op, left, right) the output reads.
 
     A value is named by the gate id that defines it, and an operand, or
-    the output, is a value or a leaf operand.  Only the output's cone is
+    the output, is a value or a leaf.  Only the output's cone is
     emitted, in the given order.  One walk backward keeps a step when its
     value is the output or a step that stays reads it, and notes the
     reads no later kept step makes: its last reads.  Walking forward,

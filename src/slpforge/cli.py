@@ -28,8 +28,10 @@ from typing import Sequence
 
 from .circuits import (
     AlgebraicBranchingProgram,
+    ConstLeaf,
     LayeredCircuit,
     StraightLineProgram,
+    VarLeaf,
     circuit_to_slp,
     evaluate,
     expand,
@@ -47,7 +49,7 @@ from .families import (
     build_permanent_sparse,
     project_to_formula,
 )
-from .formulas import FConst, FOp, Formula, FormulaNode, FVar, substitute_leaves
+from .formulas import FOp, Formula, FormulaNode, substitute_leaves
 from .monotone import coverage, mon_set, mon_var_graph
 from .pit import (
     _GRID_BUDGET,
@@ -263,7 +265,7 @@ def _formula_from_expression(
             flatten(node.right)
             return FOp(op, children)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
-            negated = FOp("mul", [FConst(ring.scalar(-1)), conv(node.right)])
+            negated = FOp("mul", [ConstLeaf(ring.scalar(-1)), conv(node.right)])
             return FOp("add", [conv(node.left), negated])
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             exponent = node.right
@@ -277,31 +279,31 @@ def _formula_from_expression(
             if e < 0:
                 raise ParamError(f"negative exponent {e}")
             if e == 0:
-                return FConst(ring.one())
+                return ConstLeaf(ring.one())
             base = conv(node.left)
             if e == 1:
                 return base
             return FOp("mul", [base] + [copy_node(base) for _ in range(e - 1)])
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             left, right = conv(node.left), conv(node.right)
-            if isinstance(left, FConst) and isinstance(right, FConst):
-                return FConst(left.value / right.value)
+            if isinstance(left, ConstLeaf) and isinstance(right, ConstLeaf):
+                return ConstLeaf(left.value / right.value)
             raise ParamError("division is allowed between constants only")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             inner = conv(node.operand)
-            if isinstance(inner, FConst):
-                return FConst(ring.scalar(-1) * inner.value)
-            return FOp("mul", [FConst(ring.scalar(-1)), inner])
+            if isinstance(inner, ConstLeaf):
+                return ConstLeaf(ring.scalar(-1) * inner.value)
+            return FOp("mul", [ConstLeaf(ring.scalar(-1)), inner])
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             return conv(node.operand)
         if isinstance(node, ast.Name):
             match = _VAR_RE.match(node.id)
             if not match:
                 raise ParamError(f"unknown name {node.id!r}; variables are x1, x2, ...")
-            return FVar(int(match.group(1)))
+            return VarLeaf(int(match.group(1)))
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int) and not isinstance(node.value, bool):
-                return FConst(ring.scalar(node.value))
+                return ConstLeaf(ring.scalar(node.value))
             raise ParamError(f"unsupported literal {node.value!r}")
         raise ParamError(f"unsupported expression element {type(node).__name__}")
 
@@ -444,7 +446,7 @@ def _cmd_project(args: argparse.Namespace, caps: _Caps) -> dict[str, object]:
     mapping = project_to_formula(target, params)
     for index in sorted(mapping):
         leaf = mapping[index]
-        image = f"x{leaf.index}" if isinstance(leaf, FVar) else leaf.value.text()
+        image = f"x{leaf.index}" if isinstance(leaf, VarLeaf) else leaf.value.text()
         print(f"subst x{index} = {image}")
     keys: dict[str, object] = {"entries": len(mapping)}
     if args.output is not None:

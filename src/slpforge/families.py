@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 from .circuits import (
     AlgebraicBranchingProgram,
+    ConstLeaf,
     LayeredCircuit,
     LinearForm,
     SlpBuilder,
     StraightLineProgram,
+    VarLeaf,
     slp_to_circuit,
 )
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     ParamError,
     TermCapExceeded,
 )
-from .formulas import FConst, FOp, Formula, FormulaNode, FVar, fadd, fmul, fvar
+from .formulas import FOp, Formula, FormulaNode, fadd, fmul, fvar
 from .polynomials import (
     COMMUTATIVE,
     DEFAULT_CAPS,
@@ -167,12 +169,12 @@ def family_monomial_set(
 # ---------------------------------------------------------------------------
 # Projection into the block family
 
-def _fill_block(mapping: dict[int, FormulaNode], value: FConst, k: int, offset: int, ell: int):
+def _fill_block(mapping: dict[int, FormulaNode], value: ConstLeaf, k: int, offset: int, ell: int):
     for var in range(offset, offset + ell ** (2 * k)):
         mapping[var] = value
 
 
-def _make_one(mapping, zero: FConst, one: FConst, ell: int, k: int, offset: int):
+def _make_one(mapping, zero: ConstLeaf, one: ConstLeaf, ell: int, k: int, offset: int):
     """Pin a block's value to 1: first summand all ones, the rest zero."""
     if k == 0:
         mapping[offset] = one
@@ -188,8 +190,8 @@ class _Projector:
     def __init__(self, target: Formula, params: FamilyParams):
         self.ell = params.ell
         self.mapping: dict[int, FormulaNode] = {}
-        self.zero = FConst(target.ring.zero())
-        self.one = FConst(target.ring.one())
+        self.zero = ConstLeaf(target.ring.zero())
+        self.one = ConstLeaf(target.ring.one())
 
     def fill_zero(self, k: int, offset: int):
         _fill_block(self.mapping, self.zero, k, offset, self.ell)
@@ -201,7 +203,7 @@ class _Projector:
         """Make the depth-k block at offset compute the value of node."""
         ell = self.ell
         if k == 0:
-            if isinstance(node, (FVar, FConst)):
+            if isinstance(node, (VarLeaf, ConstLeaf)):
                 self.mapping[offset] = node
                 return
             raise CapacityExceeded("formula is deeper than the family allows")

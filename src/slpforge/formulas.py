@@ -1,9 +1,11 @@
 """Unbounded-fanin formula trees, the transient input of depth_to_width.
 
 A formula is a tree: leaves are variables or constants, internal nodes
-are add/mul with any number of children.  Sharing a node between two
-parents makes the input a DAG, which depth_to_width must reject, so
-validation walks the tree by object identity.
+are add/mul with any number of children.  The leaves are the circuits
+module's VarLeaf and ConstLeaf, the objects a circuit's leaf gates and
+a program's operands are.  Sharing a node between two parents makes the
+input a DAG, which depth_to_width must reject, so validation walks the
+tree by object identity.
 
 Depth counts gate levels only: a bare leaf has depth 0, a sum of
 products of leaves has depth 2.
@@ -11,22 +13,15 @@ products of leaves has depth 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import NotATree, ParamError
-from .polynomials import _check_mode
-from .rings import Ring, Scalar, ScalarLike
+from .circuits import ConstLeaf, VarLeaf
+from .errors import NotATree, ParamError, RingMismatch
+from .polynomials import _check_mode, _check_num_variables
+from .rings import Ring, ScalarLike
 
-
-@dataclass(frozen=True)
-class FVar:
-    index: int
-
-
-@dataclass(frozen=True)
-class FConst:
-    value: Scalar
+FVar = VarLeaf  # the leaf classes under their formula leaf names
+FConst = ConstLeaf
 
 
 class FOp:
@@ -46,7 +41,7 @@ class FOp:
         raise AttributeError("FOp is immutable")
 
 
-FormulaNode = Union[FVar, FConst, FOp]
+FormulaNode = Union[VarLeaf, ConstLeaf, FOp]
 
 
 class Formula:
@@ -56,6 +51,7 @@ class Formula:
 
     def __init__(self, ring: Ring, mode: str, num_variables: int, root: FormulaNode):
         _check_mode(mode)
+        _check_num_variables(num_variables)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "num_variables", num_variables)
@@ -75,14 +71,14 @@ class Formula:
                     raise NotATree("formula shares a subnode between two parents")
                 seen.add(id(node))
                 stack.extend(node.children)
-            elif isinstance(node, FVar):
+            elif isinstance(node, VarLeaf):
                 if not 1 <= node.index <= self.num_variables:
                     raise ParamError(
                         f"x{node.index} beyond vars {self.num_variables}"
                     )
-            elif isinstance(node, FConst):
+            elif isinstance(node, ConstLeaf):
                 if node.value.ring != self.ring:
-                    raise ParamError("formula constant from a different ring")
+                    raise RingMismatch("formula constant from a different ring")
             else:
                 raise ParamError(f"bad formula node {node!r}")
 
@@ -117,25 +113,25 @@ def substitute_leaves(
     result is a tree even when one leaf value is reused.
     """
     for value in mapping.values():
-        if not isinstance(value, (FVar, FConst)):
+        if not isinstance(value, (VarLeaf, ConstLeaf)):
             raise ParamError("substitution values must be leaves")
 
     def walk(node: FormulaNode) -> FormulaNode:
         if isinstance(node, FOp):
             return FOp(node.op, [walk(child) for child in node.children])
-        if isinstance(node, FVar):
+        if isinstance(node, VarLeaf):
             return mapping.get(node.index, node)
         return node
 
     return Formula(formula.ring, formula.mode, num_variables, walk(formula.root))
 
 
-def fvar(index: int) -> FVar:
-    return FVar(index)
+def fvar(index: int) -> VarLeaf:
+    return VarLeaf(index)
 
 
-def fconst(ring: Ring, value: ScalarLike) -> FConst:
-    return FConst(ring.scalar(value))
+def fconst(ring: Ring, value: ScalarLike) -> ConstLeaf:
+    return ConstLeaf(ring.scalar(value))
 
 
 def fadd(*children: FormulaNode) -> FOp:

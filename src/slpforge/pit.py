@@ -47,12 +47,12 @@ import numpy as np
 
 from .circuits import (
     AlgebraicBranchingProgram,
-    ConstOperand,
+    ConstLeaf,
     LayeredCircuit,
-    Operand,
+    Leaf,
     SlpBuilder,
     StraightLineProgram,
-    VarOperand,
+    VarLeaf,
     _renamed,
     batch_dtype,
     evaluate_batch,
@@ -430,9 +430,9 @@ class PermCheckInstance:
         return tuple(slp_to_circuit(program) for program in self.programs)
 
 
-def _restriction_leaves(ring: Ring, n: int, k: int) -> dict[int, Operand]:
+def _restriction_leaves(ring: Ring, n: int, k: int) -> dict[int, Leaf]:
     """x_ij reads 1 if i = j else 0, for every entry outside the k x k corner."""
-    one, zero = ConstOperand(ring.one()), ConstOperand(ring.zero())
+    one, zero = ConstLeaf(ring.one()), ConstLeaf(ring.zero())
     return {
         permanent_var_index(n, i, j): one if i == j else zero
         for i in range(1, n + 1)
@@ -441,13 +441,13 @@ def _restriction_leaves(ring: Ring, n: int, k: int) -> dict[int, Operand]:
     }
 
 
-def _minor_leaves(ring: Ring, n: int, k: int, i: int) -> dict[int, Operand]:
+def _minor_leaves(ring: Ring, n: int, k: int, i: int) -> dict[int, Leaf]:
     """Read C_{k-1} as the minor of the k x k corner lacking row 1 and column i."""
     leaves = _restriction_leaves(ring, n, k - 1)
     for a in range(1, k):
         for b in range(1, k):
             col = b if b < i else b + 1
-            leaves[permanent_var_index(n, a, b)] = VarOperand(permanent_var_index(n, a + 1, col))
+            leaves[permanent_var_index(n, a, b)] = VarLeaf(permanent_var_index(n, a + 1, col))
     return leaves
 
 

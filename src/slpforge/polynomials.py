@@ -87,6 +87,11 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_num_variables(num_variables: int) -> None:
+    if num_variables < 0:
+        raise ParamError(f"num_variables must be >= 0, got {num_variables}")
+
+
 class Monomial:
     """A single power product.
 
@@ -207,8 +212,7 @@ class SparsePolynomial:
         terms: Mapping[Monomial, ScalarLike] | None = None,
     ):
         _check_mode(mode)
-        if num_variables < 0:
-            raise ParamError(f"num_variables must be >= 0, got {num_variables}")
+        _check_num_variables(num_variables)
         clean: dict[Monomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             if mono.mode != mode:
@@ -563,7 +567,9 @@ def term_algebra(
 
     zero = ({}, 1)
     one = ({unit: 1}, 1)
-    leaves = {index: ({var_key(index): 1}, 1) for index in range(1, n + 1)}
+    # Key i is about width * i bits wide, so each variable's value is built
+    # at its first read, not for all n up front.
+    leaves: dict = {}
 
     def reduced(terms: dict, den: int) -> tuple:
         if not terms:
@@ -655,7 +661,9 @@ def term_algebra(
 
     def var(index: int):
         if index not in leaves:
-            raise ParamError(f"variable x{index} outside 1..{n}")
+            if not 1 <= index <= n:
+                raise ParamError(f"variable x{index} outside 1..{n}")
+            leaves[index] = ({var_key(index): 1}, 1)
         return leaves[index]
 
     return TermAlgebra(var, const, add, mul, wrap, lift, scale, truncate, zero, one, unit)

@@ -21,7 +21,7 @@ objects are built only for the results.
 from __future__ import annotations
 
 from .circuits import (
-    ConstOperand,
+    ConstLeaf,
     SlpBuilder,
     StraightLineProgram,
     expand,
@@ -381,7 +381,7 @@ def root_circuit(
     alphas = rp.index_set()
 
     terms = [
-        (ConstOperand(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
+        (ConstLeaf(ring.scalar(q)), alpha) for alpha, q in zip(alphas, mixing) if q
     ]
 
     # Interpolation data: y-points recover the C_i from runs of P, and
@@ -409,7 +409,7 @@ def root_circuit(
     # y_matrix[i][t].
     read = [i for i in range(r + 1) if any(alpha[i] for _, alpha in terms)]
     feeds = [
-        [(delta_base + i, ConstOperand(y_matrix[i][t])) for i in read if y_matrix[i][t] != zero]
+        [(delta_base + i, ConstLeaf(y_matrix[i][t])) for i in read if y_matrix[i][t] != zero]
         for t in range(r + 1)
     ]
 
@@ -425,24 +425,24 @@ def root_circuit(
         if slice_weights[j] == zero:
             continue
         for i in read:
-            sb.load(delta_base + i, ConstOperand(-rp.base_point[i]))
+            sb.load(delta_base + i, ConstLeaf(-rp.base_point[i]))
         for t in range(r + 1):
             if not feeds[t]:
                 continue
-            out = emitter.run(scale=z, leaves={y: ConstOperand(y_points[t])})
+            out = emitter.run(scale=z, leaves={y: ConstLeaf(y_points[t])})
             # Every run writes the staging register before reading it, so
             # it is free between runs.
             for acc, weight in feeds[t]:
                 sb.apply(stage, "mul", sb.reg(out), weight)
                 sb.apply(acc, "add", sb.reg(acc), sb.reg(stage))
-        sb.load(sum_reg, ConstOperand(zero))
+        sb.load(sum_reg, ConstLeaf(zero))
         for q, alpha in terms:
             sb.load(prod_reg, q)
             for i, e in enumerate(alpha):
                 for _ in range(e):
                     sb.apply(prod_reg, "mul", sb.reg(prod_reg), sb.reg(delta_base + i))
             sb.apply(sum_reg, "add", sb.reg(sum_reg), sb.reg(prod_reg))
-        sb.apply(sum_reg, "mul", sb.reg(sum_reg), ConstOperand(slice_weights[j]))
+        sb.apply(sum_reg, "mul", sb.reg(sum_reg), ConstLeaf(slice_weights[j]))
         sb.apply(global_acc, "add", sb.reg(global_acc), sb.reg(sum_reg))
 
     program = sb.finish(global_acc)

@@ -62,8 +62,8 @@ layers.
 
 The schedule is a list of steps, one apply step per cone gate below
 the output's layer that is not an alias, an alias naming its source's
-value; leaf operands are embedded as immediates, so no loads are spent
-on them.  circuits._allocate, as for circuit_to_slp, emits the steps
+value; a leaf gate is itself the step's immediate operand, so no loads
+are spent on leaves.  circuits._allocate, as for circuit_to_slp, emits the steps
 in schedule order and picks the registers: each value is freed at its
 last read and each result takes the smallest free register.  That is
 the fewest registers this step order allows, so never more than the
@@ -75,17 +75,15 @@ is a leaf one load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Union
+from typing import Container
 
 from .circuits import (
     BinGate,
-    ConstOperand,
     LayeredCircuit,
+    Leaf,
     SlpBuilder,
     StraightLineProgram,
-    VarOperand,
     _allocate,
-    leaf_operand,
     validate,
 )
 from .errors import ParamError
@@ -294,12 +292,13 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
     out_layer = next(
         i for i, layer in enumerate(circuit.layers, start=1) if circuit.output_id in layer
     )
+    gates = circuit.gates
     leaves = set(circuit.layers[0])
     cone = _cone(circuit)
     alias: dict[int, int] = {}  # aliased copy -> the gate whose value it holds
 
-    def operand(ref: int) -> Union[int, VarOperand, ConstOperand]:
-        return leaf_operand(circuit, ref) if ref in leaves else alias.get(ref, ref)
+    def operand(ref: int) -> int | Leaf:
+        return gates.explicit[ref] if ref in leaves else alias.get(ref, ref)
 
     steps: list[tuple] = []
     for i in range(1, out_layer):
@@ -307,6 +306,6 @@ def staggerize(circuit: LayeredCircuit, name: str | None = None) -> StraightLine
         for gid, source in graph.aliases:
             alias[gid] = alias.get(source, source)
         for gid in [e.gate for e in order_edges(graph).order] + list(graph.constant_gates):
-            gate = circuit.gates[gid]
+            gate = gates[gid]
             steps.append((gid, gate.op, operand(gate.left), operand(gate.right)))
     return _allocate(sb, steps, operand(circuit.output_id), circuit.width + 1)

@@ -126,7 +126,10 @@ def _header(lines, kind: str, default_mode: str | None = None):
     lineno, tokens = rest[0]
     if len(tokens) != 2 or tokens[0] != "vars":
         raise CircuitSyntaxError("expected 'vars <n>'", lineno)
-    return name, ring, mode, _int(tokens[1], lineno, "variable count"), rest[1:]
+    count = _int(tokens[1], lineno, "variable count")
+    if count < 0:
+        raise CircuitSyntaxError(f"variable count must be >= 0, got {count}", lineno)
+    return name, ring, mode, count, rest[1:]
 
 
 def parse_circuit(text: str) -> Parsed:

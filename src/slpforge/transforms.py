@@ -28,14 +28,15 @@ from typing import Mapping, Sequence
 
 from .circuits import (
     ApplyStep,
-    ConstOperand,
+    ConstLeaf,
     LayeredCircuit,
+    Leaf,
     LoadStep,
     RegOperand,
     SlpBuilder,
     StraightLineProgram,
     Step,
-    VarOperand,
+    VarLeaf,
     expand,
     live_steps,
     slp_to_circuit,
@@ -47,7 +48,7 @@ from .errors import (
     ModeMismatch,
     ParamError,
 )
-from .formulas import FOp, Formula, FormulaNode, FVar
+from .formulas import FOp, Formula
 from .polynomials import (
     COMMUTATIVE,
     DEFAULT_CAPS,
@@ -68,7 +69,7 @@ def depth_to_width(f: Formula, name: str | None = None) -> LayeredCircuit:
     A gate at nesting level L accumulates its children left to right in
     register L-1; a child that is itself a gate is built one register
     deeper, so the register high-water mark is the formula depth.  Leaf
-    children are folded into apply steps as immediate operands.  Size of
+    children are the apply steps' immediate operands as they are.  Size of
     the result is at most (d+1) times the formula size plus two.  No
     constants are introduced beyond the multiplicative identities that
     layering inserts for pass-through copies, so monotone formulas give
@@ -76,29 +77,24 @@ def depth_to_width(f: Formula, name: str | None = None) -> LayeredCircuit:
     """
     sb = SlpBuilder(f.ring, f.mode, f.num_variables, name=name or "depth_to_width")
 
-    def operand(node: FormulaNode):
-        if isinstance(node, FVar):
-            return VarOperand(node.index)
-        return ConstOperand(node.value)
-
     def emit(node: FOp, level: int) -> None:
         dest = level - 1
         first = node.children[0]
         if isinstance(first, FOp):
             emit(first, level)
         else:
-            sb.load(dest, operand(first))
+            sb.load(dest, first)
         for child in node.children[1:]:
             if isinstance(child, FOp):
                 emit(child, level + 1)
                 sb.apply(dest, node.op, sb.reg(dest), sb.reg(level))
             else:
-                sb.apply(dest, node.op, sb.reg(dest), operand(child))
+                sb.apply(dest, node.op, sb.reg(dest), child)
 
     if isinstance(f.root, FOp):
         emit(f.root, 1)
     else:
-        sb.load(0, operand(f.root))
+        sb.load(0, f.root)
     return slp_to_circuit(sb.finish(0), name=name or "depth_to_width")
 
 
@@ -121,8 +117,8 @@ def _stale_read_registers(steps: Sequence[Step]) -> tuple[int, ...]:
 
 def _reads_variable(step: Step) -> bool:
     if isinstance(step, LoadStep):
-        return isinstance(step.source, VarOperand)
-    return isinstance(step.left, VarOperand) or isinstance(step.right, VarOperand)
+        return isinstance(step.source, VarLeaf)
+    return isinstance(step.left, VarLeaf) or isinstance(step.right, VarLeaf)
 
 
 class _BodyEmitter:
@@ -158,7 +154,7 @@ class _BodyEmitter:
         steps = live_steps(program)
         self.body = tuple((step, _reads_variable(step)) for step in steps)
         self.stage = stage_register  # only runs that scale use it
-        zero = ConstOperand(program.ring.zero())
+        zero = ConstLeaf(program.ring.zero())
         self.clears = tuple(LoadStep(r, zero) for r in _stale_read_registers(steps))
         self.one = program.ring.one()
         self.ran_before = False
@@ -166,7 +162,7 @@ class _BodyEmitter:
     def run(
         self,
         scale: Scalar | None = None,
-        leaves: Mapping[int, VarOperand | ConstOperand] | None = None,
+        leaves: Mapping[int, Leaf] | None = None,
     ) -> int:
         """Emit one run; returns the register holding the program's output."""
         sb = self.sb
@@ -177,15 +173,15 @@ class _BodyEmitter:
         leaves = leaves or {}
         factor = None
         if scale is not None and scale != self.one:
-            factor = ConstOperand(scale)
+            factor = ConstLeaf(scale)
 
         def read(op):
             # The operand read in op's place.
-            if isinstance(op, VarOperand):
+            if isinstance(op, VarLeaf):
                 return leaves.get(op.index, op)
             return op
 
-        def staged(register: int, var_op: VarOperand) -> RegOperand:
+        def staged(register: int, var_op: VarLeaf) -> RegOperand:
             emitted.append(ApplyStep(register, "mul", var_op, factor))
             return sb.reg(register)
 
@@ -195,7 +191,7 @@ class _BodyEmitter:
                 emitted.append(step)
             elif isinstance(step, LoadStep):
                 source = read(step.source)
-                if factor is not None and isinstance(source, VarOperand):
+                if factor is not None and isinstance(source, VarLeaf):
                     emitted.append(ApplyStep(step.dest, "mul", source, factor))
                 elif source is step.source:
                     emitted.append(step)
@@ -208,10 +204,10 @@ class _BodyEmitter:
                     # in dest when the left one took it: a step whose
                     # operands are both variables does not read dest's
                     # old value.
-                    scale_left = isinstance(left, VarOperand)
+                    scale_left = isinstance(left, VarLeaf)
                     if scale_left:
                         left = staged(self.stage, left)
-                    if isinstance(right, VarOperand):
+                    if isinstance(right, VarLeaf):
                         right = staged(step.dest if scale_left else self.stage, right)
                 if left is step.left and right is step.right:
                     emitted.append(step)
@@ -241,7 +237,7 @@ def _scaled_combination(
         if weight == zero:
             continue
         out = emitter.run(scale=z)
-        sb.apply(out, "mul", sb.reg(out), ConstOperand(weight))
+        sb.apply(out, "mul", sb.reg(out), ConstLeaf(weight))
         sb.apply(acc, "add", sb.reg(acc), sb.reg(out))
     return sb.finish(acc)
 
@@ -353,12 +349,12 @@ def partial_derivative_y(
         ]
         if all(value == zero for value in coeffs):
             continue
-        out = emitter.run(leaves={y: ConstOperand(points[t])})
-        sb.load(horner, ConstOperand(coeffs[-1]))
+        out = emitter.run(leaves={y: ConstLeaf(points[t])})
+        sb.load(horner, ConstLeaf(coeffs[-1]))
         for value in reversed(coeffs[:-1]):
             sb.apply(horner, "mul", sb.reg(horner), sb.var(y))
             if value != zero:
-                sb.apply(horner, "add", sb.reg(horner), ConstOperand(value))
+                sb.apply(horner, "add", sb.reg(horner), ConstLeaf(value))
         sb.apply(horner, "mul", sb.reg(horner), sb.reg(out))
         sb.apply(acc, "add", sb.reg(acc), sb.reg(horner))
     return sb.finish(acc)
@@ -392,7 +388,7 @@ def sparse_to_width2(
     build, acc = 0, 1
     sb = SlpBuilder(p.ring, p.mode, p.num_variables, register_count=2, name=name or "sparse")
     for mono in p.monomials():
-        sb.load(build, ConstOperand(p.terms[mono]))
+        sb.load(build, ConstLeaf(p.terms[mono]))
         for var in _monomial_factors(mono):
             sb.apply(build, "mul", sb.reg(build), sb.var(var))
         sb.apply(acc, "add", sb.reg(acc), sb.reg(build))

@@ -17,7 +17,6 @@ from slpforge.circuits import (
     BinGate,
     CircuitBuilder,
     ConstLeaf,
-    ConstOperand,
     LayeredCircuit,
     LinearForm,
     LoadStep,
@@ -26,11 +25,9 @@ from slpforge.circuits import (
     SlpBuilder,
     StraightLineProgram,
     VarLeaf,
-    VarOperand,
     _GateTable,
     evaluate,
     fold,
-    leaf_operand,
     slp_to_circuit,
     syntactic_degree,
     validate,
@@ -50,7 +47,7 @@ from slpforge.errors import (
     UnsolvableSystem,
 )
 from slpforge.families import permanent_var_index
-from slpforge.formulas import FConst, FOp, Formula, FormulaNode, FVar
+from slpforge.formulas import FOp, Formula, FormulaNode
 from slpforge.monotone import MonomialSet
 from slpforge.pit import HardFamily, PermCheckInstance, Verdict, _rng, nw_design
 from slpforge.polynomials import (
@@ -231,8 +228,8 @@ def random_formula(
 
     def leaf() -> FormulaNode:
         if rng.random() < 0.8:
-            return FVar(rng.randrange(1, num_variables + 1))
-        return FConst(ring.scalar(rng.randrange(3)))
+            return VarLeaf(rng.randrange(1, num_variables + 1))
+        return ConstLeaf(ring.scalar(rng.randrange(3)))
 
     def node(op: str, remaining: int) -> FormulaNode:
         if remaining == 0:
@@ -256,9 +253,9 @@ def formula_expand(f: Formula) -> SparsePolynomial:
     """Direct recursive expansion, independent of the circuit pipeline."""
 
     def walk(node: FormulaNode) -> SparsePolynomial:
-        if isinstance(node, FVar):
+        if isinstance(node, VarLeaf):
             return SparsePolynomial.variable(f.ring, f.mode, f.num_variables, node.index)
-        if isinstance(node, FConst):
+        if isinstance(node, ConstLeaf):
             return SparsePolynomial.constant(f.ring, f.mode, f.num_variables, node.value)
         parts = [walk(child) for child in node.children]
         acc = parts[0]
@@ -554,7 +551,7 @@ def reference_slp_fold(slp: StraightLineProgram, var, const, add, mul):
     def operand(op: Operand):
         if isinstance(op, RegOperand):
             return regs[op.register]
-        if isinstance(op, VarOperand):
+        if isinstance(op, VarLeaf):
             return var(op.index)
         return const(op.value)
 
@@ -612,7 +609,7 @@ def program_digest(program: StraightLineProgram) -> str:
     def text(op: Operand) -> str:
         if isinstance(op, RegOperand):
             return f"r{op.register}"
-        if isinstance(op, VarOperand):
+        if isinstance(op, VarLeaf):
             return f"x{op.index}"
         return op.value.text()
 
@@ -762,9 +759,9 @@ def reference_slp_to_circuit(slp: StraightLineProgram, name: str | None = None) 
     live_after.reverse()
 
     def leaf_for(op: Operand) -> int:
-        if isinstance(op, VarOperand):
+        if isinstance(op, VarLeaf):
             return b.var_leaf(op.index)
-        if isinstance(op, ConstOperand):
+        if isinstance(op, ConstLeaf):
             return b.const_leaf(op.value)
         raise ParamError(f"not a leaf operand: {op!r}")
 
@@ -873,7 +870,7 @@ def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -
     held_until: dict[int, int] = {}  # register -> last read of the value it holds
     for k, (gid, op, refs) in enumerate(steps):
         operands = [
-            leaf_operand(circuit, ref) if ref in leaf_ids else sb.reg(register_of[ref])
+            gates[ref] if ref in leaf_ids else sb.reg(register_of[ref])
             for ref in refs
         ]
         dest = next(r for r in itertools.count() if held_until.get(r, k) <= k)
@@ -882,7 +879,7 @@ def reference_circuit_to_slp(circuit: LayeredCircuit, name: str | None = None) -
         held_until[dest] = last_read(k)
 
     if output is None:
-        sb.load(0, leaf_operand(circuit, circuit.output_id))
+        sb.load(0, gates[circuit.output_id])
         return sb.finish(0)
     return sb.finish(register_of[output])
 
@@ -1140,22 +1137,17 @@ def substitute_scalar(poly: SparsePolynomial, var: int, value) -> SparsePolynomi
 
 
 def replace_leaves(
-    circuit: LayeredCircuit, leaves: dict[int, VarOperand | ConstOperand], name: str | None = None
+    circuit: LayeredCircuit, leaves: dict[int, VarLeaf | ConstLeaf], name: str | None = None
 ) -> LayeredCircuit:
     """The circuit with each variable leaf x_i in leaves read as leaves[i] instead.
 
     Implicit copies stay implicit.
     """
     table = circuit.gates
-    gates = {}
-    for gid, g in table.explicit.items():
-        op = leaves.get(g.index) if isinstance(g, VarLeaf) else None
-        if isinstance(op, ConstOperand):
-            gates[gid] = ConstLeaf(op.value)
-        elif isinstance(op, VarOperand):
-            gates[gid] = VarLeaf(op.index)
-        else:
-            gates[gid] = g
+    gates = {
+        gid: leaves.get(g.index, g) if isinstance(g, VarLeaf) else g
+        for gid, g in table.explicit.items()
+    }
     return LayeredCircuit(
         name or circuit.name,
         circuit.ring,
@@ -1170,7 +1162,7 @@ def replace_leaves(
 def _emit_verbatim(sb: SlpBuilder, program: StraightLineProgram, dirty: bool) -> int:
     """Append program's steps to sb, first clearing its stale reads when dirty."""
     if dirty:
-        zero = ConstOperand(program.ring.zero())
+        zero = ConstLeaf(program.ring.zero())
         for r in _stale_read_registers(program.steps):
             sb.load(r, zero)
     for step in program.steps:
@@ -1212,7 +1204,7 @@ def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     restricted = [
         replace_leaves(
             c,
-            {i: ConstOperand(c.ring.scalar(v)) for i, v in _restriction_constants(n, k).items()},
+            {i: ConstLeaf(c.ring.scalar(v)) for i, v in _restriction_constants(n, k).items()},
             name=f"C_{k}",
         )
         for k in range(1, n + 1)
@@ -1231,7 +1223,7 @@ def reference_perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
                 renames = _minor_variable_map(n, k, i)
                 minor = replace_leaves(
                     restricted[k - 2],
-                    {a: VarOperand(b) for a, b in renames.items()},
+                    {a: VarLeaf(b) for a, b in renames.items()},
                     name=f"C_{k - 1}_minor_{i}",
                 )
                 parts.append(staggerize(minor))
@@ -1425,9 +1417,9 @@ def sympy_program(sympy, obj, gens, domain="QQ"):
     def read(op):
         if isinstance(op, RegOperand):
             return regs[op.register]
-        if isinstance(op, VarOperand):
+        if isinstance(op, VarLeaf):
             return poly(gens[op.index - 1])
-        assert isinstance(op, ConstOperand)
+        assert isinstance(op, ConstLeaf)
         return constant(op.value)
 
     for step in obj.steps:

@@ -21,7 +21,7 @@ from genutil import (
     random_slp,
 )
 
-from slpforge.circuits import CircuitBuilder, expand, slp_to_circuit, validate
+from slpforge.circuits import CircuitBuilder, ConstLeaf, expand, slp_to_circuit, validate
 from slpforge.families import (
     BenOrParams,
     FamilyParams,
@@ -32,7 +32,7 @@ from slpforge.families import (
     build_permanent_sparse,
     family_monomial_set,
 )
-from slpforge.formulas import FConst, FOp, Formula, FVar
+from slpforge.formulas import FOp, Formula
 from slpforge.monotone import mon_set
 from slpforge.pit import HARD_FAMILIES, nw_design, nw_pit, schwartz_zippel, verify_permanent_circuit
 from slpforge.polynomials import COMMUTATIVE, MODES, Monomial, NONCOMMUTATIVE, SparsePolynomial
@@ -305,7 +305,7 @@ def _zero_circuits(rng, count):
             depth=rng.randrange(1, 4),
             num_variables=rng.randrange(1, 5),
         )
-        negated = FOp("mul", [FConst(RATIONALS.scalar(-1)), _copy_formula_node(f.root)])
+        negated = FOp("mul", [ConstLeaf(RATIONALS.scalar(-1)), _copy_formula_node(f.root)])
         zero = Formula(
             RATIONALS, COMMUTATIVE, f.num_variables, FOp("add", [f.root, negated])
         )

@@ -18,14 +18,13 @@ from genutil import (
     reference_circuit_to_slp,
     without_dead_steps,
 )
-from slpforge import circuits
+from slpforge import circuits, formulas
 from slpforge.circuits import (
     AlgebraicBranchingProgram,
     ApplyStep,
     BinGate,
     CircuitBuilder,
     ConstLeaf,
-    ConstOperand,
     LayeredCircuit,
     LinearForm,
     LoadStep,
@@ -33,7 +32,6 @@ from slpforge.circuits import (
     SlpBuilder,
     StraightLineProgram,
     VarLeaf,
-    VarOperand,
     circuit_to_slp,
     evaluate,
     evaluate_batch,
@@ -51,10 +49,12 @@ from slpforge.errors import (
     ParamError,
     SlpforgeError,
 )
+from slpforge.formulas import FOp, Formula
 from slpforge.polynomials import COMMUTATIVE, Monomial, NONCOMMUTATIVE, SparsePolynomial
 from slpforge.rings import DEFAULT_PRIME, PrimeField, RATIONALS
 from slpforge.stagger import staggerize
 from slpforge.textio import parse_circuit, serialize_circuit
+from slpforge.transforms import depth_to_width
 
 F = PrimeField(PrimeField(101).p)
 
@@ -67,6 +67,40 @@ def product_sum_circuit(ring=F, mode=COMMUTATIVE):
     out = b.gate(3, "add", m1, m2)
     b.set_output(out)
     return b.build()
+
+
+def test_a_leaf_is_one_object_in_every_notation():
+    # The earlier operand and formula names are the leaf classes themselves.
+    assert circuits.VarOperand is formulas.FVar is VarLeaf
+    assert circuits.ConstOperand is formulas.FConst is ConstLeaf
+    three = F.scalar(3)
+    assert VarLeaf(1) == circuits.VarOperand(1) == formulas.FVar(1)
+    assert ConstLeaf(three) == circuits.ConstOperand(three) == formulas.FConst(three)
+    # Each conversion passes a leaf on as it is: the formula's leaf
+    # objects are the circuit's leaf gates and the program's operands.
+    x1, c = VarLeaf(1), ConstLeaf(three)
+    circuit = depth_to_width(Formula(F, COMMUTATIVE, 1, FOp("add", [x1, c])))
+    leaves = [circuit.gates[gid] for gid in circuit.layers[0]]
+    assert leaves[0] is x1 and leaves[1] is c
+    program = circuit_to_slp(circuit)
+    step = program.steps[-1]
+    assert step.left is x1 and step.right is c
+    assert staggerize(circuit).steps == program.steps
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LayeredCircuit("c", F, COMMUTATIVE, -1, [[1]], {1: ConstLeaf(F.one())}, 1),
+        lambda: StraightLineProgram("p", F, COMMUTATIVE, -1, 1, [], 0),
+        lambda: AlgebraicBranchingProgram("a", F, -1, [[1], [2]], [], 1, 2),
+        lambda: Formula(F, COMMUTATIVE, -1, ConstLeaf(F.one())),
+    ],
+    ids=["circuit", "program", "abp", "formula"],
+)
+def test_a_negative_variable_count_is_a_param_error(build):
+    with pytest.raises(ParamError, match="num_variables must be >= 0, got -1"):
+        build()
 
 
 def test_validation_report_shape():
@@ -199,13 +233,13 @@ def report_programs(monkeypatch):
 def edge_case_programs():
     """(program, homogeneous, monotone): the cases a derived report could miss."""
     q = RATIONALS
-    x1, x2 = VarOperand(1), VarOperand(2)
+    x1, x2 = VarLeaf(1), VarLeaf(2)
 
     def program(steps, output=0, registers=2, ring=q):
         return StraightLineProgram("edge", ring, COMMUTATIVE, 2, registers, steps, output)
 
     def const(v, ring=q):
-        return ConstOperand(ring.scalar(v))
+        return ConstLeaf(ring.scalar(v))
 
     return [
         # A dead step that adds two degrees still makes a gate.
@@ -262,11 +296,10 @@ def test_copies_take_consecutive_ids_in_one_layer():
     x1, x2 = b.var_leaf(1), b.var_leaf(2)
     g = b.gate(2, "add", x1, x2)
     h = b.gate(2, "mul", x1, x2)
-    assert b.copies(3, []) == range(5, 5)  # no copies, no 1 leaf
-    ids = b.copies(3, [g, h, g])
+    ids = [b.copy(3, source) for source in (g, h, g, h)]
     one = 5  # created on the first copy, before the copy ids
-    assert ids == range(6, 9)
-    assert b.copy(3, h) == 9
+    assert ids == [6, 7, 8, 9]
+    assert not hasattr(b, "copies")
     b.set_output(b.gate(4, "add", 6, 7))
     c = b.build()
     assert c.layers[0] == (x1, x2, one)
@@ -610,8 +643,8 @@ def test_circuit_to_slp_register_count_equals_width():
 def test_allocate_raises_past_its_budget():
     # Gates 10 and 11 are both live when gate 12 reads them: two registers.
     steps = [
-        (10, "add", VarOperand(1), VarOperand(2)),
-        (11, "mul", VarOperand(1), ConstOperand(F.scalar(3))),
+        (10, "add", VarLeaf(1), VarLeaf(2)),
+        (11, "mul", VarLeaf(1), ConstLeaf(F.scalar(3))),
         (12, "mul", 10, 11),
     ]
     program = circuits._allocate(SlpBuilder(F, COMMUTATIVE, 2), steps, 12, 2)

@@ -408,6 +408,23 @@ def test_a_sample_size_below_one_is_an_operation_error(tmp_path, capsys):
             assert err == f"error: sample_size must be >= 1, got {size}\n"
 
 
+def test_a_negative_variable_count_is_an_operation_error(tmp_path, capsys):
+    # pit and expand died in numpy and in a shift, and stagger succeeded.
+    circuit = tmp_path / "negative.ckt"
+    circuit.write_text(
+        "circuit neg\nring prime 101\nmode commutative\nvars -1\n"
+        "gate 1 1 const 2\noutput 1\n"
+    )
+    for argv in (
+        ["pit", "--circuit", str(circuit), "--mode", "sz"],
+        ["expand", "-i", str(circuit)],
+        ["stagger", "-i", str(circuit)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "RESULT" not in out, argv
+        assert err == "error: line 4: variable count must be >= 0, got -1\n", argv
+
+
 def test_verify_perm_rejects_wrong_candidate(tmp_path, capsys):
     wrong = tmp_path / "wrong.ckt"
     run(

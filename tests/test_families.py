@@ -5,7 +5,7 @@ import random
 import pytest
 
 from genutil import evaluate_sparse, formula_expand, is_alternating, random_formula
-from slpforge.circuits import evaluate, expand, validate
+from slpforge.circuits import ConstLeaf, VarLeaf, evaluate, expand, validate
 from slpforge.errors import (
     BadCharacteristic,
     CapacityExceeded,
@@ -26,9 +26,7 @@ from slpforge.families import (
     project_to_formula,
 )
 from slpforge.formulas import (
-    FConst,
     Formula,
-    FVar,
     fadd,
     fmul,
     fvar,
@@ -110,7 +108,7 @@ def test_projection_worked_example():
     f = Formula(RATIONALS, "commutative", 3, fadd(fmul(fvar(1), fvar(2)), fvar(3)))
     mapping = project_to_formula(f, FamilyParams(2, 1))
     one = RATIONALS.one()
-    assert mapping == {1: FVar(1), 2: FVar(2), 3: FVar(3), 4: FConst(one)}
+    assert mapping == {1: VarLeaf(1), 2: VarLeaf(2), 3: VarLeaf(3), 4: ConstLeaf(one)}
 
 
 def test_projection_random_roundtrip():

@@ -20,11 +20,11 @@ from genutil import (
 )
 from slpforge.circuits import (
     ApplyStep,
-    ConstOperand,
+    ConstLeaf,
     LoadStep,
     RegOperand,
     SlpBuilder,
-    VarOperand,
+    VarLeaf,
     evaluate,
     evaluate_batch,
     expand,
@@ -257,7 +257,7 @@ def test_emission_without_dead_steps_is_unchanged():
 def _reads(step):
     """The variable indices a step reads."""
     ops = (step.source,) if isinstance(step, LoadStep) else (step.left, step.right)
-    return {op.index for op in ops if isinstance(op, VarOperand)}
+    return {op.index for op in ops if isinstance(op, VarLeaf)}
 
 
 def _emitted_runs(emitter, runs):
@@ -289,9 +289,9 @@ def test_re_runs_append_the_body_steps_they_leave_alone():
             ({}, set(), False),
             ({"scale": c.ring.one()}, set(), False),
             ({"scale": three}, set(range(1, n + 1)), True),
-            ({"leaves": {1: ConstOperand(three)}}, {1}, False),
-            ({"leaves": {1: VarOperand(2)}}, {1}, False),
-            ({"scale": three, "leaves": {n: ConstOperand(three)}}, set(range(1, n + 1)), True),
+            ({"leaves": {1: ConstLeaf(three)}}, {1}, False),
+            ({"leaves": {1: VarLeaf(2)}}, {1}, False),
+            ({"scale": three, "leaves": {n: ConstLeaf(three)}}, set(range(1, n + 1)), True),
         ]
         emitted = _emitted_runs(emitter, [kwargs for kwargs, _, _ in kinds])
         for index, (run, (_, rewritten, scaled)) in enumerate(zip(emitted, kinds)):
@@ -319,9 +319,9 @@ def test_a_scaled_variable_read_is_one_step():
     sb.apply(0, "add", sb.reg(0), sb.reg(1))
     body = sb.finish(0)
     out = SlpBuilder(RATIONALS, COMMUTATIVE, 2, register_count=3)
-    z = ConstOperand(RATIONALS.scalar(5))
+    z = ConstLeaf(RATIONALS.scalar(5))
     assert _BodyEmitter(out, body, 2).run(scale=z.value) == 0
-    x1, x2 = VarOperand(1), VarOperand(2)
+    x1, x2 = VarLeaf(1), VarLeaf(2)
     r0, r1, stage = RegOperand(0), RegOperand(1), RegOperand(2)
     assert out._steps == [
         ApplyStep(0, "mul", x1, z),

@@ -21,9 +21,9 @@ from genutil import (
 from slpforge import circuits, pit
 from slpforge.circuits import (
     CircuitBuilder,
-    ConstOperand,
+    ConstLeaf,
     SlpBuilder,
-    VarOperand,
+    VarLeaf,
     evaluate,
     evaluate_batch,
     expand,
@@ -784,8 +784,8 @@ def test_staggering_commutes_with_leaf_maps():
         st.dictionaries(
             st.integers(1, 4),
             st.one_of(
-                st.integers(-3, 3).map(lambda v: ConstOperand(ring.scalar(v))),
-                st.integers(1, 4).map(VarOperand),
+                st.integers(-3, 3).map(lambda v: ConstLeaf(ring.scalar(v))),
+                st.integers(1, 4).map(VarLeaf),
             ),
         ),
     )

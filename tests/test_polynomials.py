@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic in both modes."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,7 @@ from genutil import (
     reference_slp_fold,
     substitute_scalar,
 )
+from slpforge.circuits import CircuitBuilder, expand
 from slpforge.errors import (
     ArityMismatch,
     DegreeCapExceeded,
@@ -320,3 +322,27 @@ def test_term_algebra_builds_each_constant_once(ring):
     for _ in range(2):
         with pytest.raises(RingMismatch):
             alg.const(other)
+
+
+def test_expansion_memory_does_not_grow_with_the_declared_variables():
+    # A commutative key is about width * n bits wide, so building all n
+    # variables' values up front took memory quadratic in n: x1*x2 over
+    # 20,000 declared variables peaked at 414 MB.  Each is built at its
+    # first read, once per algebra.
+    n = 20_000
+    cb = CircuitBuilder(RATIONALS, COMMUTATIVE, n)
+    cb.set_output(cb.gate(2, "mul", cb.var_leaf(1), cb.var_leaf(2)))
+    circuit = cb.build()
+    tracemalloc.start()
+    try:
+        product = expand(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.terms == {Monomial.from_exponents({1: 1, 2: 1}): RATIONALS.one()}
+    assert peak < 2_000_000
+    alg = term_algebra(RATIONALS, COMMUTATIVE, n, DEFAULT_CAPS)
+    assert alg.var(n) is alg.var(n)
+    for index in (0, n + 1):
+        with pytest.raises(ParamError, match=f"variable x{index} outside 1..{n}"):
+            alg.var(index)

@@ -1,4 +1,4 @@
-"""The README's command-line examples, run as written."""
+"""The README's Python quick start and command-line examples, run as written."""
 
 import shlex
 from pathlib import Path
@@ -32,3 +32,21 @@ def test_every_readme_example_prints_its_result_line(tmp_path, monkeypatch, caps
         out = capsys.readouterr().out.splitlines()
         assert code == 0, argv
         assert out and out[-1] == expected, argv
+
+
+def quick_start_block() -> str:
+    """The Python block under the README's Quick start heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Quick start")) + len("```python\n")
+    return text[start:text.index("```", start)]
+
+
+def test_the_quick_start_prints_what_its_comments_say(capsys):
+    # Each print line ends in a comment holding the line it prints.
+    block = quick_start_block()
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["2", "True"]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -186,6 +186,50 @@ def test_no_module_keeps_a_second_copy_rule():
     assert found == []
 
 
+LEAF_ALIASES = ("VarOperand", "ConstOperand", "FVar", "FConst")
+
+
+def test_a_leaf_is_one_class_per_kind():
+    # A formula leaf, a leaf gate and a program operand are one object,
+    # so src defines one class per kind, converts none into another, and
+    # names the earlier classes only where it aliases them.
+    fields = {}
+    for name, node in _source_nodes():
+        if isinstance(node, ast.ClassDef):
+            annotated = tuple(
+                item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+            )
+            if annotated in (("index",), ("value",)):
+                fields.setdefault(annotated[0], []).append(f"{name}:{node.name}")
+    assert fields == {"index": ["circuits.py:VarLeaf"], "value": ["circuits.py:ConstLeaf"]}
+    leaf_classes = ("VarLeaf", "ConstLeaf", *LEAF_ALIASES)
+    rebuilt = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if isinstance(node, ast.Call)
+        and _callee(node) in leaf_classes
+        and any(isinstance(a, ast.Attribute) and a.attr in ("index", "value") for a in node.args)
+    ]
+    assert rebuilt == []
+    assert not any(_names(node, "leaf_operand") for _, node in _source_nodes())
+    aliases, uses = [], []
+    for name, node in _source_nodes():
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in LEAF_ALIASES:
+                aliases.append(f"{name}:{node.targets[0].id}={node.value.id}")
+        elif isinstance(node, ast.alias) and node.name in LEAF_ALIASES or any(
+            _names(node, alias) and isinstance(node.ctx, ast.Load) for alias in LEAF_ALIASES
+        ):
+            uses.append(f"{name}:{node.lineno}")
+    assert sorted(aliases) == [
+        "circuits.py:ConstOperand=ConstLeaf",
+        "circuits.py:VarOperand=VarLeaf",
+        "formulas.py:FConst=ConstLeaf",
+        "formulas.py:FVar=VarLeaf",
+    ]
+    assert uses == []
+
+
 def test_only_validate_calls_the_full_walk():
     # _validate is the one structural check of parsed and hand-built
     # circuits, reached through validate, which stores its report.

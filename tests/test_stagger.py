@@ -27,7 +27,7 @@ from slpforge import circuits, stagger, transforms
 from slpforge.circuits import (
     ApplyStep,
     CircuitBuilder,
-    ConstOperand,
+    ConstLeaf,
     LayeredCircuit,
     LoadStep,
     RegOperand,
@@ -35,7 +35,6 @@ from slpforge.circuits import (
     evaluate,
     evaluate_batch,
     expand,
-    leaf_operand,
     slp_to_circuit,
     syntactic_degree,
     validate,
@@ -285,7 +284,8 @@ def test_only_the_steps_the_output_reads_are_emitted(monkeypatch):
         leaf = rng.choice(c.layers[0])
         bare = LayeredCircuit(c.name, c.ring, c.mode, c.num_variables, c.layers, c.gates, leaf)
         program = staggerize(bare)
-        assert program.steps == (LoadStep(0, leaf_operand(c, leaf)),), trial
+        assert program.steps == (LoadStep(0, c.gates[leaf]),), trial
+        assert program.steps[0].source is c.gates[leaf], trial
         assert program.register_count == 1 and expand(program) == expand(bare), trial
 
 
@@ -421,7 +421,7 @@ def test_conversions_match_reference_on_the_identity_testing_programs(monkeypatc
             for c in (good, corrupt_circuit(rng, good), corrupt_circuit(rng, good)):
                 programs += perm_check_instance(c).programs
     assert any(
-        isinstance(step, LoadStep) and isinstance(step.source, ConstOperand)
+        isinstance(step, LoadStep) and isinstance(step.source, ConstLeaf)
         for slp in programs
         for step in slp.steps
     )
@@ -612,7 +612,7 @@ def test_every_copy_of_a_gate_is_an_alias_and_a_copy_of_a_leaf_a_step():
     x1, x2 = cb.var_leaf(1), cb.var_leaf(2)
     a = cb.gate(2, "mul", x1, x2)
     b = cb.gate(2, "add", x1, x2)
-    first, second = cb.copies(3, [a, a])
+    first, second = cb.copy(3, a), cb.copy(3, a)
     leaf_copy = cb.copy(3, x2)
     s = cb.gate(3, "add", a, b)
     t = cb.gate(4, "add", first, second)

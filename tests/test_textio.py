@@ -763,3 +763,18 @@ def test_a_misordered_or_misread_file_validates_as_its_gates_do():
         _parsed_like_a_dict("\n".join(head + gate_lines + [output]) + "\n", circuits._validate)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "text, parse, line",
+    [
+        (SAMPLE.replace("vars 4", "vars -1"), parse_circuit, 4),
+        (ABP_SAMPLE.replace("vars 3", "vars -1"), parse_circuit, 3),
+        ("polynomial p\nring rational\nmode commutative\nvars -1\nterm 1 1\n", parse_polynomial, 4),
+    ],
+    ids=["circuit", "abp", "polynomial"],
+)
+def test_a_negative_variable_count_is_a_syntax_error(text, parse, line):
+    with pytest.raises(CircuitSyntaxError, match="variable count must be >= 0, got -1") as err:
+        parse(text)
+    assert err.value.line == line

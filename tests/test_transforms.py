@@ -19,8 +19,9 @@ from slpforge.errors import (
     FieldTooSmall,
     ModeMismatch,
     NotATree,
+    RingMismatch,
 )
-from slpforge.formulas import FConst, FOp, Formula, FVar, fadd, fconst, fmul, fvar
+from slpforge.formulas import FOp, Formula, fadd, fconst, fmul, fvar
 from slpforge.polynomials import (
     COMMUTATIVE,
     NONCOMMUTATIVE,
@@ -103,6 +104,13 @@ def test_shared_subnode_rejected():
     shared = fmul(fvar(1), fvar(2))
     with pytest.raises(NotATree):
         Formula(F, COMMUTATIVE, 2, fadd(shared, shared))
+
+
+def test_a_foreign_ring_formula_constant_is_a_ring_mismatch():
+    # As for a program's constant operand and a circuit's constant leaf,
+    # which are the same ConstLeaf objects.
+    with pytest.raises(RingMismatch, match="formula constant from a different ring"):
+        Formula(F, COMMUTATIVE, 1, fadd(fvar(1), fconst(RATIONALS, 2)))
 
 
 def test_noncommutative_product_order():
