@@ -626,10 +626,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--n", type=int, help="matrix order; checked against the file")
     p.add_argument("--mode", required=True, choices=["sz", "nw"])
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--sample-size", type=int)
+    p.add_argument("--trials", type=int, default=20, help="sz only")
+    p.add_argument("--seed", type=int, default=0, help="sz only: identity k draws from seed + k")
+    p.add_argument("--m", type=int, default=2, help="nw only: hard-family arity")
+    p.add_argument(
+        "--sample-size", type=int,
+        help="nw only: grid side; sz samples from 2 * deg B_k points",
+    )
     p.set_defaults(handler=_cmd_verify_perm)
 
     return parser

@@ -16,18 +16,32 @@ Three testers with different trust models:
   verify_permanent_circuit
                     reduces "does C compute the permanent" to n circuit
                     identities via Laplace expansion along the first
-                    row, then delegates each identity to a backend
+                    row, then tests each identity with a backend's loop,
+                    evaluating the candidate itself at transformed points
 
-Both testers share one loop for every ring.  A point is a column of
+Every test runs one loop for every ring.  A point is a column of
 indices into a value table (the sample points, or the S^m values of the
-hard family), and _first_nonzero evaluates a batch of columns at once
-with circuits.evaluate_batch: in int64 over F_p with p < 2^31, in exact
-object columns over every other ring.  An int64 batch is full from the
-first point, since numpy's cost per gate, not per point, dominates a
-small batch; an object batch starts at one point, so an early hit stays
-cheap, and grows from there (see _batches).  The hard family's table
-is itself one batched pass of raw arithmetic: HardFamily.evaluate_raw
-over one column per key coordinate, in the same dtype.
+hard family), and _first_nonzero hands a batch of columns at once to an
+evaluator of raw columns: circuits.evaluate_batch of the input for
+schwartz_zippel and nw_pit, in int64 over F_p with p < 2^31 and in
+exact object columns over every other ring.  An int64 batch is full
+from the first point, since numpy's cost per gate, not per point,
+dominates a small batch; an object batch starts at one point, so an
+early hit stays cheap, and grows from there (see _batches).  The hard
+family's table is itself one batched pass of raw arithmetic:
+HardFamily.evaluate_raw over one column per key coordinate, in the same
+dtype.
+
+The permanent check builds no identity program.  Identity B_k at a
+batch of points X is C(R_k X) - sum_{i<=k} x_1i * C(M_{k,i} X), where
+R_k fixes every entry outside the k x k corner to the identity matrix's
+and M_{k,i} feeds that corner's minor lacking row 1 and column i (the
+constant 1 for k = 1).  So each batch is one evaluate_batch of the
+candidate over k+1 blocks of transformed columns, combined with the
+ring's raw add, mul and neg, and B_k's syntactic degree comes from folds
+of the candidate.  perm_check_instance still builds the identities as
+programs: the public width <= w+2 construction, against which the
+tests check this path.
 
 The hard families shipped here are explicit multilinear polynomials
 whose coefficients come from a cheap deterministic rule.  They make the
@@ -40,7 +54,9 @@ over F_101 for both families, and schwartz_zippel(c, 20) "nonzero".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +72,10 @@ from .circuits import (
     _renamed,
     batch_dtype,
     evaluate_batch,
+    fold,
     slp_to_circuit,
     syntactic_degree,
+    validate,
 )
 from .errors import GridTooLarge, ModeMismatch, ParamError
 from .families import permanent_var_index
@@ -100,26 +118,32 @@ def _rng(seed: int) -> np.random.Generator:
 # A batch of int64 points holds at most this many values: fold keeps a
 # value for every explicit gate of a circuit, and a copy shares
 # its source's, so a circuit with 278 explicit gates gets 3771 points.
+# The permanent check evaluates its candidate on one block of columns
+# per part of identity k, k+1 of them (one for k = 1), so it counts the
+# candidate's explicit gates times the blocks.
 # An object batch holds 16 times fewer: a pointer and a Python number each.
 _BATCH_CELLS = 1 << 20
 _BATCH_POINTS = 4096
 
 
-def _batch_points(c, cells_cap: int = _BATCH_CELLS) -> int:
-    """Points per batch, so one batch stays within cells_cap values."""
+def _cells(c) -> int:
+    """The values a fold of c stores per point: registers, vertices and edges, or gates."""
     if isinstance(c, StraightLineProgram):
-        cells = c.register_count
-    elif isinstance(c, AlgebraicBranchingProgram):
-        cells = c.size + len(c.edges)
-    else:
-        cells = len(c.gates.explicit)
+        return c.register_count
+    if isinstance(c, AlgebraicBranchingProgram):
+        return c.size + len(c.edges)
+    return len(c.gates.explicit)
+
+
+def _batch_points(cells: int, cells_cap: int = _BATCH_CELLS) -> int:
+    """Points per batch, so a batch of cells values per point stays within cells_cap."""
     return max(1, min(_BATCH_POINTS, cells_cap // max(1, cells)))
 
 
-def _batches(c, total: int):
+def _batches(ring: Ring, cells: int, total: int):
     """(start, stop) point ranges: full int64 batches, growing object ones.
 
-    int64 batches hold _batch_points(c) points from the first one on.
+    int64 batches hold _batch_points(cells) points from the first one on.
     Their cost is numpy's call per gate far more than the points: on a
     depth_to_width circuit of 62 explicit gates, one evaluate_batch took
     146 us at 1 point, 212 us at 256 and 728 us at 2401 (best of 7 x 50,
@@ -129,8 +153,8 @@ def _batches(c, total: int):
     one point and grow 4 times up to their cap: a hit at point t costs
     < 4t + 1 points.
     """
-    grows = batch_dtype(c.ring) == object
-    cap = _batch_points(c, _BATCH_CELLS // 16 if grows else _BATCH_CELLS)
+    grows = batch_dtype(ring) == object
+    cap = _batch_points(cells, _BATCH_CELLS // 16 if grows else _BATCH_CELLS)
     start, size = 0, 1 if grows else cap
     while start < total:
         yield start, min(start + size, total)
@@ -143,12 +167,16 @@ def _value_table(ring: Ring, values: Sequence[Scalar]) -> np.ndarray:
     return np.array([v.value for v in values], dtype=batch_dtype(ring))
 
 
-def _first_nonzero(c, table: np.ndarray, columns: np.ndarray) -> int | None:
-    """Index of the first point (column) where c is nonzero.
+# Raw columns, one row per variable, to the raw value at every column.
+Evaluator = Callable[[np.ndarray], np.ndarray]
+
+
+def _first_nonzero(evaluator: Evaluator, table: np.ndarray, columns: np.ndarray) -> int | None:
+    """Index of the first point (column) where evaluator's value is nonzero.
 
     Row i-1 of columns holds, for every point, x_i's index into table.
     """
-    hits = np.flatnonzero(evaluate_batch(c, table[columns]))
+    hits = np.flatnonzero(evaluator(table[columns]))
     return int(hits[0]) if hits.size else None
 
 
@@ -170,21 +198,41 @@ def schwartz_zippel(
     """
     if c.mode != COMMUTATIVE:
         raise ModeMismatch("point sampling tests commutative circuits only")
-    if trials < 1:
-        raise ParamError(f"trials must be >= 1, got {trials}")
     if degree_bound is None:
         degree_bound = syntactic_degree(c)
+    return _sample_test(
+        partial(evaluate_batch, c), _cells(c), c.ring, c.num_variables,
+        trials, degree_bound, sample_size, seed,
+    )
+
+
+def _sample_test(
+    evaluator: Evaluator,
+    cells: int,
+    ring: Ring,
+    n: int,
+    trials: int,
+    degree_bound: int,
+    sample_size: int | None,
+    seed: int,
+) -> Verdict:
+    """schwartz_zippel's loop over trials points of n coordinates.
+
+    sample_size defaults to max(1, 2 * degree_bound); cells is what one
+    point of evaluator stores (see _batches).
+    """
+    if trials < 1:
+        raise ParamError(f"trials must be >= 1, got {trials}")
     if sample_size is None:
         sample_size = max(1, 2 * degree_bound)
     elif sample_size < 1:
         raise ParamError(f"sample_size must be >= 1, got {sample_size}")
-    points = c.ring.sample_points(sample_size)
-    table = _value_table(c.ring, points)
+    points = ring.sample_points(sample_size)
+    table = _value_table(ring, points)
     rng = _rng(seed)
-    n = c.num_variables
-    for start, stop in _batches(c, trials):
+    for start, stop in _batches(ring, cells, trials):
         indices = rng.integers(0, sample_size, size=(stop - start, n)).T
-        hit = _first_nonzero(c, table, indices)
+        hit = _first_nonzero(evaluator, table, indices)
         if hit is not None:
             return Verdict("nonzero", tuple(points[i] for i in indices[:, hit]))
     return Verdict("zero")
@@ -330,7 +378,11 @@ def nw_pit(
     all keys; the grid points then run in the batches schwartz_zippel
     uses.
     """
-    design, size = _grid_shape(c, m, sample_size, grid_budget)
+    if c.mode != COMMUTATIVE:
+        raise ModeMismatch("the grid tester handles commutative circuits only")
+    design, size = _grid_shape(
+        c.num_variables, syntactic_degree(c), m, sample_size, grid_budget
+    )
     ring = c.ring
     points = ring.sample_points(size)
 
@@ -338,18 +390,17 @@ def nw_pit(
     def inner(keys: np.ndarray) -> np.ndarray:
         return hf.evaluate_raw(m, ring, keys)
 
-    return _grid_test(c, design, points, _family_table(ring, m, points, inner))
+    table = _family_table(ring, m, points, inner)
+    return _grid_test(partial(evaluate_batch, c), _cells(c), ring, design, points, table)
 
 
 def _grid_shape(
-    c, m: int, sample_size: int | None, grid_budget: int
+    n: int, degree: int, m: int, sample_size: int | None, grid_budget: int
 ) -> tuple[NWDesign, int]:
-    """nw_pit's design and sample size, checked against the grid budget."""
-    if c.mode != COMMUTATIVE:
-        raise ModeMismatch("the grid tester handles commutative circuits only")
-    design = nw_design(c.num_variables, m)
+    """nw_pit's design and sample size for n variables and a degree, checked against the budget."""
+    design = nw_design(n, m)
     if sample_size is None:
-        sample_size = syntactic_degree(c) * m + 1
+        sample_size = degree * m + 1
     elif sample_size < 1:
         raise ParamError(f"sample_size must be >= 1, got {sample_size}")
     universe = design.universe_size
@@ -376,21 +427,32 @@ def _family_table(
     return values(raw[np.indices((len(points),) * m).reshape(m, -1)])
 
 
-def _grid_test(c, design: NWDesign, points: Sequence[Scalar], table: np.ndarray) -> Verdict:
-    """nw_pit's run over the grid of points, given the table of P_(design.m)."""
+def _grid_test(
+    evaluator: Evaluator,
+    cells: int,
+    ring: Ring,
+    design: NWDesign,
+    points: Sequence[Scalar],
+    table: np.ndarray,
+) -> Verdict:
+    """nw_pit's run over the grid of points, given the table of P_(design.m).
+
+    evaluator reads one column per design set; cells is what one point
+    of it stores (see _batches).
+    """
     m, universe = design.m, design.universe_size
     side = len(points)
-    weights = np.zeros((c.num_variables, universe), dtype=np.int64)
+    weights = np.zeros((design.n, universe), dtype=np.int64)
     for i, s in enumerate(design.sets):
         for k, u in enumerate(sorted(s)):
             weights[i, u] = side ** (m - 1 - k)
-    for start, stop in _batches(c, side**universe):
+    for start, stop in _batches(ring, cells, side**universe):
         # Digits of grid index g in product order: the last one fastest.
         rest = np.arange(start, stop, dtype=np.int64)
         digits = np.empty((universe, rest.size), dtype=np.int64)
         for u in reversed(range(universe)):
             rest, digits[u] = np.divmod(rest, side)
-        hit = _first_nonzero(c, table, weights @ digits)
+        hit = _first_nonzero(evaluator, table, weights @ digits)
         if hit is not None:
             return Verdict("nonzero", tuple(points[t] for t in digits[:, hit]))
     return Verdict("zero")
@@ -416,9 +478,11 @@ class PermCheckInstance:
 
     B_k subtracts the first-row Laplace expansion from C_k, the
     candidate restricted to its k x k corner, so the candidate computes
-    the permanent exactly when every B_k is zero.  The testers evaluate
-    the programs as they are; identities converts them to staggered
-    circuits with slp_to_circuit on every read.
+    the permanent exactly when every B_k is zero.  verify_permanent_circuit
+    tests these identities without this object: it evaluates the
+    candidate at the restricted and minor points themselves, and the
+    tests check it against these programs.  identities converts them to
+    staggered circuits with slp_to_circuit on every read.
     """
 
     candidate: LayeredCircuit
@@ -451,6 +515,18 @@ def _minor_leaves(ring: Ring, n: int, k: int, i: int) -> dict[int, Leaf]:
     return leaves
 
 
+def _perm_order(c: LayeredCircuit) -> int:
+    """The order n of a commutative candidate over n x n variables."""
+    if c.mode != COMMUTATIVE:
+        raise ModeMismatch("the permanent is a commutative polynomial")
+    n = math.isqrt(c.num_variables)
+    if n * n != c.num_variables or n < 1:
+        raise ParamError(
+            f"candidate must read an n x n grid, got {c.num_variables} variables"
+        )
+    return n
+
+
 def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     """Build every identity program for a candidate.
 
@@ -461,16 +537,11 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     and the copy table, never on leaves, so each re-emission equals the
     staggering of the rewritten circuit.  Each B_k runs these in one
     register pool plus a single accumulator, so its width exceeds the
-    candidate's by at most 2.  The B_k stay programs: the testers
-    evaluate them as they are.
+    candidate's by at most 2.  This is the width-bounded form of the
+    identities; verify_permanent_circuit computes the same values by
+    evaluating the candidate, and builds none of these programs.
     """
-    if c.mode != COMMUTATIVE:
-        raise ModeMismatch("the permanent is a commutative polynomial")
-    n = math.isqrt(c.num_variables)
-    if n * n != c.num_variables or n < 1:
-        raise ParamError(
-            f"candidate must read an n x n grid, got {c.num_variables} variables"
-        )
+    n = _perm_order(c)
     ring = c.ring
     # Staggered on a copy sharing the read-only gate table and the report
     # the candidate holds, if any: validate stores its report on the
@@ -497,6 +568,84 @@ def perm_check_instance(c: LayeredCircuit) -> PermCheckInstance:
     return PermCheckInstance(candidate=c, n=n, programs=tuple(programs))
 
 
+def _laplace_rows(n: int, k: int) -> np.ndarray:
+    """Row of [X; 0; 1] that each variable reads, for every block of B_k.
+
+    Row v-1 of X holds x_v at every point, and rows n*n and n*n + 1 hold
+    0 and 1.  Block 0 is R_k X: an entry of the k x k corner reads
+    itself, every other entry the identity matrix's.  Block i, for k >= 2,
+    is M_{k,i} X: entry (a, b) of the (k-1) x (k-1) corner reads x_(a+1, c),
+    c = b if b < i else b + 1, and every other entry the identity's.
+    For k = 1 the minor is the constant 1 and has no block.
+    """
+
+    def block(j: int, entry: Callable[[int, int], int]) -> list[int]:
+        return [
+            entry(a, b) - 1 if a <= j and b <= j else n * n + (a == b)
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
+        ]
+
+    def var(a: int, b: int) -> int:
+        return permanent_var_index(n, a, b)
+
+    blocks = [block(k, var)]
+    if k > 1:
+        blocks += [
+            block(k - 1, lambda a, b, i=i: var(a + 1, b if b < i else b + 1))
+            for i in range(1, k + 1)
+        ]
+    return np.array(blocks)
+
+
+def _laplace_identity(c: LayeredCircuit, n: int, k: int) -> tuple[Evaluator, int]:
+    """B_k as an evaluator of raw columns, and the values it stores per point.
+
+    One evaluate_batch of c runs every block of _laplace_rows(n, k) at
+    once; B_k = C(R_k X) - sum_i x_1i * C(M_{k,i} X) then combines the
+    blocks with the ring's raw add, mul and neg, exactly as the program
+    B_k does.
+    """
+    rows = _laplace_rows(n, k)
+    blocks = len(rows)
+    ring = c.ring
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    constants = np.array([[ring.zero().value], [ring.one().value]], dtype=batch_dtype(ring))
+    first_row = [permanent_var_index(n, 1, i) - 1 for i in range(1, k + 1)]
+
+    def evaluator(x: np.ndarray) -> np.ndarray:
+        points = x.shape[1]
+        padded = np.concatenate([x, np.broadcast_to(constants, (2, points))])
+        columns = padded[rows].transpose(1, 0, 2).reshape(n * n, blocks * points)
+        values = evaluate_batch(c, columns).reshape(blocks, points)
+        total = values[0]
+        for i, row in enumerate(first_row, start=1):
+            total = add(total, neg(x[row] if k == 1 else mul(x[row], values[i])))
+        return total
+
+    return evaluator, _cells(c) * blocks
+
+
+def _laplace_degrees(c: LayeredCircuit, n: int) -> list[int]:
+    """The syntactic degree of every B_k, as its program's would read.
+
+    d_k is c's degree with 1 for the k x k corner's variables and 0 for
+    every other variable and every constant; B_k's is max(d_k, 1 + d_(k-1)),
+    with d_0 = 0 for the constant minor of B_1.  d_n, with every variable
+    in the corner, is the degree validate reports.
+    """
+    degrees, previous = [], 0
+    for k in range(1, n + 1):
+        if k == n:
+            d = syntactic_degree(c)
+        else:
+            corner = {permanent_var_index(n, a, b) for a in range(1, k + 1) for b in range(1, k + 1)}
+            d = fold(c, lambda i: int(i in corner), lambda v: 0, max, operator.add)
+        degrees.append(max(d, 1 + previous))
+        previous = d
+    return degrees
+
+
 def verify_permanent_circuit(
     c: LayeredCircuit,
     backend: str = "schwartz_zippel",
@@ -508,25 +657,43 @@ def verify_permanent_circuit(
 ) -> PermVerdict:
     """Accept iff every Laplace identity of the candidate tests zero.
 
-    The randomized backend derives an independent seed per identity; the
-    grid backend is deterministic and ignores the seed.  It runs
-    nw_pit's test with desk-rule at m, under nw_pit's grid_budget, and
-    builds the hard-family table once per sample size: the identities
-    share ring and m, and a given sample_size all of them.  Every
-    identity's grid is sized before any runs, so a grid past the budget
-    raises GridTooLarge at once, even where an earlier identity would
-    have rejected.
+    Identity B_k is tested as perm_check_instance(c).programs[k-1] would
+    be, with the same points, verdicts and witnesses, but no program is
+    built: each batch of points is one evaluate_batch of the candidate
+    over k+1 blocks of transformed columns (see _laplace_identity), and
+    the sample set or grid is sized from B_k's syntactic degree.
+
+    Each backend reads its own options.  schwartz_zippel reads trials and
+    seed (identity k draws from seed + k) and ignores m, sample_size and
+    grid_budget: it samples from max(1, 2 * deg B_k) points, as
+    schwartz_zippel does by default.  nw_pit reads m, sample_size and
+    grid_budget and ignores trials and seed: it runs nw_pit's test with
+    desk-rule at m, and builds the hard-family table once per sample
+    size: the identities share ring and m, and a given sample_size all
+    of them.  Every identity's grid is sized before any runs, so a grid
+    past the budget raises GridTooLarge at once, even where an earlier
+    identity would have rejected.  The candidate is validated on a copy,
+    so it is left as it was.
     """
     if backend not in ("schwartz_zippel", "nw_pit"):
         raise ParamError(f"unknown backend {backend!r}")
-    instance = perm_check_instance(c)
+    n = _perm_order(c)
+    # A copy sharing the read-only gate table and the report the
+    # candidate holds, if any: validate stores its report on the circuit
+    # it checks, and the caller's candidate should not change.
+    candidate = _renamed(c, f"C_{n}")
+    validate(candidate)
+    degrees = _laplace_degrees(candidate, n)
     if backend == "nw_pit":
-        shapes = [_grid_shape(p, m, sample_size, grid_budget) for p in instance.programs]
+        shapes = [_grid_shape(n * n, d, m, sample_size, grid_budget) for d in degrees]
     desk, ring = HARD_FAMILIES["desk-rule"], c.ring
     tables: dict[int, tuple[list[Scalar], np.ndarray]] = {}
-    for k, program in enumerate(instance.programs, start=1):
+    for k, degree in enumerate(degrees, start=1):
+        evaluator, cells = _laplace_identity(candidate, n, k)
         if backend == "schwartz_zippel":
-            verdict = schwartz_zippel(program, trials=trials, seed=seed + k)
+            verdict = _sample_test(
+                evaluator, cells, ring, n * n, trials, degree, None, seed + k
+            )
         else:
             design, size = shapes[k - 1]
             if size not in tables:
@@ -534,7 +701,7 @@ def verify_permanent_circuit(
                 tables[size] = points, _family_table(
                     ring, m, points, lambda keys: desk.evaluate_raw(m, ring, keys)
                 )
-            verdict = _grid_test(program, design, *tables[size])
+            verdict = _grid_test(evaluator, cells, ring, design, *tables[size])
         if not verdict.is_zero:
             return PermVerdict("reject", failing_index=k, witness=verdict.witness)
     return PermVerdict("accept")

@@ -425,6 +425,35 @@ def test_a_negative_variable_count_is_an_operation_error(tmp_path, capsys):
         assert err == "error: line 4: variable count must be >= 0, got -1\n", argv
 
 
+def _option_help(command):
+    """Each option of a subcommand, mapped to its -h text."""
+    sub = next(a for a in _build_parser()._actions if a.choices and command in a.choices)
+    return {
+        action.option_strings[-1]: action.help or ""
+        for action in sub.choices[command]._actions
+        if action.option_strings
+    }
+
+
+def test_verify_perm_help_names_the_options_each_mode_reads(tmp_path, capsys):
+    # sz reads --trials and --seed and ignores --m and --sample-size; nw
+    # the other way round, so sz accepts even --sample-size 0.
+    for command in ("pit", "verify-perm"):
+        options = _option_help(command)
+        assert options["--trials"].startswith("sz only"), command
+        assert options["--seed"].startswith("sz only"), command
+        assert options["--m"].startswith("nw only"), command
+    assert _option_help("verify-perm")["--sample-size"].startswith("nw only")
+    poly_file, circuit = tmp_path / "perm2.poly", tmp_path / "perm2.ckt"
+    run(capsys, "family", "--name", "perm", "--k", "2", "-o", str(poly_file))
+    run(capsys, "compile-sparse", "-i", str(poly_file), "-o", str(circuit))
+    argv = ["verify-perm", "--circuit", str(circuit), "--mode"]
+    code, out, _ = run(capsys, *argv, "sz", "--sample-size", "0", "--m", "0")
+    assert code == 0 and result_line(out) == {"verdict": "accept"}
+    code, out, _ = run(capsys, *argv, "nw", "--trials", "0", "--seed", "-5")
+    assert code == 0 and result_line(out) == {"verdict": "accept"}
+
+
 def test_verify_perm_rejects_wrong_candidate(tmp_path, capsys):
     wrong = tmp_path / "wrong.ckt"
     run(

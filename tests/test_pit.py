@@ -36,6 +36,7 @@ from slpforge.errors import (
     ModeMismatch,
     ParamError,
     RingMismatch,
+    SlpforgeError,
 )
 from slpforge.families import build_permanent_sparse, permanent_var_index
 from slpforge.formulas import Formula, fadd, fconst, fmul, fvar
@@ -514,7 +515,7 @@ def test_a_hit_at_the_first_point_evaluates_one_column(monkeypatch):
         if ring == RATIONALS:
             assert columns == [1, 1]
         else:
-            cap = pit._batch_points(c)
+            cap = pit._batch_points(pit._cells(c))
             grid = 3 ** nw_design(1, 2).universe_size
             assert columns == [min(100, cap), min(grid, cap)]
         columns.clear()
@@ -531,11 +532,13 @@ def test_a_zero_input_that_fits_one_int64_batch_costs_one_fold(monkeypatch):
     columns.clear()
     grid = 3 ** nw_design(2, 2).universe_size  # side 1*2 + 1
     assert nw_pit(c, DESK, 2).is_zero
-    assert columns == [grid] and grid <= pit._batch_points(c)
+    assert columns == [grid] and grid <= pit._batch_points(pit._cells(c))
     columns.clear()
+    # The permanent check evaluates its candidate once per identity, on
+    # k+1 blocks of the 20 trials for B_k (B_1's minor is the constant 1).
     good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
     assert verify_permanent_circuit(good, trials=20).accepted
-    assert columns == [20, 20, 20]
+    assert columns == [20, 3 * 20, 4 * 20]
 
 
 def test_object_batches_grow_so_a_hit_at_point_t_costs_under_4t_plus_1(monkeypatch):
@@ -599,7 +602,7 @@ def test_batched_sz_first_hit_in_a_later_batch():
     # Trial index of the first all-ones draw on {0, 1}: past the first batch.
     rng = np.random.Generator(np.random.Philox(seed))
     first = next(t for t in range(trials) if rng.integers(0, 2, size=12).all())
-    assert first >= pit._batch_points(c)
+    assert first >= pit._batch_points(pit._cells(c))
     verdict = schwartz_zippel(c, trials, None, seed, 2)
     assert verdict == reference_schwartz_zippel(c, trials, None, seed, 2)
     assert verdict.witness == (ring.one(),) * 12
@@ -611,7 +614,7 @@ def test_batched_nw_first_hit_in_a_later_batch():
     verdict = nw_pit(c, DESK, 2, side)
     assert verdict == reference_nw_pit(c, DESK, 2, side)
     assert verdict.witness[0] == ring.one()  # grid index >= 17^3
-    assert side**3 >= pit._batch_points(c)
+    assert side**3 >= pit._batch_points(pit._cells(c))
 
 
 def test_batches_count_the_gate_values_fold_stores():
@@ -630,7 +633,7 @@ def test_batches_count_the_gate_values_fold_stores():
     explicit = len(c.gates.explicit)
     assert explicit > 256
     assert c.size > 50 * explicit
-    assert pit._batch_points(c) == pit._BATCH_CELLS // explicit < pit._BATCH_POINTS
+    assert pit._batch_points(pit._cells(c)) == pit._BATCH_CELLS // explicit < pit._BATCH_POINTS
     # 2^150 times the product of x_i^37 or x_i^38 is nonzero on {0, 1}^4
     # at all ones only.
     for seed in range(3):
@@ -640,7 +643,36 @@ def test_batches_count_the_gate_values_fold_stores():
         assert verdict.witness == (ring.one(),) * n
 
 
-def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
+def _program_grid(program, m, sample_size, grid_budget):
+    """The grid shape nw_pit gives an identity program."""
+    return pit._grid_shape(
+        program.num_variables, circuits.syntactic_degree(program), m, sample_size, grid_budget
+    )
+
+
+def _perm_by_programs(
+    c, backend, seed=0, trials=20, m=2, sample_size=None, grid_budget=pit._GRID_BUDGET,
+    sz=schwartz_zippel, nw=nw_pit,
+):
+    """The permanent check as its identity programs test: one tester call per B_k.
+
+    sz ignores sample_size, and every grid is sized before any runs.
+    """
+    programs = perm_check_instance(c).programs
+    if backend == "nw_pit":
+        for program in programs:
+            _program_grid(program, m, sample_size, grid_budget)
+    for k, program in enumerate(programs, start=1):
+        if backend == "schwartz_zippel":
+            verdict = sz(program, trials, None, seed + k)
+        else:
+            verdict = nw(program, DESK, m, sample_size, grid_budget)
+        if not verdict.is_zero:
+            return pit.PermVerdict("reject", k, verdict.witness)
+    return pit.PermVerdict("accept")
+
+
+def test_perm_verdicts_equal_the_scalar_loops():
     ring = PrimeField((1 << 31) - 1)
     good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(2, ring)))
     rng = random.Random(12)
@@ -650,19 +682,113 @@ def test_perm_verdicts_equal_the_scalar_loops(monkeypatch):
         for c in candidates
         for backend in ("schwartz_zippel", "nw_pit")
     ]
-    monkeypatch.setattr(pit, "schwartz_zippel", reference_schwartz_zippel)
-
-    def scalar_grid(program, design, points, table):
-        return reference_nw_pit(program, pit.HARD_FAMILIES["desk-rule"], design.m, len(points))
-
-    monkeypatch.setattr(pit, "_grid_test", scalar_grid)
     scalar = [
-        verify_permanent_circuit(c, backend, seed=5, sample_size=3)
+        _perm_by_programs(
+            c, backend, seed=5, sample_size=3, sz=reference_schwartz_zippel, nw=reference_nw_pit
+        )
         for c in candidates
         for backend in ("schwartz_zippel", "nw_pit")
     ]
     assert batched == scalar
     assert batched[0].accepted and not all(v.accepted for v in batched)
+
+
+def _perm_candidates(rng, ring, n):
+    """Two correct candidates of order n, two corruptions of each, and x11 + 1.
+
+    One is the compiled permanent; the other is the permanent's formula
+    plus f - f for a random formula f drawn twice, made narrow.  x11 + 1
+    has the same degree in every corner, so B_k's degree is that of its
+    minor term, 1 + d_(k-1), for k >= 2.
+    """
+    compiled = slp_to_circuit(sparse_to_width2(build_permanent_sparse(n, ring)))
+    perm = fadd(*(
+        fmul(*(fvar(permanent_var_index(n, i, col)) for i, col in enumerate(cols, start=1)))
+        for cols in itertools.permutations(range(1, n + 1))
+    ))
+    seed = rng.randrange(1 << 30)
+    f, g = (
+        random_formula(random.Random(seed), ring, COMMUTATIVE, 2, num_variables=n * n)
+        for _ in range(2)
+    )
+    hidden = _formula_circuit(ring, n * n, fadd(perm, f.root, fmul(fconst(ring, -1), g.root)))
+    good = [compiled, hidden]
+    wrong = _formula_circuit(ring, n * n, fadd(fvar(1), fconst(ring, 1)))
+    return good + [corrupt_circuit(rng, c) for c in good for _ in range(2)] + [wrong]
+
+
+def _outcome(check, *args, **kwargs):
+    """check's verdict, or the type of the library error it raises."""
+    try:
+        return check(*args, **kwargs)
+    except SlpforgeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ring", [PrimeField(101), PrimeField((1 << 31) - 1), RATIONALS], ids=str
+)
+def test_perm_check_equals_testing_its_programs(ring, n):
+    # The evaluated identities give the verdict, failing index and
+    # witness of perm_check_instance's programs, each tested on its own
+    # with the same seed or the same grid.  A budget of 20 000 points
+    # keeps the object grids small; a grid past it raises GridTooLarge
+    # on both paths.
+    rng = random.Random(1000 * n + ring.characteristic % 1000)
+    candidates = _perm_candidates(rng, ring, n)
+    assert verify_permanent_circuit(candidates[0]).accepted
+    outcomes = set()
+    for c in candidates:
+        programs = perm_check_instance(c).programs
+        degrees = [circuits.syntactic_degree(program) for program in programs]
+        assert pit._laplace_degrees(c, n) == degrees
+        for k in range(1, n + 1):
+            blocks = k + 1 if k > 1 else 1
+            assert pit._laplace_identity(c, n, k)[1] == blocks * len(c.gates.explicit)
+        seed = rng.randrange(1 << 30)
+        for backend in ("schwartz_zippel", "nw_pit"):
+            for sample_size in (None, 3):
+                args = (c, backend, seed, 20, 2, sample_size, 20_000)
+                got = _outcome(verify_permanent_circuit, *args)
+                assert got == _outcome(_perm_by_programs, *args), (backend, sample_size)
+                outcomes.add(got if isinstance(got, type) else got.status)
+    assert "accept" in outcomes and "reject" in outcomes
+
+
+def test_the_perm_check_builds_no_program(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the permanent check built a program")
+
+    ring = PrimeField((1 << 31) - 1)
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring)))
+    bad = slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring).scale(2)))
+    for name in ("perm_check_instance", "staggerize", "SlpBuilder"):
+        monkeypatch.setattr(pit, name, refuse)
+    for backend in ("schwartz_zippel", "nw_pit"):
+        assert verify_permanent_circuit(good, backend).accepted
+        assert not verify_permanent_circuit(bad, backend).accepted
+
+
+def test_each_perm_backend_reads_its_own_options():
+    # schwartz_zippel samples from 2 * deg B_k points and ignores m,
+    # sample_size and grid_budget, so even sample_size=0 is accepted;
+    # nw_pit ignores trials and seed.
+    ring = PrimeField(101)
+    good = slp_to_circuit(sparse_to_width2(build_permanent_sparse(2, ring)))
+    bad = corrupt_circuit(random.Random(3), good)
+    for c in (good, bad):
+        sz = verify_permanent_circuit(c, "schwartz_zippel", seed=4, trials=9)
+        for ignored in ({"sample_size": 0}, {"sample_size": 50}, {"m": 5, "grid_budget": 1}):
+            assert verify_permanent_circuit(c, "schwartz_zippel", seed=4, trials=9, **ignored) == sz
+        nw = verify_permanent_circuit(c, "nw_pit", sample_size=3)
+        for ignored in ({"trials": 0}, {"seed": 17, "trials": 1}):
+            assert verify_permanent_circuit(c, "nw_pit", sample_size=3, **ignored) == nw
+    assert verify_permanent_circuit(good, "schwartz_zippel", sample_size=0).accepted
+    with pytest.raises(ParamError):
+        verify_permanent_circuit(good, "nw_pit", sample_size=0)
+    with pytest.raises(ParamError):
+        verify_permanent_circuit(good, "schwartz_zippel", trials=0)
 
 
 def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
@@ -696,7 +822,7 @@ def test_grid_perm_check_builds_one_family_table_per_sample_size(monkeypatch):
             got = verify_permanent_circuit(c, "nw_pit", m=2, sample_size=sample_size)
             assert got == expected
             tested = programs[: got.failing_index or len(programs)]
-            sizes = {pit._grid_shape(b, 2, sample_size, 10**6)[1] for b in tested}
+            sizes = {_program_grid(b, 2, sample_size, 10**6)[1] for b in tested}
             assert sorted(evaluations) == sorted(size**2 for size in sizes)
     assert not all(verify_permanent_circuit(c, "nw_pit").accepted for c in candidates)
 
@@ -722,7 +848,7 @@ def test_grid_perm_check_sizes_every_grid_before_running_one(monkeypatch):
     for c in rejected:
         grids = []
         for program in pit.perm_check_instance(c).programs:
-            design, size = pit._grid_shape(program, 2, None, 10**12)
+            design, size = _program_grid(program, 2, None, 10**12)
             grids.append(size**design.universe_size)
         assert min(grids) < max(grids)
         with pytest.raises(GridTooLarge):

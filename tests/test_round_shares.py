@@ -71,6 +71,34 @@ def test_count_prints_calls_per_round_and_restores_the_attribute(capsys):
             round_shares.main([*argv, "--count", bad])
 
 
+def test_a_counted_module_function_counts_every_binding_once():
+    # pit and the package import evaluate_batch by value.  Counting it by
+    # any module's name wraps every slpforge binding of it with one
+    # wrapper, so each call counts once whichever name the caller reads.
+    import slpforge
+    from slpforge import circuits, pit
+
+    batch = circuits.evaluate_batch
+    bindings = {(m.__name__, attr) for m, attr in round_shares._bindings(circuits, "evaluate_batch")}
+    assert bindings >= {
+        ("slpforge.circuits", "evaluate_batch"),
+        ("slpforge.pit", "evaluate_batch"),
+        ("slpforge", "evaluate_batch"),
+    }
+    gate = round_shares._bindings(circuits.CircuitBuilder, "gate")
+    assert gate == [(circuits.CircuitBuilder, "gate")]
+
+    names = ("slpforge.circuits.evaluate_batch", "slpforge.pit.evaluate_batch")
+    result = round_shares.round_shares("identity_grid", 7, 2, kind="sz zero", count=names[:1])
+    assert result["counts"] == {names[0]: 10.0}
+    # Each permanent check evaluates its candidate once per identity it
+    # tests: 3 for each of the two accepted candidates, and at seed 7 the
+    # rejected ones fail at B_2 (sz) and B_3 (nw).
+    result = round_shares.round_shares("identity_grid", 7, 2, kind="perm", count=names)
+    assert result["counts"] == {names[0]: 11.0, names[1]: 11.0}
+    assert circuits.evaluate_batch is pit.evaluate_batch is slpforge.evaluate_batch is batch
+
+
 def test_a_counted_static_or_class_method_keeps_its_kind():
     class Box:
         @staticmethod

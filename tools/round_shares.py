@@ -2,7 +2,7 @@
 
     python3 tools/round_shares.py --workload stagger_wide --seed 7 --rounds 5
     python3 tools/round_shares.py --workload transform_series --kind "root n=3 r=3"
-    python3 tools/round_shares.py --workload identity_grid --count slpforge.pit.evaluate_batch
+    python3 tools/round_shares.py --workload identity_grid --count slpforge.circuits.evaluate_batch
 
 Builds the workload's instances from ``perfbench.workloads`` with the
 seed, keeps those whose kind starts with ``--kind`` (all by default),
@@ -13,11 +13,14 @@ instance's whole ``work``.  It prints the mean round time, each call
 name's share of the time spent in calls (the shares sum to 100%), and
 per instance kind the mean time per round and its share of the round.
 Each ``--count DOTTED.NAME`` (repeatable) wraps that attribute of a
-module or class, such as ``slpforge.pit.evaluate_batch``, for the timed
-rounds only, and prints its calls per round; the attribute is restored
-afterwards.  A module attribute counts the calls that look it up there,
-so ``slpforge.pit.evaluate_batch`` counts pit's calls, which read the
-name pit imported.  Outputs are not checked; ``perfbench/run.py`` does
+module or class, such as ``slpforge.circuits.evaluate_batch``, for the
+timed rounds only, and prints its calls per round; every wrapped
+attribute is restored afterwards.  A module attribute is wrapped in
+every ``slpforge`` module that binds the same object, under any name,
+so the count does not depend on which module's name a caller reads:
+``slpforge.circuits.evaluate_batch`` also counts pit's calls, which read
+the name pit imported.  All those bindings share one wrapper, so each
+call counts once.  Outputs are not checked; ``perfbench/run.py`` does
 that.  Standard library only; it changes no perfbench file.
 """
 
@@ -29,6 +32,7 @@ import importlib
 import random
 import sys
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +57,22 @@ def _owner(dotted: str) -> tuple[object, str]:
             return owner, parts[-1]
         break
     raise ValueError(f"cannot resolve {dotted!r}")
+
+
+def _bindings(owner: object, attr: str) -> list[tuple[object, str]]:
+    """Where a counted attribute is bound: owner's attr, and for a module
+    attribute every slpforge module attribute bound to the same object."""
+    found = [(owner, attr)]
+    if isinstance(owner, types.ModuleType):
+        raw = vars(owner)[attr]
+        for name, module in sorted(sys.modules.items()):
+            if name == "slpforge" or name.startswith("slpforge."):
+                found += [
+                    (module, other)
+                    for other, value in vars(module).items()
+                    if value is raw and (module, other) != (owner, attr)
+                ]
+    return found
 
 
 def _counting(raw, tally: dict[str, int], name: str):
@@ -102,10 +122,14 @@ def round_shares(
     for inst in instances:  # the warm-up round
         inst.work(call)
     by_call.clear()
-    saved = [(owner, attr, vars(owner)[attr]) for owner, attr in owners]
+    saved = []
     try:
-        for name, (owner, attr, raw) in zip(count, saved):
-            setattr(owner, attr, _counting(raw, calls, name))
+        for name, (owner, attr) in zip(count, owners):
+            raw = vars(owner)[attr]
+            wrapper = _counting(raw, calls, name)
+            for bound, bound_attr in _bindings(owner, attr):
+                saved.append((bound, bound_attr, raw))
+                setattr(bound, bound_attr, wrapper)
         for _ in range(rounds):
             for inst in instances:
                 start = time.perf_counter()
