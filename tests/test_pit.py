@@ -31,6 +31,8 @@ from slpforge.circuits import (
     validate,
 )
 from slpforge.errors import (
+    BadOperandLayer,
+    DanglingOutput,
     FieldTooSmall,
     GridTooLarge,
     ModeMismatch,
@@ -754,6 +756,49 @@ def test_perm_check_equals_testing_its_programs(ring, n):
                 assert got == _outcome(_perm_by_programs, *args), (backend, sample_size)
                 outcomes.add(got if isinstance(got, type) else got.status)
     assert "accept" in outcomes and "reject" in outcomes
+
+
+def test_perm_check_errors_are_those_of_its_programs():
+    # A malformed candidate raises its typed validation error before any
+    # degree fold; the order checks, the grid checks and the budget check
+    # raise what building and testing the programs raises.  A candidate
+    # that was never validated stays so.
+    ring = PrimeField(101)
+    gates = {
+        1: VarLeaf(1), 2: VarLeaf(4), 3: circuits.BinGate("mul", 1, 2),
+        4: circuits.BinGate("add", 3, 3), 5: circuits.BinGate("add", 3, 1),
+    }
+    skips = circuits.LayeredCircuit("skips", ring, COMMUTATIVE, 4, [[1, 2], [3], [4], [5]], gates, 5)
+    dangling = circuits.LayeredCircuit(
+        "dangling", ring, COMMUTATIVE, 4, [[1, 2], [3]], {g: gates[g] for g in (1, 2, 3)}, 9
+    )
+    noncommutative = _perm_candidate(2)
+    noncommutative = circuits.LayeredCircuit(
+        "nc", RATIONALS, NONCOMMUTATIVE, 4, noncommutative.layers,
+        noncommutative.gates, noncommutative.output_id,
+    )
+    cb = CircuitBuilder(ring, COMMUTATIVE, 3)
+    cb.set_output(cb.var_leaf(1))
+    good = replace_leaves(slp_to_circuit(sparse_to_width2(build_permanent_sparse(3, ring))), {})
+    cases = [
+        (skips, {}, BadOperandLayer),
+        (dangling, {}, DanglingOutput),
+        (noncommutative, {}, ModeMismatch),
+        (cb.build(), {}, ParamError),
+        (good, {"sample_size": 0}, ParamError),
+        (good, {"m": 0}, ParamError),
+        (good, {"grid_budget": 10}, GridTooLarge),
+        (good, {"sample_size": 102, "grid_budget": 10**9}, FieldTooSmall),
+    ]
+    for c, options, error in cases:
+        args = (c, "nw_pit", 0, 20, options.get("m", 2), options.get("sample_size"),
+                options.get("grid_budget", pit._GRID_BUDGET))
+        assert _outcome(verify_permanent_circuit, *args) is error, (c.name, options)
+        assert _outcome(_perm_by_programs, *args) is error, (c.name, options)
+    for c, error in ((skips, BadOperandLayer), (good, ParamError)):
+        assert _outcome(verify_permanent_circuit, c, trials=0) is error
+        assert _outcome(_perm_by_programs, c, "schwartz_zippel", trials=0) is error
+    assert good._report is None and skips._report is None
 
 
 def test_the_perm_check_builds_no_program(monkeypatch):
